@@ -1,4 +1,4 @@
-"""Algebraic ZX-calculus: diagrams, exact matrix semantics, a certified
+"""Algebraic ZX-calculus: diagrams, matrix semantics, a certified
 rule catalog, elementary-transformation normal forms and an equivalence
 checker."""
 
@@ -13,7 +13,7 @@ from .normalform import (NormalForm, ElementarySpec, nf_from_vector,
                          normalize, scalar_nf, scalar_nf_diagram,
                          generator_nf, row_addition_diagram,
                          row_multiplication_diagram, WireCapError)
-from .rules import (RewriteRule, DerivedRule, instantiate, check_soundness,
+from .rules import (RewriteRule, instantiate, check_soundness,
                     figure_catalog, derived_catalog, full_catalog)
 from .rewrite import (MatchSite, find_matches, apply, simplify,
                       StaleSiteError, UnsupportedRuleError)

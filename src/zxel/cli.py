@@ -8,7 +8,6 @@ representable), 2 error (bad file, type mismatch, resource cap).
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 
@@ -16,15 +15,15 @@ import click
 import numpy as np
 
 from . import diagram as dg
-from .diagram import Diagram, compose_all, permutation
+from .diagram import Diagram
 from .equivalence import TypeMismatchError, check_equivalent
 from .io import (DiagramFileError, dumps_diagram, format_matrix,
                  load_diagram, load_matrix, save_diagram)
-from .normalform import (ElementarySpec, WireCapError, elementary_diagram,
-                         nf_to_diagram, nf_to_jsonable, normalize)
+from .normalform import (WireCapError, decompose_elementary, nf_to_diagram,
+                         nf_to_jsonable, normalize)
 from .rewrite import simplify as run_simplify
 from .rules import check_soundness, full_catalog
-from .semantics import ResourceError, interpret, matrices_equal
+from .semantics import ResourceError, interpret, matrices_equal, wire_cap
 
 
 def _fail(message: str, code: int = 2):
@@ -42,6 +41,10 @@ def _load(path: str) -> Diagram:
 @click.group()
 def main():
     """Algebraic ZX-calculus: interpret, rewrite, normalize, compare."""
+    try:
+        wire_cap()
+    except ValueError as exc:
+        _fail(str(exc))
 
 
 @main.command("interpret")
@@ -152,76 +155,6 @@ def cmd_rules(samples, tol, seed, as_json, corrupt):
     sys.exit(0 if not failures else 1)
 
 
-# -- elementary decomposition ------------------------------------------------
-
-def _perm_matrix(perm: list[int], m: int) -> np.ndarray:
-    return interpret(permutation(perm))
-
-
-def _last_column_specs(mat: np.ndarray, m: int):
-    """If mat is identity except its last column, return the elementary
-    specs realising it (additions by increasing target row, then the
-    multiplication); otherwise None."""
-    n = 2 ** m
-    probe = mat.copy()
-    probe[:, n - 1] = 0.0
-    expect = np.eye(n, dtype=complex)
-    expect[:, n - 1] = 0.0
-    if not matrices_equal(probe, expect, 1e-9):
-        return None
-    specs = []
-    for j in range(n - 1):
-        coeff = complex(mat[j, n - 1])
-        if abs(coeff) > 1e-12:
-            subset = frozenset(i for i in range(m) if not j >> i & 1)
-            specs.append(ElementarySpec("add", m, coeff, subset))
-    specs.append(ElementarySpec("mult", m, complex(mat[n - 1, n - 1])))
-    return specs
-
-
-def decompose_elementary(mat: np.ndarray):
-    """Factor a 2^m x 2^m matrix (m <= 3) into wire permutations, row
-    additions on the last column and a final row multiplication.
-
-    Returns (operations, diagram) or None when the matrix is outside the
-    representable set (row switching beyond wire permutations is not
-    diagrammatically representable here).
-    """
-    n = mat.shape[0]
-    if mat.shape != (n, n) or n & (n - 1) or n == 0:
-        raise DiagramFileError("matrix must be square with 2^m rows")
-    m = n.bit_length() - 1
-    if m > 3:
-        raise DiagramFileError("elementary decomposition supports m <= 3")
-    if m == 0:
-        return None
-
-    perms = [list(p) for p in itertools.permutations(range(m))]
-    for p_out in perms:
-        mat_out = _perm_matrix(p_out, m)
-        for p_in in perms:
-            mat_in = _perm_matrix(p_in, m)
-            core = np.conj(mat_out.T) @ mat @ np.conj(mat_in.T)
-            specs = _last_column_specs(core, m)
-            if specs is None:
-                continue
-            ops: list = []
-            if p_in != list(range(m)):
-                ops.append({"kind": "permute", "perm": p_in})
-            ops.extend(spec.to_jsonable() for spec in specs)
-            if p_out != list(range(m)):
-                ops.append({"kind": "permute", "perm": p_out})
-            pieces = []
-            if p_in != list(range(m)):
-                pieces.append(permutation(p_in))
-            pieces.extend(elementary_diagram(s) for s in specs)
-            if p_out != list(range(m)):
-                pieces.append(permutation(p_out))
-            diagramme = compose_all(pieces)
-            return ops, diagramme
-    return None
-
-
 @main.command("elementary")
 @click.argument("matrix_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False),
@@ -231,7 +164,7 @@ def cmd_elementary(matrix_file, out):
     try:
         mat = load_matrix(matrix_file)
         result = decompose_elementary(mat)
-    except DiagramFileError as exc:
+    except ValueError as exc:  # DiagramFileError or a bad matrix shape
         _fail(str(exc))
     if result is None:
         click.echo("zxel: matrix is not representable by row additions, "

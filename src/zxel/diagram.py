@@ -57,10 +57,12 @@ class Node:
             raise DiagramError(f"unknown node kind {self.kind!r}")
 
 
+_TAG_ORDER = {"n": 0, "in": 1, "out": 2}
+
+
 def _ep_key(ep: Endpoint):
-    tag = ep[0]
-    order = {"n": 0, "in": 1, "out": 2}[tag]
-    return (order,) + tuple(ep[1:])
+    # unknown tags sort last, so that check_validity reports them
+    return (_TAG_ORDER.get(ep[0], len(_TAG_ORDER)),) + tuple(ep[1:])
 
 
 def _norm_edge(a: Endpoint, b: Endpoint) -> Edge:
@@ -73,14 +75,13 @@ class Diagram:
     __slots__ = ("nodes", "edges", "n_in", "n_out", "loops")
 
     def __init__(self, nodes: dict[int, Node], edges: Iterable[Edge],
-                 n_in: int, n_out: int, loops: int = 0, validate: bool = True):
+                 n_in: int, n_out: int, loops: int = 0):
         self.nodes = dict(nodes)
         self.edges = tuple(_norm_edge(a, b) for a, b in edges)
         self.n_in = n_in
         self.n_out = n_out
         self.loops = loops
-        if validate:
-            self.check_validity()
+        self.check_validity()
 
     # -- well-formedness ------------------------------------------------
 
@@ -129,16 +130,22 @@ class Diagram:
 
     # -- basic queries ---------------------------------------------------
 
-    def degree(self, v: int) -> int:
-        return sum((ep[0] == "n" and ep[1] == v) for e in self.edges for ep in e)
-
     def node_ids(self) -> list[int]:
         return sorted(self.nodes)
 
-    def edges_at(self, v: int) -> list[int]:
-        """Indices into self.edges of the edges touching node v."""
-        return [i for i, e in enumerate(self.edges)
-                if any(ep[0] == "n" and ep[1] == v for ep in e)]
+    def port_edges(self) -> dict[int, list[int]]:
+        """For each node, the index into ``self.edges`` of the edge at each
+        of its ports, in port order; a self-loop appears at both of its
+        ports.  One pass over the edges, rebuilt on every call (a stored
+        index would go stale, since ``self.nodes`` is a mutable dict)."""
+        at: dict[int, dict[int, int]] = {v: {} for v in self.nodes}
+        for i, (a, b) in enumerate(self.edges):
+            if a[0] == "n":
+                at[a[1]][a[2]] = i
+            if b[0] == "n":
+                at[b[1]][b[2]] = i
+        return {v: [ports[p] for p in range(len(ports))]
+                for v, ports in at.items()}
 
     @property
     def type(self) -> tuple[int, int]:
@@ -311,23 +318,6 @@ def flip(d: Diagram) -> Diagram:
     return Diagram(d.nodes, edges, d.n_out, d.n_in, loops=d.loops)
 
 
-def permute_outputs(d: Diagram, perm: Sequence[int]) -> Diagram:
-    """Reorder outputs; new slot i carries what old slot perm[i] carried."""
-    if sorted(perm) != list(range(d.n_out)):
-        raise DiagramError(f"bad output permutation {perm}")
-    inv = [0] * d.n_out
-    for new, old in enumerate(perm):
-        inv[old] = new
-
-    def ren(ep):
-        if ep[0] == "out":
-            return ("out", inv[ep[1]])
-        return ep
-
-    edges = [(ren(a), ren(b)) for a, b in d.edges]
-    return Diagram(d.nodes, edges, d.n_in, d.n_out, loops=d.loops)
-
-
 def bend_to_state(d: Diagram) -> Diagram:
     """Map-state duality: bend every input up with a cap, producing a
     0 -> (n_in + n_out) state.
@@ -442,6 +432,19 @@ def _tau_sign(tau: float) -> complex:
     raise DiagramError(f"X phase must be 0 or pi, got {tau}")
 
 
+def x_spider_bare(n_in: int, n_out: int, tau: float = TAU_ZERO) -> Diagram:
+    """The H-conjugated Z spider without the compensating scalar: the core
+    of the ``x_spider`` macro, whose global scalar the tests pin by
+    contraction."""
+    sign = _tau_sign(tau)
+    core = z_spider(n_in, n_out, sign)
+    if n_in:
+        core = compose(tensor_all([h_box()] * n_in), core)
+    if n_out:
+        core = compose(core, tensor_all([h_box()] * n_out))
+    return core
+
+
 def x_spider(n_in: int, n_out: int, tau: float = TAU_ZERO) -> Diagram:
     """X (pink) spider macro: an H-conjugated Z spider.
 
@@ -453,22 +456,4 @@ def x_spider(n_in: int, n_out: int, tau: float = TAU_ZERO) -> Diagram:
 
         entry[i1..im; j1..jn] = 1  iff  i1+..+im = j1+..+jn + tau/pi (mod 2)
     """
-    sign = _tau_sign(tau)
-    core = z_spider(n_in, n_out, sign)
-    if n_in:
-        core = compose(tensor_all([h_box()] * n_in), core)
-    if n_out:
-        core = compose(core, tensor_all([h_box()] * n_out))
-    return tensor(core, scalar_z(-0.5))
-
-
-def x_spider_bare(n_in: int, n_out: int, tau: float = TAU_ZERO) -> Diagram:
-    """The H-conjugated Z spider without the compensating scalar; used by
-    the tests that pin the macro's global scalar by contraction."""
-    sign = _tau_sign(tau)
-    core = z_spider(n_in, n_out, sign)
-    if n_in:
-        core = compose(tensor_all([h_box()] * n_in), core)
-    if n_out:
-        core = compose(core, tensor_all([h_box()] * n_out))
-    return core
+    return tensor(x_spider_bare(n_in, n_out, tau), scalar_z(-0.5))

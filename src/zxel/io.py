@@ -23,7 +23,9 @@ form ``re+imi`` (e.g. ``1  2+3i  -0.5i``).
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 import re
 
 import numpy as np
@@ -91,7 +93,10 @@ def diagram_from_jsonable(rec) -> Diagram:
         n_out = int(rec["outputs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DiagramFileError(f"inputs/outputs: {exc}") from None
-    loops = int(rec.get("loops", 0))
+    loops = rec.get("loops", 0)
+    if not isinstance(loops, int) or isinstance(loops, bool) or loops < 0:
+        raise DiagramFileError(
+            f"loops: expected a non-negative integer, got {loops!r}")
 
     nodes: dict[int, Node] = {}
     x_nodes: dict[int, tuple[complex, int]] = {}
@@ -109,7 +114,13 @@ def diagram_from_jsonable(rec) -> Diagram:
                     or not all(isinstance(x, (int, float)) for x in phase)):
                 raise DiagramFileError(
                     f"{where}: phase must be an [re, im] pair")
-            nodes[vid] = Node(Z, complex(phase[0], phase[1]))
+            try:
+                value = complex(phase[0], phase[1])
+            except OverflowError:  # an integer beyond the float range
+                value = complex(math.inf)
+            if not cmath.isfinite(value):
+                raise DiagramFileError(f"{where}: phase {phase} is not finite")
+            nodes[vid] = Node(Z, value)
         elif kind in ("h", "t", "t_inv"):
             nodes[vid] = Node({"h": H, "t": T, "t_inv": T_INV}[kind])
         elif kind == "x":

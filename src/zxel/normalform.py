@@ -17,6 +17,7 @@ independent route that the semantics module cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -200,10 +201,6 @@ def decorated_row_multiplication(m: int, a: complex, pi_wires) -> Diagram:
     return compose_all([layer, core, layer])
 
 
-def elementary_matrix(spec: ElementarySpec) -> np.ndarray:
-    return spec.matrix()
-
-
 def elementary_diagram(spec: ElementarySpec) -> Diagram:
     if spec.kind == "add":
         return row_addition_diagram(spec.m, spec.coeff, spec.subset)
@@ -359,17 +356,22 @@ class WireCapError(RuntimeError):
     """Normalisation would exceed the configured open-wire cap."""
 
 
-def _fold_order(d: Diagram) -> list[int]:
+def _far_end(d: Diagram, i: int, v: int, p: int):
+    """The endpoint of edge i that is not port p of node v."""
+    a, b = d.edges[i]
+    return b if a == ("n", v, p) else a
+
+
+def _fold_order(d: Diagram, port_edges: dict[int, list[int]]) -> list[int]:
     """Process nodes greedily, preferring the node with the most edges
     into the already-materialised frontier; ties to the smallest id."""
     remaining = set(d.node_ids())
     done: set[int] = set()
     order = []
-    adj: dict[int, list[int]] = {v: [] for v in remaining}
-    for a, b in d.edges:
-        if a[0] == "n" and b[0] == "n":
-            adj[a[1]].append(b[1])
-            adj[b[1]].append(a[1])
+    adj: dict[int, list[int]] = {}
+    for v, edges in port_edges.items():
+        ends = (_far_end(d, i, v, p) for p, i in enumerate(edges))
+        adj[v] = [ep[1] for ep in ends if ep[0] == "n"]
     while remaining:
         best = min(remaining,
                    key=lambda v: (-sum(u in done or u == v for u in adj[v]), v))
@@ -397,16 +399,12 @@ def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
     acc = scalar_nf(2.0 ** state.loops)  # each bare loop is a scalar 2
     ports: list = []  # ports[0] most significant
 
-    edge_key = {i: ("e", i) for i in range(len(state.edges))}
+    port_edges = state.port_edges()
 
     def key_for(v: int, p: int):
-        for i, (a, b) in enumerate(state.edges):
-            if a == ("n", v, p) or b == ("n", v, p):
-                other = b if a == ("n", v, p) else a
-                if other[0] == "out":
-                    return other
-                return edge_key[i]
-        raise AssertionError("dangling port")
+        i = port_edges[v][p]
+        other = _far_end(state, i, v, p)
+        return other if other[0] == "out" else ("e", i)
 
     def plug_duplicates():
         nonlocal acc, ports
@@ -434,9 +432,9 @@ def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
             acc = nf_tensor(acc, generator_nf("cap"))
             ports.extend([a, b])
 
-    for v in _fold_order(state):
+    for v in _fold_order(state, port_edges):
         node = state.nodes[v]
-        deg = state.degree(v)
+        deg = len(port_edges[v])
         acc = nf_tensor(acc, _node_state(node.kind, node.phase, deg))
         ports.extend(key_for(v, p) for p in range(deg))
         if len(ports) > cap:
@@ -453,6 +451,83 @@ def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
     slot_wire = {k[1]: L - 1 - i for i, k in enumerate(ports)}
     perm = [slot_wire[L - 1 - w] for w in range(L)]
     return nf_permute(acc, perm)
+
+
+# -- elementary decomposition of matrices ---------------------------------
+
+def _perm_matrix(perm) -> np.ndarray:
+    """Matrix of ``permutation(perm)`` by index arithmetic: output slot j
+    carries input slot perm[j], and slot s of m weighs 2^(m-1-s)."""
+    m = len(perm)
+    mat = np.zeros((2 ** m, 2 ** m), dtype=complex)
+    for col in range(2 ** m):
+        row = sum((col >> (m - 1 - perm[j]) & 1) << (m - 1 - j)
+                  for j in range(m))
+        mat[row, col] = 1.0
+    return mat
+
+
+def _last_column_specs(mat: np.ndarray, m: int):
+    """If mat is identity except its last column, return the elementary
+    specs realising it (additions by increasing target row, then the
+    multiplication); otherwise None."""
+    n = 2 ** m
+    probe = mat.copy()
+    probe[:, n - 1] = 0.0
+    expect = np.eye(n, dtype=complex)
+    expect[:, n - 1] = 0.0
+    if not np.max(np.abs(probe - expect), initial=0.0) <= NF_TOL:
+        return None
+    specs = []
+    for j in range(n - 1):
+        coeff = complex(mat[j, n - 1])
+        if abs(coeff) > 1e-12:
+            subset = frozenset(i for i in range(m) if not j >> i & 1)
+            specs.append(ElementarySpec("add", m, coeff, subset))
+    specs.append(ElementarySpec("mult", m, complex(mat[n - 1, n - 1])))
+    return specs
+
+
+def decompose_elementary(mat: np.ndarray):
+    """Factor a 2^m x 2^m matrix (m <= 3) into wire permutations, row
+    additions on the last column and a final row multiplication.
+
+    Returns (operations, diagram) or None when the matrix is outside the
+    representable set (row switching beyond wire permutations is not
+    diagrammatically representable here).  Raises ValueError for a matrix
+    that is not square with 2^m rows, m <= 3.
+    """
+    n = mat.shape[0]
+    if mat.shape != (n, n) or n & (n - 1) or n == 0:
+        raise ValueError("matrix must be square with 2^m rows")
+    m = n.bit_length() - 1
+    if m > 3:
+        raise ValueError("elementary decomposition supports m <= 3")
+    if m == 0:
+        return None
+
+    ident = list(range(m))
+    perms = [list(p) for p in itertools.permutations(ident)]
+    for p_out in perms:
+        mat_out = _perm_matrix(p_out)
+        for p_in in perms:
+            mat_in = _perm_matrix(p_in)
+            core = np.conj(mat_out.T) @ mat @ np.conj(mat_in.T)
+            specs = _last_column_specs(core, m)
+            if specs is None:
+                continue
+            ops: list = []
+            pieces = []
+            if p_in != ident:
+                ops.append({"kind": "permute", "perm": p_in})
+                pieces.append(permutation(p_in))
+            ops.extend(spec.to_jsonable() for spec in specs)
+            pieces.extend(elementary_diagram(s) for s in specs)
+            if p_out != ident:
+                ops.append({"kind": "permute", "perm": p_out})
+                pieces.append(permutation(p_out))
+            return ops, compose_all(pieces)
+    return None
 
 
 # -- serialization --------------------------------------------------------

@@ -54,18 +54,15 @@ def _fingerprint(d: Diagram) -> int:
     return hash(d.structural_key())
 
 
-def _site(d, rule, nodes, params=()):
-    return MatchSite(rule, tuple(nodes), tuple(params), _fingerprint(d))
+def _site(rule, nodes, params=()):
+    """A match as (rule, nodes, params); ``find_matches`` stamps it."""
+    return (rule, tuple(nodes), tuple(params))
 
 
 def _adjacency(d: Diagram):
-    """edge index -> (endpoint, endpoint); plus node -> incident edges."""
-    inc: dict[int, list[int]] = {v: [] for v in d.nodes}
-    for i, (a, b) in enumerate(d.edges):
-        for ep in (a, b):
-            if ep[0] == "n":
-                inc[ep[1]].append(i)
-    return inc
+    """node -> indices of its incident edges in ascending order; a
+    self-loop is listed twice."""
+    return {v: sorted(edges) for v, edges in d.port_edges().items()}
 
 
 def _other_end(edge, v):
@@ -140,9 +137,9 @@ def _match_s1(d: Diagram, inc):
         if pair in seen:
             continue
         seen.add(pair)
-        sites.append(_site(d, "S1", pair,
+        sites.append(_site("S1", pair,
                            (d.nodes[pair[0]].phase, d.nodes[pair[1]].phase)))
-    return sorted(sites, key=lambda s: s.nodes)
+    return sorted(sites, key=lambda s: s[1])
 
 
 def _match_s2(d: Diagram, inc):
@@ -152,7 +149,7 @@ def _match_s2(d: Diagram, inc):
             continue
         if len(inc[v]) != 2 or inc[v][0] == inc[v][1]:
             continue
-        sites.append(_site(d, "S2", (v,)))
+        sites.append(_site("S2", (v,)))
     return sites
 
 
@@ -170,8 +167,8 @@ def _match_h2(d: Diagram, inc):
         pair = (min(v1, v2), max(v1, v2))
         if pair not in seen:
             seen.add(pair)
-            sites.append(_site(d, "H2", pair))
-    return sorted(sites, key=lambda s: s.nodes)
+            sites.append(_site("H2", pair))
+    return sorted(sites, key=lambda s: s[1])
 
 
 def _match_hopf(d: Diagram, inc):
@@ -192,7 +189,7 @@ def _match_hopf(d: Diagram, inc):
     sites = []
     for (z1, z2), hs in sorted(paths.items()):
         if len(hs) >= 2:
-            sites.append(_site(d, "Hopf", (z1, z2, hs[0], hs[1]),
+            sites.append(_site("Hopf", (z1, z2, hs[0], hs[1]),
                                (d.nodes[z1].phase, d.nodes[z2].phase)))
     return sites
 
@@ -218,7 +215,7 @@ def _match_b3(d: Diagram, inc):
                 if key in seen:
                     continue
                 seen.add(key)
-                sites.append(_site(d, "B3-cancel",
+                sites.append(_site("B3-cancel",
                                    (g[0], g[1], g[2], g2[0], g2[1], g2[2])))
     # absorption into a green state (degree-1 Z spider, nonzero parameter)
     for g in groups:
@@ -229,7 +226,7 @@ def _match_b3(d: Diagram, inc):
                 nd = d.nodes[v]
                 if nd.kind == Z and len(inc[v]) == 1 \
                         and not _is_phase(nd.phase, 0.0):
-                    sites.append(_site(d, "B3-state", (h1, c, h2, v),
+                    sites.append(_site("B3-state", (h1, c, h2, v),
                                        (nd.phase,)))
     # copy through a green spider (any degree, nonzero parameter); skip
     # groups whose both ends land on the same spider
@@ -246,9 +243,9 @@ def _match_b3(d: Diagram, inc):
                                for a, b in (d.edges[e] for e in inc[v]))
                 if nd.kind == Z and len(inc[v]) >= 2 and not has_loop \
                         and not _is_phase(nd.phase, 0.0):
-                    sites.append(_site(d, "B3-copy", (h1, c, h2, v),
+                    sites.append(_site("B3-copy", (h1, c, h2, v),
                                        (nd.phase,)))
-    return sorted(sites, key=lambda s: (s.rule, s.nodes))
+    return sorted(sites, key=lambda s: s[:2])
 
 
 def _match_b1(d: Diagram, inc):
@@ -269,9 +266,9 @@ def _match_b1(d: Diagram, inc):
         outer = _other_end(d.edges[far[0]], h)
         if outer[0] == "n" and d.nodes[outer[1]].kind == Z \
                 and outer[1] not in (s, h):
-            sites.append(_site(d, "B1", (s, h, outer[1]),
+            sites.append(_site("B1", (s, h, outer[1]),
                                (d.nodes[outer[1]].phase,)))
-    return sorted(sites, key=lambda s: s.nodes)
+    return sorted(sites, key=lambda s: s[1])
 
 
 _MATCHERS = {
@@ -299,8 +296,11 @@ def find_matches(d: Diagram, rule) -> list[MatchSite]:
             f"for {MATCHABLE_RULES}")
     sites = _MATCHERS[base](d, _adjacency(d))
     if "-" in name:
-        sites = [s for s in sites if s.rule == name]
-    return sites
+        sites = [s for s in sites if s[0] == name]
+    if not sites:  # most calls from simplify match nothing: skip the hash
+        return []
+    fingerprint = _fingerprint(d)
+    return [MatchSite(*s, fingerprint) for s in sites]
 
 
 # -- rebuilding -------------------------------------------------------------

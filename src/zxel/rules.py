@@ -59,10 +59,6 @@ class RewriteRule:
         return self.domain(params) if self.domain else True
 
 
-# DerivedRule has the same shape as RewriteRule plus mandatory provenance.
-DerivedRule = RewriteRule
-
-
 class RuleError(ValueError):
     pass
 
@@ -1041,7 +1037,7 @@ def _3and3gdotcircsimp(ps):
     return lhs, rhs
 
 
-def derived_catalog() -> list[DerivedRule]:
+def derived_catalog() -> list[RewriteRule]:
     """The derived-rule library; every entry is certified by the
     soundness harness, never assumed."""
     nonzero = lambda ps: all(abs(p) > 1e-6 for p in ps)

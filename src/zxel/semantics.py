@@ -27,14 +27,19 @@ class ResourceError(RuntimeError):
 
 
 def wire_cap() -> int:
-    """Open-wire cap for a single contraction (env ZXEL_WIRE_CAP)."""
+    """Open-wire cap for a single contraction (env ZXEL_WIRE_CAP); raises
+    ValueError unless the variable is unset or a positive integer."""
     raw = os.environ.get("ZXEL_WIRE_CAP")
     if raw is None:
         return _DEFAULT_WIRE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return _DEFAULT_WIRE_CAP
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"ZXEL_WIRE_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 _H_TENSOR = np.array([[1, 1], [1, -1]], dtype=complex)
@@ -66,35 +71,28 @@ def _prepare(d: Diagram):
     boundary wires remembered separately."""
     next_label = len(d.edges)
     boundary_label: dict[tuple, int] = {}
-    port_label: dict[tuple, int] = {}
     bare: list[tuple[np.ndarray, list[int]]] = []
     for i, (a, b) in enumerate(d.edges):
-        if a[0] == "n" and b[0] == "n":
-            port_label[(a[1], a[2])] = i
-            port_label[(b[1], b[2])] = i
-        elif a[0] == "n":
-            port_label[(a[1], a[2])] = i
-            boundary_label[b] = i
-        elif b[0] == "n":
-            port_label[(b[1], b[2])] = i
-            boundary_label[a] = i
-        else:
+        if a[0] != "n" and b[0] != "n":
             # bare wire between two boundary slots: explicit identity with
             # one label per end
             boundary_label[a] = i
             boundary_label[b] = next_label
             bare.append((np.eye(2, dtype=complex), [i, next_label]))
             next_label += 1
+        elif a[0] != "n":
+            boundary_label[a] = i
+        elif b[0] != "n":
+            boundary_label[b] = i
 
-    degrees: dict[int, int] = {v: 0 for v in d.nodes}
-    for (v, _p) in port_label:
-        degrees[v] += 1
+    # a node's labels are the edges at its ports, in port order
+    port_edges = d.port_edges()
     tensors: list[tuple[np.ndarray, list[int]]] = []
     for v in d.node_ids():
         node = d.nodes[v]
-        deg = degrees[v]
-        labels = [port_label[(v, p)] for p in range(deg)]
-        tensors.append((node_tensor(node.kind, node.phase, deg), labels))
+        labels = port_edges[v]
+        tensors.append((node_tensor(node.kind, node.phase, len(labels)),
+                        labels))
     tensors.extend(bare)
     return tensors, boundary_label
 

@@ -95,3 +95,20 @@ def random_diagram(rng, max_wires: int = 3, max_gens: int = 8) -> D.Diagram:
             continue
         d = D.compose(d, layer)
     return d
+
+
+def port_edges_by_scan(d: D.Diagram) -> dict[int, list[int]]:
+    """Reference for ``Diagram.port_edges``: for each node, scan all edges
+    once per port, counting ports up until one has no edge."""
+    out = {}
+    for v in d.nodes:
+        edges = []
+        while True:
+            port = ("n", v, len(edges))
+            hits = [i for i, e in enumerate(d.edges) if port in e]
+            if not hits:
+                break
+            assert len(hits) == 1, f"port {port} on edges {hits}"
+            edges.append(hits[0])
+        out[v] = edges
+    return out

@@ -5,7 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from zxel import diagram as D
-from zxel.cli import main, decompose_elementary
+from zxel.cli import main
+from zxel.normalform import decompose_elementary
 from zxel.io import (diagram_from_jsonable, diagram_to_jsonable,
                      load_diagram, parse_complex_token, save_diagram,
                      DiagramFileError)
@@ -254,3 +255,54 @@ def test_interpret_wire_cap(tmp_path, runner, monkeypatch):
     monkeypatch.setenv("ZXEL_WIRE_CAP", "4")
     res = runner.invoke(main, ["interpret", p])
     assert res.exit_code == 2
+
+
+def _assert_one_line_error(res):
+    """Exit 2 through the CLI's own error path: one line, no traceback."""
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("zxel: "), res.stderr
+    assert "Traceback" not in res.output
+
+
+def _commands(path):
+    return [["interpret", path], ["normalize", path],
+            ["check-eq", path, path]]
+
+
+_WIRE_FILE = ('{"version": "zxel/1", "inputs": 1, "outputs": 1, '
+              '"loops": %s, "nodes": [{"id": 0, "kind": "z", "phase": %s}], '
+              '"edges": [[["in", 0], ["node", 0, 0]], '
+              '[["out", 0], ["node", 0, 1]]]}')
+
+
+@pytest.mark.parametrize("loops, phase, message", [
+    ("0", "[NaN, 0]", "not finite"),
+    ("0", "[1, Infinity]", "not finite"),
+    ("0", "[1, %d]" % 10 ** 400, "not finite"),
+    ('"x"', "[1, 0]", "loops"),
+    ("-1", "[1, 0]", "loops"),
+    ("1.5", "[1, 0]", "loops"),
+    ("true", "[1, 0]", "loops"),
+])
+def test_bad_phase_or_loops_rejected(tmp_path, runner, loops, phase, message):
+    rec = json.loads(_WIRE_FILE % (loops, phase))
+    with pytest.raises(DiagramFileError, match=message):
+        diagram_from_jsonable(rec)
+    path = tmp_path / "bad.zx"
+    path.write_text(_WIRE_FILE % (loops, phase))
+    for args in _commands(str(path)):
+        res = runner.invoke(main, args)
+        _assert_one_line_error(res)
+        assert message in res.stderr
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "0"])
+def test_malformed_wire_cap_rejected(tmp_path, runner, monkeypatch, raw):
+    p = _write(tmp_path, "w.zx", D.identity(1))
+    monkeypatch.setenv("ZXEL_WIRE_CAP", raw)
+    for args in _commands(p):
+        res = runner.invoke(main, args)
+        _assert_one_line_error(res)
+        assert repr(raw) in res.stderr

@@ -5,7 +5,9 @@ from zxel import diagram as D
 from zxel.diagram import DiagramError
 from zxel.semantics import contract_state, interpret, matrices_equal
 
-from helpers import H_MAT, random_diagram
+from zxel.normalform import nf_from_vector, nf_to_diagram
+
+from helpers import H_MAT, port_edges_by_scan, random_diagram
 
 
 def test_compose_identity_is_identity():
@@ -139,6 +141,22 @@ def test_wellformedness_rejects_degree_mismatch():
         D.Diagram({0: D.Node(D.H)}, [(("in", 0), ("n", 0, 0))], 1, 0)
 
 
+@pytest.mark.parametrize("nodes, edges, n_in, n_out, loops, message", [
+    ({}, [(("in", 0), ("out", 0)), (("in", 0), ("out", 1))], 1, 2, 0,
+     "used 2 times"),
+    ({}, [(("in", 1), ("out", 0))], 1, 1, 0, "input slot 1 out of range"),
+    ({}, [(("in", 0), ("out", 3))], 1, 1, 0, "output slot 3 out of range"),
+    ({}, [(("in", 0), ("n", 7, 0))], 1, 0, 0, "missing node 7"),
+    ({0: D.Node(D.Z)}, [(("in", 0), ("n", 0, 0)), (("out", 0), ("n", 0, 2))],
+     1, 1, 0, "not contiguous"),
+    ({}, [(("in", 0), ("glue", 0))], 1, 0, 0, "bad endpoint tag 'glue'"),
+    ({}, [], 0, 0, -1, "negative boundary or loop count"),
+])
+def test_wellformedness_rejects(nodes, edges, n_in, n_out, loops, message):
+    with pytest.raises(DiagramError, match=message):
+        D.Diagram(nodes, edges, n_in, n_out, loops=loops)
+
+
 def test_wellformedness_after_combinators():
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -168,3 +186,15 @@ def test_self_loop_permitted():
                   [(("n", 0, 0), ("n", 0, 1)), (("in", 0), ("n", 0, 2)),
                    (("out", 0), ("n", 0, 3))], 1, 1)
     assert matrices_equal(interpret(d), np.diag([1, 2.0]))
+    assert d.port_edges() == port_edges_by_scan(d) == {0: [0, 0, 1, 2]}
+
+
+def test_port_edges_matches_scan():
+    rng = np.random.default_rng(11)
+    corpus = [random_diagram(rng) for _ in range(60)]
+    corpus += [D.bend_to_state(d) for d in corpus[:20]]
+    for m in (2, 3, 4):
+        v = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
+        corpus.append(nf_to_diagram(nf_from_vector(v)))
+    for d in corpus:
+        assert d.port_edges() == port_edges_by_scan(d)

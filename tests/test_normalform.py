@@ -98,6 +98,14 @@ def test_decorated_gadgets_are_pi_conjugations():
     assert matrices_equal(dec, x1 @ core @ x1, 1e-9)
 
 
+def test_perm_matrix_matches_contraction():
+    # index arithmetic against the contraction of the wiring diagram
+    for m in range(4):
+        for p in itertools.permutations(range(m)):
+            assert np.array_equal(NF._perm_matrix(list(p)),
+                                  interpret(D.permutation(list(p))))
+
+
 # -- normal forms ----------------------------------------------------------
 
 def test_nf_from_vector_specs():

@@ -123,3 +123,12 @@ def test_wire_cap_enforced(monkeypatch):
     assert S.wire_cap() == 14
     with pytest.raises(S.ResourceError):
         S.interpret(D.identity(3), cap=4)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "0", "2.5", ""])
+def test_wire_cap_rejects_malformed(monkeypatch, raw):
+    monkeypatch.setenv("ZXEL_WIRE_CAP", raw)
+    with pytest.raises(ValueError, match=f"got {raw!r}"):
+        S.wire_cap()
+    with pytest.raises(ValueError, match="ZXEL_WIRE_CAP"):
+        S.interpret(D.identity(1))
