@@ -3,7 +3,8 @@
 Machine-readable results go to stdout as JSON; diagnostics go to stderr.
 Exit codes: 0 success (check-eq: diagrams equal), 1 negative result
 (check-eq: not equal; rules: some rule failed; elementary: matrix not
-representable), 2 error (bad file, type mismatch, resource cap).
+representable), 2 error (bad file, type mismatch, resource cap, internal
+error).
 """
 
 from __future__ import annotations
@@ -16,14 +17,16 @@ import numpy as np
 
 from . import diagram as dg
 from .diagram import Diagram
-from .equivalence import TypeMismatchError, check_equivalent
+from .equivalence import (TypeMismatchError, VerdictDisagreement,
+                          check_equivalent)
 from .io import (DiagramFileError, dumps_diagram, format_matrix,
                  load_diagram, load_matrix, save_diagram)
 from .normalform import (WireCapError, decompose_elementary, nf_to_diagram,
                          nf_to_jsonable, normalize)
 from .rewrite import simplify as run_simplify
 from .rules import check_soundness, full_catalog
-from .semantics import ResourceError, interpret, matrices_equal, wire_cap
+from .semantics import (DEFAULT_TOL, ResourceError, interpret,
+                        matrices_equal, wire_cap)
 
 
 def _fail(message: str, code: int = 2):
@@ -36,6 +39,23 @@ def _load(path: str) -> Diagram:
         return load_diagram(path)
     except DiagramFileError as exc:
         _fail(str(exc))
+
+
+def _compute(fn, *args, **kwargs):
+    """Call fn, reporting every error it is known to raise as one line.
+
+    An overflow surfaces as the ArithmeticError that interpret and
+    normalize raise on non-finite results, so numpy's own overflow
+    warnings are silenced here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return fn(*args, **kwargs)
+        except (TypeMismatchError, ResourceError, WireCapError,
+                ArithmeticError) as exc:
+            _fail(str(exc))
+        except VerdictDisagreement as exc:  # a defect, not a verdict
+            _fail(f"internal: {exc}")
 
 
 @click.group()
@@ -54,11 +74,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def cmd_interpret(file, precision, as_json):
     """Evaluate a diagram to its complex matrix."""
-    d = _load(file)
-    try:
-        mat = interpret(d)
-    except ResourceError as exc:
-        _fail(str(exc))
+    mat = _compute(interpret, _load(file))
     if as_json:
         click.echo(json.dumps({
             "rows": mat.shape[0], "cols": mat.shape[1],
@@ -71,16 +87,11 @@ def cmd_interpret(file, precision, as_json):
 @main.command("check-eq")
 @click.argument("file1", type=click.Path(exists=True, dir_okay=False))
 @click.argument("file2", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", default=1e-9, show_default=True)
+@click.option("--tol", default=DEFAULT_TOL, show_default=True)
 def cmd_check_eq(file1, file2, tol):
     """Decide equality of two diagrams (exit 0 equal, 1 not, 2 error)."""
     d1, d2 = _load(file1), _load(file2)
-    try:
-        verdict = check_equivalent(d1, d2, tol=tol)
-    except TypeMismatchError as exc:
-        _fail(str(exc))
-    except (ResourceError, WireCapError) as exc:
-        _fail(str(exc))
+    verdict = _compute(check_equivalent, d1, d2, tol=tol)
     click.echo(verdict.to_json())
     sys.exit(0 if verdict.equal else 1)
 
@@ -91,11 +102,7 @@ def cmd_check_eq(file1, file2, tol):
               help="also write the normal-form diagram file")
 def cmd_normalize(file, out):
     """Rewrite a diagram into its unique normal form."""
-    d = _load(file)
-    try:
-        nf = normalize(d)
-    except (WireCapError, ResourceError) as exc:
-        _fail(str(exc))
+    nf = _compute(normalize, _load(file))
     click.echo(json.dumps(nf_to_jsonable(nf)))
     if out:
         save_diagram(nf_to_diagram(nf), out)
@@ -126,7 +133,7 @@ def cmd_simplify(file, budget, trace, out):
 
 @main.command("rules")
 @click.option("--samples", default=20, show_default=True)
-@click.option("--tol", default=1e-9, show_default=True)
+@click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="emit JSON report")
 @click.option("--corrupt", default=None, hidden=True,

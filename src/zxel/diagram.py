@@ -21,6 +21,7 @@ triangles are expressed by wiring alone.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -167,6 +168,57 @@ class Diagram:
     def __repr__(self):
         return (f"Diagram({self.n_in}->{self.n_out}, {len(self.nodes)} nodes, "
                 f"{len(self.edges)} edges, loops={self.loops})")
+
+
+def contraction_order(port_edges: dict[int, list[int]]) -> list[list[int]]:
+    """The elimination order both evaluation routes walk, from the graph
+    alone (``port_edges`` as returned by ``Diagram.port_edges``).
+
+    Node ids come grouped by connected component, components ordered by
+    their smallest id.  Each component starts at its smallest id; each
+    step absorbs the neighbour that leaves the fewest open wires,
+    |open| + |wires_j| - 2 * shared_j, ties to the smallest id.
+    Self-loops are ignored; an edge at one node only (a boundary wire)
+    stays open.
+    """
+    ends: dict[int, list[int]] = {}
+    for v, edges in port_edges.items():
+        for i in edges:
+            ends.setdefault(i, []).append(v)
+    nbrs: dict[int, list[int]] = {v: [] for v in port_edges}
+    wires = {v: len(edges) for v, edges in port_edges.items()}
+    for vs in ends.values():
+        if len(vs) == 2:
+            a, b = vs
+            if a == b:
+                wires[a] -= 2
+            else:
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+
+    # |open| is the same for every candidate, so a candidate's rank is
+    # wires_j - 2 * shared_j; it only falls as shared_j grows, so the
+    # first heap entry popped for a node is its current one
+    done: set[int] = set()
+    order = []
+    for root in sorted(port_edges):
+        if root in done:
+            continue
+        component = []
+        shared: dict[int, int] = {}
+        heap = [(wires[root], root)]
+        while heap:
+            _, v = heapq.heappop(heap)
+            if v in done:
+                continue
+            done.add(v)
+            component.append(v)
+            for u in nbrs[v]:
+                if u not in done:
+                    shared[u] = shared.get(u, 0) + 1
+                    heapq.heappush(heap, (wires[u] - 2 * shared[u], u))
+        order.append(component)
+    return order
 
 
 # -- wire splicing used by compose -------------------------------------

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 from .diagram import Diagram
 from .normalform import NormalForm, nf_equal, normalize
-from .semantics import interpret, matrices_equal, max_deviation
-
-DEFAULT_TOL = 1e-9
+from .semantics import (DEFAULT_TOL, interpret, matrices_equal,
+                        max_deviation)
 
 
 class TypeMismatchError(ValueError):

@@ -27,6 +27,7 @@ import cmath
 import json
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -97,6 +98,9 @@ def diagram_from_jsonable(rec) -> Diagram:
     if not isinstance(loops, int) or isinstance(loops, bool) or loops < 0:
         raise DiagramFileError(
             f"loops: expected a non-negative integer, got {loops!r}")
+    if loops >= sys.float_info.max_exp:  # the scalar 2.0 ** loops overflows
+        raise DiagramFileError(
+            f"loops: 2^{loops} is beyond the float range")
 
     nodes: dict[int, Node] = {}
     x_nodes: dict[int, tuple[complex, int]] = {}

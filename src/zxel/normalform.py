@@ -12,7 +12,10 @@ multiplication to the base state e_{2^m-1}:
     diag(1, ..., 1, a).
 
 This module never calls the interpreter; the normal-form pipeline is an
-independent route that the semantics module cross-checks.
+independent route that the semantics module cross-checks.  The two routes
+share one elimination order, ``diagram.contraction_order``, and nothing
+else: ``normalize`` folds generator normal forms along the order in
+which ``interpret`` contracts tensors.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ import numpy as np
 
 from . import diagram as dg
 from .diagram import (Diagram, compose, compose_all, tensor, tensor_all,
-                      bend_to_state, identity, permutation, triangle,
-                      triangle_inv, x_spider, z_spider)
-
-NF_TOL = 1e-9
+                      bend_to_state, contraction_order, identity,
+                      permutation, triangle, triangle_inv, x_spider,
+                      z_spider)
+from .semantics import DEFAULT_TOL, wire_cap
 
 
 @dataclass(frozen=True)
@@ -258,7 +261,8 @@ def scalar_nf_diagram(a: complex) -> Diagram:
     return compose(z_spider(0, 1, complex(a)), x_spider(1, 0, dg.TAU_PI))
 
 
-def nf_equal(nf1: NormalForm, nf2: NormalForm, tol: float = NF_TOL) -> bool:
+def nf_equal(nf1: NormalForm, nf2: NormalForm,
+             tol: float = DEFAULT_TOL) -> bool:
     if nf1.m != nf2.m:
         return False
     return bool(np.max(np.abs(nf1.vector() - nf2.vector()), initial=0.0) <= tol)
@@ -362,34 +366,15 @@ def _far_end(d: Diagram, i: int, v: int, p: int):
     return b if a == ("n", v, p) else a
 
 
-def _fold_order(d: Diagram, port_edges: dict[int, list[int]]) -> list[int]:
-    """Process nodes greedily, preferring the node with the most edges
-    into the already-materialised frontier; ties to the smallest id."""
-    remaining = set(d.node_ids())
-    done: set[int] = set()
-    order = []
-    adj: dict[int, list[int]] = {}
-    for v, edges in port_edges.items():
-        ends = (_far_end(d, i, v, p) for p, i in enumerate(edges))
-        adj[v] = [ep[1] for ep in ends if ep[0] == "n"]
-    while remaining:
-        best = min(remaining,
-                   key=lambda v: (-sum(u in done or u == v for u in adj[v]), v))
-        order.append(best)
-        done.add(best)
-        remaining.discard(best)
-    return order
-
-
 def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
     """Rewrite any diagram into its normal form.
 
     Bends the diagram into a state by map-state duality, then folds the
     generators in: tensor the next generator's normal form onto the
     accumulator and self-plug every wire pair that became connected.
+    Raises ArithmeticError if a coefficient is not finite.
     """
     if cap is None:
-        from .semantics import wire_cap
         cap = wire_cap()
     state = bend_to_state(d)
     if state.n_out > cap:
@@ -432,7 +417,7 @@ def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
             acc = nf_tensor(acc, generator_nf("cap"))
             ports.extend([a, b])
 
-    for v in _fold_order(state, port_edges):
+    for v in itertools.chain.from_iterable(contraction_order(port_edges)):
         node = state.nodes[v]
         deg = len(port_edges[v])
         acc = nf_tensor(acc, _node_state(node.kind, node.phase, deg))
@@ -446,6 +431,8 @@ def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
     # align remaining wires with the state's output order
     L = len(ports)
     assert L == state.n_out and all(k[0] == "out" for k in ports)
+    if not np.all(np.isfinite(acc.vector())):
+        raise ArithmeticError("non-finite coefficients in normal form")
     if L == 0:
         return acc
     slot_wire = {k[1]: L - 1 - i for i, k in enumerate(ports)}
@@ -476,7 +463,7 @@ def _last_column_specs(mat: np.ndarray, m: int):
     probe[:, n - 1] = 0.0
     expect = np.eye(n, dtype=complex)
     expect[:, n - 1] = 0.0
-    if not np.max(np.abs(probe - expect), initial=0.0) <= NF_TOL:
+    if not np.max(np.abs(probe - expect), initial=0.0) <= DEFAULT_TOL:
         return None
     specs = []
     for j in range(n - 1):

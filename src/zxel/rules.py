@@ -31,7 +31,7 @@ from .diagram import (Diagram, compose, compose_all, flip, tensor,
 from .normalform import (and_gate, decorated_row_addition,
                          decorated_row_multiplication, pi_layer,
                          row_addition_diagram, row_multiplication_diagram)
-from .semantics import interpret, max_deviation
+from .semantics import DEFAULT_TOL, interpret, max_deviation
 
 RuleBuilder = Callable[[Sequence[complex]], tuple[Diagram, Diagram]]
 
@@ -118,7 +118,8 @@ def _random_params(rule: RewriteRule, rng: np.random.Generator, tries: int = 100
     raise RuleError(f"could not sample admissible parameters for {rule.name}")
 
 
-def check_soundness(rule: RewriteRule, samples: int = 20, tol: float = 1e-9,
+def check_soundness(rule: RewriteRule, samples: int = 20,
+                    tol: float = DEFAULT_TOL,
                     rng: np.random.Generator | None = None,
                     corrupt: bool = False) -> RuleReport:
     """Interpret both sides (and their flipped versions) on forced and
@@ -157,7 +158,8 @@ def check_soundness(rule: RewriteRule, samples: int = 20, tol: float = 1e-9,
 
 
 def check_catalog(rules: Sequence[RewriteRule], samples: int = 20,
-                  tol: float = 1e-9, seed: int = 0) -> list[RuleReport]:
+                  tol: float = DEFAULT_TOL,
+                  seed: int = 0) -> list[RuleReport]:
     rng = np.random.default_rng(seed)
     return [check_soundness(r, samples=samples, tol=tol, rng=rng)
             for r in rules]
@@ -692,27 +694,6 @@ def _itensorand(ps):
     rhs = compose(row_multiplication_diagram(k + 1, a),
                   decorated_row_multiplication(k + 1, a, [0]))
     return lhs, rhs
-
-
-def _expansion(gadget, decorated, m, a, S, new_wires, on_left):
-    """Lift an m-wire gadget over fresh parallel wires: the product of the
-    2^n family members with every pi-pair distribution on the new wires."""
-    n = len(new_wires)
-    if on_left:
-        lhs = tensor(identity(n), gadget(m, a, *S and [S]) if S else gadget(m, a))
-    else:
-        lhs = tensor(gadget(m, a, *[S] if S else []), identity(n))
-    total = m + n
-    subsets = []
-    for mask in range(2 ** n):
-        subsets.append([w for b, w in enumerate(new_wires) if mask >> b & 1])
-    members = []
-    for P in subsets:
-        if S:
-            members.append(decorated(total, a, S, P))
-        else:
-            members.append(decorated(total, a, P))
-    return lhs, compose_all(members)
 
 
 def _nlines_tensor_nf(ps):

@@ -7,7 +7,8 @@ wire 0 is the right-most wire of a boundary, and a bit on wire i weighs
 2^(m-1-j).
 
 This module is the ground-truth oracle for everything else.  It has its
-own contraction engine and never goes through the normal-form pipeline.
+own contraction engine and never goes through the normal-form pipeline;
+it shares only the elimination order, ``diagram.contraction_order``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import os
 
 import numpy as np
 
-from .diagram import Diagram, H, T, T_INV, Z
+from .diagram import Diagram, H, T, T_INV, Z, contraction_order
 
+# the one default tolerance of every equality check in zxel
 DEFAULT_TOL = 1e-9
 _DEFAULT_WIRE_CAP = 14
 
@@ -67,34 +69,31 @@ def node_tensor(kind: str, phase: complex, degree: int) -> np.ndarray:
 
 
 def _prepare(d: Diagram):
-    """Build (tensor, labels) pairs; labels are integer wire ids, with
-    boundary wires remembered separately."""
+    """The (tensor, labels) pairs to contract, one list per connected
+    component in ``contraction_order``, with each bare boundary wire as a
+    component of its own at the end; and the label of each boundary
+    slot.  Labels are integer wire ids: a node's labels are the edges at
+    its ports, in port order."""
+    port_edges = d.port_edges()
+    components = [[(node_tensor(d.nodes[v].kind, d.nodes[v].phase,
+                                len(port_edges[v])), port_edges[v])
+                   for v in component]
+                  for component in contraction_order(port_edges)]
     next_label = len(d.edges)
     boundary_label: dict[tuple, int] = {}
-    bare: list[tuple[np.ndarray, list[int]]] = []
     for i, (a, b) in enumerate(d.edges):
         if a[0] != "n" and b[0] != "n":
             # bare wire between two boundary slots: explicit identity with
             # one label per end
             boundary_label[a] = i
             boundary_label[b] = next_label
-            bare.append((np.eye(2, dtype=complex), [i, next_label]))
+            components.append([(np.eye(2, dtype=complex), [i, next_label])])
             next_label += 1
         elif a[0] != "n":
             boundary_label[a] = i
         elif b[0] != "n":
             boundary_label[b] = i
-
-    # a node's labels are the edges at its ports, in port order
-    port_edges = d.port_edges()
-    tensors: list[tuple[np.ndarray, list[int]]] = []
-    for v in d.node_ids():
-        node = d.nodes[v]
-        labels = port_edges[v]
-        tensors.append((node_tensor(node.kind, node.phase, len(labels)),
-                        labels))
-    tensors.extend(bare)
-    return tensors, boundary_label
+    return components, boundary_label
 
 
 def _contract_self(t: np.ndarray, labels: list[int]):
@@ -129,60 +128,20 @@ def _pair_contract(ti, li, tj, lj, cap):
     return _contract_self(t, out_labels)
 
 
-def _contract(tensors, cap: int):
-    """Greedy accumulator contraction: repeatedly absorb the neighbouring
-    tensor that minimises the intermediate open-wire count, with a
-    deterministic tie-break by insertion order."""
-    work: list = []
-    for t, labels in tensors:
-        t2, l2 = _contract_self(np.asarray(t, dtype=complex), list(labels))
-        work.append((t2, l2))
-
-    holders: dict[int, set[int]] = {}
-    for i, (_, labels) in enumerate(work):
-        for l in labels:
-            holders.setdefault(l, set()).add(i)
-    alive = set(range(len(work)))
-    done: list = []
-    acc_i = None
-
-    def release(i):
-        for l in work[i][1]:
-            holders[l].discard(i)
-
-    while alive or acc_i is not None:
-        if acc_i is None:
-            acc_i = min(alive)
-            alive.discard(acc_i)
-            release(acc_i)
-        acc_t, acc_l = work[acc_i]
-        cands = set()
-        for l in acc_l:
-            cands |= holders.get(l, set())
-        cands &= alive
-        if not cands:
-            done.append((acc_t, acc_l))
-            acc_i = None
-            continue
-        best = None
-        for j in cands:
-            shared = len(set(acc_l) & set(work[j][1]))
-            rank = len(acc_l) + len(work[j][1]) - 2 * shared
-            key = (rank, j)
-            if best is None or key < best:
-                best = key
-        j = best[1]
-        alive.discard(j)
-        release(j)
-        t, labels = _pair_contract(acc_t, acc_l, work[j][0], work[j][1], cap)
-        work.append((t, labels))
-        acc_i = len(work) - 1
-
-    # outer-product the disconnected components
-    t, labels = done[0]
-    for t2, l2 in done[1:]:
+def _fold(pairs, cap: int):
+    """Contract (tensor, labels) pairs into an accumulator, in order."""
+    t, labels = pairs[0]
+    for t2, l2 in pairs[1:]:
         t, labels = _pair_contract(t, labels, t2, l2, cap)
     return t, labels
+
+
+def _contract(components, cap: int):
+    """Fold each component in its order, then outer-product the
+    components."""
+    return _fold([_fold([_contract_self(t, labels) for t, labels in pairs],
+                        cap)
+                  for pairs in components], cap)
 
 
 def interpret(d: Diagram, cap: int | None = None) -> np.ndarray:
@@ -193,12 +152,12 @@ def interpret(d: Diagram, cap: int | None = None) -> np.ndarray:
     if d.n_in + d.n_out > cap:
         raise ResourceError(
             f"diagram has {d.n_in + d.n_out} boundary wires, cap is {cap}")
-    tensors, boundary_label = _prepare(d)
-    if not tensors:
+    components, boundary_label = _prepare(d)
+    if not components:
         t = np.array(1.0, dtype=complex)
         labels: list[int] = []
     else:
-        t, labels = _contract(tensors, cap)
+        t, labels = _contract(components, cap)
     # order axes as out slot 0..m-1 then in slot 0..n-1 (most significant
     # bit first within each boundary, matching |a_{m-1}...a_0>)
     wanted = [boundary_label[("out", j)] for j in range(d.n_out)] + \

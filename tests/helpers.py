@@ -112,3 +112,32 @@ def port_edges_by_scan(d: D.Diagram) -> dict[int, list[int]]:
             edges.append(hits[0])
         out[v] = edges
     return out
+
+
+def contraction_order_by_scan(d: D.Diagram) -> list[list[int]]:
+    """Reference for ``contraction_order``: grow an accumulator of open
+    wire labels and, at every step, rescan all remaining nodes for the
+    neighbour with the least |open| + |wires_j| - 2 * shared, ties to
+    the smallest id.  A self-loop gives a node no wire."""
+    wires = {}
+    for v in d.nodes:
+        at = [i for i, e in enumerate(d.edges) for ep in e
+              if ep[0] == "n" and ep[1] == v]
+        wires[v] = {i for i in at if at.count(i) == 1}
+    remaining = set(d.nodes)
+    order = []
+    while remaining:
+        v = min(remaining)
+        remaining.discard(v)
+        component, open_ = [v], set(wires[v])
+        while True:
+            cands = [u for u in remaining if open_ & wires[u]]
+            if not cands:
+                break
+            u = min(cands, key=lambda u: (
+                len(open_) + len(wires[u]) - 2 * len(open_ & wires[u]), u))
+            remaining.discard(u)
+            component.append(u)
+            open_ ^= wires[u]
+        order.append(component)
+    return order

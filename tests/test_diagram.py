@@ -7,7 +7,8 @@ from zxel.semantics import contract_state, interpret, matrices_equal
 
 from zxel.normalform import nf_from_vector, nf_to_diagram
 
-from helpers import H_MAT, port_edges_by_scan, random_diagram
+from helpers import (H_MAT, contraction_order_by_scan, port_edges_by_scan,
+                     random_diagram)
 
 
 def test_compose_identity_is_identity():
@@ -198,3 +199,62 @@ def test_port_edges_matches_scan():
         corpus.append(nf_to_diagram(nf_from_vector(v)))
     for d in corpus:
         assert d.port_edges() == port_edges_by_scan(d)
+
+
+def _order_corpus():
+    rng = np.random.default_rng(12)
+    corpus = [random_diagram(rng) for _ in range(60)]
+    corpus += [D.bend_to_state(d) for d in corpus[:20]]
+    corpus.append(D.tensor_all([D.z_spider(1, 1, 2.0), D.scalar_z(0.5),
+                                D.identity(2), D.h_box()]))
+    for m in (2, 3):
+        v = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
+        corpus.append(nf_to_diagram(nf_from_vector(v)))
+    return corpus
+
+
+def test_contraction_order_partitions_into_components():
+    for d in _order_corpus():
+        pe = d.port_edges()
+        order = D.contraction_order(pe)
+        flat = [v for component in order for v in component]
+        assert sorted(flat) == d.node_ids()
+        assert [c[0] for c in order] == sorted(min(c) for c in order)
+        edge_ends = {}
+        for v, edges in pe.items():
+            for i in edges:
+                edge_ends.setdefault(i, set()).add(v)
+        for component in order:
+            # every node after the first touches an earlier one
+            for k, v in enumerate(component[1:], start=1):
+                assert any(v in ends and ends & set(component[:k])
+                           for ends in edge_ends.values()), (component, v)
+            # and no edge leaves the component
+            for ends in edge_ends.values():
+                assert not ends & set(component) or ends <= set(component)
+
+
+def test_contraction_order_matches_greedy_reference():
+    for d in _order_corpus():
+        order = D.contraction_order(d.port_edges())
+        assert order == contraction_order_by_scan(d)
+        # deterministic: the order of the node dict does not matter
+        shuffled = D.Diagram(dict(reversed(d.nodes.items())), d.edges,
+                             d.n_in, d.n_out, loops=d.loops)
+        assert D.contraction_order(shuffled.port_edges()) == order
+
+
+def test_contraction_order_edge_cases():
+    assert D.contraction_order(D.empty().port_edges()) == []
+    loop = D.Diagram({0: D.Node(D.Z, 2.0)},
+                     [(("n", 0, 0), ("n", 0, 1)), (("in", 0), ("n", 0, 2)),
+                      (("out", 0), ("n", 0, 3))], 1, 1)
+    assert D.contraction_order(loop.port_edges()) == [[0]]
+    # a self-loop adds no wire: after node 0, node 2 (two wires and a
+    # self-loop) leaves fewer open wires than node 1 (three wires)
+    d = D.Diagram({0: D.Node(D.Z), 1: D.Node(D.Z), 2: D.Node(D.Z)},
+                  [(("n", 0, 0), ("n", 1, 0)), (("n", 0, 1), ("n", 2, 0)),
+                   (("n", 2, 1), ("n", 2, 2)), (("n", 1, 1), ("out", 0)),
+                   (("n", 1, 2), ("out", 2)), (("n", 2, 3), ("out", 1))],
+                  0, 3)
+    assert D.contraction_order(d.port_edges()) == [[0, 2, 1]]

@@ -5,6 +5,7 @@ import pytest
 
 from zxel import diagram as D
 from zxel.equivalence import TypeMismatchError, check_equivalent
+from zxel.rules import catalog_by_name, instantiate
 from zxel.semantics import interpret, matrices_equal
 
 from helpers import random_complex, random_diagram
@@ -87,3 +88,24 @@ def test_scalar_diagrams_compared():
     two_dot = D.scalar_z(1.0)
     assert check_equivalent(loop, two_dot).equal
     assert not check_equivalent(loop, D.scalar_z(0.5)).equal
+
+
+# sound 4 -> 4 rules whose normal-form frontier once reached 15 wires,
+# past the default cap of 14, while contraction stayed under it
+_WIDE_FRONTIER_RULES = (
+    "addpipair2sidecommutprop", "addpipair2sidecommutprop28",
+    "addpipair2sidecommutprop29", "addpipair2sidecommutprop29b",
+    "addpipairmulcommutprop30a", "addpipairmulcommutprop30b",
+    "addpipairmulcommutprop30bcro", "addpipairmulcommutprop30c",
+    "addpipairmulcommutprop30ccro")
+
+
+@pytest.mark.parametrize("name", _WIDE_FRONTIER_RULES)
+def test_wide_rules_decided_at_default_cap(name):
+    rule = catalog_by_name()[name]
+    rng = np.random.default_rng(3)
+    params = [random_complex(rng) for _ in range(rule.arity)]
+    while not rule.admissible(params):
+        params = [random_complex(rng) for _ in range(rule.arity)]
+    lhs, rhs = instantiate(rule, params)
+    assert check_equivalent(lhs, rhs).equal

@@ -309,3 +309,26 @@ def test_normalize_empty_and_scalars():
     assert nf.m == 0 and abs(nf.coeffs[0] - a) < 1e-12
     nf2 = NF.normalize(D.scalar_z(a))
     assert abs(nf2.coeffs[0] - (1 + a)) < 1e-12
+
+
+def test_normalize_independent_of_elimination_order(monkeypatch):
+    rng = np.random.default_rng(17)
+    corpus = [random_diagram(rng) for _ in range(40)]
+    for m in (1, 2, 3):
+        v = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
+        corpus.append(NF.nf_to_diagram(NF.nf_from_vector(v)))
+    greedy = [NF.normalize(d, cap=30) for d in corpus]
+    # plain node-id order, one component
+    monkeypatch.setattr(NF, "contraction_order", lambda pe: [sorted(pe)])
+    for d, nf in zip(corpus, greedy):
+        assert NF.nf_equal(NF.normalize(d, cap=30), nf)
+
+
+def test_normalize_nf_m5_within_default_cap(monkeypatch):
+    # along the shared elimination order the m = 5 family peaks at
+    # exactly the default cap of 14 wires: no headroom is left
+    monkeypatch.delenv("ZXEL_WIRE_CAP", raising=False)
+    rng = np.random.default_rng([1, 9])
+    v = rng.normal(size=32) + 1j * rng.normal(size=32)
+    d = NF.nf_to_diagram(NF.nf_from_vector(v))
+    assert NF.nf_equal(NF.normalize(d), NF.nf_from_vector(v))
