@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import diagram as dg
-from .diagram import Diagram
+from .diagram import Diagram, DiagramError
 from .equivalence import (TypeMismatchError, VerdictDisagreement,
                           check_equivalent)
 from .io import (DiagramFileError, dumps_diagram, format_matrix,
@@ -46,13 +46,14 @@ def _compute(fn, *args, **kwargs):
 
     An overflow surfaces as the ArithmeticError that interpret and
     normalize raise on non-finite results, so numpy's own overflow
-    warnings are silenced here.
+    warnings are silenced here; a rewrite whose parameter overflows
+    raises DiagramError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             return fn(*args, **kwargs)
         except (TypeMismatchError, ResourceError, WireCapError,
-                ArithmeticError) as exc:
+                ArithmeticError, DiagramError) as exc:
             _fail(str(exc))
         except VerdictDisagreement as exc:  # a defect, not a verdict
             _fail(f"internal: {exc}")
@@ -110,7 +111,7 @@ def cmd_normalize(file, out):
 
 @main.command("simplify")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--budget", default=None, type=int,
+@click.option("--budget", default=None, type=click.IntRange(min=0),
               help="maximum rewrite steps (default 10 x node count + 20)")
 @click.option("--trace", is_flag=True, help="log applied rules to stderr")
 @click.option("--out", type=click.Path(dir_okay=False),
@@ -118,7 +119,7 @@ def cmd_normalize(file, out):
 def cmd_simplify(file, budget, trace, out):
     """Apply the terminating simplification strategy."""
     d = _load(file)
-    res = run_simplify(d, budget=budget, trace=trace)
+    res = _compute(run_simplify, d, budget=budget, trace=trace)
     if trace:
         for step in res.trace:
             click.echo(f"{step['rule']} at nodes {step['nodes']}", err=True)
@@ -132,7 +133,8 @@ def cmd_simplify(file, budget, trace, out):
 
 
 @main.command("rules")
-@click.option("--samples", default=20, show_default=True)
+@click.option("--samples", default=20, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--tol", default=DEFAULT_TOL, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="emit JSON report")

@@ -21,6 +21,7 @@ triangles are expressed by wiring alone.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -46,8 +47,8 @@ class Node:
     """A generator node: kind plus the complex parameter of a Z spider.
 
     The ``phase`` field is the complex number carried by a Z spider (the
-    spider interprets to |0..0><0..0| + phase |1..1><1..1|).  It is
-    ignored for the other kinds, which carry no parameter.
+    spider interprets to |0..0><0..0| + phase |1..1><1..1|); it must be
+    finite.  It is ignored for the other kinds, which carry no parameter.
     """
 
     kind: str
@@ -56,6 +57,8 @@ class Node:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DiagramError(f"unknown node kind {self.kind!r}")
+        if not cmath.isfinite(self.phase):
+            raise DiagramError(f"phase {self.phase} is not finite")
 
 
 _TAG_ORDER = {"n": 0, "in": 1, "out": 2}

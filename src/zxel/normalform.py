@@ -14,8 +14,9 @@ multiplication to the base state e_{2^m-1}:
 This module never calls the interpreter; the normal-form pipeline is an
 independent route that the semantics module cross-checks.  The two routes
 share one elimination order, ``diagram.contraction_order``, and nothing
-else: ``normalize`` folds generator normal forms along the order in
-which ``interpret`` contracts tensors.
+else: ``normalize`` absorbs generator normal forms (``nf_absorb``: tensor,
+then plug the shared wires) along the order in which ``interpret``
+contracts tensors, so both hold the same open wires at every step.
 """
 
 from __future__ import annotations
@@ -309,6 +310,21 @@ def nf_self_plug(nf: NormalForm, wire_pair) -> NormalForm:
     return NormalForm(nf.m - 2, tuple(b))
 
 
+def nf_absorb(acc: NormalForm, nf: NormalForm, pairs=()) -> NormalForm:
+    """``nf_tensor(acc, nf)`` followed by ``nf_self_plug`` of each
+    (acc wire, nf wire) pair, computed as one contraction over the paired
+    wires without forming the tensor.  The unpaired wires keep their
+    order, acc's on the more significant side."""
+    if not all(0 <= p < acc.m and 0 <= q < nf.m for p, q in pairs):
+        raise ValueError(f"wire pairs {pairs} out of range")
+    # axis a of a reshaped vector holds wire m-1-a
+    t = np.tensordot(acc.vector().reshape((2,) * acc.m),
+                     nf.vector().reshape((2,) * nf.m),
+                     axes=([acc.m - 1 - p for p, _ in pairs],
+                           [nf.m - 1 - q for _, q in pairs]))
+    return NormalForm(acc.m + nf.m - 2 * len(pairs), tuple(t.reshape(-1)))
+
+
 # node state tables, written from the generator definitions (independent
 # of the contraction engine); port 0 is the most significant wire
 def _node_state(kind: str, phase: complex, degree: int) -> NormalForm:
@@ -360,19 +376,17 @@ class WireCapError(RuntimeError):
     """Normalisation would exceed the configured open-wire cap."""
 
 
-def _far_end(d: Diagram, i: int, v: int, p: int):
-    """The endpoint of edge i that is not port p of node v."""
-    a, b = d.edges[i]
-    return b if a == ("n", v, p) else a
-
-
 def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
     """Rewrite any diagram into its normal form.
 
-    Bends the diagram into a state by map-state duality, then folds the
-    generators in: tensor the next generator's normal form onto the
-    accumulator and self-plug every wire pair that became connected.
-    Raises ArithmeticError if a coefficient is not finite.
+    Bends the diagram into a state by map-state duality, then folds each
+    connected component along ``contraction_order``: every generator's
+    normal form, its own self-loops plugged, is absorbed into the
+    component's accumulator with ``nf_absorb``, which plugs the wires the
+    two share as it tensors them.  The component results are tensored
+    together, as ``interpret`` outer-products its components.  Raises
+    WireCapError if an accumulator would exceed ``cap`` open wires, and
+    ArithmeticError if a coefficient is not finite.
     """
     if cap is None:
         cap = wire_cap()
@@ -382,60 +396,45 @@ def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
             f"state has {state.n_out} wires, cap is {cap}")
 
     acc = scalar_nf(2.0 ** state.loops)  # each bare loop is a scalar 2
-    ports: list = []  # ports[0] most significant
-
+    slots: list[int] = []  # output slot of each acc wire, in order
     port_edges = state.port_edges()
-
-    def key_for(v: int, p: int):
-        i = port_edges[v][p]
-        other = _far_end(state, i, v, p)
-        return other if other[0] == "out" else ("e", i)
-
-    def plug_duplicates():
-        nonlocal acc, ports
-        while True:
-            dup = None
-            for i, k in enumerate(ports):
-                if k[0] == "out":
-                    continue
-                try:
-                    j = ports.index(k, i + 1)
-                except ValueError:
-                    continue
-                dup = (i, j)
-                break
-            if dup is None:
-                return
-            i, j = dup
-            L = len(ports)
-            acc = nf_self_plug(acc, (L - 1 - j, L - 1 - i))
-            ports = [k for t, k in enumerate(ports) if t not in (i, j)]
-
+    for component in contraction_order(port_edges):
+        part, held = scalar_nf(1.0), []  # held: the edge at each wire of part
+        for v in component:
+            node, edges = state.nodes[v], port_edges[v]
+            nf = _node_state(node.kind, node.phase, len(edges))
+            for i in [i for k, i in enumerate(edges) if i in edges[:k]]:
+                n, p = len(edges), edges.index(i)  # plug a self-loop
+                q = edges.index(i, p + 1)
+                nf = nf_self_plug(nf, (n - 1 - p, n - 1 - q))
+                edges = [e for e in edges if e != i]
+            shared = [i for i in edges if i in held]
+            width = len(held) + len(edges) - 2 * len(shared)
+            if width > cap:
+                raise WireCapError(
+                    f"normalisation frontier reached {width} wires, "
+                    f"cap is {cap}")
+            part = nf_absorb(part, nf, [(len(held) - 1 - held.index(i),
+                                         len(edges) - 1 - edges.index(i))
+                                        for i in shared])
+            held = [i for i in held + edges if i not in shared]
+        acc = nf_tensor(acc, part)
+        # the far end of a held edge is an output slot
+        slots += [state.edges[i][1][1] for i in held]
     # bare wires between two outputs behave like caps
     for a, b in state.edges:
         if a[0] == "out" and b[0] == "out":
             acc = nf_tensor(acc, generator_nf("cap"))
-            ports.extend([a, b])
-
-    for v in itertools.chain.from_iterable(contraction_order(port_edges)):
-        node = state.nodes[v]
-        deg = len(port_edges[v])
-        acc = nf_tensor(acc, _node_state(node.kind, node.phase, deg))
-        ports.extend(key_for(v, p) for p in range(deg))
-        if len(ports) > cap:
-            raise WireCapError(
-                f"normalisation frontier reached {len(ports)} wires, "
-                f"cap is {cap}")
-        plug_duplicates()
+            slots += [a[1], b[1]]
 
     # align remaining wires with the state's output order
-    L = len(ports)
-    assert L == state.n_out and all(k[0] == "out" for k in ports)
+    L = len(slots)
+    assert L == state.n_out
     if not np.all(np.isfinite(acc.vector())):
         raise ArithmeticError("non-finite coefficients in normal form")
     if L == 0:
         return acc
-    slot_wire = {k[1]: L - 1 - i for i, k in enumerate(ports)}
+    slot_wire = {s: L - 1 - k for k, s in enumerate(slots)}
     perm = [slot_wire[L - 1 - w] for w in range(L)]
     return nf_permute(acc, perm)
 

@@ -42,16 +42,13 @@ class StaleSiteError(RuntimeError):
 
 @dataclass(frozen=True)
 class MatchSite:
-    """An embedding of a rule pattern into a host diagram."""
+    """An embedding of a rule pattern into a host diagram, valid for that
+    diagram object only."""
 
     rule: str
     nodes: tuple[int, ...]
     params: tuple[complex, ...]
-    fingerprint: int
-
-
-def _fingerprint(d: Diagram) -> int:
-    return hash(d.structural_key())
+    host: Diagram
 
 
 def _site(rule, nodes, params=()):
@@ -297,10 +294,7 @@ def find_matches(d: Diagram, rule) -> list[MatchSite]:
     sites = _MATCHERS[base](d, _adjacency(d))
     if "-" in name:
         sites = [s for s in sites if s[0] == name]
-    if not sites:  # most calls from simplify match nothing: skip the hash
-        return []
-    fingerprint = _fingerprint(d)
-    return [MatchSite(*s, fingerprint) for s in sites]
+    return [MatchSite(*s, d) for s in sites]
 
 
 # -- rebuilding -------------------------------------------------------------
@@ -349,7 +343,7 @@ def _scalar_node(value_minus_one: complex) -> Node:
 
 def apply(d: Diagram, site: MatchSite) -> Diagram:
     """Apply a match site; the result interprets identically."""
-    if site.fingerprint != _fingerprint(d):
+    if site.host is not d:
         raise StaleSiteError("site was computed on a different diagram")
     inc = _adjacency(d)
 

@@ -301,6 +301,34 @@ def test_bad_phase_or_loops_rejected(tmp_path, runner, loops, phase, message):
         assert message in res.stderr
 
 
+def test_simplify_overflowing_phase_is_an_error(tmp_path, runner):
+    # fusing two spiders of phase 1e308 gives an infinite phase, which
+    # simplify used to print as Infinity, a file zxel then rejects
+    rec = json.loads(_WIRE_FILE % ("0", "[1e308, 0]"))
+    rec["nodes"].append({"id": 1, "kind": "z", "phase": [1e308, 0]})
+    rec["edges"][1] = [["node", 0, 1], ["node", 1, 0]]
+    rec["edges"].append([["out", 0], ["node", 1, 1]])
+    path = tmp_path / "big.zx"
+    path.write_text(json.dumps(rec))
+    res = runner.invoke(main, ["simplify", str(path)])
+    _assert_one_line_error(res)
+    assert "not finite" in res.stderr
+
+
+@pytest.mark.parametrize("args, option", [
+    (["simplify", "--budget", "-1"], "--budget"),
+    (["rules", "--samples", "0"], "--samples"),
+])
+def test_out_of_range_option_is_a_usage_error(tmp_path, runner, args, option):
+    if args[0] == "simplify":
+        args = args + [_write(tmp_path, "w.zx", D.identity(1))]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert "Traceback" not in res.output
+    assert option in res.stderr
+
+
 @pytest.mark.parametrize("raw", ["abc", "-3", "0"])
 def test_malformed_wire_cap_rejected(tmp_path, runner, monkeypatch, raw):
     p = _write(tmp_path, "w.zx", D.identity(1))

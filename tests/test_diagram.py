@@ -142,6 +142,15 @@ def test_wellformedness_rejects_degree_mismatch():
         D.Diagram({0: D.Node(D.H)}, [(("in", 0), ("n", 0, 0))], 1, 0)
 
 
+@pytest.mark.parametrize("phase", [complex(float("inf"), 0), float("nan"),
+                                   complex(1, float("-inf"))])
+def test_node_rejects_non_finite_phase(phase):
+    with pytest.raises(DiagramError, match="not finite"):
+        D.Node(D.Z, phase)
+    with pytest.raises(DiagramError, match="not finite"):
+        D.z_spider(1, 1, phase)
+
+
 @pytest.mark.parametrize("nodes, edges, n_in, n_out, loops, message", [
     ({}, [(("in", 0), ("out", 0)), (("in", 0), ("out", 1))], 1, 2, 0,
      "used 2 times"),

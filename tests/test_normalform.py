@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from zxel import diagram as D
 from zxel import normalform as NF
-from zxel.semantics import contract_state, interpret, matrices_equal
+from zxel.semantics import (ResourceError, contract_state, interpret,
+                            matrices_equal)
 
 from helpers import (random_complex, random_diagram, row_addition_matrix,
                      row_multiplication_matrix)
@@ -324,11 +325,107 @@ def test_normalize_independent_of_elimination_order(monkeypatch):
         assert NF.nf_equal(NF.normalize(d, cap=30), nf)
 
 
-def test_normalize_nf_m5_within_default_cap(monkeypatch):
-    # along the shared elimination order the m = 5 family peaks at
-    # exactly the default cap of 14 wires: no headroom is left
+def _tensor_then_plug(acc, nf, pairs):
+    """The reference for nf_absorb: nf_tensor, then nf_self_plug of each
+    pair, renumbering the wires after every plug."""
+    out = NF.nf_tensor(acc, nf)
+    # wires of out by origin, least significant first
+    wires = [("b", q) for q in range(nf.m)] + [("a", p) for p in range(acc.m)]
+    for p, q in pairs:
+        i, j = wires.index(("a", p)), wires.index(("b", q))
+        out = NF.nf_self_plug(out, (i, j))
+        wires = [w for w in wires if w not in (("a", p), ("b", q))]
+    return out
+
+
+def test_nf_absorb_equals_tensor_then_self_plug():
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        ma, mb = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+        acc = NF.nf_from_vector(rng.normal(size=2 ** ma)
+                                + 1j * rng.normal(size=2 ** ma))
+        nf = NF.nf_from_vector(rng.normal(size=2 ** mb)
+                               + 1j * rng.normal(size=2 ** mb))
+        k = min(ma, mb)
+        a_wires = [int(w) for w in rng.permutation(ma)]
+        b_wires = [int(w) for w in rng.permutation(mb)]
+        # no pairs, some pairs, every wire of the smaller side paired
+        for n_pairs in {0, int(rng.integers(0, k + 1)), k}:
+            pairs = list(zip(a_wires[:n_pairs], b_wires[:n_pairs]))
+            got = NF.nf_absorb(acc, nf, pairs)
+            ref = _tensor_then_plug(acc, nf, pairs)
+            assert got.m == ref.m == ma + mb - 2 * n_pairs
+            assert np.allclose(got.vector(), ref.vector(), atol=1e-12)
+    # every wire on both sides paired: a full contraction to a scalar
+    v, w = rng.normal(size=8), rng.normal(size=8)
+    full = NF.nf_absorb(NF.nf_from_vector(v), NF.nf_from_vector(w),
+                        [(0, 0), (1, 1), (2, 2)])
+    assert full.m == 0 and np.isclose(full.coeffs[0], v @ w)
+
+
+def test_nf_absorb_errors():
+    a = NF.nf_from_vector([1, 2, 3, 4])
+    with pytest.raises(ValueError):
+        NF.nf_absorb(a, a, [(2, 0)])
+    with pytest.raises(ValueError):
+        NF.nf_absorb(a, a, [(0, -1)])
+    with pytest.raises(ValueError):
+        NF.nf_absorb(a, a, [(0, 0), (0, 1)])
+
+
+def _loop_diagram(kind, degree, loops, n_in, n_out, phase=1.0):
+    """One node whose first 2 * loops ports are joined in pairs, then
+    n_in inputs, then n_out outputs."""
+    edges = [(("n", 0, 2 * k), ("n", 0, 2 * k + 1)) for k in range(loops)]
+    free = list(range(2 * loops, degree))
+    edges += [(("in", i), ("n", 0, free[i])) for i in range(n_in)]
+    edges += [(("out", j), ("n", 0, free[n_in + j])) for j in range(n_out)]
+    return D.Diagram({0: D.Node(kind, phase)}, edges, n_in, n_out)
+
+
+def test_normalize_self_loops_parallel_edges_and_components():
+    a, b = 0.3 - 1.2j, -0.7 + 0.4j
+    parallel = D.Diagram(
+        {0: D.Node(D.Z, a), 1: D.Node(D.Z, b)},
+        [(("n", 0, k), ("n", 1, k)) for k in range(3)]
+        + [(("in", 0), ("n", 0, 3)), (("out", 0), ("n", 1, 3)),
+           (("out", 1), ("n", 0, 4))], 1, 2)
+    cases = [
+        _loop_diagram(D.H, 2, 1, 0, 0),
+        _loop_diagram(D.T, 2, 1, 0, 0),
+        _loop_diagram(D.T_INV, 2, 1, 0, 0),
+        _loop_diagram(D.Z, 4, 2, 0, 0, a),
+        _loop_diagram(D.Z, 6, 2, 1, 1, a),
+        parallel,
+        D.tensor_all([parallel, D.cap(), _loop_diagram(D.Z, 5, 2, 0, 1, b),
+                      D.scalar_z(a), D.swap(), D.h_box()]),
+    ]
+    for d in cases:
+        oracle = contract_state(D.bend_to_state(d))
+        assert np.allclose(NF.normalize(d).vector(), oracle, atol=1e-12), d
+
+
+def _min_cap(fn, d):
+    for cap in range(1, 30):
+        try:
+            fn(d, cap=cap)
+            return cap
+        except (NF.WireCapError, ResourceError):
+            pass
+    raise AssertionError("no cap below 30 suffices")
+
+
+def test_normalize_nf_family_needs_interprets_cap(monkeypatch):
+    # normalize plugs a node's shared wires as it absorbs it, so along the
+    # shared elimination order its frontier is the contraction's
     monkeypatch.delenv("ZXEL_WIRE_CAP", raising=False)
-    rng = np.random.default_rng([1, 9])
-    v = rng.normal(size=32) + 1j * rng.normal(size=32)
-    d = NF.nf_to_diagram(NF.nf_from_vector(v))
+    for m in range(2, 7):
+        rng = np.random.default_rng([1, 9])
+        v = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
+        d = NF.nf_to_diagram(NF.nf_from_vector(v))
+        cap = _min_cap(contract_state, d)
+        with pytest.raises(NF.WireCapError):
+            NF.normalize(d, cap=cap - 1)
+        assert NF.nf_equal(NF.normalize(d, cap=cap), NF.nf_from_vector(v))
+    # m = 6 within the default cap
     assert NF.nf_equal(NF.normalize(d), NF.nf_from_vector(v))

@@ -42,6 +42,33 @@ def test_stale_site_rejected():
         RW.apply(D.triangle(), site)
 
 
+def test_stale_site_on_id_shifted_copy():
+    # an id-shifted copy has the same structural key as the host; applying
+    # the host's S1 site on nodes (2, 3) to it would fuse two unconnected
+    # spiders, and an unrelated shift would name missing nodes
+    def chain():
+        return D.compose(D.z_spider(1, 1, 2.0), D.z_spider(1, 1, 3.0))
+
+    d = D.tensor(chain(), chain())
+    site, = [s for s in RW.find_matches(d, "S1") if s.nodes == (2, 3)]
+    for k in (1, 10):
+        def ren(ep):
+            return ("n", ep[1] + k, ep[2]) if ep[0] == "n" else ep
+        copy = D.Diagram({v + k: nd for v, nd in d.nodes.items()},
+                         [(ren(a), ren(b)) for a, b in d.edges],
+                         d.n_in, d.n_out, d.loops)
+        assert copy.structural_key() == d.structural_key()
+        with pytest.raises(RW.StaleSiteError):
+            RW.apply(copy, site)
+    assert len(RW.apply(d, site).nodes) == 3
+
+
+def test_simplify_rejects_an_overflowing_phase():
+    chain = D.compose(D.z_spider(1, 1, 1e308), D.z_spider(1, 1, 1e308))
+    with pytest.raises(D.DiagramError, match="not finite"):
+        RW.simplify(chain)
+
+
 def test_unsupported_rule_matching():
     with pytest.raises(RW.UnsupportedRuleError):
         RW.find_matches(D.h_box(), "EU")
