@@ -3,8 +3,8 @@
 Machine-readable results go to stdout as JSON; diagnostics go to stderr.
 Exit codes: 0 success (check-eq: diagrams equal), 1 negative result
 (check-eq: not equal; rules: some rule failed; elementary: matrix not
-representable), 2 error (bad file, type mismatch, resource cap, internal
-error).
+representable), 2 error (bad option or command, bad file, type mismatch,
+resource cap, internal error).
 """
 
 from __future__ import annotations
@@ -59,7 +59,27 @@ def _compute(fn, *args, **kwargs):
             _fail(f"internal: {exc}")
 
 
-@click.group()
+class _Group(click.Group):
+    """Usage errors (a bad option value, an unknown option or command) are
+    one ``zxel:`` line with exit 2; a bare ``zxel`` prints the help."""
+
+    def make_context(self, *args, **kwargs):
+        return _one_line_usage(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _one_line_usage(super().invoke, ctx)
+
+
+def _one_line_usage(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except getattr(click.exceptions, "NoArgsIsHelpError", ()):
+        raise  # click >= 8.2 raises it for a bare ``zxel``: show the help
+    except click.UsageError as exc:
+        _fail(" ".join(exc.format_message().splitlines()))
+
+
+@click.group(cls=_Group)
 def main():
     """Algebraic ZX-calculus: interpret, rewrite, normalize, compare."""
     try:

@@ -17,6 +17,10 @@ Endpoints of an edge are tuples:
 Ports of Z spiders and H boxes are interchangeable; ports of triangles
 are not (port 0 is the input side, port 1 the tip), which is how flipped
 triangles are expressed by wiring alone.
+
+A ``Diagram`` is validated when built and read-only after; ``compose_all``
+and ``tensor_all`` build a whole chain as one diagram, and builders that
+take no phase are memoised and shared.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate
+from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
 
 Z = "z"
@@ -80,12 +87,14 @@ class Diagram:
 
     def __init__(self, nodes: dict[int, Node], edges: Iterable[Edge],
                  n_in: int, n_out: int, loops: int = 0):
-        self.nodes = dict(nodes)
-        self.edges = tuple(_norm_edge(a, b) for a, b in edges)
-        self.n_in = n_in
-        self.n_out = n_out
-        self.loops = loops
+        values = (MappingProxyType(dict(nodes)),
+                  tuple(_norm_edge(a, b) for a, b in edges), n_in, n_out, loops)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         self.check_validity()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Diagram is read-only; cannot set {name}")
 
     # -- well-formedness ------------------------------------------------
 
@@ -140,8 +149,8 @@ class Diagram:
     def port_edges(self) -> dict[int, list[int]]:
         """For each node, the index into ``self.edges`` of the edge at each
         of its ports, in port order; a self-loop appears at both of its
-        ports.  One pass over the edges, rebuilt on every call (a stored
-        index would go stale, since ``self.nodes`` is a mutable dict)."""
+        ports.  One pass over the edges, rebuilt on every call rather
+        than stored, so a diagram holds nothing but its graph."""
         at: dict[int, dict[int, int]] = {v: {} for v in self.nodes}
         for i, (a, b) in enumerate(self.edges):
             if a[0] == "n":
@@ -295,67 +304,73 @@ def _splice(edges: Sequence[Edge], is_junction: Callable[[Endpoint], bool]):
 
 # -- combinators --------------------------------------------------------
 
-def compose(d1: Diagram, d2: Diagram) -> Diagram:
-    """Sequential composition: d2 after d1 (d1's outputs glued to d2's
-    inputs positionally).  Requires d1.n_out == d2.n_in."""
-    if d1.n_out != d2.n_in:
-        raise DiagramError(
-            f"compose arity mismatch: {d1.n_out} outputs vs {d2.n_in} inputs")
-    shift = max(d1.nodes, default=-1) + 1
-    nodes = dict(d1.nodes)
-    nodes.update({v + shift: nd for v, nd in d2.nodes.items()})
+def _placed(ds: Sequence[Diagram], boundary):
+    """The pieces side by side: their nodes and edges, piece k's node ids
+    shifted past the largest id placed before it (the ids of a pairwise
+    fold from the left) and its boundary endpoints renamed by
+    ``boundary(k, ep)``."""
+    nodes: dict[int, Node] = {}
+    edges: list[Edge] = []
+    top = None
+    for k, d in enumerate(ds):
+        shift = 0 if top is None else top + 1
+        for v, nd in d.nodes.items():
+            nodes[v + shift] = nd
+            top = v + shift if top is None else max(top, v + shift)
 
-    def ren1(ep):
-        if ep[0] == "out":
-            return ("glue", ep[1])
-        return ep
+        def ren(ep):
+            return (("n", ep[1] + shift, ep[2]) if ep[0] == "n"
+                    else boundary(k, ep))
 
-    def ren2(ep):
-        if ep[0] == "in":
-            return ("glue", ep[1])
-        if ep[0] == "n":
-            return ("n", ep[1] + shift, ep[2])
-        return ep
-
-    edges = [(ren1(a), ren1(b)) for a, b in d1.edges]
-    edges += [(ren2(a), ren2(b)) for a, b in d2.edges]
-    spliced, new_loops = _splice(edges, lambda ep: ep[0] == "glue")
-    return Diagram(nodes, spliced, d1.n_in, d2.n_out,
-                   loops=d1.loops + d2.loops + new_loops)
-
-
-def tensor(d1: Diagram, d2: Diagram) -> Diagram:
-    """Parallel composition; d1's boundaries precede d2's."""
-    shift = max(d1.nodes, default=-1) + 1
-    nodes = dict(d1.nodes)
-    nodes.update({v + shift: nd for v, nd in d2.nodes.items()})
-
-    def ren2(ep):
-        if ep[0] == "n":
-            return ("n", ep[1] + shift, ep[2])
-        if ep[0] == "in":
-            return ("in", ep[1] + d1.n_in)
-        return ("out", ep[1] + d1.n_out)
-
-    edges = list(d1.edges) + [(ren2(a), ren2(b)) for a, b in d2.edges]
-    return Diagram(nodes, edges, d1.n_in + d2.n_in, d1.n_out + d2.n_out,
-                   loops=d1.loops + d2.loops)
-
-
-def tensor_all(ds: Sequence[Diagram]) -> Diagram:
-    out = empty()
-    for d in ds:
-        out = tensor(out, d)
-    return out
+        edges += [(ren(a), ren(b)) for a, b in d.edges]
+    return nodes, edges
 
 
 def compose_all(ds: Sequence[Diagram]) -> Diagram:
+    """Sequential composition of a chain, piece k's outputs glued to piece
+    k+1's inputs positionally.  One splice for the whole chain gives the
+    node ids, edge order and loops of folding ``compose`` from the left."""
     if not ds:
         raise DiagramError("compose_all of nothing")
-    out = ds[0]
-    for d in ds[1:]:
-        out = compose(out, d)
-    return out
+    if len(ds) == 1:
+        return ds[0]
+    for d1, d2 in zip(ds, ds[1:]):
+        if d1.n_out != d2.n_in:
+            raise DiagramError(f"compose arity mismatch: {d1.n_out} outputs "
+                               f"vs {d2.n_in} inputs")
+    last = len(ds) - 1
+
+    def glue(k, ep):
+        # junction ("glue", k, j) joins output j of piece k to input j of
+        # piece k + 1; the chain's own inputs and outputs keep their slots
+        if ep[0] == "in":
+            return ep if k == 0 else ("glue", k - 1, ep[1])
+        return ep if k == last else ("glue", k, ep[1])
+
+    nodes, edges = _placed(ds, glue)
+    spliced, new_loops = _splice(edges, lambda ep: ep[0] == "glue")
+    return Diagram(nodes, spliced, ds[0].n_in, ds[-1].n_out,
+                   loops=sum(d.loops for d in ds) + new_loops)
+
+
+def tensor_all(ds: Sequence[Diagram]) -> Diagram:
+    """Parallel composition, boundaries left to right in piece order."""
+    offset = {"in": list(accumulate([d.n_in for d in ds], initial=0)),
+              "out": list(accumulate([d.n_out for d in ds], initial=0))}
+    nodes, edges = _placed(
+        ds, lambda k, ep: (ep[0], ep[1] + offset[ep[0]][k]))
+    return Diagram(nodes, edges, offset["in"][-1], offset["out"][-1],
+                   loops=sum(d.loops for d in ds))
+
+
+def compose(d1: Diagram, d2: Diagram) -> Diagram:
+    """d2 after d1: the two-piece case of ``compose_all``."""
+    return compose_all([d1, d2])
+
+
+def tensor(d1: Diagram, d2: Diagram) -> Diagram:
+    """d1 beside d2: the two-piece case of ``tensor_all``."""
+    return tensor_all([d1, d2])
 
 
 def flip(d: Diagram) -> Diagram:
@@ -401,6 +416,7 @@ def empty() -> Diagram:
     return Diagram({}, [], 0, 0)
 
 
+@cache
 def identity(n: int = 1) -> Diagram:
     return Diagram({}, [(("in", i), ("out", i)) for i in range(n)], n, n)
 
@@ -421,11 +437,13 @@ def permutation(perm: Sequence[int]) -> Diagram:
     return Diagram({}, [(("in", perm[j]), ("out", j)) for j in range(n)], n, n)
 
 
+@cache
 def cap() -> Diagram:
     """0 -> 2 bent wire; interprets to (1,0,0,1)^T."""
     return Diagram({}, [(("out", 0), ("out", 1))], 0, 2)
 
 
+@cache
 def cup() -> Diagram:
     """2 -> 0 bent wire; interprets to (1,0,0,1)."""
     return Diagram({}, [(("in", 0), ("in", 1))], 2, 0)
@@ -448,17 +466,20 @@ def scalar_z(phase: complex) -> Diagram:
     return z_spider(0, 0, phase)
 
 
+@cache
 def h_box() -> Diagram:
     return Diagram({0: Node(H)},
                    [(("in", 0), ("n", 0, 0)), (("out", 0), ("n", 0, 1))], 1, 1)
 
 
+@cache
 def triangle() -> Diagram:
     """1 -> 1 triangle; interprets to [[1,1],[0,1]] (port 0 in, port 1 out)."""
     return Diagram({0: Node(T)},
                    [(("in", 0), ("n", 0, 0)), (("out", 0), ("n", 0, 1))], 1, 1)
 
 
+@cache
 def triangle_inv() -> Diagram:
     """1 -> 1 inverse triangle; interprets to [[1,-1],[0,1]]."""
     return Diagram({0: Node(T_INV)},
@@ -487,19 +508,17 @@ def _tau_sign(tau: float) -> complex:
     raise DiagramError(f"X phase must be 0 or pi, got {tau}")
 
 
+@cache
 def x_spider_bare(n_in: int, n_out: int, tau: float = TAU_ZERO) -> Diagram:
     """The H-conjugated Z spider without the compensating scalar: the core
     of the ``x_spider`` macro, whose global scalar the tests pin by
     contraction."""
-    sign = _tau_sign(tau)
-    core = z_spider(n_in, n_out, sign)
-    if n_in:
-        core = compose(tensor_all([h_box()] * n_in), core)
-    if n_out:
-        core = compose(core, tensor_all([h_box()] * n_out))
-    return core
+    return compose_all([tensor_all([h_box()] * n_in),
+                        z_spider(n_in, n_out, _tau_sign(tau)),
+                        tensor_all([h_box()] * n_out)])
 
 
+@cache
 def x_spider(n_in: int, n_out: int, tau: float = TAU_ZERO) -> Diagram:
     """X (pink) spider macro: an H-conjugated Z spider.
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -99,6 +100,7 @@ class ElementarySpec:
 
 # -- diagrammatic gadgets -------------------------------------------------
 
+@cache
 def and_gate() -> Diagram:
     """2 -> 1 logical AND on the computational basis,
     built as triangle-inverse after a green merge of two triangles."""
@@ -109,6 +111,7 @@ def and_gate() -> Diagram:
     ])
 
 
+@cache
 def and_tree(k: int) -> Diagram:
     """k -> 1 AND of k bits (k >= 1), a right-leaning cascade."""
     if k < 1:
@@ -119,6 +122,7 @@ def and_tree(k: int) -> Diagram:
     return out
 
 
+@cache
 def _copies_then_sides(m: int) -> Diagram:
     """m -> 2m: a degree-3 green dot on each wire; outputs ordered as the
     m through-wires followed by the m side branches."""
@@ -127,6 +131,7 @@ def _copies_then_sides(m: int) -> Diagram:
     return compose(copies, permutation(perm))
 
 
+@cache
 def _apply_flip_layer(m: int, subset: frozenset[int]) -> Diagram:
     """(m + s) -> m: XOR the s control branches into the wires of the
     subset via pink dots; controls arrive ordered by decreasing wire."""
@@ -184,7 +189,11 @@ def row_multiplication_diagram(m: int, a: complex) -> Diagram:
 
 def pi_layer(m: int, wires) -> Diagram:
     """m -> m layer with a pink pi dot on each listed wire."""
-    wires = frozenset(wires)
+    return _pi_layer(m, frozenset(wires))
+
+
+@cache
+def _pi_layer(m: int, wires: frozenset[int]) -> Diagram:
     layer = [x_spider(1, 1, dg.TAU_PI) if (m - 1 - slot) in wires
              else identity(1) for slot in range(m)]
     return tensor_all(layer) if m else dg.empty()
@@ -236,6 +245,7 @@ def elementary_specs(nf: NormalForm) -> list[ElementarySpec]:
     return specs
 
 
+@cache
 def base_state(m: int) -> Diagram:
     """The all-ones base state e_{2^m-1}: a pink pi state on every wire."""
     return tensor_all([x_spider(0, 1, dg.TAU_PI)] * m)
@@ -246,10 +256,8 @@ def nf_to_diagram(nf: NormalForm) -> Diagram:
     transformation in the canonical order."""
     if nf.m == 0:
         return scalar_nf_diagram(nf.coeffs[0])
-    d = base_state(nf.m)
-    for spec in elementary_specs(nf):
-        d = compose(d, elementary_diagram(spec))
-    return d
+    return compose_all([base_state(nf.m)]
+                       + [elementary_diagram(s) for s in elementary_specs(nf)])
 
 
 def scalar_nf(a: complex) -> NormalForm:
@@ -381,12 +389,13 @@ def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
 
     Bends the diagram into a state by map-state duality, then folds each
     connected component along ``contraction_order``: every generator's
-    normal form, its own self-loops plugged, is absorbed into the
-    component's accumulator with ``nf_absorb``, which plugs the wires the
-    two share as it tensors them.  The component results are tensored
+    normal form, its own self-loops plugged (a Z spider's in closed form,
+    before its state is allocated), is absorbed into the component's
+    accumulator with ``nf_absorb``, which plugs the wires the two share
+    as it tensors them.  The component results are tensored
     together, as ``interpret`` outer-products its components.  Raises
-    WireCapError if an accumulator would exceed ``cap`` open wires, and
-    ArithmeticError if a coefficient is not finite.
+    WireCapError if a node or an accumulator would exceed ``cap`` open
+    wires, and ArithmeticError if a coefficient is not finite.
     """
     if cap is None:
         cap = wire_cap()
@@ -402,12 +411,15 @@ def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
         part, held = scalar_nf(1.0), []  # held: the edge at each wire of part
         for v in component:
             node, edges = state.nodes[v], port_edges[v]
+            edges = [i for i in edges if edges.count(i) == 1]
+            if len(edges) > cap:
+                raise WireCapError(
+                    f"a node has {len(edges)} open wires, cap is {cap}")
+            # a Z spider's self-loop leaves a Z spider of degree d - 2; a
+            # 2-port generator (its state has 2 wires) on a loop is a trace
             nf = _node_state(node.kind, node.phase, len(edges))
-            for i in [i for k, i in enumerate(edges) if i in edges[:k]]:
-                n, p = len(edges), edges.index(i)  # plug a self-loop
-                q = edges.index(i, p + 1)
-                nf = nf_self_plug(nf, (n - 1 - p, n - 1 - q))
-                edges = [e for e in edges if e != i]
+            if nf.m > len(edges):
+                nf = nf_self_plug(nf, (0, 1))
             shared = [i for i in edges if i in held]
             width = len(held) + len(edges) - 2 * len(shared)
             if width > cap:

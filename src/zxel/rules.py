@@ -17,7 +17,8 @@ tensor-of-normal-forms protocol).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -167,12 +168,14 @@ def check_catalog(rules: Sequence[RewriteRule], samples: int = 20,
 
 # -- shared gadgets -------------------------------------------------------
 
+@cache
 def adder() -> Diagram:
     """2 -> 1 bit adder without overflow: |00>-><0|, |01>,|10>->|1>,
     |11> -> 0.  On green states it adds the labels."""
     return compose(row_multiplication_diagram(2, 0.0), x_spider(2, 1, dg.TAU_ZERO))
 
 
+@cache
 def w_map() -> Diagram:
     """The 1 -> 2 W map: |0> -> |00>, |1> -> |01> + |10>."""
     return compose(x_spider(1, 2, dg.TAU_ZERO), row_multiplication_diagram(2, 0.0))
@@ -208,8 +211,7 @@ def _partial_cup(m: int) -> Diagram:
 
 # -- Figure rule set ------------------------------------------------------
 
-def _r(name, arity, build, domain=None, provenance=None):
-    return RewriteRule(name, arity, build, domain, provenance)
+_r = RewriteRule
 
 
 def _s1(ps):
@@ -1020,10 +1022,11 @@ def _3and3gdotcircsimp(ps):
 
 def derived_catalog() -> list[RewriteRule]:
     """The derived-rule library; every entry is certified by the
-    soundness harness, never assumed."""
+    soundness harness, never assumed.  A rule's provenance is its own
+    name unless it names another lemma."""
     nonzero = lambda ps: all(abs(p) > 1e-6 for p in ps)
 
-    return [
+    rules = [
         _r("Sca", 2, _sca, provenance="scalartimes"),
         _r("Zos", 0, _zos, provenance="zeroiscalarempty"),
         _r("Sml", 2, _sml, provenance="scalartimesgeneral"),
@@ -1032,7 +1035,7 @@ def derived_catalog() -> list[RewriteRule]:
         _r("H", 0, _colour, provenance="colorchanges"),
         _r("S1x", 0, _s1x, provenance="redspider0pifusion"),
         _r("Hopf", 0, _hopf, provenance="hopfnslm"),
-        _r("hopfvar2", 0, _hopfvar2, provenance="hopfvar2"),
+        _r("hopfvar2", 0, _hopfvar2),
         _r("Bas1'", 0, _bas1p, provenance="redpitogreen2"),
         _r("zx2e", 0, _zx2e, provenance="2eprf"),
         _r("AD'", 2, _adprime, provenance="equivalentaddrulens"),
@@ -1047,10 +1050,10 @@ def derived_catalog() -> list[RewriteRule]:
         _r("Zero'", 0, _zerop, provenance="zerodecom2"),
         _r("tr5prime", 0, _tr5prime, provenance="tr5primelm"),
         _r("trianglehopf", 0, _trianglehopf, provenance="trianglehopflm"),
-        _r("Hopfgtr", 0, _hopfgtr, provenance="Hopfgtr"),
+        _r("Hopfgtr", 0, _hopfgtr),
         _r("gpiinhada", 0, _gpiinhada, provenance="gpiinhadalm"),
         _r("gpiintriangles", 0, _gpiintriangles, provenance="gpiintriangleslm"),
-        _r("pitinvcomut", 0, _pitinvcomut, provenance="pitinvcomut"),
+        _r("pitinvcomut", 0, _pitinvcomut),
         _r("trianglerpidot", 0, _trianglerpidot, provenance="trianglerpidotlm"),
         _r("triangleonreddot", 0, _triangleonreddot,
            provenance="triangleonreddotlm"),
@@ -1058,102 +1061,75 @@ def derived_catalog() -> list[RewriteRule]:
            provenance="2trianglebw2gnlm"),
         _r("1triangle1pibw2gn", 0, _one_tri_one_pi,
            provenance="1triangle1pibw2gnlm"),
-        _r("TR4g", 1, _tr4g, domain=lambda ps: abs(ps[0] + 1.0) > 1e-6,
-           provenance="TR4g"),
+        _r("TR4g", 1, _tr4g, domain=lambda ps: abs(ps[0] + 1.0) > 1e-6),
         _r("Brk-var", 0, _brkvariant, provenance="brkvariant"),
         _r("Brkp", 1, _brkp, provenance="anddflipwitha2"),
         _r("BiA", 0, _bia, provenance="andbial"),
         _r("generalBiA", 0, _general_bia, provenance="generalbialgebra"),
-        _r("andcopy", 0, _andcopy, provenance="andcopy"),
-        _r("andgate2v", 0, _andgate2v, provenance="andgate2v"),
-        _r("andadditionco", 2, _andaddition, provenance="andadditionco"),
-        _r("andpicomt", 0, _andpicomt, provenance="andpicomt"),
+        _r("andcopy", 0, _andcopy),
+        _r("andgate2v", 0, _andgate2v),
+        _r("andadditionco", 2, _andaddition),
+        _r("andpicomt", 0, _andpicomt),
         _r("Dis", 0, _dis, provenance="distribute"),
         _r("Dis2", 1, _dis2, provenance="distribute2"),
         # commutation propositions over elementary gadgets
-        _r("picntcommut", 1, _picntcommut, provenance="picntcommut"),
-        _r("picntcommutcro", 1, _picntcommutcro, provenance="picntcommutcro"),
-        _r("picntcommutesam", 1, _picntcommutesam, provenance="picntcommutesam"),
-        _r("picntcommutesamgrn", 1, _picntcommutesamgrn,
-           provenance="picntcommutesamgrn"),
-        _r("picntcommutcro2", 1, _picntcommutcro2, provenance="picntcommutcro2"),
-        _r("picntcommuteand", 1, _picntcommuteand, provenance="picntcommuteand"),
-        _r("picntcommuteandcr1", 1, _picntcommuteandcr1,
-           provenance="picntcommuteandcr1"),
-        _r("piredonpairpidm", 1, _piredonpair, provenance="piredonpairpidm"),
-        _r("prop1", 1, _prop1, provenance="prop1"),
+        _r("picntcommut", 1, _picntcommut),
+        _r("picntcommutcro", 1, _picntcommutcro),
+        _r("picntcommutesam", 1, _picntcommutesam),
+        _r("picntcommutesamgrn", 1, _picntcommutesamgrn),
+        _r("picntcommutcro2", 1, _picntcommutcro2),
+        _r("picntcommuteand", 1, _picntcommuteand),
+        _r("picntcommuteandcr1", 1, _picntcommuteandcr1),
+        _r("piredonpairpidm", 1, _piredonpair),
+        _r("prop1", 1, _prop1),
         _r("prop1cro2", 1, _prop1cro2, provenance="propo1cro2"),
-        _r("itensorand", 1, _itensorand, provenance="itensorand"),
-        _r("nlinestensornormalform", 1, _nlines_tensor_nf,
-           provenance="nlinestensornormalform"),
-        _r("normalformtensornlines", 1, _nf_tensor_nlines,
-           provenance="normalformtensornlines"),
-        _r("nlinestensornormalformadd", 1, _nlines_tensor_nf_add,
-           provenance="nlinestensornormalformadd"),
-        _r("nlinestensormmultiply", 1, _nlines_tensor_mmult,
-           provenance="nlinestensormmultiply"),
-        _r("propadprime", 2, _propadprime, provenance="propadprime"),
-        _r("propadprimecro", 2, _propadprimecro, provenance="propadprimecro"),
-        _r("addcommutat", 2, _addcommutat, provenance="addcommutat"),
-        _r("addcommutatgen", 2, _addcommutatgen, provenance="addcommutatgen"),
-        _r("addcommutatgencont", 2, _addcommutatgencont,
-           provenance="addcommutatgencont"),
-        _r("raddcomplex", 2, _raddcomplex, provenance="raddcomplex"),
-        _r("raddcomplexsym", 2, _raddcomplexsym, provenance="raddcomplexsym"),
-        _r("ruletensorad", 2, _ruletensorad, provenance="ruletensorad"),
+        _r("itensorand", 1, _itensorand),
+        _r("nlinestensornormalform", 1, _nlines_tensor_nf),
+        _r("normalformtensornlines", 1, _nf_tensor_nlines),
+        _r("nlinestensornormalformadd", 1, _nlines_tensor_nf_add),
+        _r("nlinestensormmultiply", 1, _nlines_tensor_mmult),
+        _r("propadprime", 2, _propadprime),
+        _r("propadprimecro", 2, _propadprimecro),
+        _r("addcommutat", 2, _addcommutat),
+        _r("addcommutatgen", 2, _addcommutatgen),
+        _r("addcommutatgencont", 2, _addcommutatgencont),
+        _r("raddcomplex", 2, _raddcomplex),
+        _r("raddcomplexsym", 2, _raddcomplexsym),
+        _r("ruletensorad", 2, _ruletensorad),
         _r("ruletensorLsim", 1, _ruletensorLsim, provenance="ruletensorLsimpler"),
         _r("ruletensorL", 1, _ruletensorL, provenance="ruletensor"),
-        _r("multiplypimulticommutesim", 2, _multiplypimulticommutesim,
-           provenance="multiplypimulticommutesim"),
-        _r("multiplypimulticommutg", 2, _multiplypimulticommutg,
-           provenance="multiplypimulticommutg"),
-        _r("multiplypimulticommute", 2, _multiplypimulticommute,
-           provenance="multiplypimulticommute"),
-        _r("multiplypimulticommutgcro2", 2, _multiplypimulticommutgcro2,
-           provenance="multiplypimulticommutgcro2"),
-        _r("addpidoublecom", 2, _addpidoublecom, provenance="addpidoublecom"),
-        _r("multipidoublecom", 2, _multipidoublecom,
-           provenance="multipidoublecom"),
-        _r("addpimultiplycommut", 2, _addpimultiplycommut,
-           provenance="addpimultiplycommut"),
-        _r("addpimultiplycommutg", 2, _addpimultiplycommutg,
-           provenance="addpimultiplycommutg"),
-        _r("addpipairmultiplycommutgp", 2, _addpipairmultiplycommutgp,
-           provenance="addpipairmultiplycommutgp"),
+        _r("multiplypimulticommutesim", 2, _multiplypimulticommutesim),
+        _r("multiplypimulticommutg", 2, _multiplypimulticommutg),
+        _r("multiplypimulticommute", 2, _multiplypimulticommute),
+        _r("multiplypimulticommutgcro2", 2, _multiplypimulticommutgcro2),
+        _r("addpidoublecom", 2, _addpidoublecom),
+        _r("multipidoublecom", 2, _multipidoublecom),
+        _r("addpimultiplycommut", 2, _addpimultiplycommut),
+        _r("addpimultiplycommutg", 2, _addpimultiplycommutg),
+        _r("addpipairmultiplycommutgp", 2, _addpipairmultiplycommutgp),
         _r("TR15", 2, _tr15, provenance="pimultiplyabsorbtion"),
-        _r("pimultiaddcombinepro", 2, _pimultiaddcombine,
-           provenance="pimultiaddcombinepro"),
-        _r("pitopaddpipaircommutprop", 2, _pitopaddpipair,
-           provenance="pitopaddpipaircommutprop"),
-        _r("cnotscomutelm", 0, _cnotscommute, provenance="cnotscomutelm"),
-        _r("addpipair2sidecommutprop", 2, _prop27,
-           provenance="addpipair2sidecommutprop"),
-        _r("addpipair2sidecommutprop28", 2, _prop28,
-           provenance="addpipair2sidecommutprop28"),
-        _r("addpipair2sidecommutprop29", 2, _prop29,
-           provenance="addpipair2sidecommutprop29"),
-        _r("addpipair2sidecommutprop29b", 2, _prop29b,
-           provenance="addpipair2sidecommutprop29b"),
-        _r("addpipairmulcommutprop30a", 2, _prop30a,
-           provenance="addpipairmulcommutprop30a"),
-        _r("addpipairmulcommutprop30b", 2, _prop30b,
-           provenance="addpipairmulcommutprop30b"),
-        _r("addpipairmulcommutprop30bcro", 2, _prop30bcro,
-           provenance="addpipairmulcommutprop30bcro"),
-        _r("addpipairmulcommutprop30c", 2, _prop30c,
-           provenance="addpipairmulcommutprop30c"),
-        _r("addpipairmulcommutprop30ccro", 2, _prop30ccro,
-           provenance="addpipairmulcommutprop30ccro"),
+        _r("pimultiaddcombinepro", 2, _pimultiaddcombine),
+        _r("pitopaddpipaircommutprop", 2, _pitopaddpipair),
+        _r("cnotscomutelm", 0, _cnotscommute),
+        _r("addpipair2sidecommutprop", 2, _prop27),
+        _r("addpipair2sidecommutprop28", 2, _prop28),
+        _r("addpipair2sidecommutprop29", 2, _prop29),
+        _r("addpipair2sidecommutprop29b", 2, _prop29b),
+        _r("addpipairmulcommutprop30a", 2, _prop30a),
+        _r("addpipairmulcommutprop30b", 2, _prop30b),
+        _r("addpipairmulcommutprop30bcro", 2, _prop30bcro),
+        _r("addpipairmulcommutprop30c", 2, _prop30c),
+        _r("addpipairmulcommutprop30ccro", 2, _prop30ccro),
         # self-plugging layer
-        _r("rule10", 2, _rule10, provenance="rule10"),
-        _r("rule10exten", 2, _rule10exten, provenance="rule10exten"),
-        _r("rule12th", 1, _rule12th, provenance="rule12th"),
-        _r("rule12thexten", 1, _rule12thexten, provenance="rule12thexten"),
-        _r("rule12extengen", 1, _rule12extengen, provenance="rule12extengen"),
-        _r("3and3gdotcirc", 1, _3and3gdotcirc, provenance="3and3gdotcirc"),
-        _r("3and3gdotcircsimp", 1, _3and3gdotcircsimp,
-           provenance="3and3gdotcircsimp"),
+        _r("rule10", 2, _rule10),
+        _r("rule10exten", 2, _rule10exten),
+        _r("rule12th", 1, _rule12th),
+        _r("rule12thexten", 1, _rule12thexten),
+        _r("rule12extengen", 1, _rule12extengen),
+        _r("3and3gdotcirc", 1, _3and3gdotcirc),
+        _r("3and3gdotcircsimp", 1, _3and3gdotcircsimp),
     ]
+    return [replace(r, provenance=r.provenance or r.name) for r in rules]
 
 
 def full_catalog() -> list[RewriteRule]:

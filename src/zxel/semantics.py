@@ -68,15 +68,27 @@ def node_tensor(kind: str, phase: complex, degree: int) -> np.ndarray:
     raise ValueError(f"unknown node kind {kind!r}")
 
 
-def _prepare(d: Diagram):
+def _node_pair(node, edges: list[int], cap: int):
+    """A node's (tensor, labels) with its self-loops plugged: in closed
+    form for a Z spider (each loop leaves degree d - 2, same phase), by a
+    trace for a 2-port generator; the degree left is checked against the
+    cap before the 2^degree tensor is allocated."""
+    labels = [i for i in edges if edges.count(i) == 1]
+    if len(labels) > cap:
+        raise ResourceError(
+            f"a node has {len(labels)} open wires, cap is {cap}")
+    t = node_tensor(node.kind, node.phase, len(labels))
+    return (np.trace(t) if t.ndim > len(labels) else t), labels
+
+
+def _prepare(d: Diagram, cap: int):
     """The (tensor, labels) pairs to contract, one list per connected
     component in ``contraction_order``, with each bare boundary wire as a
     component of its own at the end; and the label of each boundary
     slot.  Labels are integer wire ids: a node's labels are the edges at
     its ports, in port order."""
     port_edges = d.port_edges()
-    components = [[(node_tensor(d.nodes[v].kind, d.nodes[v].phase,
-                                len(port_edges[v])), port_edges[v])
+    components = [[_node_pair(d.nodes[v], port_edges[v], cap)
                    for v in component]
                   for component in contraction_order(port_edges)]
     next_label = len(d.edges)
@@ -96,22 +108,6 @@ def _prepare(d: Diagram):
     return components, boundary_label
 
 
-def _contract_self(t: np.ndarray, labels: list[int]):
-    """Trace out repeated labels within one tensor."""
-    while True:
-        dup = None
-        for i, l in enumerate(labels):
-            if l in labels[i + 1:]:
-                dup = l
-                break
-        if dup is None:
-            return t, labels
-        i = labels.index(dup)
-        j = labels.index(dup, i + 1)
-        t = np.trace(t, axis1=i, axis2=j)
-        labels = [l for k, l in enumerate(labels) if k not in (i, j)]
-
-
 def _pair_contract(ti, li, tj, lj, cap):
     shared = set(li) & set(lj)
     out_labels = [l for l in li if l not in shared] + \
@@ -125,7 +121,7 @@ def _pair_contract(ti, li, tj, lj, cap):
         return [local.setdefault(l, len(local)) for l in labels]
 
     t = np.einsum(ti, loc(li), tj, loc(lj), loc(out_labels))
-    return _contract_self(t, out_labels)
+    return t, out_labels
 
 
 def _fold(pairs, cap: int):
@@ -136,14 +132,6 @@ def _fold(pairs, cap: int):
     return t, labels
 
 
-def _contract(components, cap: int):
-    """Fold each component in its order, then outer-product the
-    components."""
-    return _fold([_fold([_contract_self(t, labels) for t, labels in pairs],
-                        cap)
-                  for pairs in components], cap)
-
-
 def interpret(d: Diagram, cap: int | None = None) -> np.ndarray:
     """Evaluate a diagram of type n -> m to its 2^m x 2^n matrix."""
     d.check_validity()
@@ -152,12 +140,13 @@ def interpret(d: Diagram, cap: int | None = None) -> np.ndarray:
     if d.n_in + d.n_out > cap:
         raise ResourceError(
             f"diagram has {d.n_in + d.n_out} boundary wires, cap is {cap}")
-    components, boundary_label = _prepare(d)
+    components, boundary_label = _prepare(d, cap)
     if not components:
         t = np.array(1.0, dtype=complex)
         labels: list[int] = []
     else:
-        t, labels = _contract(components, cap)
+        # fold each component in its order, then outer-product them
+        t, labels = _fold([_fold(pairs, cap) for pairs in components], cap)
     # order axes as out slot 0..m-1 then in slot 0..n-1 (most significant
     # bit first within each boundary, matching |a_{m-1}...a_0>)
     wanted = [boundary_label[("out", j)] for j in range(d.n_out)] + \

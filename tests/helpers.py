@@ -97,6 +97,63 @@ def random_diagram(rng, max_wires: int = 3, max_gens: int = 8) -> D.Diagram:
     return d
 
 
+def _compose_pair(d1: D.Diagram, d2: D.Diagram) -> D.Diagram:
+    """Two-piece composition as a fold step: shift d2's ids past d1's,
+    glue d1's outputs to d2's inputs, splice and validate."""
+    if d1.n_out != d2.n_in:
+        raise D.DiagramError("compose arity mismatch")
+    shift = max(d1.nodes, default=-1) + 1
+    nodes = dict(d1.nodes)
+    nodes.update({v + shift: nd for v, nd in d2.nodes.items()})
+
+    def ren1(ep):
+        return ("glue", ep[1]) if ep[0] == "out" else ep
+
+    def ren2(ep):
+        if ep[0] == "in":
+            return ("glue", ep[1])
+        return ("n", ep[1] + shift, ep[2]) if ep[0] == "n" else ep
+
+    edges = [(ren1(a), ren1(b)) for a, b in d1.edges]
+    edges += [(ren2(a), ren2(b)) for a, b in d2.edges]
+    spliced, new_loops = D._splice(edges, lambda ep: ep[0] == "glue")
+    return D.Diagram(nodes, spliced, d1.n_in, d2.n_out,
+                     loops=d1.loops + d2.loops + new_loops)
+
+
+def _tensor_pair(d1: D.Diagram, d2: D.Diagram) -> D.Diagram:
+    shift = max(d1.nodes, default=-1) + 1
+    nodes = dict(d1.nodes)
+    nodes.update({v + shift: nd for v, nd in d2.nodes.items()})
+
+    def ren2(ep):
+        if ep[0] == "n":
+            return ("n", ep[1] + shift, ep[2])
+        return (ep[0], ep[1] + (d1.n_in if ep[0] == "in" else d1.n_out))
+
+    edges = list(d1.edges) + [(ren2(a), ren2(b)) for a, b in d2.edges]
+    return D.Diagram(nodes, edges, d1.n_in + d2.n_in, d1.n_out + d2.n_out,
+                     loops=d1.loops + d2.loops)
+
+
+def compose_by_pairs(ds) -> D.Diagram:
+    """Reference for ``compose_all``: fold two-piece compositions from the
+    left, building and validating every intermediate diagram."""
+    out = ds[0]
+    for d in ds[1:]:
+        out = _compose_pair(out, d)
+    return out
+
+
+def tensor_by_pairs(ds) -> D.Diagram:
+    """Reference for ``tensor_all``: fold two-piece tensors from the
+    empty diagram."""
+    out = D.empty()
+    for d in ds:
+        out = _tensor_pair(out, d)
+    return out
+
+
 def port_edges_by_scan(d: D.Diagram) -> dict[int, list[int]]:
     """Reference for ``Diagram.port_edges``: for each node, scan all edges
     once per port, counting ports up until one has no edge."""

@@ -5,10 +5,13 @@ from zxel import diagram as D
 from zxel.diagram import DiagramError
 from zxel.semantics import contract_state, interpret, matrices_equal
 
+from zxel import normalform as NF
+from zxel.io import dumps_diagram
 from zxel.normalform import nf_from_vector, nf_to_diagram
 
-from helpers import (H_MAT, contraction_order_by_scan, port_edges_by_scan,
-                     random_diagram)
+from helpers import (H_MAT, compose_by_pairs, contraction_order_by_scan,
+                     port_edges_by_scan, random_complex, random_diagram,
+                     tensor_by_pairs)
 
 
 def test_compose_identity_is_identity():
@@ -267,3 +270,134 @@ def test_contraction_order_edge_cases():
                    (("n", 1, 2), ("out", 2)), (("n", 2, 3), ("out", 1))],
                   0, 3)
     assert D.contraction_order(d.port_edges()) == [[0, 2, 1]]
+
+
+# -- n-ary combinators -------------------------------------------------------
+
+def _assert_same(d, ref):
+    """Byte-equal serializations, and the same node ids, edge order and
+    loop count."""
+    assert dumps_diagram(d) == dumps_diagram(ref)
+    assert list(d.nodes.items()) == list(ref.nodes.items())
+    assert d.edges == ref.edges and d.loops == ref.loops
+
+
+def _random_piece(rng, w):
+    """A piece with w inputs: wiring (caps, cups, permutations, identity)
+    or a generator beside identity wires."""
+    pick = int(rng.integers(0, 8))
+    if pick == 0 and w >= 2:
+        return D.tensor(D.identity(w - 2), D.cup())
+    if pick == 1 and w <= 4:
+        return D.tensor(D.cap(), D.identity(w))
+    if pick == 2:
+        return D.permutation([int(i) for i in rng.permutation(w)])
+    if pick == 3 and w >= 2:
+        return D.tensor(D.identity(w - 2), D.z_spider(
+            2, int(rng.integers(0, 3)), random_complex(rng)))
+    if pick == 4 and w >= 1:
+        return D.tensor(D.x_spider(1, 1, D.TAU_PI), D.identity(w - 1))
+    if pick == 5 and w >= 1:
+        return D.tensor(D.identity(w - 1), D.triangle())
+    if pick == 6 and w <= 4:
+        return D.tensor(D.identity(w), D.z_spider(0, 1, random_complex(rng)))
+    return D.identity(w)
+
+
+def test_compose_all_matches_pairwise_fold_on_random_chains():
+    rng = np.random.default_rng(11)
+    loops = 0
+    for _ in range(150):
+        chain = [_random_piece(rng, int(rng.integers(0, 3)))]
+        for _ in range(int(rng.integers(1, 8))):
+            chain.append(_random_piece(rng, chain[-1].n_out))
+        d = D.compose_all(chain)
+        _assert_same(d, compose_by_pairs(chain))
+        loops += d.loops
+    assert loops > 0  # some chains closed a bare loop
+
+
+def test_tensor_all_matches_pairwise_fold():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        pieces = [random_diagram(rng) if rng.uniform() < 0.6
+                  else _random_piece(rng, int(rng.integers(0, 3)))
+                  for _ in range(int(rng.integers(0, 6)))]
+        _assert_same(D.tensor_all(pieces), tensor_by_pairs(pieces))
+
+
+def test_compose_all_loop_across_pieces():
+    bare = [D.cap(), D.identity(2), D.swap(), D.identity(2), D.cup()]
+    d = D.compose_all(bare)
+    assert d.loops == 1 and not d.nodes and d.type == (0, 0)
+    _assert_same(d, compose_by_pairs(bare))
+    # the same wire through a node is not a bare loop
+    dotted = bare[:2] + [D.tensor(D.h_box(), D.identity(1))] + bare[2:]
+    d = D.compose_all(dotted)
+    assert d.loops == 0
+    _assert_same(d, compose_by_pairs(dotted))
+    assert matrices_equal(interpret(d), np.array([[np.trace(H_MAT)]]))
+
+
+def test_combinators_on_pieces_without_nodes():
+    wiring = [D.identity(3), D.permutation([2, 0, 1]), D.empty(),
+              D.tensor(D.swap(), D.identity(1))]
+    chain = [wiring[0], wiring[1], wiring[3], D.identity(3)]
+    _assert_same(D.compose_all(chain), compose_by_pairs(chain))
+    _assert_same(D.tensor_all(wiring), tensor_by_pairs(wiring))
+    mixed = [D.empty(), D.h_box(), D.empty(), D.cap(), D.triangle()]
+    _assert_same(D.tensor_all(mixed), tensor_by_pairs(mixed))
+    _assert_same(D.tensor_all([]), D.empty())
+
+
+def test_combinators_single_piece():
+    d = D.compose(D.x_spider(1, 3, D.TAU_ZERO), D.tensor(D.h_box(), D.cup()))
+    assert D.compose_all([d]) is d
+    _assert_same(D.tensor_all([d]), tensor_by_pairs([d]))
+    with pytest.raises(DiagramError):
+        D.compose_all([])
+
+
+@pytest.mark.parametrize("where", range(4))
+def test_compose_all_arity_mismatch_anywhere(where):
+    chain = [D.identity(2), D.swap(), D.h_box(), D.triangle(), D.cup()]
+    chain[3] = D.identity(2)  # 2 -> 2 pieces throughout, then 2 -> 0
+    chain[2] = D.tensor(D.h_box(), D.identity(1))
+    assert D.compose_all(chain).type == (2, 0)
+    chain[where] = D.identity(3)
+    with pytest.raises(DiagramError, match="arity mismatch"):
+        D.compose_all(chain)
+
+
+def test_nf_to_diagram_matches_pairwise_fold():
+    rng = np.random.default_rng(7)
+    for m in range(6):
+        nf = nf_from_vector([random_complex(rng) for _ in range(2 ** m)])
+        if m == 0:
+            ref = compose_by_pairs([D.z_spider(0, 1, nf.coeffs[0]),
+                                    D.x_spider(1, 0, D.TAU_PI)])
+        else:
+            ref = compose_by_pairs(
+                [NF.base_state(m)]
+                + [NF.elementary_diagram(s) for s in NF.elementary_specs(nf)])
+        _assert_same(nf_to_diagram(nf), ref)
+
+
+def test_nodes_are_read_only():
+    d = D.z_spider(1, 1, 2.0)
+    with pytest.raises(TypeError):
+        d.nodes[0] = D.Node(D.H)
+    with pytest.raises(TypeError):
+        del d.nodes[0]
+    with pytest.raises(AttributeError):
+        d.loops = 3
+    assert d.nodes[0] == D.Node(D.Z, 2.0)
+
+
+def test_parameter_free_gadgets_are_shared():
+    assert D.x_spider(2, 1) is D.x_spider(2, 1)
+    assert D.identity(3) is D.identity(3)
+    assert NF.base_state(3) is NF.base_state(3)
+    assert NF.pi_layer(3, [0, 2]) is NF.pi_layer(3, (2, 0))
+    # a phase-carrying builder is not memoised
+    assert D.z_spider(1, 1, 2.0) is not D.z_spider(1, 1, 2.0)

@@ -11,7 +11,7 @@ from zxel.semantics import (ResourceError, contract_state, interpret,
                             matrices_equal)
 
 from helpers import (random_complex, random_diagram, row_addition_matrix,
-                     row_multiplication_matrix)
+                     row_multiplication_matrix, z_mat)
 
 complexes = st.builds(complex,
                       st.floats(-2, 2, allow_nan=False),
@@ -429,3 +429,33 @@ def test_normalize_nf_family_needs_interprets_cap(monkeypatch):
         assert NF.nf_equal(NF.normalize(d, cap=cap), NF.nf_from_vector(v))
     # m = 6 within the default cap
     assert NF.nf_equal(NF.normalize(d), NF.nf_from_vector(v))
+
+
+def test_z_self_loops_are_plugged_before_allocating():
+    # 35 self-loops give a degree of at least 70, and numpy refuses to
+    # shape an array with more than 64 axes: both routes must plug the
+    # loops in closed form, leaving the legs, before building anything
+    a = 2.0 - 0.5j
+    scalar = _loop_diagram(D.Z, 70, 35, 0, 0, a)
+    assert matrices_equal(interpret(scalar, cap=4), np.array([[1 + a]]), 0)
+    assert NF.normalize(scalar, cap=4).coeffs == (1 + a,)
+    legs = _loop_diagram(D.Z, 73, 35, 1, 2, a)
+    assert matrices_equal(interpret(legs, cap=4), z_mat(1, 2, a), 0)
+    want = np.zeros(8, dtype=complex)
+    want[0], want[-1] = 1, a
+    assert matrices_equal(NF.normalize(legs, cap=4).vector(), want, 0)
+
+
+def test_node_wider_than_the_cap_is_refused():
+    # two spiders joined by six wires: the contraction never holds an open
+    # wire, but each node's own tensor has six, so cap 4 refuses it
+    a = 0.5 + 1j
+    pair = D.Diagram({0: D.Node(D.Z, a), 1: D.Node(D.Z, a)},
+                     [(("n", 0, k), ("n", 1, k)) for k in range(6)], 0, 0)
+    with pytest.raises(ResourceError, match="6 open wires"):
+        interpret(pair, cap=4)
+    with pytest.raises(NF.WireCapError, match="6 open wires"):
+        NF.normalize(pair, cap=4)
+    assert matrices_equal(interpret(pair, cap=6), np.array([[1 + a * a]]),
+                          1e-12)
+    assert NF.nf_equal(NF.normalize(pair, cap=6), NF.scalar_nf(1 + a * a))
