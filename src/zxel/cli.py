@@ -15,11 +15,10 @@ import sys
 import click
 import numpy as np
 
-from . import diagram as dg
 from .diagram import Diagram, DiagramError
 from .equivalence import (TypeMismatchError, VerdictDisagreement,
                           check_equivalent)
-from .io import (DiagramFileError, dumps_diagram, format_matrix,
+from .io import (DiagramFileError, dumps_diagram, export_text, format_matrix,
                  load_diagram, load_matrix, save_diagram)
 from .normalform import (WireCapError, decompose_elementary, nf_to_diagram,
                          nf_to_jsonable, normalize)
@@ -215,40 +214,7 @@ def cmd_elementary(matrix_file, out):
               type=click.Choice(["dot", "tikz-text"]))
 def cmd_export(file, fmt):
     """Emit a deterministic text description of the diagram graph."""
-    d = _load(file)
-    order = {v: k for k, v in enumerate(d.node_ids())}
-
-    def label(v):
-        nd = d.nodes[v]
-        if nd.kind == dg.Z:
-            return f"Z({nd.phase.real:g}{nd.phase.imag:+g}i)"
-        return {"h": "H", "t": "T", "t_inv": "T-inv"}[nd.kind]
-
-    def ep_name(ep):
-        if ep[0] == "n":
-            return f"n{order[ep[1]]}"
-        return f"{ep[0]}{ep[1]}"
-
-    if fmt == "dot":
-        lines = ["graph zx {"]
-        for i in range(d.n_in):
-            lines.append(f'  in{i} [shape=none, label="in {i}"];')
-        for j in range(d.n_out):
-            lines.append(f'  out{j} [shape=none, label="out {j}"];')
-        for v in d.node_ids():
-            lines.append(f'  n{order[v]} [label="{label(v)}"];')
-        for a, b in sorted(d.edges, key=lambda e: (ep_name(e[0]), ep_name(e[1]))):
-            lines.append(f"  {ep_name(a)} -- {ep_name(b)};")
-        for k in range(d.loops):
-            lines.append(f"  // bare loop {k} (scalar 2)")
-        lines.append("}")
-    else:
-        lines = [f"% zxel diagram {d.n_in}->{d.n_out}, loops={d.loops}"]
-        for v in d.node_ids():
-            lines.append(f"node n{order[v]}: {label(v)}")
-        for a, b in sorted(d.edges, key=lambda e: (ep_name(e[0]), ep_name(e[1]))):
-            lines.append(f"wire {ep_name(a)} -- {ep_name(b)}")
-    click.echo("\n".join(lines))
+    click.echo(export_text(_load(file), fmt))
 
 
 if __name__ == "__main__":

@@ -18,9 +18,12 @@ Ports of Z spiders and H boxes are interchangeable; ports of triangles
 are not (port 0 is the input side, port 1 the tip), which is how flipped
 triangles are expressed by wiring alone.
 
-A ``Diagram`` is validated when built and read-only after; ``compose_all``
-and ``tensor_all`` build a whole chain as one diagram, and builders that
-take no phase are memoised and shared.
+A ``Diagram`` is validated when built and read-only after.  The
+validation pass also builds its incidence index, stored as
+``port_edges``: for each node, the indices into ``edges`` of the edges
+at its ports, in port order; every reader of a diagram's incidence uses
+it.  ``compose_all`` and ``tensor_all`` build a whole chain as one
+diagram, and builders that take no phase are memoised and shared.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Z = "z"
 H = "h"
@@ -83,7 +86,7 @@ def _norm_edge(a: Endpoint, b: Endpoint) -> Edge:
 class Diagram:
     """An immutable open diagram of type n_in -> n_out."""
 
-    __slots__ = ("nodes", "edges", "n_in", "n_out", "loops")
+    __slots__ = ("nodes", "edges", "n_in", "n_out", "loops", "port_edges")
 
     def __init__(self, nodes: dict[int, Node], edges: Iterable[Edge],
                  n_in: int, n_out: int, loops: int = 0):
@@ -91,74 +94,72 @@ class Diagram:
                   tuple(_norm_edge(a, b) for a, b in edges), n_in, n_out, loops)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-        self.check_validity()
+        object.__setattr__(self, "port_edges", self.check_validity())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Diagram is read-only; cannot set {name}")
 
     # -- well-formedness ------------------------------------------------
 
-    def check_validity(self) -> None:
+    def check_validity(self) -> Mapping[int, tuple[int, ...]]:
         """Raise DiagramError unless every port and boundary slot is used
-        exactly once and degree constraints hold."""
+        exactly once and degree constraints hold.
+
+        The same pass over the edges places each edge index at its port,
+        and the result is the incidence index that ``__init__`` stores as
+        ``port_edges``: for each node, the index into ``edges`` of the
+        edge at each of its ports, in port order; a self-loop appears at
+        both of its ports."""
         if self.n_in < 0 or self.n_out < 0 or self.loops < 0:
             raise DiagramError("negative boundary or loop count")
-        seen: dict[Endpoint, int] = {}
-        for a, b in self.edges:
-            for ep in (a, b):
-                seen[ep] = seen.get(ep, 0) + 1
-        for ep, count in seen.items():
-            if count != 1:
-                raise DiagramError(f"endpoint {ep} used {count} times")
-            tag = ep[0]
-            if tag == "in":
-                if not 0 <= ep[1] < self.n_in:
-                    raise DiagramError(f"input slot {ep[1]} out of range")
-            elif tag == "out":
-                if not 0 <= ep[1] < self.n_out:
-                    raise DiagramError(f"output slot {ep[1]} out of range")
-            elif tag == "n":
-                if ep[1] not in self.nodes:
-                    raise DiagramError(f"edge references missing node {ep[1]}")
-            else:
-                raise DiagramError(f"bad endpoint tag {tag!r}")
-        for i in range(self.n_in):
-            if ("in", i) not in seen:
-                raise DiagramError(f"dangling input slot {i}")
-        for j in range(self.n_out):
-            if ("out", j) not in seen:
-                raise DiagramError(f"dangling output slot {j}")
-        ports_of: dict[int, list[int]] = {v: [] for v in self.nodes}
-        for ep in seen:
-            if ep[0] == "n":
-                ports_of[ep[1]].append(ep[2])
-        for v, node in self.nodes.items():
-            ports = sorted(ports_of[v])
-            if ports != list(range(len(ports))):
-                raise DiagramError(f"node {v} ports {ports} not contiguous")
-            if node.kind in (H, T, T_INV) and len(ports) != 2:
+        at: dict[int, dict[int, int]] = {v: {} for v in self.nodes}
+        size = {"in": self.n_in, "out": self.n_out}
+        boundary: set[Endpoint] = set()
+        for i, edge in enumerate(self.edges):
+            for ep in edge:
+                tag = ep[0]
+                if tag == "n":
+                    ports = at.get(ep[1])
+                    if ports is None:
+                        raise DiagramError(
+                            f"edge references missing node {ep[1]}")
+                    if ep[2] in ports:
+                        raise DiagramError(f"endpoint {ep} used 2 times")
+                    ports[ep[2]] = i
+                elif tag in size:
+                    if not 0 <= ep[1] < size[tag]:
+                        side = "input" if tag == "in" else "output"
+                        raise DiagramError(f"{side} slot {ep[1]} out of range")
+                    if ep in boundary:
+                        raise DiagramError(f"endpoint {ep} used 2 times")
+                    boundary.add(ep)
+                else:
+                    raise DiagramError(f"bad endpoint tag {tag!r}")
+        # the placed slots are in range and distinct, so one is missing iff
+        # there are fewer of them than slots; the scan stops at the first
+        if len(boundary) < self.n_in + self.n_out:
+            for tag, side in (("in", "input"), ("out", "output")):
+                for k in range(size[tag]):
+                    if (tag, k) not in boundary:
+                        raise DiagramError(f"dangling {side} slot {k}")
+        index = {}
+        for v, ports in at.items():
+            try:
+                index[v] = tuple([ports[p] for p in range(len(ports))])
+            except KeyError:
                 raise DiagramError(
-                    f"node {v} of kind {node.kind} must have degree 2, "
+                    f"node {v} ports {sorted(ports)} not contiguous") from None
+            kind = self.nodes[v].kind
+            if kind in (H, T, T_INV) and len(ports) != 2:
+                raise DiagramError(
+                    f"node {v} of kind {kind} must have degree 2, "
                     f"got {len(ports)}")
+        return MappingProxyType(index)
 
     # -- basic queries ---------------------------------------------------
 
     def node_ids(self) -> list[int]:
         return sorted(self.nodes)
-
-    def port_edges(self) -> dict[int, list[int]]:
-        """For each node, the index into ``self.edges`` of the edge at each
-        of its ports, in port order; a self-loop appears at both of its
-        ports.  One pass over the edges, rebuilt on every call rather
-        than stored, so a diagram holds nothing but its graph."""
-        at: dict[int, dict[int, int]] = {v: {} for v in self.nodes}
-        for i, (a, b) in enumerate(self.edges):
-            if a[0] == "n":
-                at[a[1]][a[2]] = i
-            if b[0] == "n":
-                at[b[1]][b[2]] = i
-        return {v: [ports[p] for p in range(len(ports))]
-                for v, ports in at.items()}
 
     @property
     def type(self) -> tuple[int, int]:
@@ -182,9 +183,10 @@ class Diagram:
                 f"{len(self.edges)} edges, loops={self.loops})")
 
 
-def contraction_order(port_edges: dict[int, list[int]]) -> list[list[int]]:
+def contraction_order(
+        port_edges: Mapping[int, Sequence[int]]) -> list[list[int]]:
     """The elimination order both evaluation routes walk, from the graph
-    alone (``port_edges`` as returned by ``Diagram.port_edges``).
+    alone (``port_edges`` as stored on a ``Diagram``).
 
     Node ids come grouped by connected component, components ordered by
     their smallest id.  Each component starts at its smallest id; each

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .diagram import Diagram
-from .normalform import NormalForm, nf_equal, normalize
+from .normalform import NormalForm, nf_equal, nf_to_jsonable, normalize
 from .semantics import (DEFAULT_TOL, interpret, matrices_equal,
                         max_deviation)
 
@@ -37,9 +37,7 @@ class EquivalenceVerdict:
         rec = {"equal": self.equal, "method": self.method,
                "max_deviation": self.max_deviation}
         if self.nf_pair is not None:
-            rec["normal_forms"] = [
-                {"m": nf.m, "coeffs": [[c.real, c.imag] for c in nf.coeffs]}
-                for nf in self.nf_pair]
+            rec["normal_forms"] = [nf_to_jsonable(nf) for nf in self.nf_pair]
         return rec
 
     def to_json(self) -> str:

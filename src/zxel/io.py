@@ -57,14 +57,15 @@ def _parse_endpoint(raw, where: str):
 
 def _expand_x_nodes(nodes, x_nodes, edges):
     """Replace macro "x" nodes by H-conjugated Z spiders with the
-    compensating half scalar, re-pointing file edges to the H boxes."""
+    compensating half scalar, re-pointing file edges to the H boxes.
+    An x node's ports must already be checked to be 0..degree-1."""
     next_id = max(list(nodes) + list(x_nodes) + [-1]) + 1
-    for xid, (sign, degree) in x_nodes.items():
+    for xid, (sign, ports) in x_nodes.items():
         core = next_id
         nodes[core] = Node(Z, sign)
         next_id += 1
         hs = []
-        for p in range(degree):
+        for p in range(len(ports)):
             nodes[next_id] = Node(H)
             hs.append(next_id)
             next_id += 1
@@ -103,7 +104,7 @@ def diagram_from_jsonable(rec) -> Diagram:
             f"loops: 2^{loops} is beyond the float range")
 
     nodes: dict[int, Node] = {}
-    x_nodes: dict[int, tuple[complex, int]] = {}
+    x_nodes: dict[int, tuple[complex, list[int]]] = {}  # sign, ports
     for i, nd in enumerate(rec.get("nodes", [])):
         where = f"nodes[{i}]"
         if not isinstance(nd, dict) or "id" not in nd or "kind" not in nd:
@@ -131,7 +132,7 @@ def diagram_from_jsonable(rec) -> Diagram:
             tau = str(nd.get("tau", "0"))
             if tau not in ("0", "pi"):
                 raise DiagramFileError(f"{where}: tau must be '0' or 'pi'")
-            x_nodes[vid] = (-1.0 if tau == "pi" else 1.0, 0)
+            x_nodes[vid] = (-1.0 if tau == "pi" else 1.0, [])
         else:
             raise DiagramFileError(f"{where}: unknown kind {kind!r}")
 
@@ -144,9 +145,13 @@ def diagram_from_jsonable(rec) -> Diagram:
         b = _parse_endpoint(e[1], where)
         for ep in (a, b):
             if ep[0] == "n" and ep[1] in x_nodes:
-                sign, deg = x_nodes[ep[1]]
-                x_nodes[ep[1]] = (sign, max(deg, ep[2] + 1))
+                x_nodes[ep[1]][1].append(ep[2])
         edges.append((a, b))
+    # an x node's ports become one H box each, so they are checked first
+    for vid, (_, ports) in x_nodes.items():
+        if sorted(ports) != list(range(len(ports))):
+            raise DiagramFileError(f"x node {vid}: ports {sorted(ports)} "
+                                   f"are not 0..{len(ports) - 1}")
 
     nodes, edges = _expand_x_nodes(nodes, x_nodes, edges)
     try:
@@ -195,6 +200,47 @@ def save_diagram(d: Diagram, path: str) -> None:
 
 def dumps_diagram(d: Diagram) -> str:
     return json.dumps(diagram_to_jsonable(d), indent=1)
+
+
+def export_text(d: Diagram, fmt: str) -> str:
+    """A deterministic text description of the diagram graph: Graphviz
+    ``"dot"`` or the line-per-item ``"tikz-text"`` listing."""
+    order = {v: k for k, v in enumerate(d.node_ids())}
+
+    def label(v):
+        nd = d.nodes[v]
+        if nd.kind == Z:
+            return f"Z({nd.phase.real:g}{nd.phase.imag:+g}i)"
+        return {"h": "H", "t": "T", "t_inv": "T-inv"}[nd.kind]
+
+    def ep_name(ep):
+        if ep[0] == "n":
+            return f"n{order[ep[1]]}"
+        return f"{ep[0]}{ep[1]}"
+
+    wires = sorted(d.edges, key=lambda e: (ep_name(e[0]), ep_name(e[1])))
+    if fmt == "dot":
+        lines = ["graph zx {"]
+        for i in range(d.n_in):
+            lines.append(f'  in{i} [shape=none, label="in {i}"];')
+        for j in range(d.n_out):
+            lines.append(f'  out{j} [shape=none, label="out {j}"];')
+        for v in d.node_ids():
+            lines.append(f'  n{order[v]} [label="{label(v)}"];')
+        for a, b in wires:
+            lines.append(f"  {ep_name(a)} -- {ep_name(b)};")
+        for k in range(d.loops):
+            lines.append(f"  // bare loop {k} (scalar 2)")
+        lines.append("}")
+    elif fmt == "tikz-text":
+        lines = [f"% zxel diagram {d.n_in}->{d.n_out}, loops={d.loops}"]
+        for v in d.node_ids():
+            lines.append(f"node n{order[v]}: {label(v)}")
+        for a, b in wires:
+            lines.append(f"wire {ep_name(a)} -- {ep_name(b)}")
+    else:
+        raise ValueError(f"unknown export format {fmt!r}")
+    return "\n".join(lines)
 
 
 # -- matrix files ----------------------------------------------------------

@@ -22,7 +22,6 @@ contracts tensors, so both hold the same open wires at every step.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cache
 
@@ -406,11 +405,10 @@ def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
 
     acc = scalar_nf(2.0 ** state.loops)  # each bare loop is a scalar 2
     slots: list[int] = []  # output slot of each acc wire, in order
-    port_edges = state.port_edges()
-    for component in contraction_order(port_edges):
+    for component in contraction_order(state.port_edges):
         part, held = scalar_nf(1.0), []  # held: the edge at each wire of part
         for v in component:
-            node, edges = state.nodes[v], port_edges[v]
+            node, edges = state.nodes[v], state.port_edges[v]
             edges = [i for i in edges if edges.count(i) == 1]
             if len(edges) > cap:
                 raise WireCapError(
@@ -532,13 +530,3 @@ def decompose_elementary(mat: np.ndarray):
 
 def nf_to_jsonable(nf: NormalForm) -> dict:
     return {"m": nf.m, "coeffs": [[c.real, c.imag] for c in nf.coeffs]}
-
-
-def nf_to_json(nf: NormalForm) -> str:
-    return json.dumps(nf_to_jsonable(nf))
-
-
-def nf_from_json(text: str) -> NormalForm:
-    rec = json.loads(text)
-    coeffs = [complex(re, im) for re, im in rec["coeffs"]]
-    return NormalForm(int(rec["m"]), tuple(coeffs))

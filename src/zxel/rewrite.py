@@ -56,12 +56,6 @@ def _site(rule, nodes, params=()):
     return (rule, tuple(nodes), tuple(params))
 
 
-def _adjacency(d: Diagram):
-    """node -> indices of its incident edges in ascending order; a
-    self-loop is listed twice."""
-    return {v: sorted(edges) for v, edges in d.port_edges().items()}
-
-
 def _other_end(edge, v):
     a, b = edge
     if a[0] == "n" and a[1] == v:
@@ -291,7 +285,7 @@ def find_matches(d: Diagram, rule) -> list[MatchSite]:
         raise UnsupportedRuleError(
             f"rule {name!r} has no graph matcher; matching is implemented "
             f"for {MATCHABLE_RULES}")
-    sites = _MATCHERS[base](d, _adjacency(d))
+    sites = _MATCHERS[base](d, d.port_edges)
     if "-" in name:
         sites = [s for s in sites if s[0] == name]
     return [MatchSite(*s, d) for s in sites]
@@ -345,7 +339,7 @@ def apply(d: Diagram, site: MatchSite) -> Diagram:
     """Apply a match site; the result interprets identically."""
     if site.host is not d:
         raise StaleSiteError("site was computed on a different diagram")
-    inc = _adjacency(d)
+    inc = d.port_edges
 
     if site.rule == "S1":
         v1, v2 = site.nodes

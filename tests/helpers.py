@@ -154,7 +154,7 @@ def tensor_by_pairs(ds) -> D.Diagram:
     return out
 
 
-def port_edges_by_scan(d: D.Diagram) -> dict[int, list[int]]:
+def port_edges_by_scan(d: D.Diagram) -> dict[int, tuple[int, ...]]:
     """Reference for ``Diagram.port_edges``: for each node, scan all edges
     once per port, counting ports up until one has no edge."""
     out = {}
@@ -167,7 +167,7 @@ def port_edges_by_scan(d: D.Diagram) -> dict[int, list[int]]:
                 break
             assert len(hits) == 1, f"port {port} on edges {hits}"
             edges.append(hits[0])
-        out[v] = edges
+        out[v] = tuple(edges)
     return out
 
 

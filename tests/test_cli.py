@@ -9,8 +9,8 @@ from zxel.cli import main
 from zxel.equivalence import VerdictDisagreement, check_equivalent
 from zxel.normalform import decompose_elementary, normalize
 from zxel.io import (diagram_from_jsonable, diagram_to_jsonable,
-                     load_diagram, parse_complex_token, save_diagram,
-                     DiagramFileError)
+                     export_text, load_diagram, parse_complex_token,
+                     save_diagram, DiagramFileError)
 from zxel.rules import catalog_by_name, instantiate
 from zxel.semantics import interpret, matrices_equal
 
@@ -69,6 +69,28 @@ def test_x_macro_node_parses():
     assert matrices_equal(interpret(d), np.array([[0, 1], [1, 0]]))
     # serialization never emits the macro kind
     assert all(nd["kind"] != "x" for nd in diagram_to_jsonable(d)["nodes"])
+
+
+@pytest.mark.parametrize("ports", [(-1,), (0, 2), (10 ** 9,), (0, 0)])
+def test_x_macro_ports_must_be_contiguous(tmp_path, runner, monkeypatch,
+                                          ports):
+    # each x port becomes an H box, so a port number is checked before
+    # the macro is expanded (port 10**9 would ask for 10**9 H boxes)
+    def never(*args):
+        raise AssertionError("x node expanded before its ports were checked")
+    monkeypatch.setattr("zxel.io._expand_x_nodes", never)
+    rec = {"version": "zxel/1", "inputs": 0, "outputs": len(ports),
+           "nodes": [{"id": 0, "kind": "x", "tau": "0"}],
+           "edges": [[["node", 0, p], ["out", k]]
+                     for k, p in enumerate(ports)]}
+    path = tmp_path / "x.zx"
+    path.write_text(json.dumps(rec))
+    with pytest.raises(DiagramFileError, match="x node 0: ports"):
+        load_diagram(str(path))
+    for args in (["interpret", str(path)], ["check-eq", str(path), str(path)]):
+        res = runner.invoke(main, args)
+        _assert_one_line_error(res)
+        assert "x node 0: ports" in res.stderr
 
 
 def test_phase_serialized_as_pair():
@@ -250,6 +272,62 @@ def test_export_deterministic(tmp_path, runner):
                   D.tensor(D.triangle(), D.compose(D.h_box(), D.h_box())))
     out = runner.invoke(main, ["export", trif, "--format", "tikz-text"]).output
     assert "T" in out and "H" in out
+
+
+_EXPORTS = {
+    "cap": (lambda: D.cap(), {
+        "dot": 'graph zx {\n  out0 [shape=none, label="out 0"];\n'
+               '  out1 [shape=none, label="out 1"];\n  out0 -- out1;\n}\n',
+        "tikz-text": "% zxel diagram 0->2, loops=0\nwire out0 -- out1\n"}),
+    "tri": (lambda: D.tensor(D.triangle(), D.compose(D.h_box(), D.h_box())), {
+        "dot": 'graph zx {\n  in0 [shape=none, label="in 0"];\n'
+               '  in1 [shape=none, label="in 1"];\n'
+               '  out0 [shape=none, label="out 0"];\n'
+               '  out1 [shape=none, label="out 1"];\n'
+               '  n0 [label="T"];\n  n1 [label="H"];\n  n2 [label="H"];\n'
+               '  n0 -- in0;\n  n0 -- out0;\n  n1 -- in1;\n  n1 -- n2;\n'
+               '  n2 -- out1;\n}\n',
+        "tikz-text": "% zxel diagram 2->2, loops=0\nnode n0: T\nnode n1: H\n"
+                     "node n2: H\nwire n0 -- in0\nwire n0 -- out0\n"
+                     "wire n1 -- in1\nwire n1 -- n2\nwire n2 -- out1\n"}),
+    "mixed": (lambda: D.compose(
+        D.tensor(D.z_spider(1, 2, 0.5 - 2j), D.triangle_inv_flipped()),
+        D.tensor(D.swap(), D.wire())), {
+        "dot": 'graph zx {\n  in0 [shape=none, label="in 0"];\n'
+               '  in1 [shape=none, label="in 1"];\n'
+               '  out0 [shape=none, label="out 0"];\n'
+               '  out1 [shape=none, label="out 1"];\n'
+               '  out2 [shape=none, label="out 2"];\n'
+               '  n0 [label="Z(0.5-2i)"];\n  n1 [label="T-inv"];\n'
+               '  n0 -- in0;\n  n0 -- out0;\n  n0 -- out1;\n  n1 -- in1;\n'
+               '  n1 -- out2;\n}\n',
+        "tikz-text": "% zxel diagram 2->3, loops=0\nnode n0: Z(0.5-2i)\n"
+                     "node n1: T-inv\nwire n0 -- in0\nwire n0 -- out0\n"
+                     "wire n0 -- out1\nwire n1 -- in1\nwire n1 -- out2\n"}),
+    "loop": (lambda: D.tensor(D.compose(D.cap(), D.cup()),
+                              D.x_spider(1, 1, D.TAU_PI)), {
+        "dot": 'graph zx {\n  in0 [shape=none, label="in 0"];\n'
+               '  out0 [shape=none, label="out 0"];\n'
+               '  n0 [label="H"];\n  n1 [label="Z(-1+0i)"];\n'
+               '  n2 [label="H"];\n  n3 [label="Z(-0.5+0i)"];\n'
+               '  n0 -- in0;\n  n0 -- n1;\n  n1 -- n2;\n  n2 -- out0;\n'
+               '  // bare loop 0 (scalar 2)\n}\n',
+        "tikz-text": "% zxel diagram 1->1, loops=1\nnode n0: H\n"
+                     "node n1: Z(-1+0i)\nnode n2: H\nnode n3: Z(-0.5+0i)\n"
+                     "wire n0 -- in0\nwire n0 -- n1\nwire n1 -- n2\n"
+                     "wire n2 -- out0\n"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPORTS))
+def test_export_text_is_byte_stable(tmp_path, runner, name):
+    build, expected = _EXPORTS[name]
+    path = _write(tmp_path, f"{name}.zx", build())
+    for fmt, text in expected.items():
+        res = runner.invoke(main, ["export", path, "--format", fmt])
+        assert res.exit_code == 0
+        assert res.output == text
+        assert export_text(load_diagram(path), fmt) + "\n" == text
 
 
 def test_interpret_wire_cap(tmp_path, runner, monkeypatch):

@@ -8,6 +8,7 @@ from zxel.semantics import contract_state, interpret, matrices_equal
 from zxel import normalform as NF
 from zxel.io import dumps_diagram
 from zxel.normalform import nf_from_vector, nf_to_diagram
+from zxel.rewrite import simplify
 
 from helpers import (H_MAT, compose_by_pairs, contraction_order_by_scan,
                      port_edges_by_scan, random_complex, random_diagram,
@@ -199,7 +200,13 @@ def test_self_loop_permitted():
                   [(("n", 0, 0), ("n", 0, 1)), (("in", 0), ("n", 0, 2)),
                    (("out", 0), ("n", 0, 3))], 1, 1)
     assert matrices_equal(interpret(d), np.diag([1, 2.0]))
-    assert d.port_edges() == port_edges_by_scan(d) == {0: [0, 0, 1, 2]}
+    assert d.port_edges == port_edges_by_scan(d) == {0: (0, 0, 1, 2)}
+
+
+def _simplify_steps(d):
+    """Every intermediate diagram of ``simplify`` on d, d itself first."""
+    steps = simplify(d).steps
+    return [simplify(d, budget=k).diagram for k in range(steps + 1)]
 
 
 def test_port_edges_matches_scan():
@@ -209,8 +216,13 @@ def test_port_edges_matches_scan():
     for m in (2, 3, 4):
         v = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
         corpus.append(nf_to_diagram(nf_from_vector(v)))
+    # the rewriter is the index's main reader: check what it builds
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    corpus += _simplify_steps(nf_to_diagram(nf_from_vector(v)))
+    for _ in range(20):
+        corpus += _simplify_steps(random_diagram(rng))
     for d in corpus:
-        assert d.port_edges() == port_edges_by_scan(d)
+        assert d.port_edges == port_edges_by_scan(d)
 
 
 def _order_corpus():
@@ -227,7 +239,7 @@ def _order_corpus():
 
 def test_contraction_order_partitions_into_components():
     for d in _order_corpus():
-        pe = d.port_edges()
+        pe = d.port_edges
         order = D.contraction_order(pe)
         flat = [v for component in order for v in component]
         assert sorted(flat) == d.node_ids()
@@ -248,20 +260,20 @@ def test_contraction_order_partitions_into_components():
 
 def test_contraction_order_matches_greedy_reference():
     for d in _order_corpus():
-        order = D.contraction_order(d.port_edges())
+        order = D.contraction_order(d.port_edges)
         assert order == contraction_order_by_scan(d)
         # deterministic: the order of the node dict does not matter
         shuffled = D.Diagram(dict(reversed(d.nodes.items())), d.edges,
                              d.n_in, d.n_out, loops=d.loops)
-        assert D.contraction_order(shuffled.port_edges()) == order
+        assert D.contraction_order(shuffled.port_edges) == order
 
 
 def test_contraction_order_edge_cases():
-    assert D.contraction_order(D.empty().port_edges()) == []
+    assert D.contraction_order(D.empty().port_edges) == []
     loop = D.Diagram({0: D.Node(D.Z, 2.0)},
                      [(("n", 0, 0), ("n", 0, 1)), (("in", 0), ("n", 0, 2)),
                       (("out", 0), ("n", 0, 3))], 1, 1)
-    assert D.contraction_order(loop.port_edges()) == [[0]]
+    assert D.contraction_order(loop.port_edges) == [[0]]
     # a self-loop adds no wire: after node 0, node 2 (two wires and a
     # self-loop) leaves fewer open wires than node 1 (three wires)
     d = D.Diagram({0: D.Node(D.Z), 1: D.Node(D.Z), 2: D.Node(D.Z)},
@@ -269,7 +281,7 @@ def test_contraction_order_edge_cases():
                    (("n", 2, 1), ("n", 2, 2)), (("n", 1, 1), ("out", 0)),
                    (("n", 1, 2), ("out", 2)), (("n", 2, 3), ("out", 1))],
                   0, 3)
-    assert D.contraction_order(d.port_edges()) == [[0, 2, 1]]
+    assert D.contraction_order(d.port_edges) == [[0, 2, 1]]
 
 
 # -- n-ary combinators -------------------------------------------------------
@@ -392,6 +404,16 @@ def test_nodes_are_read_only():
     with pytest.raises(AttributeError):
         d.loops = 3
     assert d.nodes[0] == D.Node(D.Z, 2.0)
+    # the incidence index is stored once and cannot change either
+    with pytest.raises(AttributeError):
+        d.port_edges = {0: (1, 0)}
+    with pytest.raises(TypeError):
+        d.port_edges[0] = (1, 0)
+    with pytest.raises(TypeError):
+        del d.port_edges[0]
+    with pytest.raises(TypeError):
+        d.port_edges[0][0] = 1
+    assert d.port_edges == {0: (0, 1)}
 
 
 def test_parameter_free_gadgets_are_shared():

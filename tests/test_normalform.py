@@ -287,12 +287,6 @@ def test_nf_equal_for_rewrite_related_diagrams():
     assert NF.nf_equal(NF.normalize(chain), NF.normalize(fused))
 
 
-def test_nf_json_roundtrip():
-    nf = NF.nf_from_vector([1, 0.5 - 0.25j])
-    back = NF.nf_from_json(NF.nf_to_json(nf))
-    assert back == nf
-
-
 def test_roundtrip_random_vectors():
     rng = np.random.default_rng(41)
     for _ in range(30):
