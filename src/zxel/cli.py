@@ -23,7 +23,7 @@ from .io import (DiagramFileError, dumps_diagram, export_text, format_matrix,
 from .normalform import (WireCapError, decompose_elementary, nf_to_diagram,
                          nf_to_jsonable, normalize)
 from .rewrite import simplify as run_simplify
-from .rules import check_soundness, full_catalog
+from .rules import check_catalog, full_catalog
 from .semantics import (DEFAULT_TOL, ResourceError, interpret,
                         matrices_equal, wire_cap)
 
@@ -60,13 +60,20 @@ def _compute(fn, *args, **kwargs):
 
 class _Group(click.Group):
     """Usage errors (a bad option value, an unknown option or command) are
-    one ``zxel:`` line with exit 2; a bare ``zxel`` prints the help."""
+    one ``zxel:`` line with exit 2; a bare ``zxel`` prints the help.  Any
+    other exception a command lets through is a defect, reported as one
+    ``zxel: internal:`` line with exit 2, never a traceback."""
 
     def make_context(self, *args, **kwargs):
         return _one_line_usage(super().make_context, *args, **kwargs)
 
     def invoke(self, ctx):
-        return _one_line_usage(super().invoke, ctx)
+        try:
+            return _one_line_usage(super().invoke, ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise  # click reports these itself
+        except Exception as exc:
+            _fail(f"internal: {type(exc).__name__}: {exc}")
 
 
 def _one_line_usage(fn, *args, **kwargs):
@@ -161,12 +168,8 @@ def cmd_simplify(file, budget, trace, out):
               help="deliberately corrupt a rule (testing hook)")
 def cmd_rules(samples, tol, seed, as_json, corrupt):
     """Soundness sweep over the whole rule catalog (exit 0 iff clean)."""
-    rng = np.random.default_rng(seed)
-    reports = []
-    for rule in full_catalog():
-        reports.append(check_soundness(
-            rule, samples=samples, tol=tol, rng=rng,
-            corrupt=(rule.name == corrupt)))
+    reports = _compute(check_catalog, full_catalog(), samples=samples,
+                       tol=tol, seed=seed, corrupt=corrupt)
     failures = [r for r in reports if not r.ok]
     if as_json:
         click.echo(json.dumps({

@@ -74,13 +74,12 @@ class Node:
 _TAG_ORDER = {"n": 0, "in": 1, "out": 2}
 
 
-def _ep_key(ep: Endpoint):
-    # unknown tags sort last, so that check_validity reports them
-    return (_TAG_ORDER.get(ep[0], len(_TAG_ORDER)),) + tuple(ep[1:])
-
-
 def _norm_edge(a: Endpoint, b: Endpoint) -> Edge:
-    return (a, b) if _ep_key(a) <= _ep_key(b) else (b, a)
+    """Orient an edge: endpoints by tag rank, then by the rest of the
+    tuple; unknown tags rank last, so that check_validity reports them."""
+    ra = _TAG_ORDER.get(a[0], 3)
+    rb = _TAG_ORDER.get(b[0], 3)
+    return (a, b) if ra < rb or (ra == rb and a[1:] <= b[1:]) else (b, a)
 
 
 class Diagram:
@@ -195,20 +194,19 @@ def contraction_order(
     Self-loops are ignored; an edge at one node only (a boundary wire)
     stays open.
     """
-    ends: dict[int, list[int]] = {}
-    for v, edges in port_edges.items():
-        for i in edges:
-            ends.setdefault(i, []).append(v)
     nbrs: dict[int, list[int]] = {v: [] for v in port_edges}
     wires = {v: len(edges) for v, edges in port_edges.items()}
-    for vs in ends.values():
-        if len(vs) == 2:
-            a, b = vs
-            if a == b:
-                wires[a] -= 2
+    first: dict[int, int] = {}  # edge index -> the node seen at one end
+    for v, edges in port_edges.items():
+        for i in edges:
+            u = first.pop(i, None)
+            if u is None:
+                first[i] = v
+            elif u == v:
+                wires[v] -= 2
             else:
-                nbrs[a].append(b)
-                nbrs[b].append(a)
+                nbrs[u].append(v)
+                nbrs[v].append(u)
 
     # |open| is the same for every candidate, so a candidate's rank is
     # wires_j - 2 * shared_j; it only falls as shared_j grows, so the

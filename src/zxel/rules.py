@@ -32,7 +32,7 @@ from .diagram import (Diagram, compose, compose_all, flip, tensor,
 from .normalform import (and_gate, decorated_row_addition,
                          decorated_row_multiplication, pi_layer,
                          row_addition_diagram, row_multiplication_diagram)
-from .semantics import DEFAULT_TOL, interpret, max_deviation
+from .semantics import DEFAULT_TOL, interpret_all, max_deviation
 
 RuleBuilder = Callable[[Sequence[complex]], tuple[Diagram, Diagram]]
 
@@ -142,14 +142,21 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
     else:
         draws += [_random_params(rule, rng) for _ in range(samples)]
 
+    # every draw's sides (and their flips) first, then one batched
+    # contraction: the draws of a rule mostly share one topology
+    sides = []
     for params in draws:
         lhs, rhs = rule.build([complex(p) for p in params])
         if corrupt:
             rhs = tensor(rhs, scalar_z(-2.0))  # flips the sign of the RHS
-        ml, mr = interpret(lhs), interpret(rhs)
+        sides += [lhs, rhs] + ([flip(lhs), flip(rhs)] if rule.flipped else [])
+    mats = interpret_all(sides)
+    per_draw = 4 if rule.flipped else 2
+    for k, params in enumerate(draws):
+        ml, mr, *flipped = mats[k * per_draw:(k + 1) * per_draw]
         dev = max_deviation(ml, mr)
-        if rule.flipped:
-            fl, fr = interpret(flip(lhs)), interpret(flip(rhs))
+        if flipped:
+            fl, fr = flipped
             dev = max(dev, max_deviation(fl, fr), max_deviation(fl, ml.T))
         report.checked += 1
         report.max_deviation = max(report.max_deviation, dev)
@@ -159,10 +166,13 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
 
 
 def check_catalog(rules: Sequence[RewriteRule], samples: int = 20,
-                  tol: float = DEFAULT_TOL,
-                  seed: int = 0) -> list[RuleReport]:
+                  tol: float = DEFAULT_TOL, seed: int = 0,
+                  corrupt: str | None = None) -> list[RuleReport]:
+    """``check_soundness`` of each rule in turn, all drawing from one rng
+    seeded by ``seed``; the rule named ``corrupt`` is checked corrupted."""
     rng = np.random.default_rng(seed)
-    return [check_soundness(r, samples=samples, tol=tol, rng=rng)
+    return [check_soundness(r, samples=samples, tol=tol, rng=rng,
+                            corrupt=(r.name == corrupt))
             for r in rules]
 
 

@@ -9,11 +9,23 @@ wire 0 is the right-most wire of a boundary, and a bit on wire i weighs
 This module is the ground-truth oracle for everything else.  It has its
 own contraction engine and never goes through the normal-form pipeline;
 it shares only the elimination order, ``diagram.contraction_order``.
+
+The engine plans once per topology and contracts in batches.  A plan,
+built from one diagram, holds the walk along ``contraction_order``,
+each node's degree after its self-loops, the einsum sublists of each
+pair step and the output permutation; every wire-cap check happens
+while planning.  Diagrams that differ only in Z phases and bare loops
+share a plan, and one run of it contracts them all at once, their Z
+tensors stacked along a leading batch axis.  ``interpret`` runs a plan
+on one diagram; ``interpret_all`` groups a list by topology, which is
+how the rule-soundness sweep evaluates all draws of a rule together.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import count
+from typing import Sequence
 
 import numpy as np
 
@@ -48,114 +60,198 @@ _H_TENSOR = np.array([[1, 1], [1, -1]], dtype=complex)
 # arr[p0, p1] = <p1| M |p0> for the 1->1 matrix M of the generator
 _T_TENSOR = np.array([[1, 0], [1, 1]], dtype=complex)       # M = [[1,1],[0,1]]
 _T_INV_TENSOR = np.array([[1, 0], [-1, 1]], dtype=complex)  # M = [[1,-1],[0,1]]
+_FIXED = {H: _H_TENSOR, T: _T_TENSOR, T_INV: _T_INV_TENSOR}
 
 
-def node_tensor(kind: str, phase: complex, degree: int) -> np.ndarray:
-    """Tensor of one generator node, one axis of dimension 2 per port."""
-    if kind == Z:
-        if degree == 0:
-            return np.array(1.0 + phase, dtype=complex)
-        t = np.zeros((2,) * degree, dtype=complex)
-        t[(0,) * degree] = 1.0
-        t[(1,) * degree] = phase
-        return t
-    if kind == H:
-        return _H_TENSOR
-    if kind == T:
-        return _T_TENSOR
-    if kind == T_INV:
-        return _T_INV_TENSOR
-    raise ValueError(f"unknown node kind {kind!r}")
+def _z_tensor(phase, degree: int, batch: tuple[int, ...]) -> np.ndarray:
+    """Tensor of a Z spider, |0..0><0..0| + phase |1..1><1..1|, with one
+    axis of dimension 2 per port (for degree 0, the scalar 1 + phase).
+    ``phase`` is one number, or for ``batch == (b,)`` an array of b
+    phases, whose tensors are stacked along a leading batch axis."""
+    if degree == 0:
+        return np.array(1.0 + phase, dtype=complex)
+    t = np.zeros(batch + (2,) * degree, dtype=complex)
+    corners = t.T  # the batch axis, if any, last
+    corners[(0,) * degree] = 1.0
+    corners[(1,) * degree] = phase
+    return t
 
 
-def _node_pair(node, edges: tuple[int, ...], cap: int):
-    """A node's (tensor, labels) with its self-loops plugged: in closed
-    form for a Z spider (each loop leaves degree d - 2, same phase), by a
-    trace for a 2-port generator; the degree left is checked against the
-    cap before the 2^degree tensor is allocated."""
-    labels = [i for i in edges if edges.count(i) == 1]
-    if len(labels) > cap:
+def _pair_step(labels: list[list[int]], dst: int, src: int, cap: int):
+    """The step contracting operand ``src`` into operand ``dst``, with its
+    einsum sublists (the wires numbered from 0 in order of first
+    appearance); ``labels`` holds each operand's wires in axis order, and
+    the result's replace ``dst``'s."""
+    li, lj = labels[dst], labels[src]
+    shared = set(li).intersection(lj)
+    new = [l for l in lj if l not in shared]
+    out = [l for l in li if l not in shared] + new
+    if len(out) > cap:
         raise ResourceError(
-            f"a node has {len(labels)} open wires, cap is {cap}")
-    t = node_tensor(node.kind, node.phase, len(labels))
-    return (np.trace(t) if t.ndim > len(labels) else t), labels
+            f"contraction needs {len(out)} open wires, cap is {cap}")
+    labels[dst] = out
+    local = dict(zip(li + new, count())).__getitem__
+    return (dst, src, list(map(local, li)), list(map(local, lj)),
+            list(map(local, out)))
 
 
-def _prepare(d: Diagram, cap: int):
-    """The (tensor, labels) pairs to contract, one list per connected
-    component in ``contraction_order``, with each bare boundary wire as a
-    component of its own at the end; and the label of each boundary
-    slot.  Labels are integer wire ids: a node's labels are the edges at
-    its ports, in port order."""
-    components = [[_node_pair(d.nodes[v], d.port_edges[v], cap)
-                   for v in component]
-                  for component in contraction_order(d.port_edges)]
+def _plan(d: Diagram, cap: int) -> tuple:
+    """How to contract every diagram of ``d``'s topology, as
+    ``(leaves, steps, root, perm)``.
+
+    ``leaves`` holds one entry per operand: a Z node's (id, degree),
+    whose tensors a batch stacks, or the fixed tensor of any other
+    generator or bare wire, which a batch shares.  Each step
+    ``(dst, src, sub_dst, sub_src, sub_out)`` contracts operand ``src``
+    into operand ``dst`` by einsum with those sublists (given without the
+    batch axis).  ``root`` is the operand left at the end (None for a
+    diagram with nothing to contract), and ``perm`` orders its axes as
+    the boundary slots.
+
+    The walk is ``contraction_order``: each connected component folds
+    its nodes in order, the bare boundary wires follow as components of
+    their own, and the components fold together in order.  Every
+    operand's open wires are checked against the cap here, before
+    anything is allocated: the boundary first, then each node (self-loops
+    plugged: in closed form for a Z spider, by a trace otherwise), then
+    each step."""
+    if d.n_in + d.n_out > cap:
+        raise ResourceError(
+            f"diagram has {d.n_in + d.n_out} boundary wires, cap is {cap}")
+    leaves: list = []
+    labels: list[list[int]] = []   # each operand's wires, in axis order
+    components = []
+    for component in contraction_order(d.port_edges):
+        components.append(range(len(leaves), len(leaves) + len(component)))
+        for v in component:
+            edges = d.port_edges[v]
+            open_ = (list(edges) if len(set(edges)) == len(edges) else
+                     [i for i in edges if edges.count(i) == 1])
+            if len(open_) > cap:
+                raise ResourceError(
+                    f"a node has {len(open_)} open wires, cap is {cap}")
+            kind = d.nodes[v].kind
+            if kind == Z:
+                leaves.append((v, len(open_)))
+            else:
+                t = _FIXED[kind]
+                leaves.append(np.trace(t) if open_ == [] else t)
+            labels.append(open_)
+    # each bare wire between two boundary slots is an explicit identity
+    # with one label per end
     next_label = len(d.edges)
     boundary_label: dict[tuple, int] = {}
     for i, (a, b) in enumerate(d.edges):
         if a[0] != "n" and b[0] != "n":
-            # bare wire between two boundary slots: explicit identity with
-            # one label per end
             boundary_label[a] = i
             boundary_label[b] = next_label
-            components.append([(np.eye(2, dtype=complex), [i, next_label])])
+            components.append(range(len(leaves), len(leaves) + 1))
+            leaves.append(np.eye(2, dtype=complex))
+            labels.append([i, next_label])
             next_label += 1
         elif a[0] != "n":
             boundary_label[a] = i
         elif b[0] != "n":
             boundary_label[b] = i
-    return components, boundary_label
+
+    steps = []
+    for c in components:
+        for src in c[1:]:
+            steps.append(_pair_step(labels, c[0], src, cap))
+    for c in components[1:]:
+        steps.append(_pair_step(labels, components[0][0], c[0], cap))
+    root = components[0][0] if components else None
+    final = labels[root] if components else []
+    # order axes as out slot 0..m-1 then in slot 0..n-1 (most significant
+    # bit first within each boundary, matching |a_{m-1}...a_0>)
+    perm = [final.index(boundary_label[slot]) for slot in
+            [("out", j) for j in range(d.n_out)] +
+            [("in", i) for i in range(d.n_in)]]
+    return leaves, steps, root, perm
 
 
-def _pair_contract(ti, li, tj, lj, cap):
-    shared = set(li) & set(lj)
-    out_labels = [l for l in li if l not in shared] + \
-                 [l for l in lj if l not in shared]
-    if len(out_labels) > cap:
-        raise ResourceError(
-            f"contraction needs {len(out_labels)} open wires, cap is {cap}")
-    local: dict[int, int] = {}
-
-    def loc(labels):
-        return [local.setdefault(l, len(local)) for l in labels]
-
-    t = np.einsum(ti, loc(li), tj, loc(lj), loc(out_labels))
-    return t, out_labels
+def _width(plan) -> int:
+    """The most open wires any operand of a plan has."""
+    leaves, steps, _, _ = plan
+    return max([t[1] if isinstance(t, tuple) else t.ndim for t in leaves] +
+               [len(step[4]) for step in steps], default=0)
 
 
-def _fold(pairs, cap: int):
-    """Contract (tensor, labels) pairs into an accumulator, in order."""
-    t, labels = pairs[0]
-    for t2, l2 in pairs[1:]:
-        t, labels = _pair_contract(t, labels, t2, l2, cap)
-    return t, labels
+def _run(plan: tuple, ds: Sequence[Diagram]) -> list[np.ndarray]:
+    """Contract every diagram of ``ds`` (all of the plan's topology) in
+    one pass over the plan; each consumed operand is freed as it goes.
+    A single diagram runs without the batch axis."""
+    leaves, steps, root, perm = plan
+    if len(ds) == 1:
+        ops = [_z_tensor(ds[0].nodes[t[0]].phase, t[1], ())
+               if isinstance(t, tuple) else t for t in leaves]
+    else:
+        ops = [_z_tensor(np.array([d.nodes[t[0]].phase for d in ds],
+                                  dtype=complex), t[1], (len(ds),))
+               if isinstance(t, tuple) else t for t in leaves]
+        # the batch axis, leading on the Z tensors and on every result
+        # that has one, is einsum's broadcast ellipsis: it takes no label
+        steps = [(dst, src, [...] + sub_dst, [...] + sub_src, [...] + sub_out)
+                 for dst, src, sub_dst, sub_src, sub_out in steps]
+    einsum = np.einsum
+    for dst, src, sub_dst, sub_src, sub_out in steps:
+        ops[dst] = einsum(ops[dst], sub_dst, ops[src], sub_src, sub_out)
+        ops[src] = None
+    t = np.array(1.0, dtype=complex) if root is None else ops[root]
+    shape = (2 ** ds[0].n_out, 2 ** ds[0].n_in)
+    if t.ndim > len(perm):  # the batch axis leads
+        mats = np.transpose(t, [0] + [p + 1 for p in perm]) \
+            .reshape((len(ds),) + shape)
+    else:
+        mats = [np.transpose(t, perm).reshape(shape)] * len(ds)
+    out = []
+    for d, mat in zip(ds, mats):
+        mat = mat * (2.0 ** d.loops)
+        if not np.isfinite(mat).all():
+            raise ArithmeticError("non-finite entries in interpretation")
+        out.append(mat)
+    return out
+
+
+def interpret_all(ds: Sequence[Diagram],
+                  cap: int | None = None) -> list[np.ndarray]:
+    """Evaluate each diagram to its matrix, in input order.
+
+    Diagrams that share a topology (node ids and kinds, edges and
+    boundary, so they differ at most in Z phases and bare loops) share
+    one plan, built once from the first of them, and are contracted
+    together: Z tensors are stacked along a leading batch axis, and the
+    other generators' tensors are broadcast along it.  A plan that peaks
+    at w open wires runs its group in chunks of at most 2^(cap - w)
+    diagrams, so a batch never holds a larger array than one diagram at
+    the cap could.  Raises what ``interpret`` raises for the first
+    failing diagram of the first failing group, groups taken in order of
+    their first diagram."""
+    if cap is None:
+        cap = wire_cap()
+    groups: dict[tuple, list[int]] = {}
+    for k, d in enumerate(ds):
+        key = (tuple((v, node.kind) for v, node in d.nodes.items()),
+               d.edges, d.n_in, d.n_out)
+        groups.setdefault(key, []).append(k)
+    out: list = [None] * len(ds)
+    for members in groups.values():
+        plan = _plan(ds[members[0]], cap)
+        # 2^(cap - w), but no larger than the group needs: a huge cap
+        # must not cost a huge integer
+        size = 1 << min(cap - _width(plan), len(members).bit_length())
+        for s in range(0, len(members), size):
+            chunk = members[s:s + size]
+            for k, mat in zip(chunk, _run(plan, [ds[k] for k in chunk])):
+                out[k] = mat
+    return out
 
 
 def interpret(d: Diagram, cap: int | None = None) -> np.ndarray:
-    """Evaluate a diagram of type n -> m to its 2^m x 2^n matrix."""
-    if cap is None:
-        cap = wire_cap()
-    if d.n_in + d.n_out > cap:
-        raise ResourceError(
-            f"diagram has {d.n_in + d.n_out} boundary wires, cap is {cap}")
-    components, boundary_label = _prepare(d, cap)
-    if not components:
-        t = np.array(1.0, dtype=complex)
-        labels: list[int] = []
-    else:
-        # fold each component in its order, then outer-product them
-        t, labels = _fold([_fold(pairs, cap) for pairs in components], cap)
-    # order axes as out slot 0..m-1 then in slot 0..n-1 (most significant
-    # bit first within each boundary, matching |a_{m-1}...a_0>)
-    wanted = [boundary_label[("out", j)] for j in range(d.n_out)] + \
-             [boundary_label[("in", i)] for i in range(d.n_in)]
-    perm = [labels.index(l) for l in wanted]
-    t = np.transpose(t, perm) if perm else t
-    mat = np.asarray(t, dtype=complex).reshape(2 ** d.n_out, 2 ** d.n_in)
-    mat = mat * (2.0 ** d.loops)
-    if not np.all(np.isfinite(mat)):
-        raise ArithmeticError("non-finite entries in interpretation")
-    return mat
+    """Evaluate a diagram of type n -> m to its 2^m x 2^n matrix: one
+    plan, run once (``interpret_all`` of one diagram, which has nothing
+    to group and nothing to chunk)."""
+    return _run(_plan(d, wire_cap() if cap is None else cap), [d])[0]
 
 
 def contract_state(d: Diagram, cap: int | None = None) -> np.ndarray:

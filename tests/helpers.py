@@ -198,3 +198,46 @@ def contraction_order_by_scan(d: D.Diagram) -> list[list[int]]:
             open_ ^= wires[u]
         order.append(component)
     return order
+
+
+def check_soundness_by_draw(rule, samples: int, tol: float, rng,
+                            corrupt: bool = False):
+    """Reference for ``rules.check_soundness``: the same draws, but each
+    side of each draw (and each flip) contracted on its own by
+    ``interpret``, and the draw checked before the next is built."""
+    from zxel import rules as R
+    from zxel.semantics import interpret, max_deviation
+
+    report = R.RuleReport(rule.name, 0, 0.0)
+    draws = []
+    for v in R.FORCED_DRAWS:
+        ps = [v] * rule.arity
+        if rule.admissible(ps):
+            draws.append(ps)
+        elif rule.arity:
+            report.skipped.append(ps)
+    if rule.arity == 0:
+        draws = [[]]
+    else:
+        draws += [R._random_params(rule, rng) for _ in range(samples)]
+    for params in draws:
+        lhs, rhs = rule.build([complex(p) for p in params])
+        if corrupt:
+            rhs = D.tensor(rhs, D.scalar_z(-2.0))
+        ml, mr = interpret(lhs), interpret(rhs)
+        dev = max_deviation(ml, mr)
+        if rule.flipped:
+            fl, fr = interpret(D.flip(lhs)), interpret(D.flip(rhs))
+            dev = max(dev, max_deviation(fl, fr), max_deviation(fl, ml.T))
+        report.checked += 1
+        report.max_deviation = max(report.max_deviation, dev)
+        if not (dev <= tol):
+            report.failures.append((list(params), float(dev)))
+    return report
+
+
+def topology(d: D.Diagram) -> tuple:
+    """The structural key without phases."""
+    nodes, edges, n_in, n_out, loops = d.structural_key()
+    return (tuple((k, kind) for k, kind, _ in nodes), edges, n_in, n_out,
+            loops)

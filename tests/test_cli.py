@@ -432,6 +432,33 @@ def test_check_eq_reports_verdict_disagreement_as_error(tmp_path, runner,
     assert res.stderr == "zxel: internal: routes disagree\n"
 
 
+def test_rules_over_the_wire_cap_is_one_line(runner, monkeypatch):
+    # the sweep's first side has 4 boundary wires: a ResourceError, which
+    # is an error (exit 2), not a failing rule (exit 1)
+    monkeypatch.setenv("ZXEL_WIRE_CAP", "3")
+    res = runner.invoke(main, ["rules", "--samples", "1"])
+    _assert_one_line_error(res)
+    assert res.stderr == "zxel: diagram has 4 boundary wires, cap is 3\n"
+
+
+@pytest.mark.parametrize("target, args", [
+    ("zxel.cli.full_catalog", ["rules"]),
+    ("zxel.cli.interpret", ["interpret"]),
+    ("zxel.cli.normalize", ["normalize"]),
+    ("zxel.cli.export_text", ["export"]),
+])
+def test_uncaught_exception_is_one_internal_line(tmp_path, runner,
+                                                 monkeypatch, target, args):
+    def broken(*a, **k):
+        raise KeyError("boom")
+    monkeypatch.setattr(target, broken)
+    if args[0] != "rules":
+        args = args + [_write(tmp_path, "w.zx", D.identity(1))]
+    res = runner.invoke(main, args)
+    _assert_one_line_error(res)
+    assert res.stderr == "zxel: internal: KeyError: 'boom'\n"
+
+
 def test_known_fault_f2_check_eq_is_an_error_not_a_verdict(tmp_path, runner):
     # Known fault F2: at parameters near 3e3 the absolute tolerance gives
     # this sound rule a False normal-form verdict while its matrices agree.

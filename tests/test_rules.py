@@ -3,11 +3,12 @@ import pytest
 
 from zxel import diagram as D
 from zxel import rules as R
+from zxel import semantics as S
 from zxel.normalform import (decorated_row_multiplication,
                              row_addition_diagram)
 from zxel.semantics import interpret, matrices_equal
 
-from helpers import z_mat
+from helpers import check_soundness_by_draw, topology, z_mat
 
 CATALOG = R.catalog_by_name()
 
@@ -100,6 +101,53 @@ def test_corrupted_rule_is_caught():
     rep = R.check_soundness(CATALOG["S1"], samples=5, corrupt=True)
     assert not rep.ok
     assert rep.failures
+
+
+def test_check_soundness_matches_per_draw_reference():
+    # the batched sweep against the old loop: every draw's sides and
+    # flips interpreted one by one, on the same draws
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for rule in R.full_catalog():
+        got = R.check_soundness(rule, samples=3, rng=rng)
+        want = check_soundness_by_draw(rule, 3, R.DEFAULT_TOL, ref_rng)
+        assert got == want, rule.name
+    for name in ("S1", "Bas1", "addcommutat", "3and3gdotcirc"):
+        got = R.check_soundness(CATALOG[name], samples=3, corrupt=True,
+                                rng=np.random.default_rng(5))
+        want = check_soundness_by_draw(CATALOG[name], 3, R.DEFAULT_TOL,
+                                       np.random.default_rng(5),
+                                       corrupt=True)
+        assert not got.ok and got == want, name
+
+
+def test_check_soundness_compares_flips_with_the_transpose(monkeypatch):
+    # with flip replaced by the identity map, flip(lhs) contracts to ml,
+    # not to ml.T, for a rule with triangles: the sweep must notice
+    lhs, _ = R.instantiate(CATALOG["Bas1"], [])
+    assert not matrices_equal(interpret(lhs), interpret(lhs).T)
+    monkeypatch.setattr(R, "flip", lambda d: d)
+    assert not R.check_soundness(CATALOG["Bas1"], samples=1).ok
+
+
+def test_check_soundness_plans_once_per_topology(monkeypatch):
+    plans, sides = [], []
+    order = S.contraction_order
+    monkeypatch.setattr(S, "contraction_order",
+                        lambda pe: plans.append(1) or order(pe))
+    batch = R.interpret_all
+    monkeypatch.setattr(R, "interpret_all",
+                        lambda ds: sides.extend(ds) or batch(ds))
+    rng = np.random.default_rng(6)
+    for rule in R.full_catalog():
+        plans.clear()
+        sides.clear()
+        R.check_soundness(rule, samples=3, rng=rng)
+        assert len(plans) <= len({topology(d) for d in sides}), rule.name
+    # S1 is flipped and its draws differ only in phases: lhs, rhs and
+    # their flips, over 7 draws, are at most 4 plans
+    plans.clear()
+    R.check_soundness(CATALOG["S1"], samples=3, rng=rng)
+    assert 1 <= len(plans) <= 4
 
 
 def test_eu_is_euler_shaped():

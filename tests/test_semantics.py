@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zxel import diagram as D
+from zxel import rules as R
 from zxel import semantics as S
 
 from helpers import (CAP_VEC, CUP_VEC, H_MAT, SWAP_MAT, T_INV_MAT, T_MAT,
-                     X_MAT, parity_mat, random_diagram, z_mat)
+                     X_MAT, parity_mat, random_diagram, topology, z_mat)
 
 complexes = st.builds(complex,
                       st.floats(-2, 2, allow_nan=False),
@@ -132,3 +135,104 @@ def test_wire_cap_rejects_malformed(monkeypatch, raw):
         S.wire_cap()
     with pytest.raises(ValueError, match="ZXEL_WIRE_CAP"):
         S.interpret(D.identity(1))
+
+
+def _batch_corpus():
+    """A shuffled mix of topologies that repeat with other phases and
+    loop counts, plus the edge cases of the contraction."""
+    rng = np.random.default_rng(17)
+    catalog = R.full_catalog()
+    ds = []
+    for rule in catalog[::7] + [R.catalog_by_name()["S1"]]:
+        for _ in range(3):
+            ps = R._random_params(rule, rng) if rule.arity else []
+            lhs, rhs = rule.build([complex(p) for p in ps])
+            ds += [lhs, rhs, D.flip(lhs), D.flip(rhs)]
+    ds += [random_diagram(rng) for _ in range(40)]
+    loop = D.compose(D.cap(), D.cup())              # a bare loop, no nodes
+    ds += [D.empty(), D.identity(2), D.swap(), D.cap(), D.cup(), loop,
+           D.tensor(loop, D.identity(1)), D.tensor(loop, loop)]
+    for a in (0.5, -2j, 1 + 1j):
+        z_loop = D.compose(D.z_spider(1, 3, a),
+                           D.tensor(D.identity(1), D.cup()))
+        ds += [D.scalar_z(a),                          # a degree-0 Z
+               D.compose(D.z_spider(0, 2, a), D.cup()),  # Z, self-loop
+               z_loop,                                 # degree 3, one loop
+               D.tensor(z_loop, loop),                 # with loops > 0
+               D.Diagram(z_loop.nodes, z_loop.edges, 1, 1, loops=3)]
+    for gen in (D.h_box(), D.triangle(), D.triangle_inv()):
+        # a 2-port generator on a self-loop is a trace
+        ds.append(D.compose(D.cap(), D.compose(
+            D.tensor(gen, D.identity(1)), D.cup())))
+    order = rng.permutation(len(ds))
+    return [ds[k] for k in order]
+
+
+def test_interpret_all_equals_interpret_one_by_one():
+    ds = _batch_corpus()
+    got = S.interpret_all(ds)
+    assert len(got) == len(ds)
+    for d, mat in zip(ds, got):
+        want = S.interpret(d)
+        assert mat.shape == want.shape and np.array_equal(mat, want), d
+    assert S.interpret_all([]) == []
+
+
+def test_interpret_all_plans_each_topology_once(monkeypatch):
+    ds = _batch_corpus()
+    plans = []
+    order = S.contraction_order
+    monkeypatch.setattr(S, "contraction_order",
+                        lambda pe: plans.append(1) or order(pe))
+    S.interpret_all(ds)
+    assert len(plans) <= len({topology(d) for d in ds}) < len(ds)
+
+
+def test_interpret_all_chunks_a_group_under_the_cap(monkeypatch):
+    # the Z node has 3 open wires, so at cap 4 a batch holds at most
+    # 2^(4 - 3) = 2 diagrams: 5 diagrams run as 2, 2 and 1
+    ds = [D.compose(D.z_spider(1, 2, a), D.tensor(D.h_box(), D.triangle()))
+          for a in (0.5, 2j, -1.0, 3 + 1j, 0.25)]
+    sizes = []
+    run = S._run
+    monkeypatch.setattr(S, "_run",
+                        lambda plan, chunk: sizes.append(len(chunk)) or
+                        run(plan, chunk))
+    got = S.interpret_all(ds, cap=4)
+    assert sizes == [2, 2, 1]
+    for d, mat in zip(ds, got):
+        assert np.array_equal(mat, S.interpret(d, cap=4))
+    sizes.clear()
+    S.interpret_all(ds, cap=10 ** 9)  # one batch, and no 2^(10^9)
+    assert sizes == [5]
+
+
+_CAP_MESSAGE = (r"(diagram has \d+ boundary wires|a node has \d+ open wires"
+                r"|contraction needs \d+ open wires), cap is {}")
+
+
+def test_interpret_all_raises_what_interpret_raises():
+    # every over-cap diagram fails in interpret_all with interpret's
+    # message, also behind a diagram that fits; a list fails with the
+    # message of its first failing diagram
+    rng = np.random.default_rng(3)
+    ds = [random_diagram(rng, max_wires=4, max_gens=10) for _ in range(120)]
+    kinds = set()
+    for cap in (2, 3, 4):
+        first = None
+        for d in ds:
+            try:
+                S.interpret(d, cap=cap)
+                continue
+            except S.ResourceError as exc:
+                message = str(exc)
+            assert re.fullmatch(_CAP_MESSAGE.format(cap), message), message
+            kinds.add(message.split(" ")[0])
+            first = first or message
+            with pytest.raises(S.ResourceError) as info:
+                S.interpret_all([D.identity(1), d, d], cap=cap)
+            assert str(info.value) == message
+        with pytest.raises(S.ResourceError) as info:
+            S.interpret_all(ds, cap=cap)
+        assert str(info.value) == first
+    assert kinds == {"diagram", "a", "contraction"}
