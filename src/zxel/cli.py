@@ -10,6 +10,7 @@ resource cap, internal error).
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -85,6 +86,13 @@ def _one_line_usage(fn, *args, **kwargs):
         _fail(" ".join(exc.format_message().splitlines()))
 
 
+def _tolerance(ctx, param, value: float) -> float:
+    """--tol is a finite number >= 0 (click's FloatRange lets NaN through)."""
+    if not 0 <= value < math.inf:
+        raise click.BadParameter(f"{value} is not a finite number >= 0")
+    return value
+
+
 @click.group(cls=_Group)
 def main():
     """Algebraic ZX-calculus: interpret, rewrite, normalize, compare."""
@@ -97,6 +105,7 @@ def main():
 @main.command("interpret")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--precision", default=6, show_default=True,
+              type=click.IntRange(min=0),
               help="significant digits in the text matrix")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def cmd_interpret(file, precision, as_json):
@@ -114,12 +123,13 @@ def cmd_interpret(file, precision, as_json):
 @main.command("check-eq")
 @click.argument("file1", type=click.Path(exists=True, dir_okay=False))
 @click.argument("file2", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", default=DEFAULT_TOL, show_default=True)
+@click.option("--tol", default=DEFAULT_TOL, show_default=True,
+              callback=_tolerance)
 def cmd_check_eq(file1, file2, tol):
     """Decide equality of two diagrams (exit 0 equal, 1 not, 2 error)."""
     d1, d2 = _load(file1), _load(file2)
     verdict = _compute(check_equivalent, d1, d2, tol=tol)
-    click.echo(verdict.to_json())
+    click.echo(json.dumps(verdict.to_jsonable()))
     sys.exit(0 if verdict.equal else 1)
 
 
@@ -145,7 +155,7 @@ def cmd_normalize(file, out):
 def cmd_simplify(file, budget, trace, out):
     """Apply the terminating simplification strategy."""
     d = _load(file)
-    res = _compute(run_simplify, d, budget=budget, trace=trace)
+    res = _compute(run_simplify, d, budget=budget)
     if trace:
         for step in res.trace:
             click.echo(f"{step['rule']} at nodes {step['nodes']}", err=True)
@@ -161,8 +171,10 @@ def cmd_simplify(file, budget, trace, out):
 @main.command("rules")
 @click.option("--samples", default=20, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--tol", default=DEFAULT_TOL, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--tol", default=DEFAULT_TOL, show_default=True,
+              callback=_tolerance)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--json", "as_json", is_flag=True, help="emit JSON report")
 @click.option("--corrupt", default=None, hidden=True,
               help="deliberately corrupt a rule (testing hook)")

@@ -9,13 +9,12 @@ implementation defect, never a valid outcome.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 
 from .diagram import Diagram
 from .normalform import NormalForm, nf_equal, nf_to_jsonable, normalize
-from .semantics import (DEFAULT_TOL, interpret, matrices_equal,
-                        max_deviation)
+from .semantics import DEFAULT_TOL, interpret, max_deviation
 
 
 class TypeMismatchError(ValueError):
@@ -34,14 +33,12 @@ class EquivalenceVerdict:
     nf_pair: tuple[NormalForm, NormalForm] | None = None
 
     def to_jsonable(self) -> dict:
+        dev = self.max_deviation  # null if beyond the float range
         rec = {"equal": self.equal, "method": self.method,
-               "max_deviation": self.max_deviation}
+               "max_deviation": dev if math.isfinite(dev) else None}
         if self.nf_pair is not None:
             rec["normal_forms"] = [nf_to_jsonable(nf) for nf in self.nf_pair]
         return rec
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable())
 
 
 def check_equivalent(d1: Diagram, d2: Diagram,
@@ -54,10 +51,8 @@ def check_equivalent(d1: Diagram, d2: Diagram,
     nf2 = normalize(d2)
     by_nf = nf_equal(nf1, nf2, tol)
 
-    m1 = interpret(d1)
-    m2 = interpret(d2)
-    by_sem = matrices_equal(m1, m2, tol)
-    dev = max_deviation(m1, m2)
+    dev = max_deviation(interpret(d1), interpret(d2))
+    by_sem = bool(dev <= tol)
 
     if by_nf != by_sem:
         raise VerdictDisagreement(

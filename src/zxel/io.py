@@ -93,7 +93,7 @@ def diagram_from_jsonable(rec) -> Diagram:
     try:
         n_in = int(rec["inputs"])
         n_out = int(rec["outputs"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DiagramFileError(f"inputs/outputs: {exc}") from None
     loops = rec.get("loops", 0)
     if not isinstance(loops, int) or isinstance(loops, bool) or loops < 0:
@@ -103,6 +103,8 @@ def diagram_from_jsonable(rec) -> Diagram:
         raise DiagramFileError(
             f"loops: 2^{loops} is beyond the float range")
 
+    if not all(isinstance(rec.get(k, []), list) for k in ("nodes", "edges")):
+        raise DiagramFileError("nodes, edges: expected lists")
     nodes: dict[int, Node] = {}
     x_nodes: dict[int, tuple[complex, list[int]]] = {}  # sign, ports
     for i, nd in enumerate(rec.get("nodes", [])):

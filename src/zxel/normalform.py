@@ -32,24 +32,32 @@ from .diagram import (Diagram, compose, compose_all, tensor, tensor_all,
                       bend_to_state, contraction_order, identity,
                       permutation, triangle, triangle_inv, x_spider,
                       z_spider)
-from .semantics import DEFAULT_TOL, wire_cap
+from .semantics import DEFAULT_TOL, matrices_equal, wire_cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalForm:
-    """Canonical representative of an m-wire state: its coefficients."""
+    """Canonical representative of an m-wire state: its 2^m coefficients
+    as one read-only complex vector, copied once when built.  Equality is
+    exact, entry by entry; a normal form is not hashable."""
 
     m: int
-    coeffs: tuple[complex, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.m < 0 or len(self.coeffs) != 2 ** self.m:
+        v = np.array(self.coeffs, dtype=complex, order="C").reshape(-1)
+        if self.m < 0 or v.size != 2 ** self.m:
             raise ValueError(
-                f"normal form needs 2^{self.m} coefficients, "
-                f"got {len(self.coeffs)}")
+                f"normal form needs 2^{self.m} coefficients, got {v.size}")
+        v.flags.writeable = False
+        object.__setattr__(self, "coeffs", v)
+
+    def __eq__(self, other):
+        return (isinstance(other, NormalForm) and self.m == other.m
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def vector(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=complex)
+        return self.coeffs
 
 
 @dataclass(frozen=True)
@@ -227,7 +235,7 @@ def nf_from_vector(v) -> NormalForm:
     m = int(v.size).bit_length() - 1
     if 2 ** m != v.size:
         raise ValueError(f"vector length {v.size} is not a power of two")
-    return NormalForm(m, tuple(complex(x) for x in v))
+    return NormalForm(m, v)
 
 
 def elementary_specs(nf: NormalForm) -> list[ElementarySpec]:
@@ -260,7 +268,7 @@ def nf_to_diagram(nf: NormalForm) -> Diagram:
 
 
 def scalar_nf(a: complex) -> NormalForm:
-    return NormalForm(0, (complex(a),))
+    return NormalForm(0, [a])
 
 
 def scalar_nf_diagram(a: complex) -> Diagram:
@@ -271,16 +279,13 @@ def scalar_nf_diagram(a: complex) -> Diagram:
 
 def nf_equal(nf1: NormalForm, nf2: NormalForm,
              tol: float = DEFAULT_TOL) -> bool:
-    if nf1.m != nf2.m:
-        return False
-    return bool(np.max(np.abs(nf1.vector() - nf2.vector()), initial=0.0) <= tol)
+    return matrices_equal(nf1.vector(), nf2.vector(), tol)
 
 
 def nf_tensor(nf_a: NormalForm, nf_b: NormalForm) -> NormalForm:
     """Tensor of normal forms: products a_i b_j, a-side on the
     more-significant wires."""
-    return NormalForm(nf_a.m + nf_b.m,
-                      tuple(np.kron(nf_a.vector(), nf_b.vector())))
+    return NormalForm(nf_a.m + nf_b.m, np.kron(nf_a.vector(), nf_b.vector()))
 
 
 def nf_permute(nf: NormalForm, perm) -> NormalForm:
@@ -289,11 +294,9 @@ def nf_permute(nf: NormalForm, perm) -> NormalForm:
     m = nf.m
     if sorted(perm) != list(range(m)):
         raise ValueError(f"bad wire permutation {perm}")
-    arr = nf.vector().reshape((2,) * m) if m else nf.vector()
     # axis a holds wire m-1-a; new axis a' must hold old wire perm[m-1-a']
     axes = [m - 1 - perm[m - 1 - a] for a in range(m)]
-    out = np.transpose(arr, axes) if m else arr
-    return NormalForm(m, tuple(out.reshape(-1)))
+    return NormalForm(m, np.transpose(nf.vector().reshape((2,) * m), axes))
 
 
 def nf_self_plug(nf: NormalForm, wire_pair) -> NormalForm:
@@ -313,8 +316,7 @@ def nf_self_plug(nf: NormalForm, wire_pair) -> NormalForm:
     rest = [w for w in range(nf.m) if w not in (p, q)]
     moved = nf_permute(nf, [p, q] + rest)
     c = moved.vector()
-    b = c[0::4] + c[3::4]
-    return NormalForm(nf.m - 2, tuple(b))
+    return NormalForm(nf.m - 2, c[0::4] + c[3::4])
 
 
 def nf_absorb(acc: NormalForm, nf: NormalForm, pairs=()) -> NormalForm:
@@ -329,41 +331,41 @@ def nf_absorb(acc: NormalForm, nf: NormalForm, pairs=()) -> NormalForm:
                      nf.vector().reshape((2,) * nf.m),
                      axes=([acc.m - 1 - p for p, _ in pairs],
                            [nf.m - 1 - q for _, q in pairs]))
-    return NormalForm(acc.m + nf.m - 2 * len(pairs), tuple(t.reshape(-1)))
+    return NormalForm(acc.m + nf.m - 2 * len(pairs), t)
 
 
 # node state tables, written from the generator definitions (independent
 # of the contraction engine); port 0 is the most significant wire
+_FIXED_STATES = {dg.H: (1, 1, 1, -1), dg.T: (1, 0, 1, 1),
+                 dg.T_INV: (1, 0, -1, 1)}
+
+
 def _node_state(kind: str, phase: complex, degree: int) -> NormalForm:
-    if kind == dg.Z:
-        if degree == 0:
-            return scalar_nf(1.0 + phase)
-        v = np.zeros(2 ** degree, dtype=complex)
-        v[0] = 1.0
-        v[-1] = phase
-        return NormalForm(degree, tuple(v))
-    if kind == dg.H:
-        return NormalForm(2, (1, 1, 1, -1))
-    if kind == dg.T:
-        return NormalForm(2, (1, 0, 1, 1))
-    if kind == dg.T_INV:
-        return NormalForm(2, (1, 0, -1, 1))
-    raise ValueError(f"unknown node kind {kind!r}")
+    if kind != dg.Z:
+        return NormalForm(2, _FIXED_STATES[kind])
+    if degree == 0:
+        return scalar_nf(1.0 + phase)
+    v = np.zeros(2 ** degree, dtype=complex)
+    v[0] = 1.0
+    v[-1] = phase
+    return NormalForm(degree, v)
 
 
+# every generator but the swap, bent into a state, is one node's state:
+# identity, cap and cup are Z of degree 2, copy and codot Z of degree 3
 _GENERATOR_TABLE = {
     "copy": lambda a: _node_state(dg.Z, 1.0, 3),
     "codot": lambda a: _node_state(dg.Z, 1.0, 3),
-    "z_state": lambda a: NormalForm(1, (1.0, complex(a))),
-    "identity": lambda a: NormalForm(2, (1, 0, 0, 1)),
-    "cap": lambda a: NormalForm(2, (1, 0, 0, 1)),
-    "cup": lambda a: NormalForm(2, (1, 0, 0, 1)),
-    "h": lambda a: NormalForm(2, (1, 1, 1, -1)),
-    "triangle": lambda a: NormalForm(2, (1, 0, 1, 1)),
-    "triangle_inv": lambda a: NormalForm(2, (1, 0, -1, 1)),
-    "swap": lambda a: NormalForm(4, tuple(
+    "z_state": lambda a: _node_state(dg.Z, a, 1),
+    "identity": lambda a: _node_state(dg.Z, 1.0, 2),
+    "cap": lambda a: _node_state(dg.Z, 1.0, 2),
+    "cup": lambda a: _node_state(dg.Z, 1.0, 2),
+    "h": lambda a: _node_state(dg.H, a, 2),
+    "triangle": lambda a: _node_state(dg.T, a, 2),
+    "triangle_inv": lambda a: _node_state(dg.T_INV, a, 2),
+    "swap": lambda a: NormalForm(4, [
         1.0 if (k >> 3 & 1) == (k >> 1 & 1) and (k >> 2 & 1) == (k & 1)
-        else 0.0 for k in range(16))),
+        else 0.0 for k in range(16)]),
 }
 
 
@@ -437,16 +439,13 @@ def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
             acc = nf_tensor(acc, generator_nf("cap"))
             slots += [a[1], b[1]]
 
-    # align remaining wires with the state's output order
-    L = len(slots)
-    assert L == state.n_out
+    assert len(slots) == state.n_out
     if not np.all(np.isfinite(acc.vector())):
         raise ArithmeticError("non-finite coefficients in normal form")
-    if L == 0:
-        return acc
-    slot_wire = {s: L - 1 - k for k, s in enumerate(slots)}
-    perm = [slot_wire[L - 1 - w] for w in range(L)]
-    return nf_permute(acc, perm)
+    # axis k of the reshaped acc holds output slot slots[k]; slot j goes
+    # to axis j, the output order
+    return NormalForm(acc.m, np.transpose(acc.vector().reshape((2,) * acc.m),
+                                          np.argsort(slots)))
 
 
 # -- elementary decomposition of matrices ---------------------------------
@@ -472,7 +471,7 @@ def _last_column_specs(mat: np.ndarray, m: int):
     probe[:, n - 1] = 0.0
     expect = np.eye(n, dtype=complex)
     expect[:, n - 1] = 0.0
-    if not np.max(np.abs(probe - expect), initial=0.0) <= DEFAULT_TOL:
+    if not matrices_equal(probe, expect):
         return None
     specs = []
     for j in range(n - 1):

@@ -466,20 +466,19 @@ class SimplifyResult:
     trace: list
 
 
-def simplify(d: Diagram, budget: int | None = None,
-             trace: bool = False) -> SimplifyResult:
+def simplify(d: Diagram, budget: int | None = None) -> SimplifyResult:
     """Apply the terminating move set to fixpoint or budget.
 
     Moves are taken in a fixed pass order with deterministic site order,
-    so identical inputs give identical outputs.
+    so identical inputs give identical outputs.  The result's ``trace``
+    logs each applied move's rule and matched nodes.
     """
     if budget is None:
         budget = 10 * len(d.nodes) + 20
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    steps = 0
-    log: list[dict] = []
-    while steps < budget:
+    log: list[dict] = []  # one entry per step
+    while len(log) < budget:
         site = None
         for pass_name in _SIMPLIFY_PASSES:
             sites = find_matches(d, pass_name)
@@ -487,10 +486,8 @@ def simplify(d: Diagram, budget: int | None = None,
                 site = sites[0]
                 break
         if site is None:
-            return SimplifyResult(d, steps, False, log)
+            return SimplifyResult(d, len(log), False, log)
         d = apply(d, site)
-        steps += 1
-        if trace:
-            log.append({"rule": site.rule, "nodes": list(site.nodes)})
+        log.append({"rule": site.rule, "nodes": list(site.nodes)})
     exhausted = any(find_matches(d, p) for p in _SIMPLIFY_PASSES)
-    return SimplifyResult(d, steps, exhausted, log)
+    return SimplifyResult(d, len(log), exhausted, log)

@@ -264,16 +264,11 @@ def contract_state(d: Diagram, cap: int | None = None) -> np.ndarray:
 
 def matrices_equal(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Same shape and max-abs entrywise difference at most tol."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    return bool(np.max(np.abs(a - b), initial=0.0) <= tol)
+    return np.shape(a) == np.shape(b) and bool(max_deviation(a, b) <= tol)
 
 
 def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
+    """Max-abs entrywise difference, infinite if the shapes differ."""
+    if np.shape(a) != np.shape(b):
         return float("inf")
-    return float(np.max(np.abs(a - b), initial=0.0))
+    return float(np.max(np.abs(np.subtract(a, b)), initial=0.0))

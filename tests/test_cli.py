@@ -379,6 +379,36 @@ def test_bad_phase_or_loops_rejected(tmp_path, runner, loops, phase, message):
         assert message in res.stderr
 
 
+@pytest.mark.parametrize("key, value", [
+    ("nodes", "true"), ("nodes", "null"), ("edges", "5"),
+    ("inputs", "Infinity"), ("outputs", "-Infinity"),
+])
+def test_wrongly_typed_field_is_a_file_error(tmp_path, runner, key, value):
+    # a malformed file is the user's error, never an internal one
+    rec = json.loads(_WIRE_FILE % ("0", "[1, 0]"))
+    rec[key] = json.loads(value)
+    path = tmp_path / "bad.zx"
+    path.write_text(json.dumps(rec))
+    for args in _commands(str(path)):
+        res = runner.invoke(main, args)
+        _assert_one_line_error(res)
+        assert key in res.stderr and "internal" not in res.stderr
+
+
+def test_check_eq_overflowing_deviation_is_null(tmp_path, runner):
+    # two finite phases whose difference is beyond the float range: not
+    # equal, and the deviation has no JSON number, so it is null
+    p1 = _write(tmp_path, "a.zx", D.z_spider(1, 1, 1e308))
+    p2 = _write(tmp_path, "b.zx", D.z_spider(1, 1, -1e308))
+    res = runner.invoke(main, ["check-eq", p1, p2])
+    assert res.exit_code == 1, res.output
+
+    def reject(name):
+        raise ValueError(name)
+    rec = json.loads(res.stdout, parse_constant=reject)
+    assert rec["equal"] is False and rec["max_deviation"] is None
+
+
 def test_simplify_overflowing_phase_is_an_error(tmp_path, runner):
     # fusing two spiders of phase 1e308 gives an infinite phase, which
     # simplify used to print as Infinity, a file zxel then rejects
@@ -409,6 +439,28 @@ def test_out_of_range_option_is_a_usage_error(tmp_path, runner, args, option):
     res = runner.invoke(main, args)
     _assert_one_line_error(res)
     assert option in res.stderr
+
+
+@pytest.mark.parametrize("args, option", [
+    (["check-eq", "--tol", "nan"], "--tol"),
+    (["check-eq", "--tol", "-1"], "--tol"),
+    (["check-eq", "--tol", "inf"], "--tol"),
+    (["rules", "--tol", "nan", "--json"], "--tol"),
+    (["rules", "--tol", "-1"], "--tol"),
+    (["rules", "--tol", "inf"], "--tol"),
+    (["rules", "--seed", "-1"], "--seed"),
+    (["interpret", "--precision", "-1"], "--precision"),
+])
+def test_bad_tolerance_seed_precision_are_usage_errors(tmp_path, runner,
+                                                       args, option):
+    """A tolerance is finite and >= 0 (under NaN or a negative bound two
+    identical files compared unequal), a seed and a precision are >= 0;
+    anything else is the user's error, not an internal one."""
+    p = _write(tmp_path, "w.zx", D.identity(1))
+    files = {"check-eq": [p, p], "interpret": [p]}.get(args[0], [])
+    res = runner.invoke(main, args + files)
+    _assert_one_line_error(res)
+    assert option in res.stderr and "internal" not in res.stderr
 
 
 @pytest.mark.parametrize("raw", ["abc", "-3", "0"])

@@ -63,7 +63,7 @@ def test_congruence_under_tensor():
 
 def test_verdict_serializes():
     v = check_equivalent(D.cap(), D.cap())
-    rec = json.loads(v.to_json())
+    rec = json.loads(json.dumps(v.to_jsonable()))
     assert rec["equal"] is True
     assert rec["method"] == "both"
     assert "normal_forms" in rec

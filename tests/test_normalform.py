@@ -219,13 +219,32 @@ def test_self_plug_errors():
 
 
 def test_generator_nf_values():
-    assert NF.generator_nf("identity").coeffs == (1, 0, 0, 1)
-    assert NF.generator_nf("h").coeffs == (1, 1, 1, -1)
-    assert NF.generator_nf("triangle").coeffs == (1, 0, 1, 1)
+    assert NF.generator_nf("identity").coeffs.tolist() == [1, 0, 0, 1]
+    assert NF.generator_nf("h").coeffs.tolist() == [1, 1, 1, -1]
+    assert NF.generator_nf("triangle").coeffs.tolist() == [1, 0, 1, 1]
     a = 0.6 - 0.8j
-    assert NF.generator_nf("z_state", a).coeffs == (1, a)
+    assert NF.generator_nf("z_state", a).coeffs.tolist() == [1, a]
     with pytest.raises(ValueError):
         NF.generator_nf("mystery")
+
+
+def test_normal_form_is_one_read_only_array():
+    src = np.array([1, 2 + 1j, 0, 3])
+    nf = NF.nf_from_vector(src)
+    src[0] = 9  # the normal form holds its own copy
+    assert nf.coeffs.tolist() == [1, 2 + 1j, 0, 3]
+    assert nf.vector() is nf.coeffs and nf.coeffs.dtype == complex
+    with pytest.raises(ValueError):
+        nf.vector()[0] = 5
+    assert nf == NF.NormalForm(2, [1, 2 + 1j, 0, 3])
+    assert nf != NF.NormalForm(2, [1, 2 + 1j, 0, 3 + 1e-15])
+    assert nf != NF.NormalForm(1, [1, 2]) and nf != nf.coeffs.tolist()
+    with pytest.raises(TypeError):
+        hash(nf)
+    with pytest.raises(ValueError):
+        NF.NormalForm(2, [1, 2, 3])
+    # a 0-wire permutation reshapes to a 0-d array and back
+    assert NF.nf_permute(NF.scalar_nf(2.5), []) == NF.scalar_nf(2.5)
 
 
 def test_generator_nf_matches_bend_contract_oracle():

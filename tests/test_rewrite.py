@@ -138,8 +138,8 @@ def test_simplify_deterministic():
     rng = np.random.default_rng(77)
     for _ in range(10):
         d = random_diagram(rng)
-        r1 = RW.simplify(d, trace=True)
-        r2 = RW.simplify(d, trace=True)
+        r1 = RW.simplify(d)
+        r2 = RW.simplify(d)
         assert r1.trace == r2.trace
         assert r1.diagram.structural_key() == r2.diagram.structural_key()
 
@@ -157,7 +157,7 @@ def test_simplify_never_grows_node_count():
     rng = np.random.default_rng(321)
     for _ in range(60):
         d = random_diagram(rng)
-        res = RW.simplify(d, trace=True)
+        res = RW.simplify(d)
         cur = d
         for step in res.trace:
             sites = [s for s in RW.find_matches(cur, step["rule"])
