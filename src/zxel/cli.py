@@ -215,8 +215,7 @@ def cmd_elementary(matrix_file, out):
                    "switching is not supported)", err=True)
         sys.exit(1)
     ops, d = result
-    check = interpret(d)
-    if not matrices_equal(check, mat, 1e-7):
+    if not matrices_equal(_compute(interpret, d), mat, 1e-7):
         _fail("internal: composed diagram does not reproduce the matrix")
     click.echo(json.dumps({"operations": ops}))
     if out:

@@ -18,12 +18,13 @@ Ports of Z spiders and H boxes are interchangeable; ports of triangles
 are not (port 0 is the input side, port 1 the tip), which is how flipped
 triangles are expressed by wiring alone.
 
-A ``Diagram`` is validated when built and read-only after.  The
-validation pass also builds its incidence index, stored as
-``port_edges``: for each node, the indices into ``edges`` of the edges
-at its ports, in port order; every reader of a diagram's incidence uses
-it.  ``compose_all`` and ``tensor_all`` build a whole chain as one
-diagram, and builders that take no phase are memoised and shared.
+A ``Diagram`` is its ``nodes`` and a read-only ``shape``, all the rest:
+node ids and kinds, edges, boundary sizes, loops and the incidence index
+``port_edges`` (per node, the indices into ``edges`` of the edges at its
+ports, in port order), which the validation pass builds.  Diagrams that
+differ only in Z phases share a shape, validated once when first built:
+``compose_all``, ``tensor_all``, ``flip`` and ``bend_to_state`` look up
+their result's shape by their pieces' shapes, in a memo held weakly.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import weakref
 from dataclasses import dataclass
-from functools import cache
-from itertools import accumulate
+from functools import cache, cached_property, wraps
+from itertools import accumulate, chain
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -82,18 +85,64 @@ def _norm_edge(a: Endpoint, b: Endpoint) -> Edge:
     return (a, b) if ra < rb or (ra == rb and a[1:] <= b[1:]) else (b, a)
 
 
+@dataclass(frozen=True, eq=False)
+class _Shape:
+    """The phase-free part of a diagram: node kinds, edges, boundary
+    sizes, loops and the incidence index ``port_edges``, whose keys are
+    the node ids in node order.  Shapes are equal by value, and the hash
+    is computed once.  Only ``Diagram.__init__`` makes shapes, and it
+    validates each before any diagram holds it."""
+
+    kinds: tuple[str, ...]
+    edges: tuple[Edge, ...]
+    n_in: int
+    n_out: int
+    loops: int
+    port_edges: Mapping[int, tuple[int, ...]] = None  # set by validation
+
+    def _fields(self) -> tuple:
+        return (tuple(self.port_edges), self.kinds, self.edges, self.n_in,
+                self.n_out, self.loops)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, _Shape)
+                                 and self._fields() == other._fields())
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._fields())
+
+    def __hash__(self):
+        return self._hash
+
+
 class Diagram:
     """An immutable open diagram of type n_in -> n_out."""
 
-    __slots__ = ("nodes", "edges", "n_in", "n_out", "loops", "port_edges")
+    __slots__ = ("nodes", "shape")
+
+    edges, n_in, n_out, loops, port_edges = (
+        property(attrgetter(f"shape.{name}"))
+        for name in ("edges", "n_in", "n_out", "loops", "port_edges"))
 
     def __init__(self, nodes: dict[int, Node], edges: Iterable[Edge],
                  n_in: int, n_out: int, loops: int = 0):
-        values = (MappingProxyType(dict(nodes)),
-                  tuple(_norm_edge(a, b) for a, b in edges), n_in, n_out, loops)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "port_edges", self.check_validity())
+        nodes = MappingProxyType(dict(nodes))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "shape", _Shape(
+            tuple(map(attrgetter("kind"), nodes.values())),
+            tuple(_norm_edge(a, b) for a, b in edges), n_in, n_out, loops))
+        object.__setattr__(self.shape, "port_edges", self.check_validity())
+
+    @classmethod
+    def _of(cls, shape: _Shape, nodes: Iterable[Node]) -> Diagram:
+        """The diagram of a shape that ``__init__`` has validated, its
+        nodes given in the order of the shape's node ids."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "nodes",
+                           MappingProxyType(dict(zip(shape.port_edges, nodes))))
+        object.__setattr__(d, "shape", shape)
+        return d
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Diagram is read-only; cannot set {name}")
@@ -326,14 +375,40 @@ def _placed(ds: Sequence[Diagram], boundary):
     return nodes, edges
 
 
+# each combinator result's shape by the combinator and its pieces' shapes,
+# held weakly: an entry dies with the last diagram of its shape
+_SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _memoised(combinator):
+    """``combinator`` of a piece or a list of pieces through ``_SHAPES``: a
+    hit gives the recorded shape the pieces' nodes, in the order whose ids
+    ``_placed`` shifts, with no splice and no validation.  A list of one
+    piece gives that piece."""
+
+    @wraps(combinator)
+    def memoised(ds):
+        pieces = (ds,) if isinstance(ds, Diagram) else ds
+        if pieces is ds and len(ds) == 1:
+            return ds[0]
+        key = (combinator, *[d.shape for d in pieces])
+        shape = _SHAPES.get(key)
+        if shape is None:
+            d = combinator(ds)
+            _SHAPES[key] = d.shape
+            return d
+        return Diagram._of(
+            shape, chain.from_iterable(d.nodes.values() for d in pieces))
+    return memoised
+
+
+@_memoised
 def compose_all(ds: Sequence[Diagram]) -> Diagram:
     """Sequential composition of a chain, piece k's outputs glued to piece
     k+1's inputs positionally.  One splice for the whole chain gives the
     node ids, edge order and loops of folding ``compose`` from the left."""
     if not ds:
         raise DiagramError("compose_all of nothing")
-    if len(ds) == 1:
-        return ds[0]
     for d1, d2 in zip(ds, ds[1:]):
         if d1.n_out != d2.n_in:
             raise DiagramError(f"compose arity mismatch: {d1.n_out} outputs "
@@ -353,6 +428,7 @@ def compose_all(ds: Sequence[Diagram]) -> Diagram:
                    loops=sum(d.loops for d in ds) + new_loops)
 
 
+@_memoised
 def tensor_all(ds: Sequence[Diagram]) -> Diagram:
     """Parallel composition, boundaries left to right in piece order."""
     offset = {"in": list(accumulate([d.n_in for d in ds], initial=0)),
@@ -373,6 +449,7 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
     return tensor_all([d1, d2])
 
 
+@_memoised
 def flip(d: Diagram) -> Diagram:
     """Upside-down flip: inputs become outputs and vice versa (the
     interpretation transposes)."""
@@ -388,6 +465,7 @@ def flip(d: Diagram) -> Diagram:
     return Diagram(d.nodes, edges, d.n_out, d.n_in, loops=d.loops)
 
 
+@_memoised
 def bend_to_state(d: Diagram) -> Diagram:
     """Map-state duality: bend every input up with a cap, producing a
     0 -> (n_in + n_out) state.
@@ -451,6 +529,11 @@ def cup() -> Diagram:
 
 def z_spider(n_in: int, n_out: int, phase: complex = 1.0) -> Diagram:
     """Z spider of type n_in -> n_out carrying a complex parameter."""
+    return Diagram._of(_z_shape(n_in, n_out), [Node(Z, complex(phase))])
+
+
+@cache
+def _z_shape(n_in: int, n_out: int) -> _Shape:
     if n_in < 0 or n_out < 0:
         raise DiagramError("negative spider arity")
     edges = []
@@ -458,7 +541,7 @@ def z_spider(n_in: int, n_out: int, phase: complex = 1.0) -> Diagram:
         edges.append((("in", i), ("n", 0, i)))
     for j in range(n_out):
         edges.append((("out", j), ("n", 0, n_in + j)))
-    return Diagram({0: Node(Z, complex(phase))}, edges, n_in, n_out)
+    return Diagram({0: Node(Z)}, edges, n_in, n_out).shape
 
 
 def scalar_z(phase: complex) -> Diagram:

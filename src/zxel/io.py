@@ -90,15 +90,13 @@ def diagram_from_jsonable(rec) -> Diagram:
     if rec.get("version") != FORMAT_VERSION:
         raise DiagramFileError(
             f"version: expected {FORMAT_VERSION!r}, got {rec.get('version')!r}")
-    try:
-        n_in = int(rec["inputs"])
-        n_out = int(rec["outputs"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DiagramFileError(f"inputs/outputs: {exc}") from None
-    loops = rec.get("loops", 0)
-    if not isinstance(loops, int) or isinstance(loops, bool) or loops < 0:
-        raise DiagramFileError(
-            f"loops: expected a non-negative integer, got {loops!r}")
+    counts = {}
+    for key, default in (("inputs", None), ("outputs", None), ("loops", 0)):
+        value = counts[key] = rec.get(key, default)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise DiagramFileError(
+                f"{key}: expected a non-negative integer, got {value!r}")
+    n_in, n_out, loops = counts.values()
     if loops >= sys.float_info.max_exp:  # the scalar 2.0 ** loops overflows
         raise DiagramFileError(
             f"loops: 2^{loops} is beyond the float range")
@@ -257,9 +255,12 @@ def parse_complex_token(tok: str, where: str = "") -> complex:
     # a bare trailing j needs a coefficient for Python's parser
     text = re.sub(r"(?<![0-9.])j", "1j", text)
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError:
         raise DiagramFileError(f"{where}: bad complex token {tok!r}") from None
+    if not cmath.isfinite(value):  # e.g. 1e400, beyond the float range
+        raise DiagramFileError(f"{where}: complex token {tok!r} is not finite")
+    return value
 
 
 def load_matrix(path: str) -> np.ndarray:

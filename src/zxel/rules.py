@@ -143,7 +143,7 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
         draws += [_random_params(rule, rng) for _ in range(samples)]
 
     # every draw's sides (and their flips) first, then one batched
-    # contraction: the draws of a rule mostly share one topology
+    # contraction: the draws of a rule mostly share one shape
     sides = []
     for params in draws:
         lhs, rhs = rule.build([complex(p) for p in params])

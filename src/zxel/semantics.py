@@ -10,15 +10,16 @@ This module is the ground-truth oracle for everything else.  It has its
 own contraction engine and never goes through the normal-form pipeline;
 it shares only the elimination order, ``diagram.contraction_order``.
 
-The engine plans once per topology and contracts in batches.  A plan,
-built from one diagram, holds the walk along ``contraction_order``,
-each node's degree after its self-loops, the einsum sublists of each
-pair step and the output permutation; every wire-cap check happens
-while planning.  Diagrams that differ only in Z phases and bare loops
-share a plan, and one run of it contracts them all at once, their Z
-tensors stacked along a leading batch axis.  ``interpret`` runs a plan
-on one diagram; ``interpret_all`` groups a list by topology, which is
-how the rule-soundness sweep evaluates all draws of a rule together.
+The engine plans once per shape (``Diagram.shape``: all of a diagram
+but its Z phases) and contracts in batches.  A plan, built from one
+diagram, holds the walk along ``contraction_order``, each node's degree
+after its self-loops, the einsum sublists of each pair step and the
+output permutation; every wire-cap check happens while planning.
+Diagrams of one shape share a plan, and one run of it contracts them all
+at once, their Z tensors stacked along a leading batch axis.
+``interpret`` runs a plan on one diagram; ``interpret_all`` groups a
+list by shape, which is how the rule-soundness sweep evaluates all draws
+of a rule together.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _pair_step(labels: list[list[int]], dst: int, src: int, cap: int):
 
 
 def _plan(d: Diagram, cap: int) -> tuple:
-    """How to contract every diagram of ``d``'s topology, as
+    """How to contract every diagram of ``d``'s shape, as
     ``(leaves, steps, root, perm)``.
 
     ``leaves`` holds one entry per operand: a Z node's (id, degree),
@@ -178,7 +179,7 @@ def _width(plan) -> int:
 
 
 def _run(plan: tuple, ds: Sequence[Diagram]) -> list[np.ndarray]:
-    """Contract every diagram of ``ds`` (all of the plan's topology) in
+    """Contract every diagram of ``ds`` (all of the plan's shape) in
     one pass over the plan; each consumed operand is freed as it goes.
     A single diagram runs without the batch axis."""
     leaves, steps, root, perm = plan
@@ -217,10 +218,8 @@ def interpret_all(ds: Sequence[Diagram],
                   cap: int | None = None) -> list[np.ndarray]:
     """Evaluate each diagram to its matrix, in input order.
 
-    Diagrams that share a topology (node ids and kinds, edges and
-    boundary, so they differ at most in Z phases and bare loops) share
-    one plan, built once from the first of them, and are contracted
-    together: Z tensors are stacked along a leading batch axis, and the
+    Diagrams of one shape share one plan, built once from the first of
+    them, and are contracted together: Z tensors are stacked along a leading batch axis, and the
     other generators' tensors are broadcast along it.  A plan that peaks
     at w open wires runs its group in chunks of at most 2^(cap - w)
     diagrams, so a batch never holds a larger array than one diagram at
@@ -229,11 +228,9 @@ def interpret_all(ds: Sequence[Diagram],
     their first diagram."""
     if cap is None:
         cap = wire_cap()
-    groups: dict[tuple, list[int]] = {}
+    groups: dict = {}
     for k, d in enumerate(ds):
-        key = (tuple((v, node.kind) for v, node in d.nodes.items()),
-               d.edges, d.n_in, d.n_out)
-        groups.setdefault(key, []).append(k)
+        groups.setdefault(d.shape, []).append(k)
     out: list = [None] * len(ds)
     for members in groups.values():
         plan = _plan(ds[members[0]], cap)

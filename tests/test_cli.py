@@ -241,6 +241,21 @@ def test_elementary_command(tmp_path, runner):
     assert runner.invoke(main, ["elementary", str(bad)]).exit_code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 1e400\n0 1\n", "not finite"),
+    ("1 1e308\n0 -1e308\n", "non-finite entries"),
+])
+def test_elementary_extreme_matrix_is_a_file_error(tmp_path, runner, text,
+                                                  message):
+    # an entry beyond the float range is a bad file, and a huge finite
+    # matrix whose check overflows is an ordinary error, not an internal one
+    mat = tmp_path / "m.txt"
+    mat.write_text(text)
+    res = runner.invoke(main, ["elementary", str(mat)])
+    _assert_one_line_error(res)
+    assert message in res.stderr and "internal" not in res.stderr
+
+
 def test_elementary_composed_diagram(tmp_path, runner):
     mat = tmp_path / "m.txt"
     mat.write_text("1 0 0 1.5\n0 1 0 0\n0 0 1 0\n0 0 0 -2\n")
@@ -382,6 +397,8 @@ def test_bad_phase_or_loops_rejected(tmp_path, runner, loops, phase, message):
 @pytest.mark.parametrize("key, value", [
     ("nodes", "true"), ("nodes", "null"), ("edges", "5"),
     ("inputs", "Infinity"), ("outputs", "-Infinity"),
+    ("inputs", "1.9"), ("outputs", "true"), ("inputs", '" 1 "'),
+    ("inputs", "-1"),
 ])
 def test_wrongly_typed_field_is_a_file_error(tmp_path, runner, key, value):
     # a malformed file is the user's error, never an internal one

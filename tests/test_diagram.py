@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from zxel import diagram as D
+from zxel import rules as R
 from zxel.diagram import DiagramError
 from zxel.semantics import contract_state, interpret, matrices_equal
 
@@ -423,3 +427,82 @@ def test_parameter_free_gadgets_are_shared():
     assert NF.pi_layer(3, [0, 2]) is NF.pi_layer(3, (2, 0))
     # a phase-carrying builder is not memoised
     assert D.z_spider(1, 1, 2.0) is not D.z_spider(1, 1, 2.0)
+
+
+# -- shapes and the shape memo ---------------------------------------------
+
+def _builds_on_miss_and_hit(build):
+    """``build()`` with the shape memo cleared, then again with the first
+    result alive, so that every combinator in it can hit."""
+    D._SHAPES.clear()
+    miss = build()
+    return miss, build()
+
+
+def test_memo_hit_builds_what_a_miss_builds():
+    rng = np.random.default_rng(11)
+    hits = 0
+    for rule in R.full_catalog():
+        for _ in range(3):
+            params = R._random_params(rule, rng) if rule.arity else []
+            miss, hit = _builds_on_miss_and_hit(
+                lambda: R.instantiate(rule, params))
+            for a, b in zip(miss, hit):
+                assert dumps_diagram(a) == dumps_diagram(b), rule.name
+                assert a.structural_key() == b.structural_key(), rule.name
+                assert tuple(a.nodes) == tuple(b.nodes), rule.name
+                hits += a.shape is b.shape
+    assert hits > len(R.full_catalog())
+    rng = np.random.default_rng(1)
+    for m in range(2, 7):
+        nf = nf_from_vector(rng.uniform(1, 9, 2 ** m))
+        miss, hit = _builds_on_miss_and_hit(lambda: nf_to_diagram(nf))
+        assert hit.shape is miss.shape
+        assert dumps_diagram(miss) == dumps_diagram(hit)
+        assert miss.structural_key() == hit.structural_key()
+
+
+def test_draws_of_a_rule_share_a_shape():
+    rule = R.catalog_by_name()["S1"]
+    (l1, r1), (l2, r2) = (R.instantiate(rule, ps)
+                          for ps in ([0.5, 2j], [-1.5, 3.0]))
+    assert l1.shape is l2.shape and r1.shape is r2.shape
+    assert l1.port_edges is l2.port_edges
+    assert D.flip(l1).shape is D.flip(l2).shape
+    assert l1.nodes != l2.nodes
+
+
+def test_shapes_differing_in_loops_or_kinds_stay_apart():
+    bare = D.identity(1)
+    looped = D.Diagram({}, [(("in", 0), ("out", 0))], 1, 1, loops=1)
+    assert bare.shape != looped.shape
+    assert [D.compose(d, D.h_box()).loops for d in (bare, looped)] == [0, 1]
+    assert [D.tensor(d, D.wire()).loops for d in (bare, looped)] == [0, 1]
+    h, t = (D.tensor(g, D.wire()) for g in (D.h_box(), D.triangle()))
+    assert h.shape != t.shape
+    assert [d.nodes[0].kind for d in (h, t)] == [D.H, D.T]
+    assert [D.flip(d).nodes[0].kind for d in (h, t)] == [D.H, D.T]
+
+
+def test_memo_entries_die_with_their_diagrams(monkeypatch):
+    # the memo holds the shapes of S1's sides while check_soundness runs,
+    # and none of them once its diagrams are gone
+    def record(ds):
+        memo = {id(s) for s in D._SHAPES.values()}
+        held.extend(weakref.ref(d.shape) for d in ds if id(d.shape) in memo)
+        return batch(ds)
+
+    held = []
+    batch = R.interpret_all
+    monkeypatch.setattr(R, "interpret_all", record)
+    R.check_soundness(R.catalog_by_name()["S1"], samples=3)
+    gc.collect()
+    assert held and not any(ref() for ref in held)
+
+
+def test_shapes_are_read_only():
+    d = D.z_spider(1, 1, 2.0)
+    with pytest.raises(AttributeError):
+        d.shape.loops = 1
+    with pytest.raises(AttributeError):
+        d.shape.edges = ()

@@ -1,12 +1,14 @@
-"""Fuzz the CLI's exit-code contract on mutated diagram files.
+"""Fuzz the CLI's exit-code contract on mutated input files.
 
-Each example takes a valid diagram file, applies a few random edits to
-its JSON (replace a value, delete it, duplicate a list item, or cut the
-text short) and runs ``interpret --json``, ``normalize`` and ``check-eq``
-on it in process.  Whatever the file holds, the CLI exits 0, 1 or 2,
-prints no traceback, reports a bad file as the user's error (never as
-``zxel: internal``), and anything it writes to stdout is JSON with no
-NaN or Infinity.  Examples are derandomized, so a run is repeatable.
+Each diagram example takes a valid diagram file, applies a few random
+edits to its JSON (replace a value, delete it, duplicate a list item, or
+cut the text short) and runs ``interpret --json``, ``normalize``,
+``check-eq``, ``simplify`` and ``export`` on it in process; each matrix
+example edits the tokens and rows of a valid matrix file and runs
+``elementary`` on it.  Whatever the file holds, the CLI exits 0, 1 or 2,
+prints at most one line on stderr and no traceback, reports a bad file
+as the user's error (never as ``zxel: internal``), and any JSON it writes to stdout has no NaN or
+Infinity.  Examples are derandomized, so a run is repeatable.
 """
 
 import json
@@ -100,12 +102,56 @@ def test_cli_survives_mutated_diagram_files(data):
         with open(ref, "w", encoding="utf-8") as fh:
             json.dump(seed, fh)
         for args in (["interpret", path, "--json"], ["normalize", path],
-                     ["check-eq", path, ref]):
-            res = runner.invoke(main, args)
-            assert res.exit_code in (0, 1, 2), (args, text, res.output)
-            assert res.exception is None or isinstance(
-                res.exception, SystemExit), (args, text, res.exception)
-            assert "Traceback" not in res.output, (args, text)
-            assert "zxel: internal" not in res.stderr, (args, text, res.stderr)
-            if res.stdout.strip():
-                json.loads(res.stdout, parse_constant=_reject_constant)
+                     ["check-eq", path, ref], ["simplify", path]):
+            _check_contract(runner.invoke(main, args), args, text)
+        _check_contract(runner.invoke(main, ["export", path]), ["export"],
+                        text, stdout_is_json=False)
+
+
+def _check_contract(res, args, text, stdout_is_json=True):
+    assert res.exit_code in (0, 1, 2), (args, text, res.output)
+    assert res.exception is None or isinstance(
+        res.exception, SystemExit), (args, text, res.exception)
+    assert "Traceback" not in res.output, (args, text)
+    assert "zxel: internal" not in res.stderr, (args, text, res.stderr)
+    assert len(res.stderr.splitlines()) <= 1, (args, text, res.stderr)
+    if stdout_is_json and res.stdout.strip():
+        json.loads(res.stdout, parse_constant=_reject_constant)
+
+
+MATRICES = ["1 0\n0 2+3i\n", "1 -0.5i\n0 1\n", "0 1\n1 0\n",
+            "1 0 0 1.5\n0 1 0 0\n0 0 1 0\n0 0 0 -2\n"]
+_TOKENS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2+3i", "-0.5i", "i", "+", "e", ".",
+                     "1e308", "-1e308", "1e400", "-1e400", "1e-320",
+                     "1e308+1e308i", "1.7976931348623157e308", "nan", "#"]),
+    st.text(alphabet="+-0123456789.eEij ", max_size=6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_survives_mutated_matrix_files(data):
+    rows = [line.split() for line in
+            MATRICES[data.draw(st.integers(0, len(MATRICES) - 1))].splitlines()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["token", "drop", "row", "blank"]))
+        r = data.draw(st.integers(0, len(rows) - 1)) if rows else None
+        if op == "token" and rows and rows[r]:
+            rows[r][data.draw(st.integers(0, len(rows[r]) - 1))] = \
+                data.draw(_TOKENS)
+        elif op == "drop" and rows and rows[r]:
+            del rows[r][data.draw(st.integers(0, len(rows[r]) - 1))]
+        elif op == "row" and rows:
+            rows.insert(r, list(rows[r]))
+        elif op == "blank":
+            rows.insert(r or 0, [])
+    text = "\n".join(" ".join(row) for row in rows)
+    if data.draw(st.integers(0, 7)) == 0:
+        text = text[:data.draw(st.integers(0, len(text)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        args = ["elementary", path]
+        _check_contract(CliRunner().invoke(main, args), args, text)
