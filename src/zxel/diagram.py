@@ -23,8 +23,8 @@ node ids and kinds, edges, boundary sizes, loops and the incidence index
 ``port_edges`` (per node, the indices into ``edges`` of the edges at its
 ports, in port order), which the validation pass builds.  Diagrams that
 differ only in Z phases share a shape, validated once when first built:
-``compose_all``, ``tensor_all``, ``flip`` and ``bend_to_state`` look up
-their result's shape by their pieces' shapes, in a memo held weakly.
+``compose_all``, ``tensor_all`` and ``flip`` look up their result's
+shape by their pieces' shapes, in a memo that holds it weakly.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import heapq
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cache, cached_property, wraps
+from functools import cache, wraps
 from itertools import accumulate, chain
 from operator import attrgetter
 from types import MappingProxyType
@@ -85,7 +85,6 @@ def _norm_edge(a: Endpoint, b: Endpoint) -> Edge:
     return (a, b) if ra < rb or (ra == rb and a[1:] <= b[1:]) else (b, a)
 
 
-@dataclass(frozen=True, eq=False)
 class _Shape:
     """The phase-free part of a diagram: node kinds, edges, boundary
     sizes, loops and the incidence index ``port_edges``, whose keys are
@@ -93,12 +92,17 @@ class _Shape:
     is computed once.  Only ``Diagram.__init__`` makes shapes, and it
     validates each before any diagram holds it."""
 
-    kinds: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    n_in: int
-    n_out: int
-    loops: int
-    port_edges: Mapping[int, tuple[int, ...]] = None  # set by validation
+    __slots__ = ("kinds", "edges", "n_in", "n_out", "loops", "port_edges",
+                 "_hash", "__weakref__")
+
+    def __init__(self, kinds: tuple[str, ...], edges: tuple[Edge, ...],
+                 n_in: int, n_out: int, loops: int):
+        values = (kinds, edges, n_in, n_out, loops, None, None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a shape is read-only; cannot set {name}")
 
     def _fields(self) -> tuple:
         return (tuple(self.port_edges), self.kinds, self.edges, self.n_in,
@@ -108,11 +112,9 @@ class _Shape:
         return self is other or (isinstance(other, _Shape)
                                  and self._fields() == other._fields())
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._fields())
-
     def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._fields()))
         return self._hash
 
 
@@ -127,10 +129,9 @@ class Diagram:
 
     def __init__(self, nodes: dict[int, Node], edges: Iterable[Edge],
                  n_in: int, n_out: int, loops: int = 0):
-        nodes = MappingProxyType(dict(nodes))
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", MappingProxyType(dict(nodes)))
         object.__setattr__(self, "shape", _Shape(
-            tuple(map(attrgetter("kind"), nodes.values())),
+            tuple(map(attrgetter("kind"), self.nodes.values())),
             tuple(_norm_edge(a, b) for a, b in edges), n_in, n_out, loops))
         object.__setattr__(self.shape, "port_edges", self.check_validity())
 
@@ -465,7 +466,6 @@ def flip(d: Diagram) -> Diagram:
     return Diagram(d.nodes, edges, d.n_out, d.n_in, loops=d.loops)
 
 
-@_memoised
 def bend_to_state(d: Diagram) -> Diagram:
     """Map-state duality: bend every input up with a cap, producing a
     0 -> (n_in + n_out) state.
