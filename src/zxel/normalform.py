@@ -21,7 +21,6 @@ contracts tensors, so both hold the same open wires at every step.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
 
@@ -96,13 +95,6 @@ class ElementarySpec:
         else:
             mat[n - 1, n - 1] = self.coeff
         return mat
-
-    def to_jsonable(self) -> dict:
-        rec = {"kind": self.kind, "m": self.m,
-               "coeff": [self.coeff.real, self.coeff.imag]}
-        if self.kind == "add":
-            rec["subset"] = sorted(self.subset)
-        return rec
 
 
 # -- diagrammatic gadgets -------------------------------------------------
@@ -450,79 +442,87 @@ def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
 
 # -- elementary decomposition of matrices ---------------------------------
 
-def _perm_matrix(perm) -> np.ndarray:
-    """Matrix of ``permutation(perm)`` by index arithmetic: output slot j
-    carries input slot perm[j], and slot s of m weighs 2^(m-1-s)."""
-    m = len(perm)
-    mat = np.zeros((2 ** m, 2 ** m), dtype=complex)
-    for col in range(2 ** m):
-        row = sum((col >> (m - 1 - perm[j]) & 1) << (m - 1 - j)
-                  for j in range(m))
-        mat[row, col] = 1.0
-    return mat
+# a pivot column must hold this share of the largest entry left: the float
+# interpretation's rounding grows with the square of a smaller pivot's ratios
+_PIVOT_RATIO = 1e-3
 
 
-def _last_column_specs(mat: np.ndarray, m: int):
-    """If mat is identity except its last column, return the elementary
-    specs realising it (additions by increasing target row, then the
-    multiplication); otherwise None."""
-    n = 2 ** m
-    probe = mat.copy()
-    probe[:, n - 1] = 0.0
-    expect = np.eye(n, dtype=complex)
-    expect[:, n - 1] = 0.0
-    if not matrices_equal(probe, expect):
-        return None
-    specs = []
-    for j in range(n - 1):
-        coeff = complex(mat[j, n - 1])
-        if abs(coeff) > 1e-12:
-            subset = frozenset(i for i in range(m) if not j >> i & 1)
-            specs.append(ElementarySpec("add", m, coeff, subset))
-    specs.append(ElementarySpec("mult", m, complex(mat[n - 1, n - 1])))
-    return specs
+def _bits(x: int, m: int) -> list[int]:
+    return [w for w in range(m) if x >> w & 1]
 
 
 def decompose_elementary(mat: np.ndarray):
-    """Factor a 2^m x 2^m matrix (m <= 3) into wire permutations, row
-    additions on the last column and a final row multiplication.
+    """Factor a 2^m x 2^m matrix into the paper's elementary gadgets.
 
-    Returns (operations, diagram) or None when the matrix is outside the
-    representable set (row switching beyond wire permutations is not
-    diagrammatically representable here).  Raises ValueError for a matrix
-    that is not square with 2^m rows, m <= 3.
+    I + c E_ij is ``decorated_row_addition`` with S the bits of i ^ j and
+    P those of j ^ (2^m - 1); scaling row i by c is
+    ``decorated_row_multiplication`` with P the bits of i ^ (2^m - 1), or
+    ``scalar_nf_diagram`` at m = 0.  Gauss-Jordan elimination takes as many
+    pivots as ``np.linalg.matrix_rank`` counts, so that no elimination
+    residue becomes one.  A pivot is the largest entry of its column,
+    brought up by a row switch (three additions and a scaling by -1); a
+    column below ``_PIVOT_RATIO`` of the largest entry left first gets
+    that entry's column added, the same gadget on the right.  The pivot
+    rows are scaled last, by the pivots themselves.  So M = L^-1 D R^-1,
+    with L and R the row and column operations and D the zero-scalings of
+    the rows past the rank.
+
+    Returns (operations, diagram), the operations in the order the diagram
+    applies them: ``{"kind": "add" | "mult", "m", "coeff", "subset", "pi"}``
+    without an empty subset or pi.  Raises ValueError unless the matrix is
+    square with 2^m rows, and ArithmeticError when an entry's magnitude or
+    a coefficient is not finite.
     """
     n = mat.shape[0]
     if mat.shape != (n, n) or n & (n - 1) or n == 0:
         raise ValueError("matrix must be square with 2^m rows")
+    a = np.array(mat, dtype=complex)
+    top = np.abs(a).max()
+    if not np.isfinite(top):
+        raise ArithmeticError("matrix entries beyond the float range")
+    left, right = [], []  # inverses of the row and column operations
+    # scaled, so that the singular values stay within the float range
+    rank = int(np.linalg.matrix_rank(a / top)) if top else 0
+    for r in range(rank):
+        block = np.abs(a[r:, r:])
+        if block[:, 0].max() >= _PIVOT_RATIO * block.max():
+            block = block[:, :1]
+        p, q = (r + k for k in divmod(int(block.argmax()), block.shape[1]))
+        if q != r:  # signed, so that the two columns do not cancel
+            c = 1.0 if (a[p, r].conjugate() * a[p, q]).real >= 0 else -1.0
+            a[:, r] += c * a[:, q]
+            right.append(("add", -c, q, r))
+            p = r + int(np.abs(a[r:, r]).argmax())
+        if p != r:  # swapped in a exactly, not by the additions
+            left += [("add", -1.0, r, p), ("add", 1.0, p, r),
+                     ("add", -1.0, r, p), ("mult", -1.0, p, p)]
+            a[[r, p]] = a[[p, r]]
+        for i in range(n):
+            if i != r and a[i, r] != 0:
+                ratio = a[i, r] / a[r, r]
+                a[i] -= ratio * a[r]
+                a[i, r] = 0
+                left.append(("add", ratio, i, r))
+    # a = [[P, X], [0, ~0]] = diag(P, 1) D (I + P^-1 X), P the pivots
+    steps = (right + [("add", a[i, k] / a[i, i], i, k) for i in range(rank)
+                      for k in range(rank, n) if a[i, k] != 0]
+             + [("mult", 0, i, i) for i in range(rank, n)]
+             + [("mult", a[i, i], i, i) for i in range(rank) if a[i, i] != 1]
+             + left[::-1])
     m = n.bit_length() - 1
-    if m > 3:
-        raise ValueError("elementary decomposition supports m <= 3")
-    if m == 0:
-        return None
-
-    ident = list(range(m))
-    perms = [list(p) for p in itertools.permutations(ident)]
-    for p_out in perms:
-        mat_out = _perm_matrix(p_out)
-        for p_in in perms:
-            mat_in = _perm_matrix(p_in)
-            core = np.conj(mat_out.T) @ mat @ np.conj(mat_in.T)
-            specs = _last_column_specs(core, m)
-            if specs is None:
-                continue
-            ops: list = []
-            pieces = []
-            if p_in != ident:
-                ops.append({"kind": "permute", "perm": p_in})
-                pieces.append(permutation(p_in))
-            ops.extend(spec.to_jsonable() for spec in specs)
-            pieces.extend(elementary_diagram(s) for s in specs)
-            if p_out != ident:
-                ops.append({"kind": "permute", "perm": p_out})
-                pieces.append(permutation(p_out))
-            return ops, compose_all(pieces)
-    return None
+    ops, pieces = [], [identity(m)]
+    for kind, c, i, j in steps:
+        c, subset, pi = complex(c), _bits(i ^ j, m), _bits(j ^ (n - 1), m)
+        if not np.isfinite(c):
+            raise ArithmeticError(
+                "non-finite coefficient in elementary decomposition")
+        rec = {"kind": kind, "m": m, "coeff": [c.real, c.imag],
+               "subset": subset, "pi": pi}
+        ops.append({key: v for key, v in rec.items() if v != []})
+        pieces.append(decorated_row_addition(m, c, subset, pi) if subset
+                      else decorated_row_multiplication(m, c, pi) if m
+                      else scalar_nf_diagram(c))
+    return ops, compose_all(pieces)
 
 
 # -- serialization --------------------------------------------------------

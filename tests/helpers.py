@@ -54,6 +54,34 @@ def row_multiplication_matrix(m: int, a: complex) -> np.ndarray:
     return out
 
 
+def perm_matrix(perm) -> np.ndarray:
+    """Matrix of ``permutation(perm)`` by index arithmetic: output slot j
+    carries input slot perm[j], and slot s of m weighs 2^(m-1-s)."""
+    m = len(perm)
+    mat = np.zeros((2 ** m, 2 ** m), dtype=complex)
+    for col in range(2 ** m):
+        row = sum((col >> (m - 1 - perm[j]) & 1) << (m - 1 - j)
+                  for j in range(m))
+        mat[row, col] = 1.0
+    return mat
+
+
+def elementary_op_matrix(op: dict) -> np.ndarray:
+    """The matrix an ``elementary`` op record names, read from the record
+    alone: wires P (``pi``) conjugate the undecorated gadget, whose
+    column is 2^m - 1; an addition's row differs from it in the wires S
+    (``subset``), and a scaling acts on its column's diagonal entry."""
+    n = 2 ** op["m"]
+    col = n - 1 - sum(2 ** w for w in op.get("pi", []))
+    coeff = complex(*op["coeff"])
+    out = np.eye(n, dtype=complex)
+    if op["kind"] == "add":
+        out[col ^ sum(2 ** w for w in op["subset"]), col] += coeff
+    else:
+        out[col, col] = coeff
+    return out
+
+
 def random_complex(rng, radius: float = 2.0) -> complex:
     r = radius * np.sqrt(rng.uniform())
     th = rng.uniform(0, 2 * np.pi)

@@ -230,25 +230,30 @@ def test_elementary_command(tmp_path, runner):
     assert ops["operations"][0] == {"kind": "add", "m": 1,
                                     "coeff": [0.0, -0.5], "subset": [0]}
 
-    # a permutation needing a genuine row switch is rejected
+    # a genuine row switch decomposes too
     xmat = tmp_path / "x.txt"
     xmat.write_text("0 1\n1 0\n")
     res = runner.invoke(main, ["elementary", str(xmat)])
-    assert res.exit_code == 1
+    assert res.exit_code == 0
 
     bad = tmp_path / "bad.txt"
     bad.write_text("1 0 0\n0 1 0\n0 0 1\n")
     assert runner.invoke(main, ["elementary", str(bad)]).exit_code == 2
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text, message", [
     ("1 1e400\n0 1\n", "not finite"),
     ("1 1e308\n0 -1e308\n", "non-finite entries"),
+    ("1e308 1e308\n1e308 -1e308\n", "non-finite coefficient"),
+    ("1.7976931348623157e308+1.7976931348623157e308i 0\n0 1\n",
+     "beyond the float range"),
 ])
 def test_elementary_extreme_matrix_is_a_file_error(tmp_path, runner, text,
                                                   message):
     # an entry beyond the float range is a bad file, and a huge finite
-    # matrix whose check overflows is an ordinary error, not an internal one
+    # matrix whose decomposition or check overflows is an ordinary error,
+    # not an internal one; numpy's overflow warnings stay silent
     mat = tmp_path / "m.txt"
     mat.write_text(text)
     res = runner.invoke(main, ["elementary", str(mat)])
@@ -269,10 +274,41 @@ def test_elementary_composed_diagram(tmp_path, runner):
     assert matrices_equal(interpret(d), expect, 1e-7)
 
 
+def _write_matrix(path, mat):
+    path.write_text("\n".join(" ".join(f"{z.real!r}{z.imag:+.17g}i"
+                                      for z in map(complex, row))
+                               for row in mat))
+    return str(path)
+
+
+def test_elementary_check_is_relative(tmp_path, runner):
+    # the third matrix reproduces to about 1e-15 relative, which is
+    # beyond 1e-7 absolute
+    rng = np.random.default_rng(8)
+    dense = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    for k, mat in enumerate([np.array([[32000, 1], [1, 0]]),
+                             dense * 1e6, dense * 1e12]):
+        res = runner.invoke(main, ["elementary",
+                                   _write_matrix(tmp_path / f"{k}.txt", mat)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["operations"]
+
+
+def test_elementary_dense_16x16_keeps_the_contract(tmp_path, runner):
+    # its gadget chain is too long for the float interpretation
+    rng = np.random.default_rng(16)
+    mat = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    res = runner.invoke(main, ["elementary",
+                               _write_matrix(tmp_path / "m.txt", mat)])
+    assert res.exit_code in (0, 2), res.output
+    assert len(res.stderr.splitlines()) <= 1, res.stderr
+    assert "internal" not in res.stderr and "Traceback" not in res.output
+
+
 def test_decompose_wire_permutation():
     swap_mat = interpret(D.swap())
     ops, d = decompose_elementary(swap_mat)
-    assert any(op.get("kind") == "permute" for op in ops)
+    assert {op["kind"] for op in ops} <= {"add", "mult"}
     assert matrices_equal(interpret(d), swap_mat, 1e-9)
 
 

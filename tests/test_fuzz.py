@@ -8,12 +8,17 @@ example edits the tokens and rows of a valid matrix file and runs
 ``elementary`` on it.  Whatever the file holds, the CLI exits 0, 1 or 2,
 prints at most one line on stderr and no traceback, reports a bad file
 as the user's error (never as ``zxel: internal``), and any JSON it writes to stdout has no NaN or
-Infinity.  Examples are derandomized, so a run is repeatable.
+Infinity.  No command may emit a Python warning either: each run records
+its warnings itself, because pytest's warning capture would otherwise take
+a warning such as numpy's overflow ``RuntimeWarning`` before
+``CliRunner``'s stderr shows it.  Examples are derandomized, so a run is
+repeatable.
 """
 
 import json
 import os
 import tempfile
+import warnings
 
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -94,7 +99,6 @@ def test_cli_survives_mutated_diagram_files(data):
     text = json.dumps(_mutate(json.loads(json.dumps(seed)), data))
     if data.draw(st.integers(0, 7)) == 0:
         text = text[:data.draw(st.integers(0, len(text)))]
-    runner = CliRunner()
     with tempfile.TemporaryDirectory() as tmp:
         path, ref = os.path.join(tmp, "fuzz.zx"), os.path.join(tmp, "ref.zx")
         with open(path, "w", encoding="utf-8") as fh:
@@ -103,12 +107,15 @@ def test_cli_survives_mutated_diagram_files(data):
             json.dump(seed, fh)
         for args in (["interpret", path, "--json"], ["normalize", path],
                      ["check-eq", path, ref], ["simplify", path]):
-            _check_contract(runner.invoke(main, args), args, text)
-        _check_contract(runner.invoke(main, ["export", path]), ["export"],
-                        text, stdout_is_json=False)
+            _check_contract(args, text)
+        _check_contract(["export", path], text, stdout_is_json=False)
 
 
-def _check_contract(res, args, text, stdout_is_json=True):
+def _check_contract(args, text, stdout_is_json=True):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = CliRunner().invoke(main, args)
+    assert not caught, (args, text, [str(w.message) for w in caught])
     assert res.exit_code in (0, 1, 2), (args, text, res.output)
     assert res.exception is None or isinstance(
         res.exception, SystemExit), (args, text, res.exception)
@@ -120,7 +127,8 @@ def _check_contract(res, args, text, stdout_is_json=True):
 
 
 MATRICES = ["1 0\n0 2+3i\n", "1 -0.5i\n0 1\n", "0 1\n1 0\n",
-            "1 0 0 1.5\n0 1 0 0\n0 0 1 0\n0 0 0 -2\n"]
+            "1 0 0 1.5\n0 1 0 0\n0 0 1 0\n0 0 0 -2\n",
+            "1 1e400\n0 1\n", "1e308 1e308\n1e308 -1e308\n"]
 _TOKENS = st.one_of(
     st.sampled_from(["0", "1", "-1", "2+3i", "-0.5i", "i", "+", "e", ".",
                      "1e308", "-1e308", "1e400", "-1e400", "1e-320",
@@ -154,4 +162,4 @@ def test_cli_survives_mutated_matrix_files(data):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         args = ["elementary", path]
-        _check_contract(CliRunner().invoke(main, args), args, text)
+        _check_contract(args, text)

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from zxel import diagram as D
 from zxel import normalform as NF
 from zxel.semantics import (ResourceError, contract_state, interpret,
-                            matrices_equal)
+                            matrices_equal, max_deviation)
 
-from helpers import (random_complex, random_diagram, row_addition_matrix,
+from helpers import (elementary_op_matrix, perm_matrix, random_complex,
+                     random_diagram, row_addition_matrix,
                      row_multiplication_matrix, z_mat)
 
 complexes = st.builds(complex,
@@ -103,8 +104,106 @@ def test_perm_matrix_matches_contraction():
     # index arithmetic against the contraction of the wiring diagram
     for m in range(4):
         for p in itertools.permutations(range(m)):
-            assert np.array_equal(NF._perm_matrix(list(p)),
+            assert np.array_equal(perm_matrix(list(p)),
                                   interpret(D.permutation(list(p))))
+
+
+def _elementary_corpus(rng):
+    """Matrices of every kind for m = 0..3, at magnitudes 1e-3 to 1e6,
+    and the m = 4 kinds whose gadget chains stay within the float range
+    of the interpretation: permutations and unit triangular matrices."""
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for m in range(4):
+        n = 2 ** m
+        for _ in range(2):
+            scale = 10 ** rng.uniform(-3, 6)
+            yield cplx(n, n) * scale  # invertible
+            for rank in range(n + 1):
+                yield cplx(n, rank) @ cplx(rank, n) * scale
+            if n > 2:  # dependent columns in the middle
+                mat = cplx(n, n)
+                mat[:, 1] = mat[:, 0] * cplx(1)[0]
+                mat[:, 2] = mat[:, 0] - 2 * mat[:, 1]
+                yield mat * scale
+            yield perm_matrix(list(rng.permutation(m))) if m else \
+                np.ones((1, 1), dtype=complex)
+            yield np.eye(n)[rng.permutation(n)] + 0j
+            yield np.diag(cplx(n) * rng.integers(0, 2, size=n)) * scale
+            yield np.triu(cplx(n, n)) * scale
+            yield np.tril(cplx(n, n)) * scale
+    for _ in range(2):
+        yield np.eye(16)[rng.permutation(16)] + 0j
+        off = rng.uniform(-0.5, 0.5, (16, 16, 2)) @ [1, 1j]  # |off| < 1
+        yield np.eye(16) + np.triu(off, 1)
+        yield np.eye(16) + np.tril(off, -1)
+
+
+def test_decompose_elementary_reproduces_every_matrix():
+    rng = np.random.default_rng(17)
+    kinds, count = set(), 0
+    for mat in _elementary_corpus(rng):
+        n = mat.shape[0]
+        m = n.bit_length() - 1
+        ops, d = NF.decompose_elementary(mat)
+        assert len(ops) <= 3 * 4 ** m, (m, len(ops))
+        assert d.type == (m, m)
+        scale = max(1.0, np.abs(mat).max())
+        assert max_deviation(interpret(d), mat) <= 1e-7 * scale, mat
+        # the records alone name the same factorization
+        product = np.eye(n, dtype=complex)
+        for op in ops:
+            assert set(op) <= {"kind", "m", "coeff", "subset", "pi"}
+            assert op["m"] == m and op.get("pi") != []
+            product = elementary_op_matrix(op) @ product
+        assert max_deviation(product, mat) <= 1e-12 * scale
+        kinds.update(op["kind"] for op in ops)
+        count += 1
+    assert kinds == {"add", "mult"} and count > 70
+
+
+@pytest.mark.parametrize("seed", [15, 83, 168, 249])
+def test_decompose_elementary_drops_elimination_residues(seed):
+    # rank-deficient 8x8 matrices whose elimination residues exceed
+    # n * eps * max|M|: a residue taken as a pivot would give coefficients
+    # near 1e15 and an interpretation off by several percent
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, 8))
+    mat = ((rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank)))
+           @ (rng.normal(size=(rank, 8)) + 1j * rng.normal(size=(rank, 8))))
+    ops, d = NF.decompose_elementary(mat)
+    zeros = [op for op in ops if op["kind"] == "mult" and op["coeff"] == [0, 0]]
+    assert len(zeros) == 8 - rank
+    assert max_deviation(interpret(d), mat) <= 1e-7 * np.abs(mat).max()
+
+
+def test_decompose_elementary_keeps_small_pivots():
+    # the pivot -1/32000 is far above n * eps * max|M|: no zero-scaling,
+    # and every scaling records a pivot itself
+    mat = np.array([[32000, 1], [1, 0]], dtype=complex)
+    ops, d = NF.decompose_elementary(mat)
+    mults = [complex(*op["coeff"]) for op in ops if op["kind"] == "mult"]
+    assert 0 not in mults and 32000 in mults and -1 / 32000 in mults
+    assert max_deviation(interpret(d), mat) <= 1e-7 * 32000
+
+
+def test_decompose_elementary_edge_cases():
+    ops, d = NF.decompose_elementary(np.array([[2 - 1j]]))
+    assert ops == [{"kind": "mult", "m": 0, "coeff": [2.0, -1.0]}]
+    assert d.type == (0, 0) and interpret(d)[0, 0] == 2 - 1j
+    ops, d = NF.decompose_elementary(np.eye(4, dtype=complex))
+    assert ops == [] and d.type == (2, 2)
+    ops, _ = NF.decompose_elementary(np.zeros((2, 2), dtype=complex))
+    assert [op["kind"] for op in ops] == ["mult", "mult"]
+    for bad in (np.zeros((2, 4)), np.eye(3), np.zeros((0, 0))):
+        with pytest.raises(ValueError):
+            NF.decompose_elementary(bad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in ([[1e308, 1e308], [1e308, -1e308]],
+                    [[1.7e308 + 1.7e308j, 0], [0, 1]], [[np.nan, 0], [0, 1]]):
+            with pytest.raises(ArithmeticError):
+                NF.decompose_elementary(np.array(bad, dtype=complex))
 
 
 # -- normal forms ----------------------------------------------------------
