@@ -17,12 +17,16 @@ patterns are constant-size:
 The full catalog is certified semantically by the rules module; rules
 outside this subset have no graph matcher (``UnsupportedRuleError``).
 Every applier preserves the standard interpretation exactly; scalar
-bookkeeping uses floating degree-0 Z dots, never dropped.
+bookkeeping uses floating degree-0 Z dots, never dropped.  ``apply`` and
+``simplify`` share the appliers, which edit a private working graph in
+place; each builds and validates one Diagram, from the final graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+
 from .diagram import Diagram, H, Node, Z
 
 MATCHABLE_RULES = ("S1", "S2", "H2", "Hopf", "B3", "B1")
@@ -67,73 +71,55 @@ def _is_phase(x: complex, value: complex, tol: float = 1e-12) -> bool:
     return abs(complex(x) - value) <= tol
 
 
-def _x_macro_groups(d: Diagram, inc):
-    """Pi macros: chains H - Z(-1) deg 2 - H.  Returns a list of
-    (h1, core, h2, outer1, outer2) with outer endpoints beyond the Hs."""
+def _x_macro_groups(d, inc):
+    """Pi macros: chains H - Z(-1) of degree 2 - H.  Returns a list of
+    (h1, core, h2, outer1, outer2), the outer endpoints beyond the Hs."""
     groups = []
     for c, node in sorted(d.nodes.items()):
-        if node.kind != Z or not _is_phase(node.phase, -1.0):
+        if node.kind != Z or not _is_phase(node.phase, -1.0) \
+                or len(inc[c]) != 2:
             continue
-        if len(inc[c]) != 2:
+        ends = [_other_end(d.edges[e], c) for e in inc[c]]
+        if any(ep[0] != "n" or d.nodes[ep[1]].kind != H for ep in ends):
             continue
-        e1, e2 = inc[c]
-        if e1 == e2:
-            continue
-        ends = []
-        for e in (e1, e2):
-            ep = _other_end(d.edges[e], c)
-            if ep[0] != "n" or d.nodes[ep[1]].kind != H:
-                break
-            ends.append(ep[1])
-        if len(ends) != 2 or ends[0] == ends[1]:
-            continue
-        h1, h2 = ends
-        out1 = _outer_endpoint(d, inc, h1, c)
-        out2 = _outer_endpoint(d, inc, h2, c)
-        if out1 is None or out2 is None:
-            continue
-        groups.append((h1, c, h2, out1, out2))
+        h1, h2 = ends[0][1], ends[1][1]
+        outer = [_outer_endpoint(d, inc, h, c) for h in (h1, h2)]
+        if None not in outer:
+            groups.append((h1, c, h2, *outer))
     return groups
 
 
 def _outer_endpoint(d, inc, h, core):
-    """The endpoint on the far side of an H box away from the macro core;
-    None if the H does not have exactly one edge to the core."""
-    edges = inc[h]
-    if len(edges) != 2:
-        return None
-    to_core = [e for e in edges
-               if (lambda ep: ep[0] == "n" and ep[1] == core)(
-                   _other_end(d.edges[e], h))]
-    if len(to_core) != 1:
-        return None
-    far = [e for e in edges if e != to_core[0]][0]
-    return (far, _other_end(d.edges[far], h))
+    """The endpoint beyond an H box from its neighbour ``core``; None
+    unless exactly one of the H's two wires goes to ``core``."""
+    ends = [_other_end(d.edges[e], h) for e in inc[h]]
+    at_core = [ep[:2] == ("n", core) for ep in ends]
+    return ends[at_core.index(False)] if sum(at_core) == 1 else None
 
 
 # -- matchers --------------------------------------------------------------
+# A matcher reads only ``d.nodes``, ``d.edges[e]`` and the incidence ``inc``,
+# so it runs on a Diagram and on the simplifier's working graph alike.
 
-def _match_s1(d: Diagram, inc):
-    sites = []
-    seen = set()
-    for a, b in d.edges:
-        if a[0] != "n" or b[0] != "n":
-            continue
-        v1, v2 = a[1], b[1]
-        if v1 == v2:
-            continue
-        if d.nodes[v1].kind != Z or d.nodes[v2].kind != Z:
-            continue
-        pair = (min(v1, v2), max(v1, v2))
-        if pair in seen:
-            continue
-        seen.add(pair)
-        sites.append(_site("S1", pair,
-                           (d.nodes[pair[0]].phase, d.nodes[pair[1]].phase)))
-    return sorted(sites, key=lambda s: s[1])
+def _joined_pairs(d, inc, kind):
+    """Sorted pairs (v, w), v < w, of distinct ``kind`` nodes joined by at
+    least one wire."""
+    pairs = set()
+    for v, node in d.nodes.items():
+        if node.kind == kind:
+            for e in inc[v]:
+                w = _other_end(d.edges[e], v)
+                if w[0] == "n" and w[1] > v and d.nodes[w[1]].kind == kind:
+                    pairs.add((v, w[1]))
+    return sorted(pairs)
 
 
-def _match_s2(d: Diagram, inc):
+def _match_s1(d, inc):
+    return [_site("S1", p, (d.nodes[p[0]].phase, d.nodes[p[1]].phase))
+            for p in _joined_pairs(d, inc, Z)]
+
+
+def _match_s2(d, inc):
     sites = []
     for v, node in sorted(d.nodes.items()):
         if node.kind != Z or not _is_phase(node.phase, 1.0):
@@ -144,39 +130,20 @@ def _match_s2(d: Diagram, inc):
     return sites
 
 
-def _match_h2(d: Diagram, inc):
-    sites = []
-    seen = set()
-    for a, b in d.edges:
-        if a[0] != "n" or b[0] != "n":
-            continue
-        v1, v2 = a[1], b[1]
-        if v1 == v2:
-            continue
-        if d.nodes[v1].kind != H or d.nodes[v2].kind != H:
-            continue
-        pair = (min(v1, v2), max(v1, v2))
-        if pair not in seen:
-            seen.add(pair)
-            sites.append(_site("H2", pair))
-    return sorted(sites, key=lambda s: s[1])
+def _match_h2(d, inc):
+    return [_site("H2", p) for p in _joined_pairs(d, inc, H)]
 
 
-def _match_hopf(d: Diagram, inc):
+def _match_hopf(d, inc):
     # two Z spiders joined by two disjoint single-H paths
     paths: dict[tuple[int, int], list[int]] = {}
     for h, node in sorted(d.nodes.items()):
-        if node.kind != H or len(inc[h]) != 2:
+        if node.kind != H:
             continue
         ends = [_other_end(d.edges[e], h) for e in inc[h]]
-        if any(ep[0] != "n" for ep in ends):
-            continue
-        z1, z2 = ends[0][1], ends[1][1]
-        if z1 == z2:
-            continue
-        if d.nodes[z1].kind != Z or d.nodes[z2].kind != Z:
-            continue
-        paths.setdefault((min(z1, z2), max(z1, z2)), []).append(h)
+        if all(ep[0] == "n" and d.nodes[ep[1]].kind == Z for ep in ends) \
+                and ends[0][1] != ends[1][1]:
+            paths.setdefault(tuple(sorted(ep[1] for ep in ends)), []).append(h)
     sites = []
     for (z1, z2), hs in sorted(paths.items()):
         if len(hs) >= 2:
@@ -185,81 +152,50 @@ def _match_hopf(d: Diagram, inc):
     return sites
 
 
-def _match_b3(d: Diagram, inc):
-    """Pi-macro moves, tagged by sub-kind in the site's rule name suffix."""
+def _match_b3(d, inc):
+    """Pi-macro moves, tagged by sub-kind in the site's rule name suffix:
+    cancel two macros wired in series; absorb one into a green state (a
+    degree-1 Z spider); copy one through a green spider of higher degree
+    with no self-loop, unless the macro's both ends land on it.  The
+    green parameter must be nonzero."""
     groups = _x_macro_groups(d, inc)
-    by_h = {}
+    by_h = {h: g for g in groups for h in (g[0], g[2])}
+    sites, seen = [], set()
     for g in groups:
-        by_h[g[0]] = g
-        by_h[g[2]] = g
-    sites = []
-    # cancellation: two groups wired in series
-    seen = set()
-    for g in groups:
-        h1, c, h2, (e1, out1), (e2, out2) = g
-        for (eo, outer) in ((e1, out1), (e2, out2)):
-            if outer[0] == "n" and outer[1] in by_h:
-                g2 = by_h[outer[1]]
-                if g2[1] == c:
-                    continue
-                key = tuple(sorted((c, g2[1])))
-                if key in seen:
-                    continue
-                seen.add(key)
-                sites.append(_site("B3-cancel",
-                                   (g[0], g[1], g[2], g2[0], g2[1], g2[2])))
-    # absorption into a green state (degree-1 Z spider, nonzero parameter)
-    for g in groups:
-        h1, c, h2, (e1, out1), (e2, out2) = g
-        for (eo, outer) in ((e1, out1), (e2, out2)):
-            if outer[0] == "n":
-                v = outer[1]
-                nd = d.nodes[v]
-                if nd.kind == Z and len(inc[v]) == 1 \
-                        and not _is_phase(nd.phase, 0.0):
-                    sites.append(_site("B3-state", (h1, c, h2, v),
-                                       (nd.phase,)))
-    # copy through a green spider (any degree, nonzero parameter); skip
-    # groups whose both ends land on the same spider
-    for g in groups:
-        h1, c, h2, (e1, out1), (e2, out2) = g
-        for (outer, opposite) in ((out1, out2), (out2, out1)):
-            if outer[0] == "n":
-                v = outer[1]
-                if opposite[0] == "n" and opposite[1] == v:
-                    continue
-                nd = d.nodes[v]
-                has_loop = any(a[0] == "n" and b[0] == "n"
-                               and a[1] == v and b[1] == v
-                               for a, b in (d.edges[e] for e in inc[v]))
-                if nd.kind == Z and len(inc[v]) >= 2 and not has_loop \
-                        and not _is_phase(nd.phase, 0.0):
-                    sites.append(_site("B3-copy", (h1, c, h2, v),
-                                       (nd.phase,)))
+        _, c, _, out1, out2 = g
+        for outer, opposite in ((out1, out2), (out2, out1)):
+            if outer[0] != "n":
+                continue
+            v, nd = outer[1], d.nodes[outer[1]]
+            if v in by_h:
+                c2 = by_h[v][1]
+                key = (min(c, c2), max(c, c2))
+                if c2 != c and key not in seen:
+                    seen.add(key)
+                    sites.append(_site("B3-cancel", g[:3] + by_h[v][:3]))
+            elif nd.kind == Z and not _is_phase(nd.phase, 0.0):
+                if len(inc[v]) == 1:
+                    sites.append(_site("B3-state", g[:3] + (v,), (nd.phase,)))
+                elif opposite[:2] != ("n", v) \
+                        and len(set(inc[v])) == len(inc[v]):
+                    sites.append(_site("B3-copy", g[:3] + (v,), (nd.phase,)))
     return sorted(sites, key=lambda s: s[:2])
 
 
-def _match_b1(d: Diagram, inc):
+def _match_b1(d, inc):
     """Pink 0-state macro (Z(1) state behind an H) feeding a Z spider."""
     sites = []
     for s, node in sorted(d.nodes.items()):
         if node.kind != Z or not _is_phase(node.phase, 1.0) or len(inc[s]) != 1:
             continue
-        ep = _other_end(d.edges[inc[s][0]], s)
-        if ep[0] != "n" or d.nodes[ep[1]].kind != H:
+        h = _other_end(d.edges[inc[s][0]], s)
+        if h[0] != "n" or d.nodes[h[1]].kind != H:
             continue
-        h = ep[1]
-        if len(inc[h]) != 2:
-            continue
-        far = [e for e in inc[h] if e != inc[s][0]]
-        if len(far) != 1:
-            continue
-        outer = _other_end(d.edges[far[0]], h)
-        if outer[0] == "n" and d.nodes[outer[1]].kind == Z \
-                and outer[1] not in (s, h):
-            sites.append(_site("B1", (s, h, outer[1]),
+        outer = _outer_endpoint(d, inc, h[1], s)
+        if outer[0] == "n" and d.nodes[outer[1]].kind == Z:
+            sites.append(_site("B1", (s, h[1], outer[1]),
                                (d.nodes[outer[1]].phase,)))
-    return sorted(sites, key=lambda s: s[1])
+    return sites
 
 
 _MATCHERS = {
@@ -291,149 +227,163 @@ def find_matches(d: Diagram, rule) -> list[MatchSite]:
     return [MatchSite(*s, d) for s in sites]
 
 
-# -- rebuilding -------------------------------------------------------------
+# -- the working graph ------------------------------------------------------
 
-def _rebuild(d: Diagram, *, drop_nodes=(), drop_edges=(), new_edges=(),
-             new_nodes=(), rephase=None, add_loops=0) -> Diagram:
-    """Surgery helper: returns a new well-formed diagram.
+class _Graph:
+    """A diagram under surgery, edited in place by ``splice``.
 
-    Ports of Z spiders are renumbered to stay contiguous; ports of H and
-    triangle nodes must not be disturbed by the surgery.
+    Until the first splice it reads through to the source diagram's
+    ``nodes``, ``edges`` and ``port_edges``, so the matchers see the
+    source's own port order.  The first splice copies them: ``edges``
+    becomes a table keyed by an index that grows and is never reused,
+    and ``port_edges`` a list per node, in edge order for a Z spider (its
+    port order once ``diagram`` renumbers its ports) and in port order
+    for the other kinds, whose ports surgery must not disturb.  The
+    source's Z self-loops are dropped then, as every later one is.
     """
-    drop_nodes = set(drop_nodes)
-    drop_edges = set(drop_edges)
-    nodes = {v: nd for v, nd in d.nodes.items() if v not in drop_nodes}
-    if rephase:
-        for v, phase in rephase.items():
+
+    def __init__(self, d: Diagram):
+        self.source = d
+        self.nodes, self.edges, self.port_edges = d.nodes, d.edges, d.port_edges
+        self.loops = d.loops
+
+    def _add(self, edge) -> None:
+        a, b = edge
+        if a[0] == b[0] == "n" and a[1] == b[1] and self.nodes[a[1]].kind == Z:
+            return  # a Z self-loop removes two legs, scalar-free
+        e = next(self._edge_ids)
+        self.edges[e] = edge
+        for ep in edge:
+            if ep[0] == "n":
+                inc = self.port_edges[ep[1]]
+                if self.nodes[ep[1]].kind == Z:
+                    inc.append(e)
+                else:
+                    inc.insert(ep[2], e)
+
+    def splice(self, drop_nodes=(), detach=(), new_edges=(), new_nodes=(),
+               rephase=None, add_loops=0) -> None:
+        """Drop the nodes ``drop_nodes`` and every edge at them or at the
+        nodes ``detach``; give the Z spiders in ``rephase`` their new
+        parameters; add ``new_nodes`` under ids counting on from the
+        largest id before the drop, then ``new_edges``, whose Z ports need
+        not be numbered."""
+        if self.nodes is self.source.nodes:
+            source = self.source
+            self.nodes = dict(source.nodes)
+            self.edges, self.port_edges = {}, {v: [] for v in self.nodes}
+            self._edge_ids = count()
+            for edge in source.edges:
+                self._add(edge)
+        nodes, inc = self.nodes, self.port_edges
+        next_id = max(nodes) + 1
+        for v in (*drop_nodes, *detach):
+            for e in inc[v]:
+                for ep in self.edges.pop(e, ()):
+                    if ep[0] == "n" and ep[1] != v:
+                        inc[ep[1]].remove(e)
+            inc[v] = []
+        for v in drop_nodes:
+            del nodes[v], inc[v]
+        for v, phase in (rephase or {}).items():
             nodes[v] = Node(Z, complex(phase))
-    next_id = max(list(d.nodes) + [-1]) + 1
-    for nd in new_nodes:
-        nodes[next_id] = nd
-        next_id += 1
-    edges = [e for i, e in enumerate(d.edges) if i not in drop_edges]
-    edges += list(new_edges)
-    # drop self-loops on Z spiders (each removes two legs, scalar-free)
-    edges = [e for e in edges
-             if not (e[0][0] == "n" and e[1][0] == "n"
-                     and e[0][1] == e[1][1] and e[0][1] in nodes
-                     and nodes[e[0][1]].kind == Z)]
-    # renumber Z-spider ports contiguously
-    counter: dict[int, int] = {}
+        for node in new_nodes:
+            nodes[next_id], inc[next_id] = node, []
+            next_id += 1
+        for edge in new_edges:
+            self._add(edge)
+        self.loops += add_loops
 
-    def fix(ep):
-        if ep[0] == "n" and nodes[ep[1]].kind == Z:
-            p = counter.get(ep[1], 0)
-            counter[ep[1]] = p + 1
-            return ("n", ep[1], p)
-        return ep
+    def diagram(self) -> Diagram:
+        """The graph as a validated Diagram, Z ports numbered in edge
+        order; the source itself if nothing was spliced."""
+        if self.nodes is self.source.nodes:
+            return self.source
+        nodes, ports = self.nodes, {}
 
-    edges = [(fix(a), fix(b)) for a, b in edges]
-    return Diagram(nodes, edges, d.n_in, d.n_out, loops=d.loops + add_loops)
+        def number(ep):
+            if ep[0] == "n" and nodes[ep[1]].kind == Z:
+                ports[ep[1]] = p = ports.get(ep[1], -1) + 1
+                return ("n", ep[1], p)
+            return ep
 
-
-def _scalar_node(value_minus_one: complex) -> Node:
-    return Node(Z, complex(value_minus_one))
+        edges = [(number(a), number(b)) for a, b in self.edges.values()]
+        return Diagram(nodes, edges, self.source.n_in, self.source.n_out,
+                       self.loops)
 
 
-def apply(d: Diagram, site: MatchSite) -> Diagram:
-    """Apply a match site; the result interprets identically."""
-    if site.host is not d:
-        raise StaleSiteError("site was computed on a different diagram")
-    inc = d.port_edges
+def _beyond(g: _Graph, group, keep=()):
+    """The far endpoints of the group's edges, outside the group and
+    ``keep``, in edge order."""
+    inside = set(group) | set(keep)
+    edges = sorted({e for v in group for e in g.port_edges[v]})
+    return [ep for e in edges for ep in g.edges[e]
+            if ep[0] != "n" or ep[1] not in inside]
 
-    if site.rule == "S1":
-        v1, v2 = site.nodes
-        a = d.nodes[v1].phase * d.nodes[v2].phase
+
+def _apply(g: _Graph, rule: str, nodes) -> None:
+    """Rewrite the graph at a site of ``rule`` on ``nodes``, in place."""
+    inc = g.port_edges
+    one = Node(Z, 1.0)  # a scalar-2 dot
+
+    if rule == "S1":
+        v1, v2 = nodes
+        a = g.nodes[v1].phase * g.nodes[v2].phase
         moved = []
         for e in sorted(set(inc[v2])):
-            x, y = d.edges[e]
+            x, y = g.edges[e]
             x = ("n", v1, 0) if x[0] == "n" and x[1] == v2 else x
             y = ("n", v1, 0) if y[0] == "n" and y[1] == v2 else y
             moved.append((x, y))
-        return _rebuild(d, drop_nodes=[v2], drop_edges=inc[v2],
-                        new_edges=moved, rephase={v1: a})
+        return g.splice([v2], new_edges=moved, rephase={v1: a})
 
-    if site.rule == "S2":
-        v, = site.nodes
+    if rule == "S2":
+        v, = nodes
         e1, e2 = inc[v]
-        x = _other_end(d.edges[e1], v)
-        y = _other_end(d.edges[e2], v)
-        return _rebuild(d, drop_nodes=[v], drop_edges=[e1, e2],
-                        new_edges=[(x, y)])
+        x = _other_end(g.edges[e1], v)
+        y = _other_end(g.edges[e2], v)
+        return g.splice([v], new_edges=[(x, y)])
 
-    if site.rule == "H2":
-        v1, v2 = site.nodes
+    if rule == "H2":
+        v1, v2 = nodes
         shared = [e for e in inc[v1] if e in set(inc[v2])]
         if len(shared) == 2:
             # both H legs joined: the pair closes into a loop worth 4
-            return _rebuild(d, drop_nodes=[v1, v2], drop_edges=shared,
-                            new_nodes=[_scalar_node(1.0)], add_loops=1)
-        e_mid = shared[0]
-        far1 = [e for e in inc[v1] if e != e_mid][0]
-        far2 = [e for e in inc[v2] if e != e_mid][0]
-        x = _other_end(d.edges[far1], v1)
-        y = _other_end(d.edges[far2], v2)
-        return _rebuild(d, drop_nodes=[v1, v2],
-                        drop_edges=[e_mid, far1, far2],
-                        new_edges=[(x, y)], new_nodes=[_scalar_node(1.0)])
+            return g.splice(nodes, new_nodes=[one], add_loops=1)
+        far1 = [e for e in inc[v1] if e != shared[0]][0]
+        far2 = [e for e in inc[v2] if e != shared[0]][0]
+        x = _other_end(g.edges[far1], v1)
+        y = _other_end(g.edges[far2], v2)
+        return g.splice(nodes, new_edges=[(x, y)], new_nodes=[one])
 
-    if site.rule == "Hopf":
-        z1, z2, h1, h2 = site.nodes
-        drop_edges = [e for h in (h1, h2) for e in inc[h]]
-        return _rebuild(d, drop_nodes=[h1, h2], drop_edges=drop_edges)
+    if rule == "Hopf":
+        return g.splice(nodes[2:])
 
-    if site.rule == "B3-cancel":
-        h1, c1, h2, h3, c2, h4 = site.nodes
-        group = {h1, c1, h2, h3, c2, h4}
-        drop_edges = sorted({e for v in group for e in inc[v]})
-        outer = []
-        for e in drop_edges:
-            for ep in d.edges[e]:
-                if not (ep[0] == "n" and ep[1] in group):
-                    outer.append(ep)
-        scalars = [_scalar_node(1.0), _scalar_node(1.0)]
+    if rule == "B3-cancel":
+        outer = _beyond(g, nodes)
         if not outer:
-            return _rebuild(d, drop_nodes=group, drop_edges=drop_edges,
-                            new_nodes=scalars, add_loops=1)
-        assert len(outer) == 2
-        return _rebuild(d, drop_nodes=group, drop_edges=drop_edges,
-                        new_edges=[(outer[0], outer[1])], new_nodes=scalars)
+            return g.splice(nodes, new_nodes=[one, one], add_loops=1)
+        return g.splice(nodes, new_edges=[tuple(outer)],
+                        new_nodes=[one, one])
 
-    if site.rule == "B3-state":
-        h1, c, h2, v = site.nodes
-        a = d.nodes[v].phase
-        group = {h1, c, h2}
-        drop_edges = sorted({e for w in group for e in inc[w]} | set(inc[v]))
-        outer = []
-        for e in drop_edges:
-            for ep in d.edges[e]:
-                if not (ep[0] == "n" and (ep[1] in group or ep[1] == v)):
-                    outer.append(ep)
-        assert len(outer) == 1
-        return _rebuild(d, drop_nodes=group, drop_edges=drop_edges,
-                        new_edges=[(outer[0], ("n", v, 0))],
-                        rephase={v: 1.0 / a},
-                        new_nodes=[_scalar_node(2.0 * a - 1.0)])
+    if rule == "B3-state":
+        *group, v = nodes
+        a = g.nodes[v].phase
+        return g.splice(group, detach=[v],
+                        new_edges=[(*_beyond(g, group, [v]), ("n", v, 0))],
+                        new_nodes=[Node(Z, 2.0 * a - 1.0)],
+                        rephase={v: 1.0 / a})
 
-    if site.rule == "B3-copy":
-        h1, c, h2, v = site.nodes
-        a = d.nodes[v].phase
+    if rule == "B3-copy":
+        *group, v = nodes
+        a = g.nodes[v].phase
         deg = len(inc[v])
-        group = {h1, c, h2}
-        group_edges = sorted({e for w in group for e in inc[w]})
-        touch = [e for e in group_edges
-                 if any(ep[0] == "n" and ep[1] == v for ep in d.edges[e])]
-        assert len(touch) == 1
-        other_edges = sorted(set(inc[v]) - {touch[0]})
-        far_outer = [ep for e in group_edges for ep in d.edges[e]
-                     if not (ep[0] == "n" and (ep[1] in group or ep[1] == v))]
-        assert len(far_outer) == 1
+        group_edges = {e for w in group for e in inc[w]}
         new_nodes = []
-        new_edges = [(far_outer[0], ("n", v, 0))]
-        next_id = max(list(d.nodes) + [-1]) + 1
-        drop = set(group_edges) | set(other_edges)
-        for e in other_edges:
-            far = _other_end(d.edges[e], v)
+        new_edges = [(*_beyond(g, group, [v]), ("n", v, 0))]
+        next_id = max(g.nodes) + 1
+        for e in sorted(set(inc[v]) - group_edges):
+            far = _other_end(g.edges[e], v)
             ha, cc, hb = next_id, next_id + 1, next_id + 2
             next_id += 3
             new_nodes += [Node(H), Node(Z, -1.0), Node(H)]
@@ -441,19 +391,24 @@ def apply(d: Diagram, site: MatchSite) -> Diagram:
                           (("n", ha, 1), ("n", cc, 0)),
                           (("n", cc, 1), ("n", hb, 0)),
                           (("n", hb, 1), far)]
-        scale = a * 2.0 ** (2 - deg)
-        new_nodes.append(_scalar_node(scale - 1.0))
-        return _rebuild(d, drop_nodes=group, drop_edges=drop,
-                        new_edges=new_edges, rephase={v: 1.0 / a},
-                        new_nodes=new_nodes)
+        new_nodes.append(Node(Z, a * 2.0 ** (2 - deg) - 1.0))
+        return g.splice(group, detach=[v], new_edges=new_edges,
+                        new_nodes=new_nodes, rephase={v: 1.0 / a})
 
-    if site.rule == "B1":
-        s, h, v = site.nodes
-        drop_edges = sorted(set(inc[s]) | set(inc[h]))
-        return _rebuild(d, drop_nodes=[s, h], drop_edges=drop_edges,
-                        rephase={v: 0.0}, new_nodes=[_scalar_node(1.0)])
+    if rule == "B1":
+        s, h, v = nodes
+        return g.splice([s, h], new_nodes=[one], rephase={v: 0.0})
 
-    raise UnsupportedRuleError(f"no applier for {site.rule!r}")
+    raise UnsupportedRuleError(f"no applier for {rule!r}")
+
+
+def apply(d: Diagram, site: MatchSite) -> Diagram:
+    """Apply a match site; the result interprets identically."""
+    if site.host is not d:
+        raise StaleSiteError("site was computed on a different diagram")
+    g = _Graph(d)
+    _apply(g, site.rule, site.nodes)
+    return g.diagram()
 
 
 # -- simplifier --------------------------------------------------------------
@@ -466,28 +421,32 @@ class SimplifyResult:
     trace: list
 
 
+def _first_site(g: _Graph) -> MatchSite | None:
+    for pass_name in _SIMPLIFY_PASSES:
+        sites = find_matches(g, pass_name)
+        if sites:
+            return sites[0]
+    return None
+
+
 def simplify(d: Diagram, budget: int | None = None) -> SimplifyResult:
     """Apply the terminating move set to fixpoint or budget.
 
     Moves are taken in a fixed pass order with deterministic site order,
     so identical inputs give identical outputs.  The result's ``trace``
-    logs each applied move's rule and matched nodes.
+    logs each applied move's rule and matched nodes.  The moves edit one
+    working graph, and only the result is built as a Diagram: ``d``
+    itself when no move applies.
     """
     if budget is None:
         budget = 10 * len(d.nodes) + 20
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    g = _Graph(d)
     log: list[dict] = []  # one entry per step
-    while len(log) < budget:
-        site = None
-        for pass_name in _SIMPLIFY_PASSES:
-            sites = find_matches(d, pass_name)
-            if sites:
-                site = sites[0]
-                break
-        if site is None:
-            return SimplifyResult(d, len(log), False, log)
-        d = apply(d, site)
+    site = _first_site(g)
+    while site is not None and len(log) < budget:
+        _apply(g, site.rule, site.nodes)
         log.append({"rule": site.rule, "nodes": list(site.nodes)})
-    exhausted = any(find_matches(d, p) for p in _SIMPLIFY_PASSES)
-    return SimplifyResult(d, len(log), exhausted, log)
+        site = _first_site(g)
+    return SimplifyResult(g.diagram(), len(log), site is not None, log)

@@ -41,10 +41,9 @@ RuleBuilder = Callable[[Sequence[complex]], tuple[Diagram, Diagram]]
 class RewriteRule:
     """A named LHS/RHS diagram-pattern pair with complex parameter slots.
 
-    ``flipped`` records that the upside-down version of the rule holds as
-    well (true for the whole catalog) and makes the harness check it.
-    ``provenance`` is None for the base rule set and names the source
-    lemma/proposition for derived rules.
+    Every rule's upside-down version holds as well, and the harness
+    checks it.  ``provenance`` is None for the base rule set and names
+    the source lemma/proposition for derived rules.
     """
 
     name: str
@@ -52,7 +51,6 @@ class RewriteRule:
     build: RuleBuilder
     domain: Callable[[Sequence[complex]], bool] | None = None
     provenance: str | None = None
-    flipped: bool = True
 
     def admissible(self, params: Sequence[complex]) -> bool:
         if len(params) != self.arity:
@@ -123,7 +121,7 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
                     tol: float = DEFAULT_TOL,
                     rng: np.random.Generator | None = None,
                     corrupt: bool = False) -> RuleReport:
-    """Interpret both sides (and their flipped versions) on forced and
+    """Interpret both sides and their flipped versions on forced and
     random draws; failures are reported, never raised."""
     if samples < 1:
         raise RuleError("samples must be at least 1")
@@ -149,15 +147,12 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
         lhs, rhs = rule.build([complex(p) for p in params])
         if corrupt:
             rhs = tensor(rhs, scalar_z(-2.0))  # flips the sign of the RHS
-        sides += [lhs, rhs] + ([flip(lhs), flip(rhs)] if rule.flipped else [])
+        sides += [lhs, rhs, flip(lhs), flip(rhs)]
     mats = interpret_all(sides)
-    per_draw = 4 if rule.flipped else 2
     for k, params in enumerate(draws):
-        ml, mr, *flipped = mats[k * per_draw:(k + 1) * per_draw]
-        dev = max_deviation(ml, mr)
-        if flipped:
-            fl, fr = flipped
-            dev = max(dev, max_deviation(fl, fr), max_deviation(fl, ml.T))
+        ml, mr, fl, fr = mats[4 * k:4 * k + 4]
+        dev = max(max_deviation(ml, mr), max_deviation(fl, fr),
+                  max_deviation(fl, ml.T))
         report.checked += 1
         report.max_deviation = max(report.max_deviation, dev)
         if not (dev <= tol):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from zxel import diagram as D
+from zxel.normalform import nf_from_vector, nf_to_diagram
 
 # the generator matrices, transcribed directly (the tests' ground truth,
 # independent of zxel.semantics internals)
@@ -123,6 +124,15 @@ def random_diagram(rng, max_wires: int = 3, max_gens: int = 8) -> D.Diagram:
             continue
         d = D.compose(d, layer)
     return d
+
+
+def nf_family(top: int = 6) -> list[D.Diagram]:
+    """The normal-form diagrams at m = 2..top of random vectors whose
+    entries are uniform in [1, 9), drawn for m = 2, 3, ... in turn from
+    one rng (seed 1)."""
+    rng = np.random.default_rng(1)
+    return [nf_to_diagram(nf_from_vector(rng.uniform(1, 9, 2 ** m)))
+            for m in range(2, top + 1)]
 
 
 def _compose_pair(d1: D.Diagram, d2: D.Diagram) -> D.Diagram:
@@ -253,10 +263,9 @@ def check_soundness_by_draw(rule, samples: int, tol: float, rng,
         if corrupt:
             rhs = D.tensor(rhs, D.scalar_z(-2.0))
         ml, mr = interpret(lhs), interpret(rhs)
-        dev = max_deviation(ml, mr)
-        if rule.flipped:
-            fl, fr = interpret(D.flip(lhs)), interpret(D.flip(rhs))
-            dev = max(dev, max_deviation(fl, fr), max_deviation(fl, ml.T))
+        fl, fr = interpret(D.flip(lhs)), interpret(D.flip(rhs))
+        dev = max(max_deviation(ml, mr), max_deviation(fl, fr),
+                  max_deviation(fl, ml.T))
         report.checked += 1
         report.max_deviation = max(report.max_deviation, dev)
         if not (dev <= tol):

@@ -13,7 +13,12 @@ diagrams at budget 50; the second covers the sites of all six matchers
 on the corpus plus 200 ``random_diagram``s (rng seed 5).  The third pins
 what ``decompose_elementary`` returns, its op records as JSON and its
 serialized diagram, on a dense, a rank-deficient and a permutation
-matrix at each m = 0..3 (rng seed 11).
+matrix at each m = 0..3 (rng seed 11).  The fourth pins the path the
+simplifier takes, not only where it ends: each ``simplify`` trace as
+JSON, its serialized result, its step count and whether the budget ran
+out, at the default budget and at budget 3, on the corpus, the
+normal-form family at m = 2..6 (``helpers.nf_family``) and 300
+``random_diagram``s (rng seed 13).
 """
 
 import hashlib
@@ -27,7 +32,7 @@ from zxel.normalform import (decompose_elementary, nf_from_vector,
                              nf_to_diagram)
 from zxel.rewrite import MATCHABLE_RULES, find_matches, simplify
 
-from helpers import random_complex, random_diagram
+from helpers import nf_family, random_complex, random_diagram
 
 GOLDEN_SHA256 = ("e6f660c5474edfe862f69d0c21a6e0ca"
                  "2c32ad56ace695aed68d4898f43e452f")
@@ -35,6 +40,8 @@ MATCHES_SHA256 = ("378c24e4242e216d5f1883700a03eba8"
                   "fd35a4dcaf5292f32bec0088f81da457")
 ELEMENTARY_SHA256 = ("b2067b18ab174fd0f1cc126235228c97"
                      "0641054cb44e6878eca038cb438c237e")
+TRACES_SHA256 = ("33ea71060977b9da0d6d8a5d35e83f8e"
+                 "9a8337300bd50c9419bbfc7d4d172ead")
 
 
 def _corpus():
@@ -68,6 +75,20 @@ def test_match_sites_are_stable():
             sites = [(s.rule, s.nodes, s.params) for s in find_matches(d, rule)]
             digest.update(repr(sites).encode())
     assert digest.hexdigest() == MATCHES_SHA256
+
+
+def test_simplify_traces_are_stable():
+    rng = np.random.default_rng(13)
+    corpus = (list(_corpus()) + nf_family()
+              + [random_diagram(rng) for _ in range(300)])
+    digest = hashlib.sha256()
+    for d in corpus:
+        for budget in (None, 3):
+            res = simplify(d, budget=budget)
+            digest.update(json.dumps(res.trace).encode())
+            digest.update(dumps_diagram(res.diagram).encode())
+            digest.update(repr((res.steps, res.budget_exhausted)).encode())
+    assert digest.hexdigest() == TRACES_SHA256
 
 
 def test_elementary_decompositions_are_byte_stable():

@@ -7,7 +7,7 @@ from zxel import diagram as D
 from zxel import rewrite as RW
 from zxel.semantics import interpret, matrices_equal
 
-from helpers import random_complex, random_diagram
+from helpers import nf_family, random_complex, random_diagram
 
 
 def test_s1_match_on_chain():
@@ -104,6 +104,41 @@ def test_all_b3_variants_sound():
             out = RW.apply(host, site)
             assert matrices_equal(interpret(out), interpret(host), 1e-9), \
                 site.rule
+
+
+def test_simplify_reads_the_input_port_order_until_its_first_step():
+    # the first step drops the input's Z self-loops and renumbers its Z
+    # ports in edge order; before it, the matchers see the input as is
+    looped = D.Diagram({0: D.Node(D.Z, 1.0)},
+                       [(("in", 0), ("n", 0, 0)), (("n", 0, 1), ("n", 0, 2)),
+                        (("n", 0, 3), ("out", 0))], 1, 1)
+    res = RW.simplify(looped)
+    assert res.diagram is looped and res.trace == [] and res.steps == 0
+    # a pi macro whose core's port-0 wire comes last in the edge list
+    macro = D.Diagram({0: D.Node(D.H), 1: D.Node(D.Z, -1.0),
+                       2: D.Node(D.H), 3: D.Node(D.Z, 2.0)},
+                      [(("in", 0), ("n", 0, 0)), (("n", 0, 1), ("n", 1, 1)),
+                       (("n", 1, 0), ("n", 2, 0)), (("n", 2, 1), ("n", 3, 0))],
+                      1, 0)
+    res = RW.simplify(macro)
+    assert res.trace == [{"rule": "B3-state", "nodes": [2, 1, 0, 3]}]
+    assert matrices_equal(interpret(res.diagram), interpret(macro))
+
+
+def test_simplify_validates_one_diagram(monkeypatch):
+    d = nf_family(4)[-1]
+    calls = []
+    check = D.Diagram.check_validity
+
+    def counted(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(D.Diagram, "check_validity", counted)
+    res = RW.simplify(d)
+    assert res.steps == 43 and len(calls) == 1
+    calls.clear()
+    assert RW.simplify(res.diagram).steps == 0 and calls == []
 
 
 def test_simplify_fuses_spider_chain():
