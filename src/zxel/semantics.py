@@ -20,6 +20,13 @@ at once, their Z tensors stacked along a leading batch axis.
 ``interpret`` runs a plan on one diagram; ``interpret_all`` groups a
 list by shape, which is how the rule-soundness sweep evaluates all draws
 of a rule together.
+
+A Z spider is a copy tensor: of its 2^degree entries only the all-zero
+one (1) and the all-one one (the phase) are nonzero.  So in a batched
+run, a step that absorbs a Z leaf no earlier step has touched, into a
+large enough result, reads two corners of the accumulator instead of
+multiplying the Z tensor through einsum (``_absorb_z``), bitwise to the
+same result.  An unbatched run is plain einsum throughout.
 """
 
 from __future__ import annotations
@@ -76,6 +83,39 @@ def _z_tensor(phase, degree: int, batch: tuple[int, ...]) -> np.ndarray:
     corners[(0,) * degree] = 1.0
     corners[(1,) * degree] = phase
     return t
+
+
+# a batched step gathers a Z leaf (``_absorb_z``) when its result holds
+# at least this many entries over the batch; below that, einsum's
+# smaller per-call cost wins
+_GATHER_MIN = 512
+
+
+def _absorb_z(acc: np.ndarray, sub_acc: list[int], sub_z: list[int],
+              sub_out: list[int], phases: np.ndarray) -> np.ndarray:
+    """The step contracting a batch of Z tensors, one per phase of
+    ``phases`` and each with the wires ``sub_z``, into ``acc`` (wires
+    ``sub_acc``, behind the batch axis or broadcast along it), without
+    building them.  A Z tensor has two nonzero entries, so the result is
+    ``lo``, the accumulator with every shared wire at 0, on the all-zero
+    corner of the new wires, and ``phase * hi``, every shared wire at 1,
+    on their all-one corner; with no new wire both land on the one
+    corner.  The result is bitwise einsum's."""
+    shared = set(sub_z).intersection(sub_acc)
+    lo = acc[(...,) + tuple(0 if l in shared else slice(None)
+                            for l in sub_acc)]
+    hi = acc[(...,) + tuple(1 if l in shared else slice(None)
+                            for l in sub_acc)]
+    new = len(sub_z) - len(shared)
+    kept = list(range(len(sub_out) - new))
+    out = np.zeros((len(phases),) + (2,) * len(sub_out), dtype=complex)
+    # einsum computes the product, and the zeroed result takes lo by +=:
+    # that is einsum's own 0 + lo*1 + hi*phase, to the last bit and the
+    # sign of a zero, where numpy's complex * rounds differently
+    np.einsum(hi, [...] + kept, phases, [...], [...] + kept,
+              out=out[(...,) + (1,) * new])
+    out[(...,) + (0,) * new] += lo
+    return out
 
 
 def _pair_step(labels: list[list[int]], dst: int, src: int, cap: int):
@@ -183,20 +223,38 @@ def _run(plan: tuple, ds: Sequence[Diagram]) -> list[np.ndarray]:
     one pass over the plan; each consumed operand is freed as it goes.
     A single diagram runs without the batch axis."""
     leaves, steps, root, perm = plan
+    gathered: dict = {}  # each gathered Z operand -> its batch of phases
     if len(ds) == 1:
         ops = [_z_tensor(ds[0].nodes[t[0]].phase, t[1], ())
                if isinstance(t, tuple) else t for t in leaves]
     else:
-        ops = [_z_tensor(np.array([d.nodes[t[0]].phase for d in ds],
-                                  dtype=complex), t[1], (len(ds),))
-               if isinstance(t, tuple) else t for t in leaves]
+        zs = {k: np.array([d.nodes[t[0]].phase for d in ds], dtype=complex)
+              for k, t in enumerate(leaves) if isinstance(t, tuple)}
+        # a step absorbing a Z leaf of degree > 0 that no earlier step
+        # has touched gathers it, if the step's result is large enough;
+        # a gathered leaf's tensor is never built
+        touched = set()
+        for dst, src, _, _, sub_out in steps:
+            if (src in zs and leaves[src][1] and src not in touched
+                    and len(ds) << len(sub_out) >= _GATHER_MIN):
+                gathered[src] = zs[src]
+            touched.add(dst)
+        ops = [t if k not in zs else None if k in gathered else
+               _z_tensor(zs[k], t[1], (len(ds),))
+               for k, t in enumerate(leaves)]
         # the batch axis, leading on the Z tensors and on every result
         # that has one, is einsum's broadcast ellipsis: it takes no label
-        steps = [(dst, src, [...] + sub_dst, [...] + sub_src, [...] + sub_out)
+        steps = [(dst, src, sub_dst, sub_src, sub_out) if src in gathered
+                 else (dst, src, [...] + sub_dst, [...] + sub_src,
+                       [...] + sub_out)
                  for dst, src, sub_dst, sub_src, sub_out in steps]
     einsum = np.einsum
     for dst, src, sub_dst, sub_src, sub_out in steps:
-        ops[dst] = einsum(ops[dst], sub_dst, ops[src], sub_src, sub_out)
+        if src in gathered:
+            ops[dst] = _absorb_z(ops[dst], sub_dst, sub_src, sub_out,
+                                 gathered[src])
+        else:
+            ops[dst] = einsum(ops[dst], sub_dst, ops[src], sub_src, sub_out)
         ops[src] = None
     t = np.array(1.0, dtype=complex) if root is None else ops[root]
     shape = (2 ** ds[0].n_out, 2 ** ds[0].n_in)
@@ -219,8 +277,9 @@ def interpret_all(ds: Sequence[Diagram],
     """Evaluate each diagram to its matrix, in input order.
 
     Diagrams of one shape share one plan, built once from the first of
-    them, and are contracted together: Z tensors are stacked along a leading batch axis, and the
-    other generators' tensors are broadcast along it.  A plan that peaks
+    them, and are contracted together: Z tensors are stacked along a
+    leading batch axis, and the other generators' tensors are broadcast
+    along it.  A plan that peaks
     at w open wires runs its group in chunks of at most 2^(cap - w)
     diagrams, so a batch never holds a larger array than one diagram at
     the cap could.  Raises what ``interpret`` raises for the first

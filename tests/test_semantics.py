@@ -236,3 +236,126 @@ def test_interpret_all_raises_what_interpret_raises():
             S.interpret_all(ds, cap=cap)
         assert str(info.value) == first
     assert kinds == {"diagram", "a", "contraction"}
+
+
+def _random_entries(rng, shape):
+    """Random complex entries with signed zeros mixed in, so that a
+    difference in the sign of a zero shows in the bytes."""
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+             complex(-0.0, -0.0)]
+    flat = a.reshape(-1)
+    for k in rng.choice(flat.size, size=flat.size // 4, replace=False):
+        flat[k] = zeros[k % 4]
+    return a
+
+
+@pytest.mark.parametrize("acc_wires, z_wires", [
+    ([0, 1, 2], [2, 0, 1, 3]),   # every accumulator wire shared, one new
+    ([0, 1, 2], [1, 2, 0]),      # every accumulator wire shared, none new
+    ([0, 1, 2, 3], [3, 1]),      # no new wire
+    ([0, 1], [2, 3, 4]),         # no shared wire: a Z alone in its component
+    ([], [0, 1]),                # ... absorbed into a scalar
+    ([0, 1, 2], [1, 2, 3]),      # two shared wires from parallel edges
+    ([0, 1, 2, 3], [2, 4, 0, 5]),
+])
+@pytest.mark.parametrize("batched", [True, False])
+def test_absorb_z_is_bitwise_the_einsum_step(acc_wires, z_wires, batched):
+    # a gather step against the einsum step it replaces, on random
+    # accumulators behind a batch axis or broadcast along it (an
+    # accumulator of fixed tensors only, in a batched run)
+    rng = np.random.default_rng(len(acc_wires) * 10 + len(z_wires))
+    for b in (1, 3, 16):
+        labels = [list(acc_wires), list(z_wires)]
+        _, _, sub_acc, sub_z, sub_out = S._pair_step(labels, 0, 1, cap=99)
+        acc = _random_entries(rng, ((b,) if batched else ()) +
+                              (2,) * len(acc_wires))
+        phases = _random_entries(rng, (b,))
+        want = np.einsum(acc, [...] + sub_acc,
+                         S._z_tensor(phases, len(z_wires), (b,)),
+                         [...] + sub_z, [...] + sub_out)
+        got = S._absorb_z(acc, sub_acc, sub_z, sub_out, phases)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gather_min", [0, 1 << 62])
+def test_results_do_not_depend_on_the_gather(monkeypatch, gather_min):
+    # every eligible Z step gathers (0), or none does: the sweep's reports
+    # and every matrix of the batch corpus are the same, to the last bit
+    default = S.interpret_all(_batch_corpus())
+    reports = R.check_catalog(R.full_catalog())
+    monkeypatch.setattr(S, "_GATHER_MIN", gather_min)
+    assert R.check_catalog(R.full_catalog()) == reports
+    ds = _batch_corpus()
+    for d, mat, was in zip(ds, S.interpret_all(ds), default):
+        assert mat.tobytes() == S.interpret(d).tobytes() == was.tobytes(), d
+
+
+def test_a_degree_0_z_in_a_batch_is_not_gathered(monkeypatch):
+    # the scalar 1 + phase: a gather would compute acc + acc*phase,
+    # which differs from einsum's acc*(1 + phase) in the last bit
+    monkeypatch.setattr(S, "_GATHER_MIN", 0)
+    rng = np.random.default_rng(29)
+    ds = []
+    for _ in range(24):
+        a, c = _random_entries(rng, (2,)) * 3
+        ds.append(D.tensor(D.scalar_z(a), D.compose(
+            D.z_spider(1, 2, c), D.tensor(D.h_box(), D.triangle()))))
+    for d, mat in zip(ds, S.interpret_all(ds)):
+        assert mat.tobytes() == S.interpret(d).tobytes(), d
+
+
+class _SizeView:
+    """numpy as seen by zxel.semantics, recording the size of every array
+    its functions return or write through ``out``."""
+
+    def __init__(self):
+        self.peak = 0
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if not callable(fn):
+            return fn
+
+        def recorded(*args, **kwargs):
+            res = fn(*args, **kwargs)
+            for a in (res, kwargs.get("out")):
+                if isinstance(a, np.ndarray):
+                    self.peak = max(self.peak, a.size)
+            return res
+        return recorded
+
+
+@pytest.mark.parametrize("gather_min", [0, S._GATHER_MIN])
+def test_interpret_all_chunks_hold_no_array_over_the_cap(monkeypatch,
+                                                         gather_min):
+    # interpret_all's promise: a batch holds no larger array than one
+    # diagram at the cap could, gathers included
+    rng = np.random.default_rng(31)
+    ds = [D.compose(D.z_spider(1, 2, a), D.tensor(D.h_box(), D.triangle()))
+          for a in (0.5, 2j, -1.0, 3 + 1j, 0.25)]
+    for rule in R.full_catalog():
+        for _ in range(4):
+            ps = R._random_params(rule, rng) if rule.arity else []
+            lhs, rhs = rule.build([complex(p) for p in ps])
+            ds += [lhs, rhs, D.flip(lhs)]
+    monkeypatch.setattr(S, "_GATHER_MIN", gather_min)
+    gathers = []
+    absorb = S._absorb_z
+    monkeypatch.setattr(S, "_absorb_z",
+                        lambda *a: gathers.append(1) or absorb(*a))
+    view = _SizeView()
+    monkeypatch.setattr(S, "np", view)
+    for cap in (4, 5, 6):
+        fits = []
+        for d in ds:
+            try:
+                S._plan(d, cap)
+            except S.ResourceError:
+                continue
+            fits.append(d)
+        view.peak = 0
+        S.interpret_all(fits, cap=cap)
+        assert 0 < view.peak <= 2 ** cap, cap
+    assert bool(gathers) == (gather_min == 0)
