@@ -25,6 +25,10 @@ ports, in port order), which the validation pass builds.  Diagrams that
 differ only in Z phases share a shape, validated once when first built:
 ``compose_all``, ``tensor_all`` and ``flip`` look up their result's
 shape by their pieces' shapes, in a memo that holds it weakly.
+
+All re-wiring is one splice: ``compose_all`` and the x-macro file
+parser name each pair of edge ends to be joined by a junction endpoint
+("glue", ...), and ``_splice`` joins the edges through the junctions.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from functools import cache, wraps
 from itertools import accumulate, chain
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Z = "z"
 H = "h"
@@ -283,72 +287,45 @@ def contraction_order(
     return order
 
 
-# -- wire splicing used by compose -------------------------------------
+# -- wire splicing -------------------------------------------------------
 
-def _splice(edges: Sequence[Edge], is_junction: Callable[[Endpoint], bool]):
-    """Remove 2-valent junction points from a wire multigraph.
-
-    Every endpoint satisfying ``is_junction`` must occur exactly twice in
-    ``edges``.  Returns (new_edges, n_loops) where wires running only
-    through junctions close up into counted loops.
-    """
-    occ: dict[Endpoint, list[tuple[int, int]]] = {}
-    for i, e in enumerate(edges):
-        for side in (0, 1):
-            ep = e[side]
-            if is_junction(ep):
-                occ.setdefault(ep, []).append((i, side))
-    for ep, ends in occ.items():
-        if len(ends) != 2:
-            raise DiagramError(f"junction {ep} has {len(ends)} edge-ends")
-
-    visited = [False] * len(edges)
+def _splice(edges: Sequence[Edge]) -> tuple[list[Edge], int]:
+    """Join the edges that meet at junction endpoints ("glue", ...), each
+    of which occurs exactly twice.  Returns (edges, loops): each wire
+    becomes one edge between its two free ends, placed where its first
+    edge was, and each wire with no free end counts as a loop."""
+    ends: dict[Endpoint, list[tuple[int, int]]] = {}
+    for i, edge in enumerate(edges):
+        for side, ep in enumerate(edge):
+            if ep[0] == "glue":
+                ends.setdefault(ep, []).append((i, side))
+    seen = [False] * len(edges)
     out: list[Edge] = []
     loops = 0
-
-    def step(i: int, side: int):
-        """From edge i arriving at its `side` endpoint (a junction), hop to
-        the partner edge across the junction; return (edge, far side)."""
-        ep = edges[i][side]
-        (i1, s1), (i2, s2) = occ[ep]
-        j, sj = (i2, s2) if (i1, s1) == (i, side) else (i1, s1)
-        return j, 1 - sj
-
-    for start in range(len(edges)):
-        if visited[start]:
+    for start, (a, b) in enumerate(edges):
+        if seen[start]:
             continue
-        visited[start] = True
-        a, b = edges[start]
-        if not is_junction(a) and not is_junction(b):
+        if a[0] != "glue" and b[0] != "glue":
             out.append((a, b))
             continue
-        closed = False
-        free_ends: list[Endpoint] = []
-        for side in (0, 1):
-            ep = edges[start][side]
-            if not is_junction(ep):
-                free_ends.append(ep)
+        # walk back from side 0 to a free end, turn there and walk on to
+        # the other; arriving back at (start, 0) means a closed loop
+        free: list[Endpoint] = []
+        i, s = start, 0
+        while len(free) < 2:
+            seen[i] = True
+            ep = edges[i][s]
+            if ep[0] != "glue":
+                free.append(ep)
+                s = 1 - s
                 continue
-            i, s = start, side
-            while True:
-                i, s = step(i, s)
-                if (i, s) == (start, side):
-                    # walked all the way around: closed loop
-                    closed = True
-                    break
-                visited[i] = True
-                ep2 = edges[i][s]
-                if not is_junction(ep2):
-                    free_ends.append(ep2)
-                    break
-            if closed:
+            (j, t), (k, u) = ends[ep]
+            i, s = (k, 1 - u) if (j, t) == (i, s) else (j, 1 - t)
+            if (i, s) == (start, 0):
+                loops += 1
                 break
-        if closed:
-            loops += 1
         else:
-            if len(free_ends) != 2:
-                raise DiagramError("inconsistent wiring")
-            out.append((free_ends[0], free_ends[1]))
+            out.append((free[0], free[1]))
     return out, loops
 
 
@@ -424,7 +401,7 @@ def compose_all(ds: Sequence[Diagram]) -> Diagram:
         return ep if k == last else ("glue", k, ep[1])
 
     nodes, edges = _placed(ds, glue)
-    spliced, new_loops = _splice(edges, lambda ep: ep[0] == "glue")
+    spliced, new_loops = _splice(edges)
     return Diagram(nodes, spliced, ds[0].n_in, ds[-1].n_out,
                    loops=sum(d.loops for d in ds) + new_loops)
 

@@ -13,7 +13,8 @@ The canonical diagram format is version-tagged JSON:
 
 Node kinds are "z" (complex phase as an [re, im] pair), "h", "t",
 "t_inv", and the macro kind "x" (tau "0" or "pi"), which is expanded
-into its H-conjugated form while parsing; serialization never emits it.
+into its H-conjugated form while parsing, by the splice that composes
+diagrams; serialization never emits it.
 Phases are [re, im] pairs, never formatted complex strings, so round
 trips are bit-stable.
 
@@ -31,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .diagram import Diagram, DiagramError, Node, H, T, T_INV, Z
+from .diagram import Diagram, DiagramError, Node, H, T, T_INV, Z, _splice
 
 FORMAT_VERSION = "zxel/1"
 
@@ -57,31 +58,19 @@ def _parse_endpoint(raw, where: str):
 
 def _expand_x_nodes(nodes, x_nodes, edges):
     """Replace macro "x" nodes by H-conjugated Z spiders with the
-    compensating half scalar, re-pointing file edges to the H boxes.
-    An x node's ports must already be checked to be 0..degree-1."""
+    compensating half scalar: each port p of x node v, the junction
+    ("glue", v, p) in ``edges``, is spliced to the port's H box.  An x
+    node's ports must already be checked to be 0..degree-1."""
     next_id = max(list(nodes) + list(x_nodes) + [-1]) + 1
     for xid, (sign, ports) in x_nodes.items():
-        core = next_id
+        core, next_id = next_id, next_id + len(ports) + 2
         nodes[core] = Node(Z, sign)
-        next_id += 1
-        hs = []
-        for p in range(len(ports)):
-            nodes[next_id] = Node(H)
-            hs.append(next_id)
-            next_id += 1
-        comp = next_id
-        nodes[comp] = Node(Z, -0.5)
-        next_id += 1
-        for i, e in enumerate(edges):
-            a, b = e
-            if a[0] == "n" and a[1] == xid:
-                a = ("n", hs[a[2]], 0)
-            if b[0] == "n" and b[1] == xid:
-                b = ("n", hs[b[2]], 0)
-            edges[i] = (a, b)
-        for p, h in enumerate(hs):
-            edges.append((("n", h, 1), ("n", core, p)))
-    return nodes, edges
+        for p, h in enumerate(range(core + 1, next_id - 1)):
+            nodes[h] = Node(H)
+            edges += [(("glue", xid, p), ("n", h, 0)),
+                      (("n", h, 1), ("n", core, p))]
+        nodes[next_id - 1] = Node(Z, -0.5)
+    return nodes, _splice(edges)[0]
 
 
 def diagram_from_jsonable(rec) -> Diagram:
@@ -141,12 +130,14 @@ def diagram_from_jsonable(rec) -> Diagram:
         where = f"edges[{i}]"
         if not isinstance(e, list) or len(e) != 2:
             raise DiagramFileError(f"{where}: expected an endpoint pair")
-        a = _parse_endpoint(e[0], where)
-        b = _parse_endpoint(e[1], where)
-        for ep in (a, b):
+        ends = []
+        for raw in e:
+            ep = _parse_endpoint(raw, where)
             if ep[0] == "n" and ep[1] in x_nodes:
                 x_nodes[ep[1]][1].append(ep[2])
-        edges.append((a, b))
+                ep = ("glue", *ep[1:])  # spliced by _expand_x_nodes
+            ends.append(ep)
+        edges.append(tuple(ends))
     # an x node's ports become one H box each, so they are checked first
     for vid, (_, ports) in x_nodes.items():
         if sorted(ports) != list(range(len(ports))):
@@ -277,14 +268,12 @@ def load_matrix(path: str) -> np.ndarray:
             continue
         row = [parse_complex_token(tok, f"{path}:{ln}")
                for tok in line.split()]
+        if rows and len(row) != len(rows[0]):
+            raise DiagramFileError(f"{path}:{ln}: row has {len(row)} "
+                                   f"entries, expected {len(rows[0])}")
         rows.append(row)
     if not rows:
         raise DiagramFileError(f"{path}: empty matrix")
-    width = len(rows[0])
-    for ln, row in enumerate(rows):
-        if len(row) != width:
-            raise DiagramFileError(
-                f"{path}: row {ln} has {len(row)} entries, expected {width}")
     return np.array(rows, dtype=complex)
 
 

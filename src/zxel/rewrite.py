@@ -29,8 +29,6 @@ from itertools import count
 
 from .diagram import Diagram, H, Node, Z
 
-MATCHABLE_RULES = ("S1", "S2", "H2", "Hopf", "B3", "B1")
-
 # moves the simplifier is allowed to take (B3 restricted to its
 # non-expanding forms: cancellation and state absorption)
 _SIMPLIFY_PASSES = ("S2", "H2", "S1", "Hopf", "B1", "B3-cancel", "B3-state")
@@ -206,6 +204,7 @@ _MATCHERS = {
     "B3": _match_b3,
     "B1": _match_b1,
 }
+MATCHABLE_RULES = tuple(_MATCHERS)
 
 
 def find_matches(d: Diagram, rule) -> list[MatchSite]:

@@ -225,6 +225,9 @@ def _run(plan: tuple, ds: Sequence[Diagram]) -> list[np.ndarray]:
     leaves, steps, root, perm = plan
     gathered: dict = {}  # each gathered Z operand -> its batch of phases
     if len(ds) == 1:
+        # this branch is kept on purpose: run as a batch of one, a lone
+        # diagram gave bit-identical matrices, but contract_state on the
+        # normal-form family got 5-16 % slower at every m = 2..6
         ops = [_z_tensor(ds[0].nodes[t[0]].phase, t[1], ())
                if isinstance(t, tuple) else t for t in leaves]
     else:

@@ -135,9 +135,38 @@ def nf_family(top: int = 6) -> list[D.Diagram]:
             for m in range(2, top + 1)]
 
 
+def splice_by_union_find(edges) -> tuple[list, int]:
+    """Reference for ``diagram._splice`` by a different algorithm: union
+    the two ends of every edge, so that each wire is one class of
+    endpoints.  A class with free (non-"glue") ends becomes the edge
+    between them, placed at the class's lowest edge index, oriented by
+    ``_norm_edge``; a class with none is a loop."""
+    parent: dict = {}
+
+    def find(ep):
+        while parent.setdefault(ep, ep) != ep:
+            parent[ep] = parent[parent[ep]]
+            ep = parent[ep]
+        return ep
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    first: dict = {}
+    free: dict = {}
+    for i, edge in enumerate(edges):
+        for ep in edge:
+            root = find(ep)
+            first.setdefault(root, i)
+            if ep[0] != "glue":
+                free.setdefault(root, []).append(ep)
+    wires = sorted((i, D._norm_edge(*free[r])) for r, i in first.items()
+                   if r in free)
+    return [e for _, e in wires], sum(r not in free for r in first)
+
+
 def _compose_pair(d1: D.Diagram, d2: D.Diagram) -> D.Diagram:
     """Two-piece composition as a fold step: shift d2's ids past d1's,
-    glue d1's outputs to d2's inputs, splice and validate."""
+    glue d1's outputs to d2's inputs, splice by union-find and validate."""
     if d1.n_out != d2.n_in:
         raise D.DiagramError("compose arity mismatch")
     shift = max(d1.nodes, default=-1) + 1
@@ -154,7 +183,7 @@ def _compose_pair(d1: D.Diagram, d2: D.Diagram) -> D.Diagram:
 
     edges = [(ren1(a), ren1(b)) for a, b in d1.edges]
     edges += [(ren2(a), ren2(b)) for a, b in d2.edges]
-    spliced, new_loops = D._splice(edges, lambda ep: ep[0] == "glue")
+    spliced, new_loops = splice_by_union_find(edges)
     return D.Diagram(nodes, spliced, d1.n_in, d2.n_out,
                      loops=d1.loops + d2.loops + new_loops)
 

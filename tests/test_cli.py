@@ -9,8 +9,8 @@ from zxel.cli import main
 from zxel.equivalence import VerdictDisagreement, check_equivalent
 from zxel.normalform import decompose_elementary, normalize
 from zxel.io import (diagram_from_jsonable, diagram_to_jsonable,
-                     export_text, load_diagram, parse_complex_token,
-                     save_diagram, DiagramFileError)
+                     export_text, load_diagram, load_matrix,
+                     parse_complex_token, save_diagram, DiagramFileError)
 from zxel.rules import catalog_by_name, instantiate
 from zxel.semantics import interpret, matrices_equal
 
@@ -69,6 +69,52 @@ def test_x_macro_node_parses():
     assert matrices_equal(interpret(d), np.array([[0, 1], [1, 0]]))
     # serialization never emits the macro kind
     assert all(nd["kind"] != "x" for nd in diagram_to_jsonable(d)["nodes"])
+
+
+def _x_file(n_in, n_out, taus, edges, loops=0):
+    return {"version": "zxel/1", "inputs": n_in, "outputs": n_out,
+            "loops": loops, "edges": edges,
+            "nodes": [{"id": k, "kind": "x", "tau": tau}
+                      for k, tau in enumerate(taus)]}
+
+
+def _xs(n_in, n_out, tau):
+    return D.x_spider(n_in, n_out, D.TAU_PI if tau == "pi" else D.TAU_ZERO)
+
+
+# files where one wire runs through two x ports (an edge between two x
+# nodes, or two ports of one x node joined), so that parsing merges an H
+# box edge, the file edge and another H box edge; and x ports meeting the
+# legs of a bare cap.  Each is checked against the same diagram built
+# from x_spider by compose and tensor.
+@pytest.mark.parametrize("rec, ref, n_nodes", [
+    (_x_file(1, 1, ["0", "pi"], [[["in", 0], ["node", 0, 0]],
+                                 [["node", 0, 1], ["node", 1, 0]],
+                                 [["node", 1, 1], ["out", 0]]]),
+     D.compose(_xs(1, 1, "0"), _xs(1, 1, "pi")), 8),
+    (_x_file(0, 0, ["pi", "pi"], [[["node", 1, 0], ["node", 0, 0]],
+                                  [["node", 0, 1], ["node", 1, 1]]], loops=1),
+     D.tensor(D.compose(_xs(0, 2, "pi"), _xs(2, 0, "pi")),
+              D.compose(D.cap(), D.cup())), 8),
+    (_x_file(1, 1, ["pi"], [[["in", 0], ["node", 0, 0]],
+                            [["node", 0, 1], ["out", 0]],
+                            [["node", 0, 3], ["node", 0, 2]]]),
+     D.compose(_xs(1, 3, "pi"), D.tensor(D.wire(), D.cup())), 6),
+    (_x_file(0, 0, ["0"], [[["node", 0, 0], ["node", 0, 1]]]),
+     D.compose(_xs(0, 2, "0"), D.cup()), 4),
+    (_x_file(0, 4, ["pi"], [[["out", 0], ["node", 0, 0]],
+                            [["node", 0, 1], ["out", 1]],
+                            [["out", 2], ["out", 3]]]),
+     D.tensor(D.compose(D.cap(), D.tensor(D.wire(), _xs(1, 1, "pi"))),
+              D.cap()), 4),
+], ids=["x-x", "x-x-ring", "x-self", "x-self-cup", "x-cap"])
+def test_x_macro_wires_through_several_ports(rec, ref, n_nodes):
+    d = diagram_from_jsonable(rec)
+    assert len(d.nodes) == len(ref.nodes) == n_nodes
+    assert d.loops == ref.loops == rec["loops"]
+    assert d.type == ref.type
+    assert interpret(ref).any()
+    assert matrices_equal(interpret(d), interpret(ref))
 
 
 @pytest.mark.parametrize("ports", [(-1,), (0, 2), (10 ** 9,), (0, 0)])
@@ -239,6 +285,18 @@ def test_elementary_command(tmp_path, runner):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 0 0\n0 1 0\n0 0 1\n")
     assert runner.invoke(main, ["elementary", str(bad)]).exit_code == 2
+
+
+def test_ragged_matrix_row_names_its_file_line(tmp_path, runner):
+    # comment and blank lines count: the short row is on file line 4
+    mat = tmp_path / "m.txt"
+    mat.write_text("1 2\n# c\n\n3\n")
+    with pytest.raises(DiagramFileError,
+                       match=r"m\.txt:4: row has 1 entries, expected 2"):
+        load_matrix(str(mat))
+    res = runner.invoke(main, ["elementary", str(mat)])
+    _assert_one_line_error(res)
+    assert f"{mat}:4:" in res.stderr
 
 
 @pytest.mark.filterwarnings("error")

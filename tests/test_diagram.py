@@ -16,7 +16,7 @@ from zxel.rewrite import simplify
 
 from helpers import (H_MAT, compose_by_pairs, contraction_order_by_scan,
                      port_edges_by_scan, random_complex, random_diagram,
-                     tensor_by_pairs)
+                     splice_by_union_find, tensor_by_pairs)
 
 
 def test_compose_identity_is_identity():
@@ -331,6 +331,67 @@ def test_compose_all_matches_pairwise_fold_on_random_chains():
         _assert_same(d, compose_by_pairs(chain))
         loops += d.loops
     assert loops > 0  # some chains closed a bare loop
+
+
+def _glued(chain):
+    """The edges of a chain side by side, output j of piece k and input j
+    of piece k + 1 both renamed to the junction ("glue", k, j)."""
+    last = len(chain) - 1
+
+    def glue(k, ep):
+        if ep[0] == "in":
+            return ep if k == 0 else ("glue", k - 1, ep[1])
+        return ep if k == last else ("glue", k, ep[1])
+
+    return D._placed(chain, glue)[1]
+
+
+def _assert_splice_matches_reference(edges):
+    got, loops = D._splice(edges)
+    want, want_loops = splice_by_union_find(edges)
+    assert [D._norm_edge(*e) for e in got] == want and loops == want_loops
+    return want, loops
+
+
+def _wiring_piece(rng, w):
+    """A piece with w inputs, mostly bare wiring: a cap, cup or swap among
+    identity wires, now and then an H box there instead, or identity
+    wires alone."""
+    gadget = [D.cap(), D.cup(), D.swap(), D.h_box(), None][rng.integers(5)]
+    if gadget is None or gadget.n_in > w or (gadget.n_in == 0 and w > 4):
+        return D.identity(w)
+    at = int(rng.integers(0, w - gadget.n_in + 1))
+    return D.tensor_all([D.identity(at), gadget,
+                         D.identity(w - gadget.n_in - at)])
+
+
+def test_splice_matches_union_find_reference_on_wiring_chains():
+    rng = np.random.default_rng(14)
+    loops = 0
+    for _ in range(400):
+        chain = [_wiring_piece(rng, int(rng.integers(0, 4)))]
+        for _ in range(int(rng.integers(1, 10))):
+            chain.append(_wiring_piece(rng, chain[-1].n_out))
+        loops += _assert_splice_matches_reference(_glued(chain))[1]
+    assert loops > 50  # many chains closed bare loops
+
+
+@pytest.mark.parametrize("chain, edges, loops", [
+    ([D.cap(), D.identity(2), D.cup()], [], 1),
+    ([D.cap(), D.swap(), D.cup()], [], 1),
+    ([D.tensor(D.cap(), D.cap()), D.tensor_all(
+        [D.identity(1), D.swap(), D.identity(1)]), D.tensor(D.cup(), D.cup())],
+     [], 1),
+    ([D.tensor(D.cap(), D.cap()), D.tensor(D.cup(), D.cup())], [], 2),
+    ([D.tensor(D.identity(1), D.cap()), D.tensor(D.cup(), D.identity(1))],
+     [(("in", 0), ("out", 0))], 0),
+    ([D.tensor(D.cap(), D.identity(1)), D.tensor(D.identity(1), D.cup())],
+     [(("in", 0), ("out", 0))], 0),
+])
+def test_splice_closes_loops_and_straightens_snakes(chain, edges, loops):
+    assert _assert_splice_matches_reference(_glued(chain)) == (edges, loops)
+    d = D.compose_all(chain)
+    assert list(d.edges) == edges and d.loops == loops
 
 
 def test_tensor_all_matches_pairwise_fold():
