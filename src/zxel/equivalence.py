@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .diagram import Diagram
-from .normalform import NormalForm, nf_equal, nf_to_jsonable, normalize
-from .semantics import DEFAULT_TOL, interpret, max_deviation
+from .normalform import NormalForm, nf_equal, nf_to_jsonable, normalize_all
+from .semantics import DEFAULT_TOL, interpret_all, max_deviation
 
 
 class TypeMismatchError(ValueError):
@@ -43,15 +43,18 @@ class EquivalenceVerdict:
 
 def check_equivalent(d1: Diagram, d2: Diagram,
                      tol: float = DEFAULT_TOL) -> EquivalenceVerdict:
-    """Decide whether two diagrams are equal in the calculus."""
+    """Decide whether two diagrams are equal in the calculus.
+
+    Each route takes the two diagrams together (``normalize_all``, then
+    ``interpret_all``), so a pair of one shape is planned once per route.
+    """
     if d1.type != d2.type:
         raise TypeMismatchError(
             f"diagram types differ: {d1.type} vs {d2.type}")
-    nf1 = normalize(d1)
-    nf2 = normalize(d2)
+    nf1, nf2 = normalize_all([d1, d2])
     by_nf = nf_equal(nf1, nf2, tol)
 
-    dev = max_deviation(interpret(d1), interpret(d2))
+    dev = max_deviation(*interpret_all([d1, d2]))
     by_sem = bool(dev <= tol)
 
     if by_nf != by_sem:

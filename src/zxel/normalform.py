@@ -14,15 +14,22 @@ multiplication to the base state e_{2^m-1}:
 This module never calls the interpreter; the normal-form pipeline is an
 independent route that the semantics module cross-checks.  The two routes
 share one elimination order, ``diagram.contraction_order``, and nothing
-else: ``normalize`` absorbs generator normal forms (``nf_absorb``: tensor,
-then plug the shared wires) along the order in which ``interpret``
-contracts tensors, so both hold the same open wires at every step.
+else: ``normalize`` absorbs generator states (``nf_absorb``: tensor, then
+plug the shared wires) along the order in which ``interpret`` contracts
+tensors, so both hold the same open wires at every step.
+
+The fold is planned once per shape (``Diagram.shape``: all of a diagram
+but its Z phases), with every wire-cap check, and run on raw coefficient
+arrays, bitwise the ``nf_absorb`` and ``nf_tensor`` steps, wrapping one
+``NormalForm`` at the end.  ``normalize_all`` groups a list by shape, so
+that diagrams of one shape share a plan; no plan outlives the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Sequence
 
 import numpy as np
 
@@ -311,6 +318,31 @@ def nf_self_plug(nf: NormalForm, wire_pair) -> NormalForm:
     return NormalForm(nf.m - 2, c[0::4] + c[3::4])
 
 
+def _layout(na: int, nb: int, axes_a: list[int],
+            axes_b: list[int]) -> tuple:
+    """How ``np.tensordot`` lays out its two operands, of ``na`` and ``nb``
+    wires, to contract axes ``axes_a`` of the first with ``axes_b`` of the
+    second: ``(perm_a, shape_a, perm_b, shape_b)``.  An operand goes to
+    ``np.dot`` transposed by its permutation (None if that is the
+    identity) and reshaped to its 2-D shape: the kept axes of the first
+    then its contracted ones, the contracted axes of the second then its
+    kept ones."""
+    s = len(axes_a)
+    perm_a = (None if axes_a == [*range(na - s, na)] else
+              [k for k in range(na) if k not in axes_a] + axes_a)
+    perm_b = (None if axes_b == [*range(s)] else
+              axes_b + [k for k in range(nb) if k not in axes_b])
+    return perm_a, (1 << na - s, 1 << s), perm_b, (1 << s, 1 << nb - s)
+
+
+def _operand(v: np.ndarray, n: int, perm, shape) -> np.ndarray:
+    """The coefficients ``v`` of ``n`` wires as one ``np.dot`` operand of
+    a ``_layout``, bitwise what ``np.tensordot`` passes."""
+    if perm is None:
+        return v.reshape(shape)
+    return v.reshape((2,) * n).transpose(perm).reshape(shape)
+
+
 def nf_absorb(acc: NormalForm, nf: NormalForm, pairs=()) -> NormalForm:
     """``nf_tensor(acc, nf)`` followed by ``nf_self_plug`` of each
     (acc wire, nf wire) pair, computed as one contraction over the paired
@@ -318,12 +350,15 @@ def nf_absorb(acc: NormalForm, nf: NormalForm, pairs=()) -> NormalForm:
     order, acc's on the more significant side."""
     if not all(0 <= p < acc.m and 0 <= q < nf.m for p, q in pairs):
         raise ValueError(f"wire pairs {pairs} out of range")
+    if any(len(set(side)) < len(pairs) for side in zip(*pairs)):
+        raise ValueError(f"wire pairs {pairs} repeat a wire")
     # axis a of a reshaped vector holds wire m-1-a
-    t = np.tensordot(acc.vector().reshape((2,) * acc.m),
-                     nf.vector().reshape((2,) * nf.m),
-                     axes=([acc.m - 1 - p for p, _ in pairs],
-                           [nf.m - 1 - q for _, q in pairs]))
-    return NormalForm(acc.m + nf.m - 2 * len(pairs), t)
+    perm_a, shape_a, perm_b, shape_b = _layout(
+        acc.m, nf.m, [acc.m - 1 - p for p, _ in pairs],
+        [nf.m - 1 - q for _, q in pairs])
+    return NormalForm(acc.m + nf.m - 2 * len(pairs),
+                      np.dot(_operand(acc.vector(), acc.m, perm_a, shape_a),
+                             _operand(nf.vector(), nf.m, perm_b, shape_b)))
 
 
 # node state tables, written from the generator definitions (independent
@@ -332,15 +367,22 @@ _FIXED_STATES = {dg.H: (1, 1, 1, -1), dg.T: (1, 0, 1, 1),
                  dg.T_INV: (1, 0, -1, 1)}
 
 
-def _node_state(kind: str, phase: complex, degree: int) -> NormalForm:
-    if kind != dg.Z:
-        return NormalForm(2, _FIXED_STATES[kind])
+def _z_state(phase: complex, degree: int) -> np.ndarray:
+    """Coefficients of a Z spider of ``degree`` ports bent into a state:
+    1 on the all-zero entry and the phase on the all-one one, or the
+    scalar 1 + phase at degree 0."""
     if degree == 0:
-        return scalar_nf(1.0 + phase)
+        return np.array([1.0 + phase], dtype=complex)
     v = np.zeros(2 ** degree, dtype=complex)
     v[0] = 1.0
     v[-1] = phase
-    return NormalForm(degree, v)
+    return v
+
+
+def _node_state(kind: str, phase: complex, degree: int) -> NormalForm:
+    if kind != dg.Z:
+        return NormalForm(2, _FIXED_STATES[kind])
+    return NormalForm(degree, _z_state(phase, degree))
 
 
 # every generator but the swap, bent into a state, is one node's state:
@@ -377,67 +419,136 @@ class WireCapError(RuntimeError):
     """Normalisation would exceed the configured open-wire cap."""
 
 
-def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
-    """Rewrite any diagram into its normal form.
+def _plan(d: Diagram, cap: int) -> tuple:
+    """How to normalise every diagram of ``d``'s shape, as
+    ``(components, caps, perm)``.
 
-    Bends the diagram into a state by map-state duality, then folds each
-    connected component along ``contraction_order``: every generator's
-    normal form, its own self-loops plugged (a Z spider's in closed form,
-    before its state is allocated), is absorbed into the component's
-    accumulator with ``nf_absorb``, which plugs the wires the two share
-    as it tensors them.  The component results are tensored
-    together, as ``interpret`` outer-products its components.  Raises
-    WireCapError if a node or an accumulator would exceed ``cap`` open
-    wires, and ArithmeticError if a coefficient is not finite.
-    """
-    if cap is None:
-        cap = wire_cap()
+    The walk is ``contraction_order`` over ``bend_to_state(d)``.
+    ``components`` holds one list of steps per connected component, each
+    step ``(v, b, na, perm_a, shape_a)`` absorbing one node into the
+    component's part of ``na`` wires, laid out for ``np.dot`` as
+    ``_layout`` says.  ``b`` is the node's operand: for a Z spider, whose
+    state a run builds from node ``v``'s phase, the ``(degree, perm,
+    shape)`` to lay it out by; for any other generator (``v`` None), its
+    laid-out state itself, plugged if it sits on a loop.  ``caps`` counts
+    the bare wires between two outputs, and ``perm`` takes the folded
+    wires to the output order.  Every wire-cap check happens here, before
+    anything is allocated: the state's wires, then each node's open
+    wires, then the part's wires after each step."""
     state = bend_to_state(d)
     if state.n_out > cap:
         raise WireCapError(
             f"state has {state.n_out} wires, cap is {cap}")
-
-    acc = scalar_nf(2.0 ** state.loops)  # each bare loop is a scalar 2
-    slots: list[int] = []  # output slot of each acc wire, in order
+    components = []
+    slots: list[int] = []  # output slot of each folded wire, in order
     for component in contraction_order(state.port_edges):
-        part, held = scalar_nf(1.0), []  # held: the edge at each wire of part
+        steps, held = [], []  # held: the edge at each wire of the part
         for v in component:
-            node, edges = state.nodes[v], state.port_edges[v]
+            edges = state.port_edges[v]
             edges = [i for i in edges if edges.count(i) == 1]
             if len(edges) > cap:
                 raise WireCapError(
                     f"a node has {len(edges)} open wires, cap is {cap}")
-            # a Z spider's self-loop leaves a Z spider of degree d - 2; a
-            # 2-port generator (its state has 2 wires) on a loop is a trace
-            nf = _node_state(node.kind, node.phase, len(edges))
-            if nf.m > len(edges):
-                nf = nf_self_plug(nf, (0, 1))
             shared = [i for i in edges if i in held]
             width = len(held) + len(edges) - 2 * len(shared)
             if width > cap:
                 raise WireCapError(
                     f"normalisation frontier reached {width} wires, "
                     f"cap is {cap}")
-            part = nf_absorb(part, nf, [(len(held) - 1 - held.index(i),
-                                         len(edges) - 1 - edges.index(i))
-                                        for i in shared])
+            # axis k of a part or node state holds its k-th edge
+            perm_a, shape_a, perm_b, shape_b = _layout(
+                len(held), len(edges), [held.index(i) for i in shared],
+                [edges.index(i) for i in shared])
+            kind = state.nodes[v].kind
+            if kind == dg.Z:  # a self-loop leaves a Z of degree d - 2
+                steps.append((v, (len(edges), perm_b, shape_b),
+                              len(held), perm_a, shape_a))
+            else:
+                nf = _node_state(kind, 1.0, 2)
+                if not edges:  # a 2-port generator on a loop is a trace
+                    nf = nf_self_plug(nf, (0, 1))
+                steps.append((None, _operand(nf.vector(), nf.m, perm_b,
+                                             shape_b),
+                              len(held), perm_a, shape_a))
             held = [i for i in held + edges if i not in shared]
-        acc = nf_tensor(acc, part)
+        components.append(steps)
         # the far end of a held edge is an output slot
         slots += [state.edges[i][1][1] for i in held]
     # bare wires between two outputs behave like caps
+    caps = 0
     for a, b in state.edges:
         if a[0] == "out" and b[0] == "out":
-            acc = nf_tensor(acc, generator_nf("cap"))
+            caps += 1
             slots += [a[1], b[1]]
-
     assert len(slots) == state.n_out
-    if not np.all(np.isfinite(acc.vector())):
-        raise ArithmeticError("non-finite coefficients in normal form")
-    # axis k of the reshaped acc holds output slot slots[k]; slot j goes
+    # axis k of the folded state holds output slot slots[k]; slot j goes
     # to axis j, the output order
-    return NormalForm(acc.m, np.transpose(acc.vector().reshape((2,) * acc.m),
-                                          np.argsort(slots)))
+    return components, caps, np.argsort(slots)
+
+
+_ONE = np.ones(1, dtype=complex)
+_CAP = generator_nf("cap").vector()
+
+
+def _run(plan: tuple, d: Diagram) -> NormalForm:
+    """Fold the coefficients of ``d``, a diagram of the plan's shape:
+    each step is one ``np.dot``, bitwise ``nf_absorb``'s, each component
+    and bare cap joins the result by one outer product, bitwise
+    ``nf_tensor``'s, and only the result is wrapped as a ``NormalForm``."""
+    components, caps, perm = plan
+    outer = np.multiply.outer  # np.kron of two vectors, without its checks
+    acc = np.array([2.0 ** d.loops], dtype=complex)  # a bare loop is 2
+    for steps in components:
+        part = _ONE
+        for v, b, na, perm_a, shape_a in steps:
+            if v is not None:
+                b = _operand(_z_state(d.nodes[v].phase, b[0]), *b)
+            part = np.dot(_operand(part, na, perm_a, shape_a), b)
+        acc = outer(acc, part).reshape(-1)
+    for _ in range(caps):
+        acc = outer(acc, _CAP).reshape(-1)
+    if not np.all(np.isfinite(acc)):
+        raise ArithmeticError("non-finite coefficients in normal form")
+    return NormalForm(len(perm),
+                      np.transpose(acc.reshape((2,) * len(perm)), perm))
+
+
+def normalize_all(ds: Sequence[Diagram],
+                  cap: int | None = None) -> list[NormalForm]:
+    """Rewrite each diagram into its normal form, in input order.
+
+    Diagrams of one shape share one plan (``_plan``), built once from the
+    first of them; each is then folded on its own (``_run``).  Raises
+    what ``normalize`` raises for the first failing diagram of the first
+    failing group, groups taken in order of their first diagram."""
+    if cap is None:
+        cap = wire_cap()
+    groups: dict = {}
+    for k, d in enumerate(ds):
+        groups.setdefault(d.shape, []).append(k)
+    out: list = [None] * len(ds)
+    for members in groups.values():
+        plan = _plan(ds[members[0]], cap)
+        for k in members:
+            out[k] = _run(plan, ds[k])
+    return out
+
+
+def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
+    """Rewrite any diagram into its normal form.
+
+    Bends the diagram into a state by map-state duality, then folds each
+    connected component along ``contraction_order``: every generator's
+    state, its own self-loops plugged (a Z spider's in closed form,
+    before its state is allocated), is absorbed into the component's
+    part as ``nf_absorb`` does, plugging the wires the two share as it
+    tensors them.  The component results are tensored together, as
+    ``interpret`` outer-products its components.  Raises WireCapError if
+    a node or a part would exceed ``cap`` open wires, and ArithmeticError
+    if a coefficient is not finite.  This is ``normalize_all`` of one
+    diagram.
+    """
+    return normalize_all([d], cap)[0]
 
 
 # -- elementary decomposition of matrices ---------------------------------

@@ -86,8 +86,11 @@ def _z_tensor(phase, degree: int, batch: tuple[int, ...]) -> np.ndarray:
 
 
 # a batched step gathers a Z leaf (``_absorb_z``) when its result holds
-# at least this many entries over the batch; below that, einsum's
-# smaller per-call cost wins
+# at least this many entries over the batch, or 8 times as many when the
+# leaf brings no new wire (the result is lo + phase * hi, on fewer
+# wires); below that, einsum's smaller per-call cost wins.  Timed one
+# step at a time, einsum wins such a shrinking step below about
+# 2 500-4 000 result entries, at one shared wire and batches of 2 and 10
 _GATHER_MIN = 512
 
 
@@ -235,11 +238,14 @@ def _run(plan: tuple, ds: Sequence[Diagram]) -> list[np.ndarray]:
               for k, t in enumerate(leaves) if isinstance(t, tuple)}
         # a step absorbing a Z leaf of degree > 0 that no earlier step
         # has touched gathers it, if the step's result is large enough;
-        # a gathered leaf's tensor is never built
+        # a gathered leaf's tensor is never built.  A step numbers the
+        # accumulator's wires first, so a leaf wire numbered past them
+        # is a new wire
         touched = set()
-        for dst, src, _, _, sub_out in steps:
+        for dst, src, sub_dst, sub_src, sub_out in steps:
             if (src in zs and leaves[src][1] and src not in touched
-                    and len(ds) << len(sub_out) >= _GATHER_MIN):
+                    and len(ds) << len(sub_out) >= _GATHER_MIN * (
+                        1 if max(sub_src) >= len(sub_dst) else 8)):
                 gathered[src] = zs[src]
             touched.add(dst)
         ops = [t if k not in zs else None if k in gathered else

@@ -6,7 +6,9 @@ from __future__ import annotations
 import numpy as np
 
 from zxel import diagram as D
+from zxel import normalform as NF
 from zxel.normalform import nf_from_vector, nf_to_diagram
+from zxel.semantics import wire_cap
 
 # the generator matrices, transcribed directly (the tests' ground truth,
 # independent of zxel.semantics internals)
@@ -133,6 +135,20 @@ def nf_family(top: int = 6) -> list[D.Diagram]:
     rng = np.random.default_rng(1)
     return [nf_to_diagram(nf_from_vector(rng.uniform(1, 9, 2 ** m)))
             for m in range(2, top + 1)]
+
+
+def golden_corpus():
+    """Both sides of one instance of every catalog rule (rng seed 9), then
+    the normal-form diagrams of random vectors at m = 0..5 (rng seed 7)."""
+    from zxel import rules as R
+    rng = np.random.default_rng(9)
+    for rule in R.full_catalog():
+        params = R._random_params(rule, rng) if rule.arity else []
+        yield from R.instantiate(rule, params)
+    rng = np.random.default_rng(7)
+    for m in range(6):
+        v = [random_complex(rng) for _ in range(2 ** m)]
+        yield nf_to_diagram(nf_from_vector(v))
 
 
 def splice_by_union_find(edges) -> tuple[list, int]:
@@ -307,3 +323,58 @@ def topology(d: D.Diagram) -> tuple:
     nodes, edges, n_in, n_out, loops = d.structural_key()
     return (tuple((k, kind) for k, kind, _ in nodes), edges, n_in, n_out,
             loops)
+
+
+def normalize_by_absorb(d: D.Diagram, cap: int | None = None) -> NF.NormalForm:
+    """Reference for ``normalize``: the same walk and the same wire-cap
+    checks, but every step a ``NormalForm`` of its own, absorbed with
+    ``nf_absorb`` (a trace by ``nf_self_plug``, components and bare caps
+    joined by ``nf_tensor``), and the walk redone on every call."""
+    if cap is None:
+        cap = wire_cap()
+    state = D.bend_to_state(d)
+    if state.n_out > cap:
+        raise NF.WireCapError(
+            f"state has {state.n_out} wires, cap is {cap}")
+
+    acc = NF.scalar_nf(2.0 ** state.loops)  # each bare loop is a scalar 2
+    slots: list[int] = []  # output slot of each acc wire, in order
+    for component in D.contraction_order(state.port_edges):
+        part, held = NF.scalar_nf(1.0), []  # held: the edge at each wire
+        for v in component:
+            node, edges = state.nodes[v], state.port_edges[v]
+            edges = [i for i in edges if edges.count(i) == 1]
+            if len(edges) > cap:
+                raise NF.WireCapError(
+                    f"a node has {len(edges)} open wires, cap is {cap}")
+            # a Z spider's self-loop leaves a Z spider of degree d - 2; a
+            # 2-port generator (its state has 2 wires) on a loop is a trace
+            nf = NF._node_state(node.kind, node.phase, len(edges))
+            if nf.m > len(edges):
+                nf = NF.nf_self_plug(nf, (0, 1))
+            shared = [i for i in edges if i in held]
+            width = len(held) + len(edges) - 2 * len(shared)
+            if width > cap:
+                raise NF.WireCapError(
+                    f"normalisation frontier reached {width} wires, "
+                    f"cap is {cap}")
+            part = NF.nf_absorb(part, nf, [(len(held) - 1 - held.index(i),
+                                            len(edges) - 1 - edges.index(i))
+                                           for i in shared])
+            held = [i for i in held + edges if i not in shared]
+        acc = NF.nf_tensor(acc, part)
+        # the far end of a held edge is an output slot
+        slots += [state.edges[i][1][1] for i in held]
+    # bare wires between two outputs behave like caps
+    for a, b in state.edges:
+        if a[0] == "out" and b[0] == "out":
+            acc = NF.nf_tensor(acc, NF.generator_nf("cap"))
+            slots += [a[1], b[1]]
+
+    assert len(slots) == state.n_out
+    if not np.all(np.isfinite(acc.vector())):
+        raise ArithmeticError("non-finite coefficients in normal form")
+    # axis k of the reshaped acc holds output slot slots[k]; slot j goes
+    # to axis j, the output order
+    return NF.NormalForm(acc.m, np.transpose(
+        acc.vector().reshape((2,) * acc.m), np.argsort(slots)))

@@ -1,11 +1,14 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from zxel import diagram as D
+from zxel import normalform as NF
+from zxel import semantics as S
 from zxel.equivalence import TypeMismatchError, check_equivalent
-from zxel.rules import catalog_by_name, instantiate
+from zxel.rules import catalog_by_name, full_catalog, instantiate
 from zxel.semantics import interpret, matrices_equal
 
 from helpers import random_complex, random_diagram
@@ -109,3 +112,67 @@ def test_wide_rules_decided_at_default_cap(name):
         params = [random_complex(rng) for _ in range(rule.arity)]
     lhs, rhs = instantiate(rule, params)
     assert check_equivalent(lhs, rhs).equal
+
+
+def test_each_route_plans_once_per_shape(monkeypatch):
+    # both routes walk contraction_order once per plan: a normal-form
+    # pair of one shape is planned once per route, a rule instance's two
+    # sides once each per route
+    calls = []
+    for module in (NF, S):
+        order = module.contraction_order
+        monkeypatch.setattr(module, "contraction_order",
+                            lambda pe, order=order: calls.append(1)
+                            or order(pe))
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    d1, d2 = (NF.nf_to_diagram(NF.nf_from_vector(w)) for w in (v, 2 * v))
+    assert not check_equivalent(d1, d2).equal
+    assert len(calls) == 2
+    calls.clear()
+    lhs, rhs = instantiate(catalog_by_name()["S1"], [0.5 + 1j, -2.0])
+    assert lhs.shape != rhs.shape
+    assert check_equivalent(lhs, rhs).equal
+    assert len(calls) == 4
+
+
+# sha256 over each verdict's JSON and repr(max_deviation) on the corpus of
+# _verdict_digest, as the fold of one NormalForm per step and one
+# interpret per diagram gave them
+VERDICTS_SHA256 = ("a693b3279ecf68b9426bb546a8d571cc"
+                   "c75533c0beeb61564a8539dc3a633a9f")
+
+
+def _verdict_digest() -> str:
+    """One instance of every catalog rule (rng seed 53), normal-form pairs
+    at m = 2 and 3, equal ones built twice and unequal ones one entry
+    apart, and 60 pairs of random diagrams of one type."""
+    rng = np.random.default_rng(53)
+    pairs = []
+    for rule in full_catalog():
+        params = [random_complex(rng) for _ in range(rule.arity)]
+        while not rule.admissible(params):
+            params = [random_complex(rng) for _ in range(rule.arity)]
+        pairs.append(instantiate(rule, params))
+    for m in (2, 3):
+        for _ in range(4):
+            v = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
+            w = v.copy()
+            w[int(rng.integers(2 ** m))] += 1.0
+            d = NF.nf_to_diagram(NF.nf_from_vector(v))
+            pairs += [(d, NF.nf_to_diagram(NF.nf_from_vector(v))),
+                      (d, NF.nf_to_diagram(NF.nf_from_vector(w)))]
+    while len(pairs) < len(full_catalog()) + 76:
+        d1, d2 = random_diagram(rng), random_diagram(rng)
+        if d1.type == d2.type:
+            pairs.append((d1, d2))
+    digest = hashlib.sha256()
+    for d1, d2 in pairs:
+        v = check_equivalent(d1, d2)
+        digest.update(json.dumps(v.to_jsonable()).encode())
+        digest.update(repr(v.max_deviation).encode())
+    return digest.hexdigest()
+
+
+def test_verdicts_are_byte_stable():
+    assert _verdict_digest() == VERDICTS_SHA256

@@ -28,11 +28,10 @@ import numpy as np
 
 from zxel import rules as R
 from zxel.io import dumps_diagram
-from zxel.normalform import (decompose_elementary, nf_from_vector,
-                             nf_to_diagram)
+from zxel.normalform import decompose_elementary
 from zxel.rewrite import MATCHABLE_RULES, find_matches, simplify
 
-from helpers import nf_family, random_complex, random_diagram
+from helpers import golden_corpus, nf_family, random_diagram
 
 GOLDEN_SHA256 = ("e6f660c5474edfe862f69d0c21a6e0ca"
                  "2c32ad56ace695aed68d4898f43e452f")
@@ -44,21 +43,10 @@ TRACES_SHA256 = ("33ea71060977b9da0d6d8a5d35e83f8e"
                  "9a8337300bd50c9419bbfc7d4d172ead")
 
 
-def _corpus():
-    rng = np.random.default_rng(9)
-    for rule in R.full_catalog():
-        params = R._random_params(rule, rng) if rule.arity else []
-        yield from R.instantiate(rule, params)
-    rng = np.random.default_rng(7)
-    for m in range(6):
-        v = [random_complex(rng) for _ in range(2 ** m)]
-        yield nf_to_diagram(nf_from_vector(v))
-
-
 def test_builders_and_simplifier_are_byte_stable():
     digest = hashlib.sha256()
     count = 0
-    for d in _corpus():
+    for d in golden_corpus():
         for out in (d, simplify(d, budget=50).diagram):
             digest.update(dumps_diagram(out).encode())
             count += 1
@@ -68,7 +56,7 @@ def test_builders_and_simplifier_are_byte_stable():
 
 def test_match_sites_are_stable():
     rng = np.random.default_rng(5)
-    corpus = list(_corpus()) + [random_diagram(rng) for _ in range(200)]
+    corpus = list(golden_corpus()) + [random_diagram(rng) for _ in range(200)]
     digest = hashlib.sha256()
     for d in corpus:
         for rule in MATCHABLE_RULES:
@@ -79,7 +67,7 @@ def test_match_sites_are_stable():
 
 def test_simplify_traces_are_stable():
     rng = np.random.default_rng(13)
-    corpus = (list(_corpus()) + nf_family()
+    corpus = (list(golden_corpus()) + nf_family()
               + [random_diagram(rng) for _ in range(300)])
     digest = hashlib.sha256()
     for d in corpus:

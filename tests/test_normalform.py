@@ -10,7 +10,8 @@ from zxel import normalform as NF
 from zxel.semantics import (ResourceError, contract_state, interpret,
                             matrices_equal, max_deviation)
 
-from helpers import (elementary_op_matrix, perm_matrix, random_complex,
+from helpers import (elementary_op_matrix, golden_corpus, nf_family,
+                     normalize_by_absorb, perm_matrix, random_complex,
                      random_diagram, row_addition_matrix,
                      row_multiplication_matrix, z_mat)
 
@@ -475,6 +476,27 @@ def test_nf_absorb_equals_tensor_then_self_plug():
     assert full.m == 0 and np.isclose(full.coeffs[0], v @ w)
 
 
+def test_nf_absorb_is_bitwise_tensordot():
+    # the one-step kernel lays its operands out as np.tensordot does
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        ma, mb = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+        acc = NF.nf_from_vector(rng.normal(size=2 ** ma)
+                                + 1j * rng.normal(size=2 ** ma))
+        nf = NF.nf_from_vector(rng.normal(size=2 ** mb)
+                               + 1j * rng.normal(size=2 ** mb))
+        k = int(rng.integers(0, min(ma, mb) + 1))
+        pairs = list(zip(rng.permutation(ma)[:k].tolist(),
+                         rng.permutation(mb)[:k].tolist()))
+        want = np.tensordot(acc.vector().reshape((2,) * ma),
+                            nf.vector().reshape((2,) * mb),
+                            axes=([ma - 1 - p for p, _ in pairs],
+                                  [mb - 1 - q for _, q in pairs]))
+        got = NF.nf_absorb(acc, nf, pairs)
+        assert got.m == ma + mb - 2 * k
+        assert got.coeffs.tobytes() == want.tobytes(), (ma, mb, pairs)
+
+
 def test_nf_absorb_errors():
     a = NF.nf_from_vector([1, 2, 3, 4])
     with pytest.raises(ValueError):
@@ -571,3 +593,57 @@ def test_node_wider_than_the_cap_is_refused():
     assert matrices_equal(interpret(pair, cap=6), np.array([[1 + a * a]]),
                           1e-12)
     assert NF.nf_equal(NF.normalize(pair, cap=6), NF.scalar_nf(1 + a * a))
+
+
+# -- the planned fold ------------------------------------------------------
+
+def _outcome(fn, d, **kwargs):
+    """A normal form's width and bytes, or the error's type and message."""
+    try:
+        nf = fn(d, **kwargs)
+    except (NF.WireCapError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return nf.m, nf.coeffs.tobytes()
+
+
+def test_normalize_is_bitwise_the_absorb_fold():
+    # the planned fold on raw arrays against the fold of one NormalForm
+    # per step: the same coefficients to the last bit, and at every cap
+    # the same error from the same check
+    rng = np.random.default_rng(41)
+    corpus = (list(golden_corpus()) + nf_family(5)
+              + [random_diagram(rng) for _ in range(300)])
+    for d in corpus:
+        assert _outcome(NF.normalize, d) == _outcome(normalize_by_absorb, d)
+    for d in corpus[::9]:
+        for cap in range(1, 16):
+            assert (_outcome(NF.normalize, d, cap=cap)
+                    == _outcome(normalize_by_absorb, d, cap=cap)), (d, cap)
+
+
+def test_normalize_all_plans_once_per_shape(monkeypatch):
+    rng = np.random.default_rng(43)
+    ds = [NF.nf_to_diagram(NF.nf_from_vector(rng.normal(size=8)))
+          for _ in range(3)]
+    ds[1:1] = [D.cap()]
+    ds.append(D.compose(D.cap(), D.tensor(D.h_box(), D.identity(1))))
+    want = [_outcome(NF.normalize, d) for d in ds]
+    calls = []
+    order = NF.contraction_order
+    monkeypatch.setattr(NF, "contraction_order",
+                        lambda pe: calls.append(1) or order(pe))
+    got = NF.normalize_all(ds)
+    assert len(calls) == 3  # the m = 3 normal forms, the cap, the H cap
+    assert [(nf.m, nf.coeffs.tobytes()) for nf in got] == want
+    assert NF.normalize_all([]) == []
+
+
+def test_normalize_all_raises_for_the_first_failing_group():
+    # groups go in order of their first diagram, each planned, then run
+    # in order: the cap group's overflow comes before identity(3)'s cap
+    big = D.compose(D.z_spider(0, 1, 1e200), D.z_spider(1, 1, 1e200))
+    small = D.compose(D.z_spider(0, 1, 2.0), D.z_spider(1, 1, 3.0))
+    with pytest.raises(ArithmeticError), np.errstate(all="ignore"):
+        NF.normalize_all([small, D.identity(3), big], cap=5)
+    with pytest.raises(NF.WireCapError, match="state has 6 wires"):
+        NF.normalize_all([D.identity(3), small, big], cap=5)

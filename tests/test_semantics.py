@@ -293,6 +293,30 @@ def test_results_do_not_depend_on_the_gather(monkeypatch):
     assert reports[0] == reports[1]
 
 
+def test_a_z_with_no_new_wire_gathers_from_8_times_the_entries(monkeypatch):
+    # a leaf whose every wire is shared shrinks the result, and einsum
+    # wins such a step up to about 8 * _GATHER_MIN result entries
+    ds = _batch_corpus()
+    seen = []
+    absorb = S._absorb_z
+
+    def spy(acc, sub_acc, sub_z, sub_out, phases):
+        seen.append((set(sub_z) <= set(sub_acc), len(phases) << len(sub_out)))
+        return absorb(acc, sub_acc, sub_z, sub_out, phases)
+
+    monkeypatch.setattr(S, "_absorb_z", spy)
+    shrinking = 0
+    for gather_min in (0, 4, 16, 64):
+        monkeypatch.setattr(S, "_GATHER_MIN", gather_min)
+        seen.clear()
+        S.interpret_all(ds)
+        assert seen
+        for shrinks, entries in seen:
+            assert entries >= gather_min * (8 if shrinks else 1)
+        shrinking += sum(shrinks for shrinks, _ in seen)
+    assert shrinking
+
+
 def test_a_degree_0_z_in_a_batch_is_not_gathered(monkeypatch):
     # the scalar 1 + phase: a gather would compute acc + acc*phase,
     # which differs from einsum's acc*(1 + phase) in the last bit
