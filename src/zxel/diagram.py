@@ -42,7 +42,7 @@ from functools import cache, wraps
 from itertools import accumulate, chain
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Z = "z"
 H = "h"
@@ -237,19 +237,24 @@ class Diagram:
 
 
 def contraction_order(
-        port_edges: Mapping[int, Sequence[int]]) -> list[list[int]]:
-    """The elimination order both evaluation routes walk, from the graph
-    alone (``port_edges`` as stored on a ``Diagram``).
+        port_edges: Mapping[int, Sequence[int]]) -> Iterator[tuple]:
+    """The elimination order both evaluation routes walk, with its
+    bookkeeping, from the graph alone (``port_edges`` as stored on a
+    ``Diagram``); it evaluates nothing and checks no cap.
 
-    Node ids come grouped by connected component, components ordered by
-    their smallest id.  Each component starts at its smallest id; each
-    step absorbs the neighbour that leaves the fewest open wires,
-    |open| + |wires_j| - 2 * shared_j, ties to the smallest id.
-    Self-loops are ignored; an edge at one node only (a boundary wire)
-    stays open.
+    Yields one ``(steps, held)`` per connected component, components
+    ordered by their smallest id.  Step ``(v, open_, before, shared)``
+    absorbs node ``v`` into the component's part: ``open_`` is the node's
+    edges in port order, a self-loop's two left out; ``before`` the edges
+    the part holds, in its axis order; ``shared`` those of ``open_`` in
+    ``before``.  After the step the part holds ``before`` without
+    ``shared``, then the rest of ``open_``; ``held``, what it holds at the
+    end, is the component's boundary edges.  Each component starts at its
+    smallest id; each step absorbs the neighbour that leaves the fewest
+    open wires, |open| + |wires_j| - 2 * shared_j, ties to the smallest id.
     """
     nbrs: dict[int, list[int]] = {v: [] for v in port_edges}
-    wires = {v: len(edges) for v, edges in port_edges.items()}
+    opened = dict(port_edges)
     first: dict[int, int] = {}  # edge index -> the node seen at one end
     for v, edges in port_edges.items():
         for i in edges:
@@ -257,7 +262,7 @@ def contraction_order(
             if u is None:
                 first[i] = v
             elif u == v:
-                wires[v] -= 2
+                opened[v] = tuple(j for j in opened[v] if j != i)
             else:
                 nbrs[u].append(v)
                 nbrs[v].append(u)
@@ -266,25 +271,32 @@ def contraction_order(
     # wires_j - 2 * shared_j; it only falls as shared_j grows, so the
     # first heap entry popped for a node is its current one
     done: set[int] = set()
-    order = []
     for root in sorted(port_edges):
         if root in done:
             continue
-        component = []
-        shared: dict[int, int] = {}
-        heap = [(wires[root], root)]
+        steps = []
+        held: dict[int, None] = {}  # in axis order, as an ordered set
+        links: dict[int, int] = {}  # a candidate's edges into the part
+        heap = [(len(opened[root]), root)]
         while heap:
             _, v = heapq.heappop(heap)
             if v in done:
                 continue
             done.add(v)
-            component.append(v)
+            edges = opened[v]
+            before, shared = list(held), []
+            for i in edges:
+                if i in held:
+                    shared.append(i)
+                    del held[i]
+                else:
+                    held[i] = None
+            steps.append((v, edges, before, shared))
             for u in nbrs[v]:
                 if u not in done:
-                    shared[u] = shared.get(u, 0) + 1
-                    heapq.heappush(heap, (wires[u] - 2 * shared[u], u))
-        order.append(component)
-    return order
+                    links[u] = links.get(u, 0) + 1
+                    heapq.heappush(heap, (len(opened[u]) - 2 * links[u], u))
+        yield steps, list(held)
 
 
 # -- wire splicing -------------------------------------------------------

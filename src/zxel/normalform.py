@@ -13,16 +13,18 @@ multiplication to the base state e_{2^m-1}:
 
 This module never calls the interpreter; the normal-form pipeline is an
 independent route that the semantics module cross-checks.  The two routes
-share one elimination order, ``diagram.contraction_order``, and nothing
-else: ``normalize`` absorbs generator states (``nf_absorb``: tensor, then
-plug the shared wires) along the order in which ``interpret`` contracts
-tensors, so both hold the same open wires at every step.
+share one walk, ``diagram.contraction_order``, and nothing else: the
+elimination order with each node's open edges and each step's held and
+shared wires, and no arithmetic.  ``normalize`` folds generator states along
+it, so that both routes hold the same open wires at every step.
 
 The fold is planned once per shape (``Diagram.shape``: all of a diagram
 but its Z phases), with every wire-cap check, and run on raw coefficient
-arrays, bitwise the ``nf_absorb`` and ``nf_tensor`` steps, wrapping one
-``NormalForm`` at the end.  ``normalize_all`` groups a list by shape, so
-that diagrams of one shape share a plan; no plan outlives the call.
+arrays: each step tensors a state and plugs the shared wires in one
+``np.dot``, bitwise ``nf_absorb``, and each component joins by
+``nf_tensor``'s outer product, wrapping one ``NormalForm`` at the end.
+``normalize_all`` groups a list by shape, so that diagrams of one shape
+share a plan; no plan outlives the call.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ import numpy as np
 
 from . import diagram as dg
 from .diagram import (Diagram, compose, compose_all, tensor, tensor_all,
-                      bend_to_state, contraction_order, identity,
-                      permutation, triangle, triangle_inv, x_spider,
-                      z_spider)
+                      contraction_order, identity, permutation, triangle,
+                      triangle_inv, x_spider, z_spider)
 from .semantics import DEFAULT_TOL, matrices_equal, wire_cap
 
 
@@ -423,7 +424,9 @@ def _plan(d: Diagram, cap: int) -> tuple:
     """How to normalise every diagram of ``d``'s shape, as
     ``(components, caps, perm)``.
 
-    The walk is ``contraction_order`` over ``bend_to_state(d)``.
+    The fold translates the walk of ``contraction_order``, read off ``d``
+    itself: bending ``d`` into a state only renumbers its boundary, input
+    i to output slot n - 1 - i and output j to slot n + j.
     ``components`` holds one list of steps per connected component, each
     step ``(v, b, na, perm_a, shape_a)`` absorbing one node into the
     component's part of ``na`` wires, laid out for ``np.dot`` as
@@ -431,59 +434,54 @@ def _plan(d: Diagram, cap: int) -> tuple:
     state a run builds from node ``v``'s phase, the ``(degree, perm,
     shape)`` to lay it out by; for any other generator (``v`` None), its
     laid-out state itself, plugged if it sits on a loop.  ``caps`` counts
-    the bare wires between two outputs, and ``perm`` takes the folded
+    the bare wires, which bend into caps, and ``perm`` takes the folded
     wires to the output order.  Every wire-cap check happens here, before
     anything is allocated: the state's wires, then each node's open
     wires, then the part's wires after each step."""
-    state = bend_to_state(d)
-    if state.n_out > cap:
-        raise WireCapError(
-            f"state has {state.n_out} wires, cap is {cap}")
+    n = d.n_in
+    if n + d.n_out > cap:
+        raise WireCapError(f"state has {n + d.n_out} wires, cap is {cap}")
+
+    def slot(ep):  # the output slot of a boundary end, once bent
+        return n - 1 - ep[1] if ep[0] == "in" else n + ep[1]
+
     components = []
     slots: list[int] = []  # output slot of each folded wire, in order
-    for component in contraction_order(state.port_edges):
-        steps, held = [], []  # held: the edge at each wire of the part
-        for v in component:
-            edges = state.port_edges[v]
-            edges = [i for i in edges if edges.count(i) == 1]
+    for component, held in contraction_order(d.port_edges):
+        steps = []
+        for v, edges, before, shared in component:
             if len(edges) > cap:
                 raise WireCapError(
                     f"a node has {len(edges)} open wires, cap is {cap}")
-            shared = [i for i in edges if i in held]
-            width = len(held) + len(edges) - 2 * len(shared)
+            width = len(before) + len(edges) - 2 * len(shared)
             if width > cap:
                 raise WireCapError(
                     f"normalisation frontier reached {width} wires, "
                     f"cap is {cap}")
             # axis k of a part or node state holds its k-th edge
             perm_a, shape_a, perm_b, shape_b = _layout(
-                len(held), len(edges), [held.index(i) for i in shared],
+                len(before), len(edges), [before.index(i) for i in shared],
                 [edges.index(i) for i in shared])
-            kind = state.nodes[v].kind
+            kind = d.nodes[v].kind
             if kind == dg.Z:  # a self-loop leaves a Z of degree d - 2
                 steps.append((v, (len(edges), perm_b, shape_b),
-                              len(held), perm_a, shape_a))
+                              len(before), perm_a, shape_a))
             else:
                 nf = _node_state(kind, 1.0, 2)
                 if not edges:  # a 2-port generator on a loop is a trace
                     nf = nf_self_plug(nf, (0, 1))
                 steps.append((None, _operand(nf.vector(), nf.m, perm_b,
                                              shape_b),
-                              len(held), perm_a, shape_a))
-            held = [i for i in held + edges if i not in shared]
+                              len(before), perm_a, shape_a))
         components.append(steps)
-        # the far end of a held edge is an output slot
-        slots += [state.edges[i][1][1] for i in held]
-    # bare wires between two outputs behave like caps
-    caps = 0
-    for a, b in state.edges:
-        if a[0] == "out" and b[0] == "out":
-            caps += 1
-            slots += [a[1], b[1]]
-    assert len(slots) == state.n_out
+        # a held edge's far end, after its node end, is a boundary slot
+        slots += [slot(d.edges[i][1]) for i in held]
+    # each bare wire bends into a cap between two output slots
+    caps = [sorted([slot(a), slot(b)]) for a, b in d.edges if a[0] != "n"]
+    slots += [s for pair in caps for s in pair]
     # axis k of the folded state holds output slot slots[k]; slot j goes
     # to axis j, the output order
-    return components, caps, np.argsort(slots)
+    return components, len(caps), np.argsort(slots)
 
 
 _ONE = np.ones(1, dtype=complex)

@@ -8,13 +8,14 @@ wire 0 is the right-most wire of a boundary, and a bit on wire i weighs
 
 This module is the ground-truth oracle for everything else.  It has its
 own contraction engine and never goes through the normal-form pipeline;
-it shares only the elimination order, ``diagram.contraction_order``.
+it shares only the walk ``diagram.contraction_order``: the elimination
+order with each node's open edges and each step's held and shared wires.
 
 The engine plans once per shape (``Diagram.shape``: all of a diagram
-but its Z phases) and contracts in batches.  A plan, built from one
-diagram, holds the walk along ``contraction_order``, each node's degree
-after its self-loops, the einsum sublists of each pair step and the
-output permutation; every wire-cap check happens while planning.
+but its Z phases) and contracts in batches.  A plan, translated from
+the walk of one diagram, holds each node's degree after its self-loops,
+the einsum sublists of each pair step and the output permutation; every
+wire-cap check happens while planning.
 Diagrams of one shape share a plan, and one run of it contracts them all
 at once, their Z tensors stacked along a leading batch axis.
 ``interpret`` runs a plan on one diagram; ``interpret_all`` groups a
@@ -121,22 +122,19 @@ def _absorb_z(acc: np.ndarray, sub_acc: list[int], sub_z: list[int],
     return out
 
 
-def _pair_step(labels: list[list[int]], dst: int, src: int, cap: int):
-    """The step contracting operand ``src`` into operand ``dst``, with its
+def _pair_step(dst: int, src: int, li: list, lj: list, shared, cap: int):
+    """The step contracting operand ``src``, of wires ``lj``, into operand
+    ``dst``, of wires ``li``, the two sharing the wires ``shared``: its
     einsum sublists (the wires numbered from 0 in order of first
-    appearance); ``labels`` holds each operand's wires in axis order, and
-    the result's replace ``dst``'s."""
-    li, lj = labels[dst], labels[src]
-    shared = set(li).intersection(lj)
+    appearance), and the result's wires, which replace ``dst``'s."""
     new = [l for l in lj if l not in shared]
     out = [l for l in li if l not in shared] + new
     if len(out) > cap:
         raise ResourceError(
             f"contraction needs {len(out)} open wires, cap is {cap}")
-    labels[dst] = out
     local = dict(zip(li + new, count())).__getitem__
     return (dst, src, list(map(local, li)), list(map(local, lj)),
-            list(map(local, out)))
+            list(map(local, out))), out
 
 
 def _plan(d: Diagram, cap: int) -> tuple:
@@ -152,25 +150,22 @@ def _plan(d: Diagram, cap: int) -> tuple:
     diagram with nothing to contract), and ``perm`` orders its axes as
     the boundary slots.
 
-    The walk is ``contraction_order``: each connected component folds
-    its nodes in order, the bare boundary wires follow as components of
-    their own, and the components fold together in order.  Every
-    operand's open wires are checked against the cap here, before
-    anything is allocated: the boundary first, then each node (self-loops
-    plugged: in closed form for a Z spider, by a trace otherwise), then
-    each step."""
+    The plan translates the walk of ``contraction_order``: each component
+    folds its nodes into its first one, with the wires each step holds
+    and shares, the bare boundary wires follow as components of their
+    own, and the components, which share no wire, fold together in
+    order.  Every operand's open wires are checked against the cap here,
+    before anything is allocated: the boundary first, then each node
+    (self-loops plugged: in closed form for a Z spider, by a trace
+    otherwise), then each step."""
     if d.n_in + d.n_out > cap:
         raise ResourceError(
             f"diagram has {d.n_in + d.n_out} boundary wires, cap is {cap}")
-    leaves: list = []
-    labels: list[list[int]] = []   # each operand's wires, in axis order
-    components = []
-    for component in contraction_order(d.port_edges):
-        components.append(range(len(leaves), len(leaves) + len(component)))
-        for v in component:
-            edges = d.port_edges[v]
-            open_ = (list(edges) if len(set(edges)) == len(edges) else
-                     [i for i in edges if edges.count(i) == 1])
+    walk = list(contraction_order(d.port_edges))
+    leaves, parts = [], []  # parts: each component's operand and end wires
+    for component, held in walk:
+        parts.append((len(leaves), held))
+        for v, open_, _, _ in component:
             if len(open_) > cap:
                 raise ResourceError(
                     f"a node has {len(open_)} open wires, cap is {cap}")
@@ -179,38 +174,32 @@ def _plan(d: Diagram, cap: int) -> tuple:
                 leaves.append((v, len(open_)))
             else:
                 t = _FIXED[kind]
-                leaves.append(np.trace(t) if open_ == [] else t)
-            labels.append(open_)
-    # each bare wire between two boundary slots is an explicit identity
-    # with one label per end
-    next_label = len(d.edges)
-    boundary_label: dict[tuple, int] = {}
-    for i, (a, b) in enumerate(d.edges):
-        if a[0] != "n" and b[0] != "n":
-            boundary_label[a] = i
-            boundary_label[b] = next_label
-            components.append(range(len(leaves), len(leaves) + 1))
-            leaves.append(np.eye(2, dtype=complex))
-            labels.append([i, next_label])
-            next_label += 1
-        elif a[0] != "n":
-            boundary_label[a] = i
-        elif b[0] != "n":
-            boundary_label[b] = i
-
+                leaves.append(t if open_ else np.trace(t))
     steps = []
-    for c in components:
-        for src in c[1:]:
-            steps.append(_pair_step(labels, c[0], src, cap))
-    for c in components[1:]:
-        steps.append(_pair_step(labels, components[0][0], c[0], cap))
-    root = components[0][0] if components else None
-    final = labels[root] if components else []
-    # order axes as out slot 0..m-1 then in slot 0..n-1 (most significant
-    # bit first within each boundary, matching |a_{m-1}...a_0>)
-    perm = [final.index(boundary_label[slot]) for slot in
-            [("out", j) for j in range(d.n_out)] +
-            [("in", i) for i in range(d.n_in)]]
+    for (dst, _), (component, _) in zip(parts, walk):
+        for src, (_, open_, before, shared) in enumerate(component[1:],
+                                                         dst + 1):
+            steps.append(_pair_step(dst, src, before, open_, shared, cap)[0])
+
+    def slot(ep):  # out slot j is axis j, in slot i axis n_out + i
+        return ep[1] if ep[0] == "out" else d.n_out + ep[1]
+
+    # a held edge's far end, after its node end, is a boundary slot
+    slots = [slot(d.edges[i][1]) for _, held in parts for i in held]
+    # each bare wire is an explicit identity, its end wires i and ~i
+    for i, (a, b) in enumerate(d.edges):
+        if a[0] != "n":
+            parts.append((len(leaves), [i, ~i]))
+            leaves.append(np.eye(2, dtype=complex))
+            slots += [slot(a), slot(b)]
+    root, wires = parts[0] if parts else (None, [])
+    for src, held in parts[1:]:
+        step, wires = _pair_step(root, src, wires, held, (), cap)
+        steps.append(step)
+    # the root's axes hold the parts' wires in order; perm lists the axis
+    # of out slot 0..m-1 then in slot 0..n-1 (most significant bit first
+    # within each boundary, matching |a_{m-1}...a_0>)
+    perm = sorted(range(len(slots)), key=slots.__getitem__)
     return leaves, steps, root, perm
 
 

@@ -3,6 +3,8 @@ random diagram generators for the property corpora."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from zxel import diagram as D
@@ -283,6 +285,32 @@ def contraction_order_by_scan(d: D.Diagram) -> list[list[int]]:
     return order
 
 
+def walk_along(port_edges, order) -> list:
+    """Reference for the bookkeeping of ``contraction_order``: the walk
+    along ``order`` (node ids per component), each step recomputed from
+    scratch.  A node's open edges are those at one of its ports only.
+    Before a step, the part holds the open edges of the nodes absorbed so
+    far that occur once among them, in order of absorption, then of port;
+    it shares with the node those of the node's open edges."""
+    def opened(v):
+        edges = port_edges[v]
+        return tuple(i for i in edges if edges.count(i) == 1)
+
+    def part(nodes):
+        ends = Counter(i for u in nodes for i in opened(u))
+        return [i for u in nodes for i in opened(u) if ends[i] == 1]
+
+    walk = []
+    for component in order:
+        steps = []
+        for k, v in enumerate(component):
+            before = part(component[:k])
+            steps.append((v, opened(v), before,
+                          [i for i in opened(v) if i in before]))
+        walk.append((steps, part(component)))
+    return walk
+
+
 def check_soundness_by_draw(rule, samples: int, tol: float, rng,
                             corrupt: bool = False):
     """Reference for ``rules.check_soundness``: the same draws, but each
@@ -339,9 +367,9 @@ def normalize_by_absorb(d: D.Diagram, cap: int | None = None) -> NF.NormalForm:
 
     acc = NF.scalar_nf(2.0 ** state.loops)  # each bare loop is a scalar 2
     slots: list[int] = []  # output slot of each acc wire, in order
-    for component in D.contraction_order(state.port_edges):
+    for steps, _ in D.contraction_order(state.port_edges):
         part, held = NF.scalar_nf(1.0), []  # held: the edge at each wire
-        for v in component:
+        for v, *_ in steps:  # the node ids only: the rest is redone here
             node, edges = state.nodes[v], state.port_edges[v]
             edges = [i for i in edges if edges.count(i) == 1]
             if len(edges) > cap:

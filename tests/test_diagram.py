@@ -16,7 +16,7 @@ from zxel.rewrite import simplify
 
 from helpers import (H_MAT, compose_by_pairs, contraction_order_by_scan,
                      port_edges_by_scan, random_complex, random_diagram,
-                     splice_by_union_find, tensor_by_pairs)
+                     splice_by_union_find, tensor_by_pairs, walk_along)
 
 
 def test_compose_identity_is_identity():
@@ -241,10 +241,15 @@ def _order_corpus():
     return corpus
 
 
+def _node_ids(walk):
+    """The node ids of a walk, per component."""
+    return [[v for v, *_ in steps] for steps, _ in walk]
+
+
 def test_contraction_order_partitions_into_components():
     for d in _order_corpus():
         pe = d.port_edges
-        order = D.contraction_order(pe)
+        order = _node_ids(D.contraction_order(pe))
         flat = [v for component in order for v in component]
         assert sorted(flat) == d.node_ids()
         assert [c[0] for c in order] == sorted(min(c) for c in order)
@@ -264,20 +269,30 @@ def test_contraction_order_partitions_into_components():
 
 def test_contraction_order_matches_greedy_reference():
     for d in _order_corpus():
-        order = D.contraction_order(d.port_edges)
-        assert order == contraction_order_by_scan(d)
+        walk = list(D.contraction_order(d.port_edges))
+        order = contraction_order_by_scan(d)
+        assert _node_ids(walk) == order
+        # each step's open, held and shared edges, recomputed from the
+        # edges alone along the same order
+        assert walk == walk_along(port_edges_by_scan(d), order)
+        # a component's part ends holding its boundary edges
+        for component, (_, held) in zip(order, walk):
+            assert sorted(held) == [
+                i for i, (a, b) in enumerate(d.edges)
+                if a[0] == "n" and a[1] in component and b[0] != "n"]
         # deterministic: the order of the node dict does not matter
         shuffled = D.Diagram(dict(reversed(d.nodes.items())), d.edges,
                              d.n_in, d.n_out, loops=d.loops)
-        assert D.contraction_order(shuffled.port_edges) == order
+        assert list(D.contraction_order(shuffled.port_edges)) == walk
 
 
 def test_contraction_order_edge_cases():
-    assert D.contraction_order(D.empty().port_edges) == []
+    assert list(D.contraction_order(D.empty().port_edges)) == []
     loop = D.Diagram({0: D.Node(D.Z, 2.0)},
                      [(("n", 0, 0), ("n", 0, 1)), (("in", 0), ("n", 0, 2)),
                       (("out", 0), ("n", 0, 3))], 1, 1)
-    assert D.contraction_order(loop.port_edges) == [[0]]
+    assert list(D.contraction_order(loop.port_edges)) == [
+        ([(0, (1, 2), [], [])], [1, 2])]
     # a self-loop adds no wire: after node 0, node 2 (two wires and a
     # self-loop) leaves fewer open wires than node 1 (three wires)
     d = D.Diagram({0: D.Node(D.Z), 1: D.Node(D.Z), 2: D.Node(D.Z)},
@@ -285,7 +300,9 @@ def test_contraction_order_edge_cases():
                    (("n", 2, 1), ("n", 2, 2)), (("n", 1, 1), ("out", 0)),
                    (("n", 1, 2), ("out", 2)), (("n", 2, 3), ("out", 1))],
                   0, 3)
-    assert D.contraction_order(d.port_edges) == [[0, 2, 1]]
+    assert list(D.contraction_order(d.port_edges)) == [
+        ([(0, (0, 1), [], []), (2, (1, 5), [0, 1], [1]),
+          (1, (0, 3, 4), [0, 5], [0])], [5, 3, 4])]
 
 
 # -- n-ary combinators -------------------------------------------------------

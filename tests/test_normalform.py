@@ -13,7 +13,7 @@ from zxel.semantics import (ResourceError, contract_state, interpret,
 from helpers import (elementary_op_matrix, golden_corpus, nf_family,
                      normalize_by_absorb, perm_matrix, random_complex,
                      random_diagram, row_addition_matrix,
-                     row_multiplication_matrix, z_mat)
+                     row_multiplication_matrix, walk_along, z_mat)
 
 complexes = st.builds(complex,
                       st.floats(-2, 2, allow_nan=False),
@@ -433,7 +433,8 @@ def test_normalize_independent_of_elimination_order(monkeypatch):
         corpus.append(NF.nf_to_diagram(NF.nf_from_vector(v)))
     greedy = [NF.normalize(d, cap=30) for d in corpus]
     # plain node-id order, one component
-    monkeypatch.setattr(NF, "contraction_order", lambda pe: [sorted(pe)])
+    monkeypatch.setattr(NF, "contraction_order",
+                        lambda pe: walk_along(pe, [sorted(pe)]))
     for d, nf in zip(corpus, greedy):
         assert NF.nf_equal(NF.normalize(d, cap=30), nf)
 
@@ -647,3 +648,19 @@ def test_normalize_all_raises_for_the_first_failing_group():
         NF.normalize_all([small, D.identity(3), big], cap=5)
     with pytest.raises(NF.WireCapError, match="state has 6 wires"):
         NF.normalize_all([D.identity(3), small, big], cap=5)
+
+
+def test_normalize_all_validates_no_diagram(monkeypatch):
+    # the fold reads each built diagram as it is: bending it into a state
+    # only renumbers its boundary, so no diagram is built or validated
+    rng = np.random.default_rng(47)
+    ds = (nf_family(3) + [random_diagram(rng) for _ in range(20)]
+          + [D.cap(), D.identity(2), D.empty()])
+    want = [_outcome(NF.normalize, d) for d in ds]
+    calls = []
+    check = D.Diagram.check_validity
+    monkeypatch.setattr(D.Diagram, "check_validity",
+                        lambda self: calls.append(self) or check(self))
+    got = NF.normalize_all(ds)
+    assert calls == []
+    assert [(nf.m, nf.coeffs.tobytes()) for nf in got] == want

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -10,7 +11,8 @@ from zxel import rules as R
 from zxel import semantics as S
 
 from helpers import (CAP_VEC, CUP_VEC, H_MAT, SWAP_MAT, T_INV_MAT, T_MAT,
-                     X_MAT, parity_mat, random_diagram, topology, z_mat)
+                     X_MAT, golden_corpus, nf_family, parity_mat,
+                     random_diagram, topology, z_mat)
 
 complexes = st.builds(complex,
                       st.floats(-2, 2, allow_nan=False),
@@ -266,8 +268,9 @@ def test_absorb_z_is_bitwise_the_einsum_step(acc_wires, z_wires, batched):
     # accumulator of fixed tensors only, in a batched run)
     rng = np.random.default_rng(len(acc_wires) * 10 + len(z_wires))
     for b in (1, 3, 16):
-        labels = [list(acc_wires), list(z_wires)]
-        _, _, sub_acc, sub_z, sub_out = S._pair_step(labels, 0, 1, cap=99)
+        shared = [l for l in z_wires if l in acc_wires]
+        (_, _, sub_acc, sub_z, sub_out), _ = S._pair_step(
+            0, 1, list(acc_wires), list(z_wires), shared, cap=99)
         acc = _random_entries(rng, ((b,) if batched else ()) +
                               (2,) * len(acc_wires))
         phases = _random_entries(rng, (b,))
@@ -384,3 +387,35 @@ def test_interpret_all_chunks_hold_no_array_over_the_cap(monkeypatch,
         S.interpret_all(fits, cap=cap)
         assert 0 < view.peak <= 2 ** cap, cap
     assert bool(gathers) == (gather_min == 0)
+
+
+# sha256 over the outcome of interpret at every cap 1-15 on the corpus of
+# _cap_error_digest, as the semantics planner checked its caps when the
+# two routes each redid the walk's bookkeeping
+CAP_ERRORS_SHA256 = ("479ee04e16f1f38e67bd637f55ccdf6f"
+                     "f3353efe70fad4a972be239e829f294d")
+
+
+def _cap_error_digest() -> str:
+    """Every ninth diagram of the golden corpus, ``nf_family(5)`` and 300
+    ``random_diagram``s (rng seed 41): each outcome is "ok" or the
+    exception's type and message."""
+    rng = np.random.default_rng(41)
+    corpus = (list(golden_corpus()) + nf_family(5)
+              + [random_diagram(rng) for _ in range(300)])
+    digest = hashlib.sha256()
+    for d in corpus[::9]:
+        for cap in range(1, 16):
+            try:
+                S.interpret(d, cap=cap)
+                outcome = "ok"
+            except (S.ResourceError, ArithmeticError) as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            digest.update(outcome.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_cap_errors_are_stable():
+    # the type and message of interpret's error at every cap, so also
+    # the order of its checks: boundary, each node, then each step
+    assert _cap_error_digest() == CAP_ERRORS_SHA256
