@@ -104,7 +104,7 @@ def main():
 @main.command("interpret")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--precision", default=6, show_default=True,
-              type=click.IntRange(min=0),
+              type=click.IntRange(min=0, max=2 ** 31 - 1),  # Python's limit
               help="significant digits in the text matrix")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def cmd_interpret(file, precision, as_json):

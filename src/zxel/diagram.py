@@ -237,21 +237,21 @@ class Diagram:
 
 
 def contraction_order(
-        port_edges: Mapping[int, Sequence[int]]) -> Iterator[tuple]:
-    """The elimination order both evaluation routes walk, with its
-    bookkeeping, from the graph alone (``port_edges`` as stored on a
-    ``Diagram``); it evaluates nothing and checks no cap.
+        port_edges: Mapping[int, Sequence[int]]) -> Iterator[list]:
+    """The elimination order both evaluation routes walk, from the graph
+    alone (``port_edges`` as stored on a ``Diagram``); it evaluates
+    nothing, checks no cap and keeps no axis order.
 
-    Yields one ``(steps, held)`` per connected component, components
-    ordered by their smallest id.  Step ``(v, open_, before, shared)``
-    absorbs node ``v`` into the component's part: ``open_`` is the node's
-    edges in port order, a self-loop's two left out; ``before`` the edges
-    the part holds, in its axis order; ``shared`` those of ``open_`` in
-    ``before``.  After the step the part holds ``before`` without
-    ``shared``, then the rest of ``open_``; ``held``, what it holds at the
-    end, is the component's boundary edges.  Each component starts at its
-    smallest id; each step absorbs the neighbour that leaves the fewest
-    open wires, |open| + |wires_j| - 2 * shared_j, ties to the smallest id.
+    Yields one list of steps per connected component, components ordered
+    by their smallest id.  Step ``(v, open_, shared)`` absorbs node ``v``
+    into the component's part: ``open_`` is the node's edges in port
+    order, a self-loop's two left out, and ``shared`` those of them the
+    part holds, in ``open_``'s order; the first step shares none.  The
+    part then holds its edges but ``shared``, and the rest of ``open_``;
+    at the end, the component's boundary edges.  Each component starts
+    at its smallest id; each step absorbs the neighbour that leaves the
+    fewest open wires, |open| + |wires_j| - 2 * shared_j, ties to the
+    smallest id.
     """
     nbrs: dict[int, list[int]] = {v: [] for v in port_edges}
     opened = dict(port_edges)
@@ -275,7 +275,7 @@ def contraction_order(
         if root in done:
             continue
         steps = []
-        held: dict[int, None] = {}  # in axis order, as an ordered set
+        held: set[int] = set()  # the part's edges
         links: dict[int, int] = {}  # a candidate's edges into the part
         heap = [(len(opened[root]), root)]
         while heap:
@@ -283,20 +283,19 @@ def contraction_order(
             if v in done:
                 continue
             done.add(v)
-            edges = opened[v]
-            before, shared = list(held), []
+            edges, shared = opened[v], []
             for i in edges:
                 if i in held:
                     shared.append(i)
-                    del held[i]
+                    held.remove(i)
                 else:
-                    held[i] = None
-            steps.append((v, edges, before, shared))
+                    held.add(i)
+            steps.append((v, edges, shared))
             for u in nbrs[v]:
                 if u not in done:
                     links[u] = links.get(u, 0) + 1
                     heapq.heappush(heap, (len(opened[u]) - 2 * links[u], u))
-        yield steps, list(held)
+        yield steps
 
 
 # -- wire splicing -------------------------------------------------------

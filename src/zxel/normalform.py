@@ -14,15 +14,17 @@ multiplication to the base state e_{2^m-1}:
 This module never calls the interpreter; the normal-form pipeline is an
 independent route that the semantics module cross-checks.  The two routes
 share one walk, ``diagram.contraction_order``, and nothing else: the
-elimination order with each node's open edges and each step's held and
-shared wires, and no arithmetic.  ``normalize`` folds generator states along
-it, so that both routes hold the same open wires at every step.
+elimination order with each node's open edges and the edges each step
+shares, and no arithmetic; each route keeps its own axis order.
+``normalize`` folds generator states along it, so that both routes hold
+the same open wires at every step.
 
 The fold is planned once per shape (``Diagram.shape``: all of a diagram
 but its Z phases), with every wire-cap check, and run on raw coefficient
 arrays: each step tensors a state and plugs the shared wires in one
-``np.dot``, bitwise ``nf_absorb``, and each component joins by
-``nf_tensor``'s outer product, wrapping one ``NormalForm`` at the end.
+``np.dot``, laid out as ``np.tensordot`` lays out its operands, and each
+component joins by ``nf_tensor``'s outer product, wrapping one
+``NormalForm`` at the end.
 ``normalize_all`` groups a list by shape, so that diagrams of one shape
 share a plan; no plan outlives the call.
 """
@@ -344,24 +346,6 @@ def _operand(v: np.ndarray, n: int, perm, shape) -> np.ndarray:
     return v.reshape((2,) * n).transpose(perm).reshape(shape)
 
 
-def nf_absorb(acc: NormalForm, nf: NormalForm, pairs=()) -> NormalForm:
-    """``nf_tensor(acc, nf)`` followed by ``nf_self_plug`` of each
-    (acc wire, nf wire) pair, computed as one contraction over the paired
-    wires without forming the tensor.  The unpaired wires keep their
-    order, acc's on the more significant side."""
-    if not all(0 <= p < acc.m and 0 <= q < nf.m for p, q in pairs):
-        raise ValueError(f"wire pairs {pairs} out of range")
-    if any(len(set(side)) < len(pairs) for side in zip(*pairs)):
-        raise ValueError(f"wire pairs {pairs} repeat a wire")
-    # axis a of a reshaped vector holds wire m-1-a
-    perm_a, shape_a, perm_b, shape_b = _layout(
-        acc.m, nf.m, [acc.m - 1 - p for p, _ in pairs],
-        [nf.m - 1 - q for _, q in pairs])
-    return NormalForm(acc.m + nf.m - 2 * len(pairs),
-                      np.dot(_operand(acc.vector(), acc.m, perm_a, shape_a),
-                             _operand(nf.vector(), nf.m, perm_b, shape_b)))
-
-
 # node state tables, written from the generator definitions (independent
 # of the contraction engine); port 0 is the most significant wire
 _FIXED_STATES = {dg.H: (1, 1, 1, -1), dg.T: (1, 0, 1, 1),
@@ -430,14 +414,16 @@ def _plan(d: Diagram, cap: int) -> tuple:
     ``components`` holds one list of steps per connected component, each
     step ``(v, b, na, perm_a, shape_a)`` absorbing one node into the
     component's part of ``na`` wires, laid out for ``np.dot`` as
-    ``_layout`` says.  ``b`` is the node's operand: for a Z spider, whose
-    state a run builds from node ``v``'s phase, the ``(degree, perm,
-    shape)`` to lay it out by; for any other generator (``v`` None), its
-    laid-out state itself, plugged if it sits on a loop.  ``caps`` counts
-    the bare wires, which bend into caps, and ``perm`` takes the folded
-    wires to the output order.  Every wire-cap check happens here, before
-    anything is allocated: the state's wires, then each node's open
-    wires, then the part's wires after each step."""
+    ``_layout`` says; the part's axis order is this route's own, its
+    edges but the shared ones, then the rest of the node's.  ``b`` is the
+    node's operand: for a Z spider, whose state a run builds from node
+    ``v``'s phase, the ``(degree, perm, shape)`` to lay it out by; for
+    any other generator (``v`` None), its laid-out state itself, plugged
+    if it sits on a loop.  ``caps`` counts the bare wires, which bend
+    into caps, and ``perm`` takes the folded wires to the output order.
+    Every wire-cap check happens here, before anything is allocated: the
+    state's wires, then each node's open wires, then the part's wires
+    after each step."""
     n = d.n_in
     if n + d.n_out > cap:
         raise WireCapError(f"state has {n + d.n_out} wires, cap is {cap}")
@@ -447,35 +433,38 @@ def _plan(d: Diagram, cap: int) -> tuple:
 
     components = []
     slots: list[int] = []  # output slot of each folded wire, in order
-    for component, held in contraction_order(d.port_edges):
-        steps = []
-        for v, edges, before, shared in component:
+    for component in contraction_order(d.port_edges):
+        steps, part = [], []  # part: the edge at each of the part's axes
+        for v, edges, shared in component:
             if len(edges) > cap:
                 raise WireCapError(
                     f"a node has {len(edges)} open wires, cap is {cap}")
-            width = len(before) + len(edges) - 2 * len(shared)
+            width = len(part) + len(edges) - 2 * len(shared)
             if width > cap:
                 raise WireCapError(
                     f"normalisation frontier reached {width} wires, "
                     f"cap is {cap}")
             # axis k of a part or node state holds its k-th edge
             perm_a, shape_a, perm_b, shape_b = _layout(
-                len(before), len(edges), [before.index(i) for i in shared],
+                len(part), len(edges), [part.index(i) for i in shared],
                 [edges.index(i) for i in shared])
             kind = d.nodes[v].kind
             if kind == dg.Z:  # a self-loop leaves a Z of degree d - 2
                 steps.append((v, (len(edges), perm_b, shape_b),
-                              len(before), perm_a, shape_a))
+                              len(part), perm_a, shape_a))
             else:
                 nf = _node_state(kind, 1.0, 2)
                 if not edges:  # a 2-port generator on a loop is a trace
                     nf = nf_self_plug(nf, (0, 1))
                 steps.append((None, _operand(nf.vector(), nf.m, perm_b,
                                              shape_b),
-                              len(before), perm_a, shape_a))
+                              len(part), perm_a, shape_a))
+            for i in shared:
+                part.remove(i)
+            part += [i for i in edges if i not in shared]
         components.append(steps)
-        # a held edge's far end, after its node end, is a boundary slot
-        slots += [slot(d.edges[i][1]) for i in held]
+        # an end edge's far end, after its node end, is a boundary slot
+        slots += [slot(d.edges[i][1]) for i in part]
     # each bare wire bends into a cap between two output slots
     caps = [sorted([slot(a), slot(b)]) for a, b in d.edges if a[0] != "n"]
     slots += [s for pair in caps for s in pair]
@@ -490,8 +479,8 @@ _CAP = generator_nf("cap").vector()
 
 def _run(plan: tuple, d: Diagram) -> NormalForm:
     """Fold the coefficients of ``d``, a diagram of the plan's shape:
-    each step is one ``np.dot``, bitwise ``nf_absorb``'s, each component
-    and bare cap joins the result by one outer product, bitwise
+    each step is one ``np.dot``, bitwise ``np.tensordot``'s, each
+    component and bare cap joins the result by one outer product, bitwise
     ``nf_tensor``'s, and only the result is wrapped as a ``NormalForm``."""
     components, caps, perm = plan
     outer = np.multiply.outer  # np.kron of two vectors, without its checks
@@ -539,7 +528,7 @@ def normalize(d: Diagram, cap: int | None = None) -> NormalForm:
     connected component along ``contraction_order``: every generator's
     state, its own self-loops plugged (a Z spider's in closed form,
     before its state is allocated), is absorbed into the component's
-    part as ``nf_absorb`` does, plugging the wires the two share as it
+    part by one contraction, plugging the wires the two share as it
     tensors them.  The component results are tensored together, as
     ``interpret`` outer-products its components.  Raises WireCapError if
     a node or a part would exceed ``cap`` open wires, and ArithmeticError

@@ -9,7 +9,8 @@ wire 0 is the right-most wire of a boundary, and a bit on wire i weighs
 This module is the ground-truth oracle for everything else.  It has its
 own contraction engine and never goes through the normal-form pipeline;
 it shares only the walk ``diagram.contraction_order``: the elimination
-order with each node's open edges and each step's held and shared wires.
+order with each node's open edges and the edges each step shares.  The
+axis order of each step's result is this module's own.
 
 The engine plans once per shape (``Diagram.shape``: all of a diagram
 but its Z phases) and contracts in batches.  A plan, translated from
@@ -151,21 +152,21 @@ def _plan(d: Diagram, cap: int) -> tuple:
     the boundary slots.
 
     The plan translates the walk of ``contraction_order``: each component
-    folds its nodes into its first one, with the wires each step holds
-    and shares, the bare boundary wires follow as components of their
-    own, and the components, which share no wire, fold together in
-    order.  Every operand's open wires are checked against the cap here,
-    before anything is allocated: the boundary first, then each node
-    (self-loops plugged: in closed form for a Z spider, by a trace
-    otherwise), then each step."""
+    folds its nodes into its first one, its wires threaded from step to
+    step in this route's own axis order, the bare boundary wires follow
+    as components of their own, and the components, which share no wire,
+    fold together in order.  Every operand's open wires are checked
+    against the cap here, before anything is allocated: the boundary
+    first, then each node (self-loops plugged: in closed form for a Z
+    spider, by a trace otherwise), then each step."""
     if d.n_in + d.n_out > cap:
         raise ResourceError(
             f"diagram has {d.n_in + d.n_out} boundary wires, cap is {cap}")
     walk = list(contraction_order(d.port_edges))
-    leaves, parts = [], []  # parts: each component's operand and end wires
-    for component, held in walk:
-        parts.append((len(leaves), held))
-        for v, open_, _, _ in component:
+    leaves, roots = [], []  # roots: each component's operand
+    for component in walk:
+        roots.append(len(leaves))
+        for v, open_, _ in component:
             if len(open_) > cap:
                 raise ResourceError(
                     f"a node has {len(open_)} open wires, cap is {cap}")
@@ -175,17 +176,19 @@ def _plan(d: Diagram, cap: int) -> tuple:
             else:
                 t = _FIXED[kind]
                 leaves.append(t if open_ else np.trace(t))
-    steps = []
-    for (dst, _), (component, _) in zip(parts, walk):
-        for src, (_, open_, before, shared) in enumerate(component[1:],
-                                                         dst + 1):
-            steps.append(_pair_step(dst, src, before, open_, shared, cap)[0])
+    steps, parts = [], []  # parts: each component's operand and end wires
+    for dst, component in zip(roots, walk):
+        wires = list(component[0][1])
+        for src, (_, open_, shared) in enumerate(component[1:], dst + 1):
+            step, wires = _pair_step(dst, src, wires, open_, shared, cap)
+            steps.append(step)
+        parts.append((dst, wires))
 
     def slot(ep):  # out slot j is axis j, in slot i axis n_out + i
         return ep[1] if ep[0] == "out" else d.n_out + ep[1]
 
-    # a held edge's far end, after its node end, is a boundary slot
-    slots = [slot(d.edges[i][1]) for _, held in parts for i in held]
+    # an end wire's far end, after its node end, is a boundary slot
+    slots = [slot(d.edges[i][1]) for _, wires in parts for i in wires]
     # each bare wire is an explicit identity, its end wires i and ~i
     for i, (a, b) in enumerate(d.edges):
         if a[0] != "n":
@@ -193,8 +196,8 @@ def _plan(d: Diagram, cap: int) -> tuple:
             leaves.append(np.eye(2, dtype=complex))
             slots += [slot(a), slot(b)]
     root, wires = parts[0] if parts else (None, [])
-    for src, held in parts[1:]:
-        step, wires = _pair_step(root, src, wires, held, (), cap)
+    for src, part in parts[1:]:
+        step, wires = _pair_step(root, src, wires, part, (), cap)
         steps.append(step)
     # the root's axes hold the parts' wires in order; perm lists the axis
     # of out slot 0..m-1 then in slot 0..n-1 (most significant bit first

@@ -3,8 +3,6 @@ random diagram generators for the property corpora."""
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from zxel import diagram as D
@@ -288,26 +286,21 @@ def contraction_order_by_scan(d: D.Diagram) -> list[list[int]]:
 def walk_along(port_edges, order) -> list:
     """Reference for the bookkeeping of ``contraction_order``: the walk
     along ``order`` (node ids per component), each step recomputed from
-    scratch.  A node's open edges are those at one of its ports only.
-    Before a step, the part holds the open edges of the nodes absorbed so
-    far that occur once among them, in order of absorption, then of port;
-    it shares with the node those of the node's open edges."""
+    scratch.  A node's open edges are those at one of its ports only; it
+    shares with the part those that an earlier node of its component
+    has open."""
     def opened(v):
         edges = port_edges[v]
         return tuple(i for i in edges if edges.count(i) == 1)
-
-    def part(nodes):
-        ends = Counter(i for u in nodes for i in opened(u))
-        return [i for u in nodes for i in opened(u) if ends[i] == 1]
 
     walk = []
     for component in order:
         steps = []
         for k, v in enumerate(component):
-            before = part(component[:k])
-            steps.append((v, opened(v), before,
-                          [i for i in opened(v) if i in before]))
-        walk.append((steps, part(component)))
+            earlier = {i for u in component[:k] for i in opened(u)}
+            steps.append((v, opened(v),
+                          [i for i in opened(v) if i in earlier]))
+        walk.append(steps)
     return walk
 
 
@@ -356,8 +349,8 @@ def topology(d: D.Diagram) -> tuple:
 def normalize_by_absorb(d: D.Diagram, cap: int | None = None) -> NF.NormalForm:
     """Reference for ``normalize``: the same walk and the same wire-cap
     checks, but every step a ``NormalForm`` of its own, absorbed with
-    ``nf_absorb`` (a trace by ``nf_self_plug``, components and bare caps
-    joined by ``nf_tensor``), and the walk redone on every call."""
+    ``np.tensordot`` (a trace by ``nf_self_plug``, components and bare
+    caps joined by ``nf_tensor``), and the walk redone on every call."""
     if cap is None:
         cap = wire_cap()
     state = D.bend_to_state(d)
@@ -367,7 +360,7 @@ def normalize_by_absorb(d: D.Diagram, cap: int | None = None) -> NF.NormalForm:
 
     acc = NF.scalar_nf(2.0 ** state.loops)  # each bare loop is a scalar 2
     slots: list[int] = []  # output slot of each acc wire, in order
-    for steps, _ in D.contraction_order(state.port_edges):
+    for steps in D.contraction_order(state.port_edges):
         part, held = NF.scalar_nf(1.0), []  # held: the edge at each wire
         for v, *_ in steps:  # the node ids only: the rest is redone here
             node, edges = state.nodes[v], state.port_edges[v]
@@ -386,9 +379,12 @@ def normalize_by_absorb(d: D.Diagram, cap: int | None = None) -> NF.NormalForm:
                 raise NF.WireCapError(
                     f"normalisation frontier reached {width} wires, "
                     f"cap is {cap}")
-            part = NF.nf_absorb(part, nf, [(len(held) - 1 - held.index(i),
-                                            len(edges) - 1 - edges.index(i))
-                                           for i in shared])
+            # axis k of a part or node state holds its k-th edge
+            part = NF.NormalForm(width, np.tensordot(
+                part.vector().reshape((2,) * part.m),
+                nf.vector().reshape((2,) * nf.m),
+                ([held.index(i) for i in shared],
+                 [edges.index(i) for i in shared])))
             held = [i for i in held + edges if i not in shared]
         acc = NF.nf_tensor(acc, part)
         # the far end of a held edge is an output slot

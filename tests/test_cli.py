@@ -172,6 +172,15 @@ def test_interpret_empty(tmp_path, runner):
     assert res.exit_code == 0 and res.output.strip() == "1"
 
 
+def test_interpret_largest_precision(tmp_path, runner):
+    # 2^31 - 1 is the most digits Python's format accepts
+    p = _write(tmp_path, "t.zx", D.triangle())
+    res = runner.invoke(main, ["interpret", "--precision", str(2 ** 31 - 1),
+                               p])
+    assert res.exit_code == 0
+    assert res.output.split("\n")[:2] == ["1  1", "0  1"]
+
+
 def test_interpret_malformed(tmp_path, runner):
     bad = tmp_path / "bad.zx"
     bad.write_text("{not json")
@@ -561,6 +570,8 @@ def test_out_of_range_option_is_a_usage_error(tmp_path, runner, args, option):
     (["rules", "--tol", "inf"], "--tol"),
     (["rules", "--seed", "-1"], "--seed"),
     (["interpret", "--precision", "-1"], "--precision"),
+    (["interpret", "--precision", str(2 ** 31)], "--precision"),
+    (["interpret", "--precision", "99999999999999999999"], "--precision"),
 ])
 def test_bad_tolerance_seed_precision_are_usage_errors(tmp_path, runner,
                                                        args, option):

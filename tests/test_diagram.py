@@ -7,7 +7,8 @@ import pytest
 from zxel import diagram as D
 from zxel import rules as R
 from zxel.diagram import DiagramError
-from zxel.semantics import contract_state, interpret, matrices_equal
+from zxel.semantics import (ResourceError, contract_state, interpret,
+                            matrices_equal)
 
 from zxel import normalform as NF
 from zxel.io import dumps_diagram
@@ -243,7 +244,7 @@ def _order_corpus():
 
 def _node_ids(walk):
     """The node ids of a walk, per component."""
-    return [[v for v, *_ in steps] for steps, _ in walk]
+    return [[v for v, *_ in steps] for steps in walk]
 
 
 def test_contraction_order_partitions_into_components():
@@ -272,11 +273,15 @@ def test_contraction_order_matches_greedy_reference():
         walk = list(D.contraction_order(d.port_edges))
         order = contraction_order_by_scan(d)
         assert _node_ids(walk) == order
-        # each step's open, held and shared edges, recomputed from the
-        # edges alone along the same order
+        # each step's open and shared edges, recomputed from the edges
+        # alone along the same order
         assert walk == walk_along(port_edges_by_scan(d), order)
         # a component's part ends holding its boundary edges
-        for component, (_, held) in zip(order, walk):
+        for component, steps in zip(order, walk):
+            held = set()
+            for _, open_, shared in steps:
+                assert set(shared) <= held
+                held ^= set(open_)
             assert sorted(held) == [
                 i for i, (a, b) in enumerate(d.edges)
                 if a[0] == "n" and a[1] in component and b[0] != "n"]
@@ -291,8 +296,7 @@ def test_contraction_order_edge_cases():
     loop = D.Diagram({0: D.Node(D.Z, 2.0)},
                      [(("n", 0, 0), ("n", 0, 1)), (("in", 0), ("n", 0, 2)),
                       (("out", 0), ("n", 0, 3))], 1, 1)
-    assert list(D.contraction_order(loop.port_edges)) == [
-        ([(0, (1, 2), [], [])], [1, 2])]
+    assert list(D.contraction_order(loop.port_edges)) == [[(0, (1, 2), [])]]
     # a self-loop adds no wire: after node 0, node 2 (two wires and a
     # self-loop) leaves fewer open wires than node 1 (three wires)
     d = D.Diagram({0: D.Node(D.Z), 1: D.Node(D.Z), 2: D.Node(D.Z)},
@@ -301,8 +305,50 @@ def test_contraction_order_edge_cases():
                    (("n", 1, 2), ("out", 2)), (("n", 2, 3), ("out", 1))],
                   0, 3)
     assert list(D.contraction_order(d.port_edges)) == [
-        ([(0, (0, 1), [], []), (2, (1, 5), [0, 1], [1]),
-          (1, (0, 3, 4), [0, 5], [0])], [5, 3, 4])]
+        [(0, (0, 1), []), (2, (1, 5), [1]), (1, (0, 3, 4), [0])]]
+
+
+def _z_grid(n):
+    """An n x n grid of Z spiders, each joined to its right and lower
+    neighbours, with no boundary: its greedy walk's part grows to about
+    n wires."""
+    ports = [0] * (n * n)
+
+    def port(v):
+        ports[v] += 1
+        return ("n", v, ports[v] - 1)
+
+    edges = []
+    for v in range(n * n):
+        if (v + 1) % n:  # a right neighbour
+            edges.append((port(v), port(v + 1)))
+        if v + n < n * n:  # a lower neighbour
+            edges.append((port(v), port(v + n)))
+    return D.Diagram({v: D.Node(D.Z, 2.0) for v in range(n * n)}, edges,
+                     0, 0)
+
+
+def test_contraction_order_is_linear_in_the_diagram():
+    # each step carries its node, its open edges and the shared ones, no
+    # copy of the part: every edge is open at both ends and shared at the
+    # second, so the walk holds 3 * |edges| + |nodes| items in all
+    d = _z_grid(60)
+
+    def size(x):  # an id counts one, a list or tuple its items
+        return 1 if isinstance(x, int) else sum(map(size, x))
+
+    assert size(D.contraction_order(d.port_edges)) <= (
+        3 * len(d.edges) + len(d.nodes))
+
+
+def test_grid_over_the_cap_is_refused_at_its_first_wide_step():
+    d = _z_grid(60)
+    with pytest.raises(ResourceError,
+                       match="^contraction needs 15 open wires, cap is 14$"):
+        interpret(d, cap=14)
+    with pytest.raises(NF.WireCapError, match="^normalisation frontier "
+                       "reached 15 wires, cap is 14$"):
+        NF.normalize(d, cap=14)
 
 
 # -- n-ary combinators -------------------------------------------------------

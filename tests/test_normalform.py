@@ -439,75 +439,6 @@ def test_normalize_independent_of_elimination_order(monkeypatch):
         assert NF.nf_equal(NF.normalize(d, cap=30), nf)
 
 
-def _tensor_then_plug(acc, nf, pairs):
-    """The reference for nf_absorb: nf_tensor, then nf_self_plug of each
-    pair, renumbering the wires after every plug."""
-    out = NF.nf_tensor(acc, nf)
-    # wires of out by origin, least significant first
-    wires = [("b", q) for q in range(nf.m)] + [("a", p) for p in range(acc.m)]
-    for p, q in pairs:
-        i, j = wires.index(("a", p)), wires.index(("b", q))
-        out = NF.nf_self_plug(out, (i, j))
-        wires = [w for w in wires if w not in (("a", p), ("b", q))]
-    return out
-
-
-def test_nf_absorb_equals_tensor_then_self_plug():
-    rng = np.random.default_rng(23)
-    for _ in range(60):
-        ma, mb = int(rng.integers(0, 5)), int(rng.integers(0, 5))
-        acc = NF.nf_from_vector(rng.normal(size=2 ** ma)
-                                + 1j * rng.normal(size=2 ** ma))
-        nf = NF.nf_from_vector(rng.normal(size=2 ** mb)
-                               + 1j * rng.normal(size=2 ** mb))
-        k = min(ma, mb)
-        a_wires = [int(w) for w in rng.permutation(ma)]
-        b_wires = [int(w) for w in rng.permutation(mb)]
-        # no pairs, some pairs, every wire of the smaller side paired
-        for n_pairs in {0, int(rng.integers(0, k + 1)), k}:
-            pairs = list(zip(a_wires[:n_pairs], b_wires[:n_pairs]))
-            got = NF.nf_absorb(acc, nf, pairs)
-            ref = _tensor_then_plug(acc, nf, pairs)
-            assert got.m == ref.m == ma + mb - 2 * n_pairs
-            assert np.allclose(got.vector(), ref.vector(), atol=1e-12)
-    # every wire on both sides paired: a full contraction to a scalar
-    v, w = rng.normal(size=8), rng.normal(size=8)
-    full = NF.nf_absorb(NF.nf_from_vector(v), NF.nf_from_vector(w),
-                        [(0, 0), (1, 1), (2, 2)])
-    assert full.m == 0 and np.isclose(full.coeffs[0], v @ w)
-
-
-def test_nf_absorb_is_bitwise_tensordot():
-    # the one-step kernel lays its operands out as np.tensordot does
-    rng = np.random.default_rng(47)
-    for _ in range(200):
-        ma, mb = int(rng.integers(0, 6)), int(rng.integers(0, 6))
-        acc = NF.nf_from_vector(rng.normal(size=2 ** ma)
-                                + 1j * rng.normal(size=2 ** ma))
-        nf = NF.nf_from_vector(rng.normal(size=2 ** mb)
-                               + 1j * rng.normal(size=2 ** mb))
-        k = int(rng.integers(0, min(ma, mb) + 1))
-        pairs = list(zip(rng.permutation(ma)[:k].tolist(),
-                         rng.permutation(mb)[:k].tolist()))
-        want = np.tensordot(acc.vector().reshape((2,) * ma),
-                            nf.vector().reshape((2,) * mb),
-                            axes=([ma - 1 - p for p, _ in pairs],
-                                  [mb - 1 - q for _, q in pairs]))
-        got = NF.nf_absorb(acc, nf, pairs)
-        assert got.m == ma + mb - 2 * k
-        assert got.coeffs.tobytes() == want.tobytes(), (ma, mb, pairs)
-
-
-def test_nf_absorb_errors():
-    a = NF.nf_from_vector([1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        NF.nf_absorb(a, a, [(2, 0)])
-    with pytest.raises(ValueError):
-        NF.nf_absorb(a, a, [(0, -1)])
-    with pytest.raises(ValueError):
-        NF.nf_absorb(a, a, [(0, 0), (0, 1)])
-
-
 def _loop_diagram(kind, degree, loops, n_in, n_out, phase=1.0):
     """One node whose first 2 * loops ports are joined in pairs, then
     n_in inputs, then n_out outputs."""
