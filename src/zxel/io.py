@@ -41,16 +41,21 @@ class DiagramFileError(ValueError):
     """Malformed diagram file; message carries the offending location."""
 
 
+def _is_int(x) -> bool:
+    """An integer, and not a JSON boolean (which Python reads as 0 or 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_endpoint(raw, where: str):
     if not isinstance(raw, list) or not raw:
         raise DiagramFileError(f"{where}: endpoint must be a list")
     tag = raw[0]
     if tag == "in" or tag == "out":
-        if len(raw) != 2 or not isinstance(raw[1], int):
+        if len(raw) != 2 or not _is_int(raw[1]):
             raise DiagramFileError(f"{where}: boundary endpoint needs a slot")
         return (tag, raw[1])
     if tag == "node":
-        if len(raw) != 3 or not all(isinstance(x, int) for x in raw[1:]):
+        if len(raw) != 3 or not all(_is_int(x) for x in raw[1:]):
             raise DiagramFileError(f"{where}: node endpoint needs id and port")
         return ("n", raw[1], raw[2])
     raise DiagramFileError(f"{where}: unknown endpoint tag {tag!r}")
@@ -82,7 +87,7 @@ def diagram_from_jsonable(rec) -> Diagram:
     counts = {}
     for key, default in (("inputs", None), ("outputs", None), ("loops", 0)):
         value = counts[key] = rec.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if not _is_int(value) or value < 0:
             raise DiagramFileError(
                 f"{key}: expected a non-negative integer, got {value!r}")
     n_in, n_out, loops = counts.values()
@@ -99,13 +104,14 @@ def diagram_from_jsonable(rec) -> Diagram:
         if not isinstance(nd, dict) or "id" not in nd or "kind" not in nd:
             raise DiagramFileError(f"{where}: needs id and kind")
         vid = nd["id"]
-        if not isinstance(vid, int) or vid in nodes or vid in x_nodes:
+        if not _is_int(vid) or vid in nodes or vid in x_nodes:
             raise DiagramFileError(f"{where}: bad or duplicate id {vid!r}")
         kind = nd["kind"]
         if kind == "z":
             phase = nd.get("phase", [1.0, 0.0])
             if (not isinstance(phase, list) or len(phase) != 2
-                    or not all(isinstance(x, (int, float)) for x in phase)):
+                    or not all(_is_int(x) or isinstance(x, float)
+                               for x in phase)):
                 raise DiagramFileError(
                     f"{where}: phase must be an [re, im] pair")
             try:

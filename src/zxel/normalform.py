@@ -203,24 +203,29 @@ def pi_layer(m: int, wires) -> Diagram:
 
 @cache
 def _pi_layer(m: int, wires: frozenset[int]) -> Diagram:
+    if not all(0 <= i < m for i in wires):
+        raise ValueError(f"pi wires {sorted(wires)} out of range for {m} wires")
     layer = [x_spider(1, 1, dg.TAU_PI) if (m - 1 - slot) in wires
              else identity(1) for slot in range(m)]
     return tensor_all(layer) if m else dg.empty()
 
 
+def _between_pi_pairs(core: Diagram, pi_wires) -> Diagram:
+    layer = pi_layer(core.n_in, pi_wires)
+    return compose_all([layer, core, layer]) if layer.nodes else core
+
+
 def decorated_row_addition(m: int, a: complex, subset, pi_wires) -> Diagram:
     """Row addition whose detector reads flipped bits on ``pi_wires``:
-    pairs of pink pi nodes around the gadget on those wires."""
-    core = row_addition_diagram(m, a, subset)
-    layer = pi_layer(m, pi_wires)
-    return compose_all([layer, core, layer])
+    pairs of pink pi nodes around the gadget on those wires, or the bare
+    gadget if there are none."""
+    return _between_pi_pairs(row_addition_diagram(m, a, subset), pi_wires)
 
 
 def decorated_row_multiplication(m: int, a: complex, pi_wires) -> Diagram:
-    """Row multiplication conjugated by pink pi pairs on ``pi_wires``."""
-    core = row_multiplication_diagram(m, a)
-    layer = pi_layer(m, pi_wires)
-    return compose_all([layer, core, layer])
+    """Row multiplication between pink pi pairs on ``pi_wires``, or the
+    bare gadget if there are none."""
+    return _between_pi_pairs(row_multiplication_diagram(m, a), pi_wires)
 
 
 def elementary_diagram(spec: ElementarySpec) -> Diagram:

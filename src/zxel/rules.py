@@ -7,16 +7,25 @@ semantically equal on randomised and forced parameter draws.  The harness
 is the transcription oracle for the figure material.
 
 Derived rules carry a provenance label naming the lemma or proposition
-they encode.  The commutation propositions are stated over the
+they encode.  Most propositions are stated over the
 elementary-transformation gadgets: ``row addition`` / ``row
 multiplication`` diagrams, optionally conjugated by pairs of pink pi
 nodes on a wire subset (the "decorated" family members used by the
-tensor-of-normal-forms protocol).
+tensor-of-normal-forms protocol).  A gadget spec names one:
+``("add", m, S, P)`` is the row addition on the wire subset S of m wires
+and ``("mult", m, P)`` the row multiplication, each between pi pairs on
+the wires P.  Four families cover most of these propositions, one
+catalog row each: two gadgets commute (``_commutes``), a gadget followed
+by itself merges its coefficients by + or x (``_merges``), a pi layer
+passes through a gadget (``_pi_moves``), and a gadget beside new wires
+is a product of its extensions to them (``_extends``).  Every family
+builds its gadgets, coefficient included, through ``_gadget``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Callable, Sequence
@@ -410,12 +419,6 @@ def _adprime(ps):
     return lhs, z_spider(0, 1, a + b)
 
 
-def _additiongbx(ps):
-    a, b = ps
-    lhs = compose(row_addition_diagram(1, a, [0]), row_addition_diagram(1, b, [0]))
-    return lhs, row_addition_diagram(1, a + b, [0])
-
-
 def _ivt(ps):
     rhs = compose_all([z_spider(1, 1, -1.0), triangle(), z_spider(1, 1, -1.0)])
     return triangle_inv(), rhs
@@ -571,12 +574,6 @@ def _andgate2v(ps):
     return compose(swap(), and_gate()), and_gate()
 
 
-def _andaddition(ps):
-    a, b = ps
-    lhs = compose(row_multiplication_diagram(2, a), row_multiplication_diagram(2, b))
-    return lhs, row_multiplication_diagram(2, a * b)
-
-
 def _andpicomt(ps):
     lhs = compose_all([
         z_spider(1, 2, 1.0),
@@ -605,66 +602,63 @@ def _dis2(ps):
     return lhs, rhs
 
 
-# -- derived rules: commutation propositions over elementary gadgets ------
+# -- derived rules: propositions over elementary gadgets -----------------
 
-def _commute_pair(g1: Diagram, g2: Diagram):
-    return compose(g1, g2), compose(g2, g1)
-
-
-def _picntcommut(ps):
-    a, = ps
-    m, S, i = 2, [0], 1
-    lhs = compose(pi_layer(m, [i]), row_addition_diagram(m, a, S))
-    rhs = compose(decorated_row_addition(m, a, S, [i]), pi_layer(m, [i]))
-    return lhs, rhs
+def _gadget(spec, a: complex) -> Diagram:
+    """The gadget of a spec, ``("add", m, S, P)`` or ``("mult", m, P)``,
+    with coefficient a."""
+    kind, m, *wires = spec
+    build = (decorated_row_addition if kind == "add"
+             else decorated_row_multiplication)
+    return build(m, a, *wires)
 
 
-def _picntcommutcro(ps):
-    a, = ps
-    m, S, P = 3, [0], [1, 2]
-    lhs = compose(pi_layer(m, P), row_addition_diagram(m, a, S))
-    rhs = compose(decorated_row_addition(m, a, S, P), pi_layer(m, P))
-    return lhs, rhs
+def _commutes(name: str, g1, g2, **kw) -> RewriteRule:
+    """g1 (coefficient a) then g2 (coefficient b) equals g2 then g1."""
+    def build(ps):
+        d1, d2 = _gadget(g1, ps[0]), _gadget(g2, ps[1])
+        return compose(d1, d2), compose(d2, d1)
+    return _r(name, 2, build, **kw)
 
 
-def _picntcommutesam(ps):
-    a, = ps
-    m, S, i = 2, [0], 1
-    lhs = compose(pi_layer(m, [i]), decorated_row_addition(m, a, S, [i]))
-    rhs = compose(row_addition_diagram(m, a, S), pi_layer(m, [i]))
-    return lhs, rhs
+def _merges(name: str, g, combine, **kw) -> RewriteRule:
+    """g with a then g with b is g with ``combine(a, b)``."""
+    def build(ps):
+        a, b = ps
+        return (compose(_gadget(g, a), _gadget(g, b)),
+                _gadget(g, combine(a, b)))
+    return _r(name, 2, build, **kw)
 
 
-def _picntcommutesamgrn(ps):
-    a, = ps
-    m, S, i, k = 3, [0], 1, 2
-    lhs = compose(pi_layer(m, [k]), decorated_row_addition(m, a, S, [i]))
-    rhs = compose(decorated_row_addition(m, a, S, [i, k]), pi_layer(m, [k]))
-    return lhs, rhs
+def _pi_moves(name: str, g, Q, **kw) -> RewriteRule:
+    """A pi layer on the wires Q passes through g, whose pi wires P
+    become P ^ Q (symmetric difference)."""
+    moved = (*g[:-1], set(g[-1]) ^ set(Q))
+
+    def build(ps):
+        layer = pi_layer(g[1], Q)
+        return (compose(layer, _gadget(g, ps[0])),
+                compose(_gadget(moved, ps[0]), layer))
+    return _r(name, 1, build, **kw)
 
 
-def _picntcommutcro2(ps):
-    a, = ps
-    m, S, P, Q = 3, [0, 1], [2], [2]
-    lhs = compose(pi_layer(m, Q), decorated_row_addition(m, a, S, P))
-    rhs = compose(row_addition_diagram(m, a, S), pi_layer(m, Q))
-    return lhs, rhs
+def _extends(name: str, g, n: int, low: bool, **kw) -> RewriteRule:
+    """g beside n new wires, the low ones (right of g) if ``low``, is the
+    product over the subsets P of the new wires, in binary order, of g
+    extended to them with P added to its pi wires."""
+    kind, m, *wires = g
+    shift, new = (n, range(n)) if low else (0, range(m, m + n))
+    *rest, pi = [[i + shift for i in w] for w in wires]
+    members = [(kind, m + n, *rest,
+                pi + [w for k, w in enumerate(new) if j >> k & 1])
+               for j in range(2 ** n)]
 
-
-def _picntcommuteand(ps):
-    a, = ps
-    m, i = 2, 1
-    lhs = compose(pi_layer(m, [i]), row_multiplication_diagram(m, a))
-    rhs = compose(decorated_row_multiplication(m, a, [i]), pi_layer(m, [i]))
-    return lhs, rhs
-
-
-def _picntcommuteandcr1(ps):
-    a, = ps
-    m, P = 3, [0, 2]
-    lhs = compose(pi_layer(m, P), row_multiplication_diagram(m, a))
-    rhs = compose(decorated_row_multiplication(m, a, P), pi_layer(m, P))
-    return lhs, rhs
+    def build(ps):
+        a, = ps
+        d, side = _gadget(g, a), identity(n)
+        lhs = tensor(d, side) if low else tensor(side, d)
+        return lhs, compose_all([_gadget(h, a) for h in members])
+    return _r(name, 1, build, **kw)
 
 
 def _piredonpair(ps):
@@ -675,213 +669,11 @@ def _piredonpair(ps):
     return lhs, layer
 
 
-def _prop1(ps):
-    a, = ps
-    k, S = 2, [0]
-    S2 = [i + 1 for i in S]
-    lhs = tensor(row_addition_diagram(k, a, S), identity(1))
-    rhs = compose(row_addition_diagram(k + 1, a, S2),
-                  decorated_row_addition(k + 1, a, S2, [0]))
-    return lhs, rhs
-
-
-def _prop1cro2(ps):
-    a, = ps
-    k, S = 2, [0, 1]
-    lhs = tensor(identity(1), row_addition_diagram(k, a, S))
-    rhs = compose(row_addition_diagram(k + 1, a, S),
-                  decorated_row_addition(k + 1, a, S, [k]))
-    return lhs, rhs
-
-
-def _itensorand(ps):
-    a, = ps
-    k = 2
-    lhs = tensor(row_multiplication_diagram(k, a), identity(1))
-    rhs = compose(row_multiplication_diagram(k + 1, a),
-                  decorated_row_multiplication(k + 1, a, [0]))
-    return lhs, rhs
-
-
-def _nlines_tensor_nf(ps):
-    a, = ps
-    # addition gadget with two new wires appended on the right (low side)
-    m, S, n = 1, [0], 2
-    S2 = [i + n for i in S]
-    lhs = tensor(row_addition_diagram(m, a, S), identity(n))
-    members = [decorated_row_addition(m + n, a, S2, P)
-               for P in ([], [0], [1], [0, 1])]
-    return lhs, compose_all(members)
-
-
-def _nf_tensor_nlines(ps):
-    a, = ps
-    m, S, n = 1, [0], 2
-    lhs = tensor(identity(n), row_addition_diagram(m, a, S))
-    members = [decorated_row_addition(m + n, a, S, P)
-               for P in ([], [1], [2], [1, 2])]
-    return lhs, compose_all(members)
-
-
-def _nlines_tensor_nf_add(ps):
-    a, = ps
-    m, n = 1, 2
-    lhs = tensor(identity(n), row_multiplication_diagram(m, a))
-    members = [decorated_row_multiplication(m + n, a, P)
-               for P in ([], [1], [2], [1, 2])]
-    return lhs, compose_all(members)
-
-
-def _nlines_tensor_mmult(ps):
-    a, = ps
-    m, n = 1, 2
-    lhs = tensor(row_multiplication_diagram(m, a), identity(n))
-    members = [decorated_row_multiplication(m + n, a, P)
-               for P in ([], [0], [1], [0, 1])]
-    return lhs, compose_all(members)
-
-
-def _propadprime(ps):
-    a, b = ps
-    m, S = 2, [0, 1]
-    lhs = compose(row_addition_diagram(m, a, S), row_addition_diagram(m, b, S))
-    return lhs, row_addition_diagram(m, a + b, S)
-
-
-def _propadprimecro(ps):
-    a, b = ps
-    m, S, P = 2, [0], [1]
-    lhs = compose(decorated_row_addition(m, a, S, P),
-                  decorated_row_addition(m, b, S, P))
-    return lhs, decorated_row_addition(m, a + b, S, P)
-
-
-def _addcommutat(ps):
-    a, b = ps
-    return _commute_pair(row_addition_diagram(1, a, [0]),
-                         row_addition_diagram(1, b, [0]))
-
-
-def _addcommutatgen(ps):
-    a, b = ps
-    m = 3
-    return _commute_pair(row_addition_diagram(m, a, list(range(m))),
-                         row_addition_diagram(m, b, list(range(m))))
-
-
-def _addcommutatgencont(ps):
-    a, b = ps
-    m = 3
-    return _commute_pair(row_addition_diagram(m, a, [0, 2]),
-                         row_addition_diagram(m, b, [1, 2]))
-
-
-def _raddcomplex(ps):
-    a, b = ps
-    m = 2
-    return _commute_pair(decorated_row_addition(m, a, [0], [1]),
-                         row_addition_diagram(m, b, [0, 1]))
-
-
-def _raddcomplexsym(ps):
-    a, b = ps
-    m = 2
-    return _commute_pair(decorated_row_addition(m, a, [1], [0]),
-                         decorated_row_addition(m, b, [0], [1]))
-
-
 def _ruletensorad(ps):
     a, b = ps
     lhs1 = tensor(row_addition_diagram(1, a, [0]), identity(1))
     lhs2 = tensor(identity(1), row_addition_diagram(1, b, [0]))
-    return _commute_pair(lhs1, lhs2)
-
-
-def _ruletensorLsim(ps):
-    a, = ps
-    lhs = tensor(row_addition_diagram(1, a, [0]), identity(1))
-    rhs = compose(row_addition_diagram(2, a, [1]),
-                  decorated_row_addition(2, a, [1], [0]))
-    return lhs, rhs
-
-
-def _ruletensorL(ps):
-    a, = ps
-    lhs = tensor(row_multiplication_diagram(1, a), identity(1))
-    rhs = compose(row_multiplication_diagram(2, a),
-                  decorated_row_multiplication(2, a, [0]))
-    return lhs, rhs
-
-
-def _multiplypimulticommutesim(ps):
-    a, b = ps
-    m = 2
-    return _commute_pair(decorated_row_multiplication(m, a, [0]),
-                         row_multiplication_diagram(m, b))
-
-
-def _multiplypimulticommutg(ps):
-    a, b = ps
-    m = 2
-    return _commute_pair(row_multiplication_diagram(m, a),
-                         decorated_row_multiplication(m, b, [0, 1]))
-
-
-def _multiplypimulticommute(ps):
-    a, b = ps
-    m = 2
-    return _commute_pair(decorated_row_multiplication(m, a, [1]),
-                         decorated_row_multiplication(m, b, [0]))
-
-
-def _multiplypimulticommutgcro2(ps):
-    a, b = ps
-    m, S, i = 2, [0, 1], 1  # i in S with |S| >= 2
-    return _commute_pair(decorated_row_addition(m, a, S, [i]),
-                         decorated_row_addition(m, b, S, [i]))
-
-
-def _addpidoublecom(ps):
-    a, b = ps
-    m, S = 3, [0]
-    return _commute_pair(decorated_row_addition(m, a, S, [1]),
-                         decorated_row_addition(m, b, S, [2]))
-
-
-def _multipidoublecom(ps):
-    a, b = ps
-    m = 2
-    return _commute_pair(decorated_row_multiplication(m, a, [0]),
-                         decorated_row_multiplication(m, b, [1]))
-
-
-def _addpimultiplycommut(ps):
-    a, b = ps
-    m, S, k = 2, [0, 1], 0  # k in S, |S| >= 2
-    return _commute_pair(row_addition_diagram(m, a, S),
-                         decorated_row_multiplication(m, b, [k]))
-
-
-def _addpimultiplycommutg(ps):
-    a, b = ps
-    m, S, k = 3, [0, 1], 2  # k not in S
-    return _commute_pair(row_addition_diagram(m, a, S),
-                         decorated_row_multiplication(m, b, [k]))
-
-
-def _addpipairmultiplycommutgp(ps):
-    a, b = ps
-    m, S, P, Q = 3, [0], [1], [2]  # P != Q, Q disjoint from S
-    return _commute_pair(decorated_row_addition(m, a, S, P),
-                         decorated_row_multiplication(m, b, Q))
-
-
-def _tr15(ps):
-    a, b = ps
-    m, P = 2, [1]
-    lhs = compose(decorated_row_multiplication(m, a, P),
-                  decorated_row_multiplication(m, b, P))
-    return lhs, decorated_row_multiplication(m, a * b, P)
+    return compose(lhs1, lhs2), compose(lhs2, lhs1)
 
 
 def _pimultiaddcombine(ps):
@@ -913,61 +705,6 @@ def _cnotscommute(ps):
     lhs = compose(cnot(3, 0, 1), cnot(3, 0, 2))
     rhs = compose(cnot(3, 0, 2), cnot(3, 0, 1))
     return lhs, rhs
-
-
-def _prop27(ps):
-    a, b = ps
-    # blocks: N = {2,3}, M = {0,1}
-    return _commute_pair(decorated_row_addition(4, a, [3], [0]),
-                         decorated_row_addition(4, b, [2], [0, 1]))
-
-
-def _prop28(ps):
-    a, b = ps
-    return _commute_pair(decorated_row_addition(4, a, [0], [2]),
-                         decorated_row_addition(4, b, [3], [1]))
-
-
-def _prop29(ps):
-    a, b = ps
-    return _commute_pair(row_addition_diagram(4, a, [0, 2]),
-                         decorated_row_addition(4, b, [1], [2, 3]))
-
-
-def _prop29b(ps):
-    a, b = ps
-    return _commute_pair(row_addition_diagram(4, a, [1, 3]),
-                         decorated_row_addition(4, b, [2], [0]))
-
-
-def _prop30a(ps):
-    a, b = ps
-    return _commute_pair(decorated_row_addition(4, a, [2], [0]),
-                         decorated_row_multiplication(4, b, [3]))
-
-
-def _prop30b(ps):
-    a, b = ps
-    return _commute_pair(row_addition_diagram(4, a, [1, 2]),
-                         decorated_row_multiplication(4, b, [2, 3]))
-
-
-def _prop30bcro(ps):
-    a, b = ps
-    return _commute_pair(row_addition_diagram(4, a, [0, 3]),
-                         decorated_row_multiplication(4, b, [1]))
-
-
-def _prop30c(ps):
-    a, b = ps
-    return _commute_pair(row_addition_diagram(4, a, [2, 3]),
-                         decorated_row_multiplication(4, b, [2]))
-
-
-def _prop30ccro(ps):
-    a, b = ps
-    return _commute_pair(row_addition_diagram(4, a, [0, 1]),
-                         decorated_row_multiplication(4, b, [0]))
 
 
 # -- derived rules: self-plugging layer ------------------------------------
@@ -1044,7 +781,8 @@ def derived_catalog() -> list[RewriteRule]:
         _r("Bas1'", 0, _bas1p, provenance="redpitogreen2"),
         _r("zx2e", 0, _zx2e, provenance="2eprf"),
         _r("AD'", 2, _adprime, provenance="equivalentaddrulens"),
-        _r("additiongbx", 2, _additiongbx, provenance="additiongbxlm"),
+        _merges("additiongbx", ("add", 1, [0], []), operator.add,
+                provenance="additiongbxlm"),
         _r("Ivt", 0, _ivt, provenance="definitionTriangleInverse2"),
         _r("Pic", 1, _pic, domain=nonzero, provenance="pimultiplecplm"),
         _r("Pic'", 0, _pic_colour, provenance="pimultiplecp"),
@@ -1073,58 +811,84 @@ def derived_catalog() -> list[RewriteRule]:
         _r("generalBiA", 0, _general_bia, provenance="generalbialgebra"),
         _r("andcopy", 0, _andcopy),
         _r("andgate2v", 0, _andgate2v),
-        _r("andadditionco", 2, _andaddition),
+        _merges("andadditionco", ("mult", 2, []), operator.mul),
         _r("andpicomt", 0, _andpicomt),
         _r("Dis", 0, _dis, provenance="distribute"),
         _r("Dis2", 1, _dis2, provenance="distribute2"),
-        # commutation propositions over elementary gadgets
-        _r("picntcommut", 1, _picntcommut),
-        _r("picntcommutcro", 1, _picntcommutcro),
-        _r("picntcommutesam", 1, _picntcommutesam),
-        _r("picntcommutesamgrn", 1, _picntcommutesamgrn),
-        _r("picntcommutcro2", 1, _picntcommutcro2),
-        _r("picntcommuteand", 1, _picntcommuteand),
-        _r("picntcommuteandcr1", 1, _picntcommuteandcr1),
+        # propositions over elementary gadgets
+        _pi_moves("picntcommut", ("add", 2, [0], []), [1]),
+        _pi_moves("picntcommutcro", ("add", 3, [0], []), [1, 2]),
+        _pi_moves("picntcommutesam", ("add", 2, [0], [1]), [1]),
+        _pi_moves("picntcommutesamgrn", ("add", 3, [0], [1]), [2]),
+        _pi_moves("picntcommutcro2", ("add", 3, [0, 1], [2]), [2]),
+        _pi_moves("picntcommuteand", ("mult", 2, []), [1]),
+        _pi_moves("picntcommuteandcr1", ("mult", 3, []), [0, 2]),
         _r("piredonpairpidm", 1, _piredonpair),
-        _r("prop1", 1, _prop1),
-        _r("prop1cro2", 1, _prop1cro2, provenance="propo1cro2"),
-        _r("itensorand", 1, _itensorand),
-        _r("nlinestensornormalform", 1, _nlines_tensor_nf),
-        _r("normalformtensornlines", 1, _nf_tensor_nlines),
-        _r("nlinestensornormalformadd", 1, _nlines_tensor_nf_add),
-        _r("nlinestensormmultiply", 1, _nlines_tensor_mmult),
-        _r("propadprime", 2, _propadprime),
-        _r("propadprimecro", 2, _propadprimecro),
-        _r("addcommutat", 2, _addcommutat),
-        _r("addcommutatgen", 2, _addcommutatgen),
-        _r("addcommutatgencont", 2, _addcommutatgencont),
-        _r("raddcomplex", 2, _raddcomplex),
-        _r("raddcomplexsym", 2, _raddcomplexsym),
+        _extends("prop1", ("add", 2, [0], []), 1, low=True),
+        _extends("prop1cro2", ("add", 2, [0, 1], []), 1, low=False,
+                 provenance="propo1cro2"),
+        _extends("itensorand", ("mult", 2, []), 1, low=True),
+        _extends("nlinestensornormalform", ("add", 1, [0], []), 2, low=True),
+        _extends("normalformtensornlines", ("add", 1, [0], []), 2, low=False),
+        _extends("nlinestensornormalformadd", ("mult", 1, []), 2, low=False),
+        _extends("nlinestensormmultiply", ("mult", 1, []), 2, low=True),
+        _merges("propadprime", ("add", 2, [0, 1], []), operator.add),
+        _merges("propadprimecro", ("add", 2, [0], [1]), operator.add),
+        _commutes("addcommutat", ("add", 1, [0], []), ("add", 1, [0], [])),
+        _commutes("addcommutatgen", ("add", 3, [0, 1, 2], []),
+                  ("add", 3, [0, 1, 2], [])),
+        _commutes("addcommutatgencont", ("add", 3, [0, 2], []),
+                  ("add", 3, [1, 2], [])),
+        _commutes("raddcomplex", ("add", 2, [0], [1]), ("add", 2, [0, 1], [])),
+        _commutes("raddcomplexsym", ("add", 2, [1], [0]), ("add", 2, [0], [1])),
         _r("ruletensorad", 2, _ruletensorad),
-        _r("ruletensorLsim", 1, _ruletensorLsim, provenance="ruletensorLsimpler"),
-        _r("ruletensorL", 1, _ruletensorL, provenance="ruletensor"),
-        _r("multiplypimulticommutesim", 2, _multiplypimulticommutesim),
-        _r("multiplypimulticommutg", 2, _multiplypimulticommutg),
-        _r("multiplypimulticommute", 2, _multiplypimulticommute),
-        _r("multiplypimulticommutgcro2", 2, _multiplypimulticommutgcro2),
-        _r("addpidoublecom", 2, _addpidoublecom),
-        _r("multipidoublecom", 2, _multipidoublecom),
-        _r("addpimultiplycommut", 2, _addpimultiplycommut),
-        _r("addpimultiplycommutg", 2, _addpimultiplycommutg),
-        _r("addpipairmultiplycommutgp", 2, _addpipairmultiplycommutgp),
-        _r("TR15", 2, _tr15, provenance="pimultiplyabsorbtion"),
+        _extends("ruletensorLsim", ("add", 1, [0], []), 1, low=True,
+                 provenance="ruletensorLsimpler"),
+        _extends("ruletensorL", ("mult", 1, []), 1, low=True,
+                 provenance="ruletensor"),
+        _commutes("multiplypimulticommutesim", ("mult", 2, [0]),
+                  ("mult", 2, [])),
+        _commutes("multiplypimulticommutg", ("mult", 2, []),
+                  ("mult", 2, [0, 1])),
+        _commutes("multiplypimulticommute", ("mult", 2, [1]), ("mult", 2, [0])),
+        # the pi wire 1 is in S, |S| >= 2
+        _commutes("multiplypimulticommutgcro2", ("add", 2, [0, 1], [1]),
+                  ("add", 2, [0, 1], [1])),
+        _commutes("addpidoublecom", ("add", 3, [0], [1]), ("add", 3, [0], [2])),
+        _commutes("multipidoublecom", ("mult", 2, [0]), ("mult", 2, [1])),
+        # the pi wire 0 is in S, |S| >= 2
+        _commutes("addpimultiplycommut", ("add", 2, [0, 1], []),
+                  ("mult", 2, [0])),
+        # the pi wire 2 is not in S
+        _commutes("addpimultiplycommutg", ("add", 3, [0, 1], []),
+                  ("mult", 3, [2])),
+        # P != Q, Q disjoint from S
+        _commutes("addpipairmultiplycommutgp", ("add", 3, [0], [1]),
+                  ("mult", 3, [2])),
+        _merges("TR15", ("mult", 2, [1]), operator.mul,
+                provenance="pimultiplyabsorbtion"),
         _r("pimultiaddcombinepro", 2, _pimultiaddcombine),
         _r("pitopaddpipaircommutprop", 2, _pitopaddpipair),
         _r("cnotscomutelm", 0, _cnotscommute),
-        _r("addpipair2sidecommutprop", 2, _prop27),
-        _r("addpipair2sidecommutprop28", 2, _prop28),
-        _r("addpipair2sidecommutprop29", 2, _prop29),
-        _r("addpipair2sidecommutprop29b", 2, _prop29b),
-        _r("addpipairmulcommutprop30a", 2, _prop30a),
-        _r("addpipairmulcommutprop30b", 2, _prop30b),
-        _r("addpipairmulcommutprop30bcro", 2, _prop30bcro),
-        _r("addpipairmulcommutprop30c", 2, _prop30c),
-        _r("addpipairmulcommutprop30ccro", 2, _prop30ccro),
+        # props 27-30 on blocks N = {2, 3}, M = {0, 1}
+        _commutes("addpipair2sidecommutprop", ("add", 4, [3], [0]),
+                  ("add", 4, [2], [0, 1])),
+        _commutes("addpipair2sidecommutprop28", ("add", 4, [0], [2]),
+                  ("add", 4, [3], [1])),
+        _commutes("addpipair2sidecommutprop29", ("add", 4, [0, 2], []),
+                  ("add", 4, [1], [2, 3])),
+        _commutes("addpipair2sidecommutprop29b", ("add", 4, [1, 3], []),
+                  ("add", 4, [2], [0])),
+        _commutes("addpipairmulcommutprop30a", ("add", 4, [2], [0]),
+                  ("mult", 4, [3])),
+        _commutes("addpipairmulcommutprop30b", ("add", 4, [1, 2], []),
+                  ("mult", 4, [2, 3])),
+        _commutes("addpipairmulcommutprop30bcro", ("add", 4, [0, 3], []),
+                  ("mult", 4, [1])),
+        _commutes("addpipairmulcommutprop30c", ("add", 4, [2, 3], []),
+                  ("mult", 4, [2])),
+        _commutes("addpipairmulcommutprop30ccro", ("add", 4, [0, 1], []),
+                  ("mult", 4, [0])),
         # self-plugging layer
         _r("rule10", 2, _rule10),
         _r("rule10exten", 2, _rule10exten),

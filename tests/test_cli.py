@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -265,6 +266,18 @@ def test_rules_command_ok(runner):
     assert all(r["max_deviation"] <= 1e-9 for r in rec["rules"])
 
 
+# sha256 of the stdout of `zxel rules --json --samples 2` (seed 0): every
+# rule's build, draws and the rounding of its deviations
+RULES_JSON_SHA256 = ("e1f8e430a5fafe6a11fb0d23bb22c186"
+                     "c861f49535ad3e9e5dbcfc3b97a1e8e2")
+
+
+def test_rules_json_is_byte_stable(runner):
+    res = runner.invoke(main, ["rules", "--json", "--samples", "2"])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == RULES_JSON_SHA256
+
+
 def test_rules_command_corrupted_fails(runner):
     res = runner.invoke(main, ["rules", "--samples", "2", "--corrupt", "B2"])
     assert res.exit_code == 1
@@ -513,6 +526,26 @@ def test_wrongly_typed_field_is_a_file_error(tmp_path, runner, key, value):
         res = runner.invoke(main, args)
         _assert_one_line_error(res)
         assert key in res.stderr and "internal" not in res.stderr
+
+
+@pytest.mark.parametrize("place", [
+    ("nodes", 0, "id"), ("nodes", 0, "phase", 0), ("nodes", 0, "phase", 1),
+    ("edges", 0, 0, 1), ("edges", 0, 1, 1), ("edges", 0, 1, 2),
+])
+def test_json_boolean_is_not_a_number(tmp_path, runner, place):
+    # Python reads true as 1 and false as 0: the file differs from a valid
+    # one only in the JSON type of one number
+    rec = json.loads(_WIRE_FILE % ("0", "[1, 0]"))
+    target = rec
+    for key in place[:-1]:
+        target = target[key]
+    target[place[-1]] = bool(target[place[-1]])
+    path = tmp_path / "bad.zx"
+    path.write_text(json.dumps(rec))
+    with pytest.raises(DiagramFileError):
+        load_diagram(str(path))
+    for args in _commands(str(path)):
+        _assert_one_line_error(runner.invoke(main, args))
 
 
 def test_check_eq_overflowing_deviation_is_null(tmp_path, runner):

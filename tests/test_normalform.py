@@ -101,6 +101,30 @@ def test_decorated_gadgets_are_pi_conjugations():
     assert matrices_equal(dec, x1 @ core @ x1, 1e-9)
 
 
+def test_undecorated_gadgets_are_the_bare_gadgets():
+    a = 0.5 - 0.5j
+    for m in (1, 2, 3):
+        for subset in ([0], [m - 1], list(range(m))):
+            bare = NF.row_addition_diagram(m, a, subset)
+            dec = NF.decorated_row_addition(m, a, subset, [])
+            assert dec.structural_key() == bare.structural_key()
+        bare = NF.row_multiplication_diagram(m, a)
+        dec = NF.decorated_row_multiplication(m, a, [])
+        assert dec.structural_key() == bare.structural_key()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NF.pi_layer(2, [-1]),
+    lambda: NF.pi_layer(2, [2]),
+    lambda: NF.pi_layer(0, [0]),
+    lambda: NF.decorated_row_multiplication(2, 0.5, [2]),
+    lambda: NF.decorated_row_addition(3, 0.5, [0], [1, 3]),
+], ids=["layer-1", "layer2", "layer0", "mult2", "add3"])
+def test_pi_wires_out_of_range_are_refused(build):
+    with pytest.raises(ValueError, match="out of range"):
+        build()
+
+
 def test_perm_matrix_matches_contraction():
     # index arithmetic against the contraction of the wiring diagram
     for m in range(4):
