@@ -24,7 +24,9 @@ node ids and kinds, edges, boundary sizes, loops and the incidence index
 ports, in port order), which the validation pass builds.  Diagrams that
 differ only in Z phases share a shape, validated once when first built:
 ``compose_all``, ``tensor_all`` and ``flip`` look up their result's
-shape by their pieces' shapes, in a memo that holds it weakly.
+shape by their pieces' shapes, in a memo that holds the result's shape
+weakly; an entry's key holds the pieces' shapes strongly for as long
+as the entry lives.
 
 All re-wiring is one splice: ``compose_all`` and the x-macro file
 parser name each pair of edge ends to be joined by a junction endpoint
@@ -364,8 +366,10 @@ def _placed(ds: Sequence[Diagram], boundary):
     return nodes, edges
 
 
-# each combinator result's shape by the combinator and its pieces' shapes,
-# held weakly: an entry dies with the last diagram of its shape
+# each combinator result's shape by the combinator and its pieces' shapes:
+# the result's shape is held weakly, so an entry dies with the last
+# diagram of that shape, and until then its key holds the pieces' shapes
+# strongly (weak keys cost rules-sweep ten times the validations)
 _SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 

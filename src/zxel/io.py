@@ -124,8 +124,8 @@ def diagram_from_jsonable(rec) -> Diagram:
         elif kind in ("h", "t", "t_inv"):
             nodes[vid] = Node({"h": H, "t": T, "t_inv": T_INV}[kind])
         elif kind == "x":
-            tau = str(nd.get("tau", "0"))
-            if tau not in ("0", "pi"):
+            tau = nd.get("tau", "0")
+            if tau not in ("0", "pi"):  # strings only: the number 0 fails
                 raise DiagramFileError(f"{where}: tau must be '0' or 'pi'")
             x_nodes[vid] = (-1.0 if tau == "pi" else 1.0, [])
         else:

@@ -20,10 +20,19 @@ Every applier preserves the standard interpretation exactly; scalar
 bookkeeping uses floating degree-0 Z dots, never dropped.  ``apply`` and
 ``simplify`` share the appliers, which edit a private working graph in
 place; each builds and validates one Diagram, from the final graph.
+
+Each rule has one matcher, which returns the sites anchored at one node.
+``find_matches`` runs it at every node and sorts the sites.  ``simplify``
+runs it at every node only the first time it consults a pass; after each
+step it runs it again only at the anchors within the pattern's reach of
+the nodes the step touched, and keeps each pass's candidates in a heap
+in ``find_matches`` order, so that it takes the same moves as a full
+scan before every step would.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import count
 
@@ -69,24 +78,6 @@ def _is_phase(x: complex, value: complex, tol: float = 1e-12) -> bool:
     return abs(complex(x) - value) <= tol
 
 
-def _x_macro_groups(d, inc):
-    """Pi macros: chains H - Z(-1) of degree 2 - H.  Returns a list of
-    (h1, core, h2, outer1, outer2), the outer endpoints beyond the Hs."""
-    groups = []
-    for c, node in sorted(d.nodes.items()):
-        if node.kind != Z or not _is_phase(node.phase, -1.0) \
-                or len(inc[c]) != 2:
-            continue
-        ends = [_other_end(d.edges[e], c) for e in inc[c]]
-        if any(ep[0] != "n" or d.nodes[ep[1]].kind != H for ep in ends):
-            continue
-        h1, h2 = ends[0][1], ends[1][1]
-        outer = [_outer_endpoint(d, inc, h, c) for h in (h1, h2)]
-        if None not in outer:
-            groups.append((h1, c, h2, *outer))
-    return groups
-
-
 def _outer_endpoint(d, inc, h, core):
     """The endpoint beyond an H box from its neighbour ``core``; None
     unless exactly one of the H's two wires goes to ``core``."""
@@ -95,114 +86,139 @@ def _outer_endpoint(d, inc, h, core):
     return ends[at_core.index(False)] if sum(at_core) == 1 else None
 
 
+def _macro(d, inc, c):
+    """The pi macro whose core is c, a chain H - Z(-1) of degree 2 - H, as
+    (h1, c, h2, outer1, outer2) with the outer endpoints beyond the Hs;
+    None if c is no such core."""
+    node = d.nodes[c]
+    if node.kind != Z or len(inc[c]) != 2 or not _is_phase(node.phase, -1.0):
+        return None
+    ends = [_other_end(d.edges[e], c) for e in inc[c]]
+    if any(ep[0] != "n" or d.nodes[ep[1]].kind != H for ep in ends):
+        return None
+    h1, h2 = ends[0][1], ends[1][1]
+    outer = [_outer_endpoint(d, inc, h, c) for h in (h1, h2)]
+    return None if None in outer else (h1, c, h2, *outer)
+
+
+def _partner(d, inc, h):
+    """The pi macro that has the H box h as one of its two; None if none."""
+    for e in inc[h]:
+        ep = _other_end(d.edges[e], h)
+        if ep[0] == "n":
+            g = _macro(d, inc, ep[1])
+            if g is not None and h in (g[0], g[2]):
+                return g
+    return None
+
+
 # -- matchers --------------------------------------------------------------
-# A matcher reads only ``d.nodes``, ``d.edges[e]`` and the incidence ``inc``,
-# so it runs on a Diagram and on the simplifier's working graph alike.
+# A matcher takes one anchor node, of the kind ``_MATCHERS`` names for it,
+# and returns the sites anchored there.  It reads only ``d.nodes``,
+# ``d.edges[e]`` and the incidence ``inc``, so it runs on a Diagram and on
+# the simplifier's working graph alike.
 
-def _joined_pairs(d, inc, kind):
-    """Sorted pairs (v, w), v < w, of distinct ``kind`` nodes joined by at
-    least one wire."""
-    pairs = set()
-    for v, node in d.nodes.items():
-        if node.kind == kind:
-            for e in inc[v]:
-                w = _other_end(d.edges[e], v)
-                if w[0] == "n" and w[1] > v and d.nodes[w[1]].kind == kind:
-                    pairs.add((v, w[1]))
-    return sorted(pairs)
-
-
-def _match_s1(d, inc):
-    return [_site("S1", p, (d.nodes[p[0]].phase, d.nodes[p[1]].phase))
-            for p in _joined_pairs(d, inc, Z)]
+def _joined_at(d, inc, v, kind):
+    """Sorted ids w > v of ``kind`` nodes joined to v by at least one
+    wire."""
+    joined = set()
+    for e in inc[v]:
+        w = _other_end(d.edges[e], v)
+        if w[0] == "n" and w[1] > v and d.nodes[w[1]].kind == kind:
+            joined.add(w[1])
+    return sorted(joined)
 
 
-def _match_s2(d, inc):
-    sites = []
-    for v, node in sorted(d.nodes.items()):
-        if node.kind != Z or not _is_phase(node.phase, 1.0):
-            continue
-        if len(inc[v]) != 2 or inc[v][0] == inc[v][1]:
-            continue
-        sites.append(_site("S2", (v,)))
-    return sites
+def _match_s1(d, inc, v):
+    return [_site("S1", (v, w), (d.nodes[v].phase, d.nodes[w].phase))
+            for w in _joined_at(d, inc, v, Z)]
 
 
-def _match_h2(d, inc):
-    return [_site("H2", p) for p in _joined_pairs(d, inc, H)]
+def _match_s2(d, inc, v):
+    if len(inc[v]) != 2 or inc[v][0] == inc[v][1] \
+            or not _is_phase(d.nodes[v].phase, 1.0):
+        return []
+    return [_site("S2", (v,))]
 
 
-def _match_hopf(d, inc):
-    # two Z spiders joined by two disjoint single-H paths
-    paths: dict[tuple[int, int], list[int]] = {}
-    for h, node in sorted(d.nodes.items()):
-        if node.kind != H:
-            continue
-        ends = [_other_end(d.edges[e], h) for e in inc[h]]
-        if all(ep[0] == "n" and d.nodes[ep[1]].kind == Z for ep in ends) \
-                and ends[0][1] != ends[1][1]:
-            paths.setdefault(tuple(sorted(ep[1] for ep in ends)), []).append(h)
-    sites = []
-    for (z1, z2), hs in sorted(paths.items()):
-        if len(hs) >= 2:
-            sites.append(_site("Hopf", (z1, z2, hs[0], hs[1]),
-                               (d.nodes[z1].phase, d.nodes[z2].phase)))
-    return sites
+def _match_h2(d, inc, v):
+    return [_site("H2", (v, w)) for w in _joined_at(d, inc, v, H)]
 
 
-def _match_b3(d, inc):
-    """Pi-macro moves, tagged by sub-kind in the site's rule name suffix:
-    cancel two macros wired in series; absorb one into a green state (a
-    degree-1 Z spider); copy one through a green spider of higher degree
-    with no self-loop, unless the macro's both ends land on it.  The
-    green parameter must be nonzero."""
-    groups = _x_macro_groups(d, inc)
-    by_h = {h: g for g in groups for h in (g[0], g[2])}
-    sites, seen = [], set()
-    for g in groups:
-        _, c, _, out1, out2 = g
-        for outer, opposite in ((out1, out2), (out2, out1)):
-            if outer[0] != "n":
-                continue
-            v, nd = outer[1], d.nodes[outer[1]]
-            if v in by_h:
-                c2 = by_h[v][1]
-                key = (min(c, c2), max(c, c2))
-                if c2 != c and key not in seen:
-                    seen.add(key)
-                    sites.append(_site("B3-cancel", g[:3] + by_h[v][:3]))
-            elif nd.kind == Z and not _is_phase(nd.phase, 0.0):
-                if len(inc[v]) == 1:
-                    sites.append(_site("B3-state", g[:3] + (v,), (nd.phase,)))
-                elif opposite[:2] != ("n", v) \
-                        and len(set(inc[v])) == len(inc[v]):
-                    sites.append(_site("B3-copy", g[:3] + (v,), (nd.phase,)))
-    return sorted(sites, key=lambda s: s[:2])
-
-
-def _match_b1(d, inc):
-    """Pink 0-state macro (Z(1) state behind an H) feeding a Z spider."""
-    sites = []
-    for s, node in sorted(d.nodes.items()):
-        if node.kind != Z or not _is_phase(node.phase, 1.0) or len(inc[s]) != 1:
-            continue
-        h = _other_end(d.edges[inc[s][0]], s)
+def _match_hopf(d, inc, z1):
+    """The Z spider z1 and a Z spider z2 > z1 joined by two disjoint
+    single-H paths, the two smallest H boxes if there are more."""
+    paths: dict[int, list[int]] = {}
+    for e in inc[z1]:
+        h = _other_end(d.edges[e], z1)
         if h[0] != "n" or d.nodes[h[1]].kind != H:
             continue
-        outer = _outer_endpoint(d, inc, h[1], s)
-        if outer[0] == "n" and d.nodes[outer[1]].kind == Z:
-            sites.append(_site("B1", (s, h[1], outer[1]),
-                               (d.nodes[outer[1]].phase,)))
+        h = h[1]
+        a, z2 = [_other_end(d.edges[f], h) for f in inc[h]]
+        if z2[:2] == ("n", z1):  # one end is z1: take the other
+            z2 = a
+        if z2[0] == "n" and z2[1] > z1 and d.nodes[z2[1]].kind == Z:
+            paths.setdefault(z2[1], []).append(h)
+    return [_site("Hopf", (z1, z2, *sorted(hs)[:2]),
+                  (d.nodes[z1].phase, d.nodes[z2].phase))
+            for z2, hs in sorted(paths.items()) if len(hs) >= 2]
+
+
+def _match_b3(d, inc, c):
+    """Pi-macro moves at the macro whose core is c, tagged by sub-kind in
+    the site's rule name suffix: cancel it against a macro wired in
+    series (the smaller core anchors the pair); absorb it into a green
+    state (a degree-1 Z spider); copy it through a green spider of
+    higher degree with no self-loop, unless the macro's both ends land
+    on it.  The green parameter must be nonzero."""
+    g = _macro(d, inc, c)
+    if g is None:
+        return []
+    sites = []
+    for outer, opposite in ((g[3], g[4]), (g[4], g[3])):
+        if outer[0] != "n":
+            continue
+        v, nd = outer[1], d.nodes[outer[1]]
+        if nd.kind == H:
+            g2 = _partner(d, inc, v)
+            if g2 is not None and g2[1] > c:
+                site = _site("B3-cancel", g[:3] + g2[:3])
+                if site not in sites:
+                    sites.append(site)
+        elif nd.kind == Z and not _is_phase(nd.phase, 0.0):
+            if len(inc[v]) == 1:
+                sites.append(_site("B3-state", g[:3] + (v,), (nd.phase,)))
+            elif opposite[:2] != ("n", v) \
+                    and len(set(inc[v])) == len(inc[v]):
+                sites.append(_site("B3-copy", g[:3] + (v,), (nd.phase,)))
     return sites
 
 
+def _match_b1(d, inc, s):
+    """Pink 0-state macro (Z(1) state behind an H) feeding a Z spider."""
+    if len(inc[s]) != 1 or not _is_phase(d.nodes[s].phase, 1.0):
+        return []
+    h = _other_end(d.edges[inc[s][0]], s)
+    if h[0] != "n" or d.nodes[h[1]].kind != H:
+        return []
+    outer = _outer_endpoint(d, inc, h[1], s)
+    if outer[0] != "n" or d.nodes[outer[1]].kind != Z:
+        return []
+    return [_site("B1", (s, h[1], outer[1]), (d.nodes[outer[1]].phase,))]
+
+
+# by rule: the anchor's kind, the matcher's radius and the matcher.  The
+# radius is how many wires from its anchor the matcher reads a node's
+# kind, phase or wires, along paths whose inner nodes are H boxes, so a
+# site appears only where a step touched a node that close.  B3 reads
+# out to the partner macro's core, whose group it rebuilds.
 _MATCHERS = {
-    "S1": _match_s1,
-    "S2": _match_s2,
-    "H2": _match_h2,
-    "Hopf": _match_hopf,
-    "B3": _match_b3,
-    "B1": _match_b1,
+    "S1": (Z, 1, _match_s1),
+    "S2": (Z, 0, _match_s2),
+    "H2": (H, 1, _match_h2),
+    "Hopf": (Z, 2, _match_hopf),
+    "B3": (Z, 3, _match_b3),
+    "B1": (Z, 2, _match_b1),
 }
 MATCHABLE_RULES = tuple(_MATCHERS)
 
@@ -220,10 +236,21 @@ def find_matches(d: Diagram, rule) -> list[MatchSite]:
         raise UnsupportedRuleError(
             f"rule {name!r} has no graph matcher; matching is implemented "
             f"for {MATCHABLE_RULES}")
-    sites = _MATCHERS[base](d, d.port_edges)
+    sites = _scan(d, base)
     if "-" in name:
         sites = [s for s in sites if s[0] == name]
     return [MatchSite(*s, d) for s in sites]
+
+
+def _scan(d, base):
+    """The sites of the matcher ``base`` at every node, sorted by rule
+    and nodes."""
+    kind, _, match = _MATCHERS[base]
+    inc, sites = d.port_edges, []
+    for v, node in d.nodes.items():
+        if node.kind == kind:
+            sites += match(d, inc, v)
+    return sorted(sites, key=lambda s: s[:2])
 
 
 # -- the working graph ------------------------------------------------------
@@ -239,12 +266,14 @@ class _Graph:
     port order once ``diagram`` renumbers its ports) and in port order
     for the other kinds, whose ports surgery must not disturb.  The
     source's Z self-loops are dropped then, as every later one is.
+    ``next_id`` is the largest node id plus one.
     """
 
     def __init__(self, d: Diagram):
         self.source = d
         self.nodes, self.edges, self.port_edges = d.nodes, d.edges, d.port_edges
         self.loops = d.loops
+        self.next_id = max(d.nodes, default=-1) + 1
 
     def _add(self, edge) -> None:
         a, b = edge
@@ -261,37 +290,56 @@ class _Graph:
                     inc.insert(ep[2], e)
 
     def splice(self, drop_nodes=(), detach=(), new_edges=(), new_nodes=(),
-               rephase=None, add_loops=0) -> None:
+               rephase=None, add_loops=0) -> set[int]:
         """Drop the nodes ``drop_nodes`` and every edge at them or at the
         nodes ``detach``; give the Z spiders in ``rephase`` their new
         parameters; add ``new_nodes`` under ids counting on from the
         largest id before the drop, then ``new_edges``, whose Z ports need
-        not be numbered."""
+        not be numbered.
+
+        Returns the ids of the nodes the step touched: the dropped,
+        detached, rephased and new nodes and both ends of every edge it
+        removed or added.  On the first splice they include the Z spiders
+        whose wires the copy reorders or drops, those whose ports are not
+        in edge order or that carry a self-loop.
+        """
+        touched = {*drop_nodes, *detach, *(rephase or ())}
         if self.nodes is self.source.nodes:
             source = self.source
+            for v, edges in source.port_edges.items():
+                if source.nodes[v].kind == Z and any(
+                        a >= b for a, b in zip(edges, edges[1:])):
+                    touched.add(v)
             self.nodes = dict(source.nodes)
             self.edges, self.port_edges = {}, {v: [] for v in self.nodes}
             self._edge_ids = count()
             for edge in source.edges:
                 self._add(edge)
         nodes, inc = self.nodes, self.port_edges
-        next_id = max(nodes) + 1
         for v in (*drop_nodes, *detach):
             for e in inc[v]:
                 for ep in self.edges.pop(e, ()):
                     if ep[0] == "n" and ep[1] != v:
                         inc[ep[1]].remove(e)
+                        touched.add(ep[1])
             inc[v] = []
         for v in drop_nodes:
             del nodes[v], inc[v]
         for v, phase in (rephase or {}).items():
             nodes[v] = Node(Z, complex(phase))
+        next_id = self.next_id
         for node in new_nodes:
             nodes[next_id], inc[next_id] = node, []
+            touched.add(next_id)
             next_id += 1
         for edge in new_edges:
             self._add(edge)
+            touched.update(ep[1] for ep in edge if ep[0] == "n")
+        if next_id - 1 not in nodes:  # the top node was dropped
+            next_id = max(nodes, default=-1) + 1
+        self.next_id = next_id
         self.loops += add_loops
+        return touched
 
     def diagram(self) -> Diagram:
         """The graph as a validated Diagram, Z ports numbered in edge
@@ -320,8 +368,9 @@ def _beyond(g: _Graph, group, keep=()):
             if ep[0] != "n" or ep[1] not in inside]
 
 
-def _apply(g: _Graph, rule: str, nodes) -> None:
-    """Rewrite the graph at a site of ``rule`` on ``nodes``, in place."""
+def _apply(g: _Graph, rule: str, nodes) -> set[int]:
+    """Rewrite the graph at a site of ``rule`` on ``nodes``, in place;
+    returns the nodes the splice touched."""
     inc = g.port_edges
     one = Node(Z, 1.0)  # a scalar-2 dot
 
@@ -380,7 +429,7 @@ def _apply(g: _Graph, rule: str, nodes) -> None:
         group_edges = {e for w in group for e in inc[w]}
         new_nodes = []
         new_edges = [(*_beyond(g, group, [v]), ("n", v, 0))]
-        next_id = max(g.nodes) + 1
+        next_id = g.next_id
         for e in sorted(set(inc[v]) - group_edges):
             far = _other_end(g.edges[e], v)
             ha, cc, hb = next_id, next_id + 1, next_id + 2
@@ -420,12 +469,68 @@ class SimplifyResult:
     trace: list
 
 
-def _first_site(g: _Graph) -> MatchSite | None:
-    for pass_name in _SIMPLIFY_PASSES:
-        sites = find_matches(g, pass_name)
-        if sites:
-            return sites[0]
-    return None
+class _Worklist:
+    """The simplifier's candidate sites on a working graph: per pass, a
+    heap of site node tuples, ordered as ``find_matches`` orders the pass,
+    and the set of tuples it holds.  A pass is scanned in full the first
+    time it is consulted; from then on every site of it that matches is
+    held, and a held site that no longer matches is dropped when it
+    reaches the top.  So the top of the first pass with a matching site
+    is the move a full scan would take."""
+
+    def __init__(self, g: _Graph):
+        self.g = g
+        self.heaps: dict[str, list] = {}  # by pass, once scanned
+        self.held: dict[str, set] = {}
+
+    def rematch(self, touched) -> None:
+        """Match again, for every scanned pass, each anchor within its
+        matcher's radius of a touched node that is still in the graph."""
+        g, inc = self.g, self.g.port_edges
+        bases = {rule.split("-")[0] for rule in self.heaps}
+        ring = {v for v in touched if v in g.nodes}
+        within = [ring]  # within[k]: the nodes at most k wires away
+        for k in range(max((_MATCHERS[b][1] for b in bases), default=0)):
+            # past the first wire, paths run through H boxes only
+            ring = {w[1] for v in ring if k == 0 or g.nodes[v].kind == H
+                    for e in inc[v] for w in [_other_end(g.edges[e], v)]
+                    if w[0] == "n" and w[1] not in within[-1]}
+            within.append(within[-1] | ring)
+        for base in bases:
+            kind, radius, match = _MATCHERS[base]
+            for v in within[radius]:
+                if g.nodes[v].kind != kind:
+                    continue
+                for rule, nodes, _ in match(g, inc, v):
+                    held = self.held.get(rule)
+                    if held is not None and nodes not in held:
+                        held.add(nodes)
+                        heapq.heappush(self.heaps[rule], nodes)
+
+    def first(self):
+        """The first site of the first pass that has one, as (rule,
+        nodes); None at a fixpoint."""
+        g = self.g
+        for rule in _SIMPLIFY_PASSES:
+            base = rule.split("-")[0]
+            if rule not in self.heaps:  # scan every pass of this matcher
+                sites = _scan(g, base)
+                for name in _SIMPLIFY_PASSES:
+                    if name.split("-")[0] == base:
+                        heap = [s[1] for s in sites if s[0] == name]
+                        self.heaps[name], self.held[name] = heap, set(heap)
+            kind, _, match = _MATCHERS[base]
+            heap = self.heaps[rule]
+            while heap:
+                nodes = heap[0]
+                v = nodes[1] if base == "B3" else nodes[0]  # the anchor
+                node = g.nodes.get(v)
+                if node is not None and node.kind == kind and any(
+                        site[:2] == (rule, nodes)
+                        for site in match(g, g.port_edges, v)):
+                    return rule, nodes
+                self.held[rule].discard(heapq.heappop(heap))
+        return None
 
 
 def simplify(d: Diagram, budget: int | None = None) -> SimplifyResult:
@@ -442,10 +547,12 @@ def simplify(d: Diagram, budget: int | None = None) -> SimplifyResult:
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     g = _Graph(d)
+    work = _Worklist(g)
     log: list[dict] = []  # one entry per step
-    site = _first_site(g)
+    site = work.first()
     while site is not None and len(log) < budget:
-        _apply(g, site.rule, site.nodes)
-        log.append({"rule": site.rule, "nodes": list(site.nodes)})
-        site = _first_site(g)
+        rule, nodes = site
+        work.rematch(_apply(g, rule, nodes))
+        log.append({"rule": rule, "nodes": list(nodes)})
+        site = work.first()
     return SimplifyResult(g.diagram(), len(log), site is not None, log)

@@ -402,3 +402,32 @@ def normalize_by_absorb(d: D.Diagram, cap: int | None = None) -> NF.NormalForm:
     # to axis j, the output order
     return NF.NormalForm(acc.m, np.transpose(
         acc.vector().reshape((2,) * acc.m), np.argsort(slots)))
+
+
+def simplify_by_scan(d: D.Diagram, budget: int | None = None):
+    """Reference for ``rewrite.simplify``: the same working graph and
+    appliers, but each step's site found by one ``find_matches`` call per
+    pass over the whole graph, in ``_SIMPLIFY_PASSES`` order, taking the
+    first site of the first pass that has one."""
+    from zxel import rewrite as RW
+
+    if budget is None:
+        budget = 10 * len(d.nodes) + 20
+    g = RW._Graph(d)
+
+    def first_site():
+        for name in RW._SIMPLIFY_PASSES:
+            sites = RW.find_matches(g, name)
+            if sites:
+                return sites[0]
+        return None
+
+    log = []
+    site = first_site()
+    while site is not None and len(log) < budget:
+        RW._apply(g, site.rule, site.nodes)
+        # new nodes count on from the largest id, reused top ids included
+        assert g.next_id == max(g.nodes, default=-1) + 1
+        log.append({"rule": site.rule, "nodes": list(site.nodes)})
+        site = first_site()
+    return RW.SimplifyResult(g.diagram(), len(log), site is not None, log)

@@ -548,6 +548,23 @@ def test_json_boolean_is_not_a_number(tmp_path, runner, place):
         _assert_one_line_error(runner.invoke(main, args))
 
 
+@pytest.mark.parametrize("tau", [0, ["pi"]])
+def test_x_node_tau_is_a_json_string(tmp_path, runner, tau):
+    # tau is the JSON string "0" or "pi": the number 0 used to pass as
+    # "0", and no other JSON type passes either
+    rec = _x_file(1, 1, [tau], [[["in", 0], ["node", 0, 0]],
+                                [["node", 0, 1], ["out", 0]]])
+    path = tmp_path / "bad.zx"
+    path.write_text(json.dumps(rec))
+    with pytest.raises(DiagramFileError, match="tau"):
+        load_diagram(str(path))
+    for args in (["interpret", str(path)],
+                 ["check-eq", str(path), str(path)]):
+        res = runner.invoke(main, args)
+        _assert_one_line_error(res)
+        assert "tau" in res.stderr
+
+
 def test_check_eq_overflowing_deviation_is_null(tmp_path, runner):
     # two finite phases whose difference is beyond the float range: not
     # equal, and the deviation has no JSON number, so it is null

@@ -5,9 +5,11 @@ import pytest
 
 from zxel import diagram as D
 from zxel import rewrite as RW
+from zxel.io import dumps_diagram
 from zxel.semantics import interpret, matrices_equal
 
-from helpers import nf_family, random_complex, random_diagram
+from helpers import (golden_corpus, nf_family, random_complex,
+                     random_diagram, simplify_by_scan)
 
 
 def test_s1_match_on_chain():
@@ -123,6 +125,26 @@ def test_simplify_reads_the_input_port_order_until_its_first_step():
     res = RW.simplify(macro)
     assert res.trace == [{"rule": "B3-state", "nodes": [2, 1, 0, 3]}]
     assert matrices_equal(interpret(res.diagram), interpret(macro))
+    # a step elsewhere drops the self-loop, and the spider becomes an S2
+    # site although no step came near it
+    beside = D.tensor(looped, D.compose(D.z_spider(1, 1, 2.0),
+                                        D.z_spider(1, 1, 3.0)))
+    res = RW.simplify(beside)
+    assert [s["rule"] for s in res.trace] == ["S1", "S2"]
+    assert matrices_equal(interpret(res.diagram), interpret(beside))
+
+
+def test_simplify_rematches_a_macro_two_wires_from_a_step():
+    # in -> pi -> Z(2) -> pi -> Z(3) effect: absorbing the second pi into
+    # the effect wires the effect to Z(2), and fusing the two leaves Z(2/3)
+    # a state of the first pi, whose core is two wires from the fusion
+    pi = D.x_spider(1, 1, D.TAU_PI)
+    d = D.compose_all([pi, D.z_spider(1, 1, 2.0), pi,
+                       D.z_spider(1, 0, 3.0)])
+    res = RW.simplify(d)
+    assert [s["rule"] for s in res.trace] == ["B3-state", "S1", "B3-state"]
+    assert res.trace == simplify_by_scan(d).trace
+    assert matrices_equal(interpret(res.diagram), interpret(d))
 
 
 def test_simplify_validates_one_diagram(monkeypatch):
@@ -139,6 +161,39 @@ def test_simplify_validates_one_diagram(monkeypatch):
     assert res.steps == 43 and len(calls) == 1
     calls.clear()
     assert RW.simplify(res.diagram).steps == 0 and calls == []
+
+
+def test_simplify_takes_the_moves_of_a_full_scan():
+    # the worklist re-matches only near each step; the reference scans
+    # every pass over the whole graph before every step
+    rng = np.random.default_rng(17)
+    corpus = (list(golden_corpus()) + nf_family()
+              + [random_diagram(rng) for _ in range(300)])
+    for d in corpus:
+        for budget in (None, 1, 2, 3):
+            res, ref = RW.simplify(d, budget), simplify_by_scan(d, budget)
+            assert res.trace == ref.trace
+            assert (res.steps, res.budget_exhausted) == \
+                (ref.steps, ref.budget_exhausted)
+            assert dumps_diagram(res.diagram) == dumps_diagram(ref.diagram)
+
+
+def test_simplify_matching_work_is_linear(monkeypatch):
+    # matching work, counted as calls of its primitive _other_end, stays
+    # within 10 per node and step; a full scan before every step made
+    # 18.5 per node and step at m = 3 and 316 at m = 6
+    calls = []
+    other_end = RW._other_end
+
+    def counted(edge, v):
+        calls.append(None)
+        return other_end(edge, v)
+
+    monkeypatch.setattr(RW, "_other_end", counted)
+    for m, d in zip(range(3, 7), nf_family()[1:]):
+        calls.clear()
+        res = RW.simplify(d)
+        assert len(calls) <= 10 * (len(d.nodes) + res.steps), (m, len(calls))
 
 
 def test_simplify_fuses_spider_chain():
