@@ -26,7 +26,9 @@ differ only in Z phases share a shape, validated once when first built:
 ``compose_all``, ``tensor_all`` and ``flip`` look up their result's
 shape by their pieces' shapes, in a memo that holds the result's shape
 weakly; an entry's key holds the pieces' shapes strongly for as long
-as the entry lives.
+as the entry lives.  Both evaluation routes plan per shape, and
+``_plan_memo`` keeps a shape's plan, weakly keyed by the shape, from
+its second planning on.
 
 All re-wiring is one splice: ``compose_all`` and the x-macro file
 parser name each pair of edge ends to be joined by a junction endpoint
@@ -393,6 +395,30 @@ def _memoised(combinator):
         return Diagram._of(
             shape, chain.from_iterable(d.nodes.values() for d in pieces))
     return memoised
+
+
+def _plan_memo(planner):
+    """``planner(d, cap)`` through a memo keyed weakly by ``d.shape``: a
+    shape's first planning records only the shape, its second keeps
+    ``(cap, plan)``, and later calls at that cap reuse the plan.  Another
+    cap plans again, so every cap error is raised as a cold call raises
+    it.  Most shapes are planned once (one-off rule sides), so they keep
+    no plan.  An entry dies with its shape, so a plan must hold neither
+    its diagram nor its shape, and a run must not change it.
+    ``cache_clear()`` empties the memo."""
+    plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    @wraps(planner)
+    def planned(d, cap):
+        shape = d.shape
+        kept = plans.get(shape)
+        if kept and kept[0] == cap:
+            return kept[1]
+        plan = planner(d, cap)
+        plans[shape] = () if kept is None else (cap, plan)
+        return plan
+    planned.cache_clear = plans.clear
+    return planned
 
 
 @_memoised

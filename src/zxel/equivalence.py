@@ -46,7 +46,9 @@ def check_equivalent(d1: Diagram, d2: Diagram,
     """Decide whether two diagrams are equal in the calculus.
 
     Each route takes the two diagrams together (``normalize_all``, then
-    ``interpret_all``), so a pair of one shape is planned once per route.
+    ``interpret_all``), so a pair of one shape is planned once per route,
+    and a shape whose plans were kept by earlier calls is not planned
+    again.
     """
     if d1.type != d2.type:
         raise TypeMismatchError(

@@ -26,7 +26,9 @@ arrays: each step tensors a state and plugs the shared wires in one
 component joins by ``nf_tensor``'s outer product, wrapping one
 ``NormalForm`` at the end.
 ``normalize_all`` groups a list by shape, so that diagrams of one shape
-share a plan; no plan outlives the call.
+share a plan.  From its second planning on, a shape keeps its plan
+across calls (``diagram._plan_memo``): the normal-form diagrams of all
+m-wire states share one shape, so they are planned twice in all.
 """
 
 from __future__ import annotations
@@ -337,9 +339,9 @@ def _layout(na: int, nb: int, axes_a: list[int],
     kept ones."""
     s = len(axes_a)
     perm_a = (None if axes_a == [*range(na - s, na)] else
-              [k for k in range(na) if k not in axes_a] + axes_a)
+              (*[k for k in range(na) if k not in axes_a], *axes_a))
     perm_b = (None if axes_b == [*range(s)] else
-              axes_b + [k for k in range(nb) if k not in axes_b])
+              (*axes_b, *[k for k in range(nb) if k not in axes_b]))
     return perm_a, (1 << na - s, 1 << s), perm_b, (1 << s, 1 << nb - s)
 
 
@@ -409,6 +411,18 @@ class WireCapError(RuntimeError):
     """Normalisation would exceed the configured open-wire cap."""
 
 
+@cache
+def _fixed_operand(kind: str, looped: bool, perm, shape) -> np.ndarray:
+    """The read-only ``np.dot`` operand of a generator other than Z, laid
+    out by ``perm`` and ``shape``: one array shared by every plan step
+    that lays it out alike, so that kept plans stay small."""
+    nf = _node_state(kind, 1.0, 2)
+    if looped:  # a 2-port generator on a loop is a trace
+        nf = nf_self_plug(nf, (0, 1))
+    return _operand(nf.vector(), nf.m, perm, shape)
+
+
+@dg._plan_memo
 def _plan(d: Diagram, cap: int) -> tuple:
     """How to normalise every diagram of ``d``'s shape, as
     ``(components, caps, perm)``.
@@ -458,11 +472,8 @@ def _plan(d: Diagram, cap: int) -> tuple:
                 steps.append((v, (len(edges), perm_b, shape_b),
                               len(part), perm_a, shape_a))
             else:
-                nf = _node_state(kind, 1.0, 2)
-                if not edges:  # a 2-port generator on a loop is a trace
-                    nf = nf_self_plug(nf, (0, 1))
-                steps.append((None, _operand(nf.vector(), nf.m, perm_b,
-                                             shape_b),
+                steps.append((None, _fixed_operand(kind, not edges, perm_b,
+                                                   shape_b),
                               len(part), perm_a, shape_a))
             for i in shared:
                 part.remove(i)

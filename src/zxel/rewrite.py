@@ -38,9 +38,10 @@ from itertools import count
 
 from .diagram import Diagram, H, Node, Z
 
-# moves the simplifier is allowed to take (B3 restricted to its
-# non-expanding forms: cancellation and state absorption)
-_SIMPLIFY_PASSES = ("S2", "H2", "S1", "Hopf", "B1", "B3-cancel", "B3-state")
+# moves the simplifier is allowed to take, B3 restricted to absorbing a
+# pi into a green state.  B3-cancel is left out: each of its sites holds
+# the two facing H boxes of its macros, an H2 site, and H2 comes first
+_SIMPLIFY_PASSES = ("S2", "H2", "S1", "Hopf", "B1", "B3-state")
 
 
 class UnsupportedRuleError(ValueError):

@@ -18,7 +18,10 @@ the walk of one diagram, holds each node's degree after its self-loops,
 the einsum sublists of each pair step and the output permutation; every
 wire-cap check happens while planning.
 Diagrams of one shape share a plan, and one run of it contracts them all
-at once, their Z tensors stacked along a leading batch axis.
+at once, their Z tensors stacked along a leading batch axis.  From its
+second planning on, a shape keeps its plan across calls
+(``diagram._plan_memo``); a shape planned once, such as a one-off rule
+side, keeps none.
 ``interpret`` runs a plan on one diagram; ``interpret_all`` groups a
 list by shape, which is how the rule-soundness sweep evaluates all draws
 of a rule together.
@@ -39,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagram import Diagram, H, T, T_INV, Z, contraction_order
+from .diagram import Diagram, H, T, T_INV, Z, _plan_memo, contraction_order
 
 # the one default tolerance of every equality check in zxel
 DEFAULT_TOL = 1e-9
@@ -138,6 +141,7 @@ def _pair_step(dst: int, src: int, li: list, lj: list, shared, cap: int):
             list(map(local, out))), out
 
 
+@_plan_memo
 def _plan(d: Diagram, cap: int) -> tuple:
     """How to contract every diagram of ``d``'s shape, as
     ``(leaves, steps, root, perm)``.

@@ -1,4 +1,16 @@
+import pytest
+
+from zxel import normalform, semantics
+
 ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def _cold_plans():
+    """Each test starts with no kept plan, so a test that swaps the walk
+    plans with its walk instead of running a plan an earlier test kept."""
+    semantics._plan.cache_clear()
+    normalform._plan.cache_clear()
 
 
 def record_acceptance(line: str) -> None:

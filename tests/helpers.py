@@ -128,6 +128,37 @@ def random_diagram(rng, max_wires: int = 3, max_gens: int = 8) -> D.Diagram:
     return d
 
 
+def pi_macro_diagram(rng, max_wires: int = 3, layers: int = 12) -> D.Diagram:
+    """A random layered diagram rich in pi macros: each layer puts a pi
+    macro (half the time), an H box or a Z spider on one wire, or joins,
+    splits or swaps two wires, and the last layer may cap each wire with
+    a Z state."""
+    w = int(rng.integers(1, max_wires + 1))
+    d = D.identity(w)
+    for _ in range(layers):
+        w = d.n_out
+        pick = int(rng.integers(0, 8))
+        k = int(rng.integers(0, w))  # the wire the layer acts on
+        if pick < 4:
+            g = D.x_spider(1, 1, D.TAU_PI)
+        elif pick == 4:
+            g = D.h_box()
+        elif pick == 5 and w >= 2 and k < w - 1:
+            g = D.z_spider(2, 1, random_complex(rng))
+        elif pick == 6 and w < max_wires:
+            g = D.z_spider(1, 2, random_complex(rng))
+        elif pick == 7 and w >= 2 and k < w - 1:
+            g = D.swap()
+        else:
+            g = D.z_spider(1, 1, random_complex(rng))
+        d = D.compose(d, D.tensor_all([D.identity(k), g,
+                                       D.identity(w - k - g.n_in)]))
+    if rng.uniform() < 0.5:  # end every wire in a Z effect
+        d = D.compose(d, D.tensor_all([D.z_spider(1, 0, random_complex(rng))
+                                       for _ in range(d.n_out)]))
+    return d
+
+
 def nf_family(top: int = 6) -> list[D.Diagram]:
     """The normal-form diagrams at m = 2..top of random vectors whose
     entries are uniform in [1, 9), drawn for m = 2, 3, ... in turn from

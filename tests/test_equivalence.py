@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from zxel.rules import catalog_by_name, full_catalog, instantiate
 from zxel.semantics import interpret, matrices_equal
 
 from helpers import random_complex, random_diagram
+from test_semantics import CAP_ERRORS_SHA256, _cap_error_digest
 
 
 def test_reflexive():
@@ -115,9 +118,10 @@ def test_wide_rules_decided_at_default_cap(name):
 
 
 def test_each_route_plans_once_per_shape(monkeypatch):
-    # both routes walk contraction_order once per plan: a normal-form
-    # pair of one shape is planned once per route, a rule instance's two
-    # sides once each per route
+    # both routes walk contraction_order once per planning: a cold call
+    # plans a normal-form pair of one shape once per route, a rule
+    # instance's two sides once each per route.  A shape's second
+    # planning keeps its plan, so a third call walks no more
     calls = []
     for module in (NF, S):
         order = module.contraction_order
@@ -127,13 +131,16 @@ def test_each_route_plans_once_per_shape(monkeypatch):
     rng = np.random.default_rng(5)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     d1, d2 = (NF.nf_to_diagram(NF.nf_from_vector(w)) for w in (v, 2 * v))
-    assert not check_equivalent(d1, d2).equal
-    assert len(calls) == 2
-    calls.clear()
     lhs, rhs = instantiate(catalog_by_name()["S1"], [0.5 + 1j, -2.0])
     assert lhs.shape != rhs.shape
-    assert check_equivalent(lhs, rhs).equal
-    assert len(calls) == 4
+    for walks in (2, 2, 0):
+        calls.clear()
+        assert not check_equivalent(d1, d2).equal
+        assert len(calls) == walks
+    for walks in (4, 4, 0):
+        calls.clear()
+        assert check_equivalent(lhs, rhs).equal
+        assert len(calls) == walks
 
 
 # sha256 over each verdict's JSON and repr(max_deviation) on the corpus of
@@ -176,3 +183,76 @@ def _verdict_digest() -> str:
 
 def test_verdicts_are_byte_stable():
     assert _verdict_digest() == VERDICTS_SHA256
+
+
+# -- the plan memo: a shape keeps its plans from its second planning on ----
+
+def _memo_diagram() -> D.Diagram:
+    """A diagram of a shape no memo but the plan memos keeps alive: a Z
+    state into an H box, a triangle and a wire, beside a bare wire."""
+    return D.tensor(D.compose(D.z_spider(0, 3, 0.5 - 2j),
+                              D.tensor_all([D.h_box(), D.triangle(),
+                                            D.identity(1)])),
+                    D.identity(1))
+
+
+def _own_array(route, plan) -> np.ndarray:
+    """An array the plan made for itself, so it lives only as long as the
+    plan: the contraction's bare-wire identity, the fold's output
+    permutation."""
+    return plan[0][-1] if route is S else plan[2]
+
+
+@pytest.mark.parametrize("route", [S, NF])
+def test_a_shape_planned_once_keeps_no_plan(route):
+    d = _memo_diagram()
+    once = weakref.ref(_own_array(route, route._plan(d, 14)))
+    gc.collect()
+    assert once() is None
+    twice = weakref.ref(_own_array(route, route._plan(d, 14)))
+    gc.collect()
+    assert twice() is not None
+    assert _own_array(route, route._plan(d, 14)) is twice()
+
+
+@pytest.mark.parametrize("route", [S, NF])
+def test_a_kept_plan_dies_with_its_shape(route):
+    d = _memo_diagram()
+    route._plan(d, 14)
+    kept = weakref.ref(_own_array(route, route._plan(d, 14)))
+    shape = weakref.ref(d.shape)
+    del d
+    gc.collect()
+    assert shape() is None and kept() is None
+    # the entry went with its shape: a new diagram of it plans afresh
+    again = weakref.ref(_own_array(route, route._plan(_memo_diagram(), 14)))
+    gc.collect()
+    assert again() is None
+
+
+def _result(run, d, cap):
+    """The result's bytes, or the error's type and message."""
+    try:
+        out = run(d, cap=cap)
+    except (S.ResourceError, NF.WireCapError) as exc:
+        return type(exc), str(exc)
+    return out.tobytes() if isinstance(out, np.ndarray) else \
+        out.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("run", [S.interpret, NF.normalize])
+def test_a_kept_plan_does_not_mask_a_smaller_caps_error(run):
+    d = NF.nf_to_diagram(NF.nf_from_vector(np.arange(1.0, 9.0)))
+    cold = _result(run, d, 3)
+    assert cold[0] in (S.ResourceError, NF.WireCapError)
+    want = [_result(run, d, 14) for _ in range(2)]  # the second one keeps
+    assert _result(run, d, 3) == cold
+    assert _result(run, d, 14) == want[0] == want[1]
+
+
+def test_digests_hold_on_kept_plans():
+    # the second computation of each digest runs on the plans the first
+    # one kept, and gives the same bytes and the same errors
+    for _ in range(2):
+        assert _verdict_digest() == VERDICTS_SHA256
+        assert _cap_error_digest() == CAP_ERRORS_SHA256

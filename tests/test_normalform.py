@@ -459,6 +459,7 @@ def test_normalize_independent_of_elimination_order(monkeypatch):
     # plain node-id order, one component
     monkeypatch.setattr(NF, "contraction_order",
                         lambda pe: walk_along(pe, [sorted(pe)]))
+    NF._plan.cache_clear()  # a shape the loop above planned twice kept it
     for d, nf in zip(corpus, greedy):
         assert NF.nf_equal(NF.normalize(d, cap=30), nf)
 
@@ -588,9 +589,15 @@ def test_normalize_all_plans_once_per_shape(monkeypatch):
     order = NF.contraction_order
     monkeypatch.setattr(NF, "contraction_order",
                         lambda pe: calls.append(1) or order(pe))
-    got = NF.normalize_all(ds)
-    assert len(calls) == 3  # the m = 3 normal forms, the cap, the H cap
-    assert [(nf.m, nf.coeffs.tobytes()) for nf in got] == want
+    # a cold call walks once per shape: the m = 3 normal forms, the cap,
+    # the H cap.  The second planning of a shape keeps its plan, so a
+    # third call walks no more, and every call folds the same bytes
+    NF._plan.cache_clear()  # ``want`` planned the m = 3 shape 3 times
+    for walks in (3, 3, 0):
+        calls.clear()
+        got = NF.normalize_all(ds)
+        assert len(calls) == walks
+        assert [(nf.m, nf.coeffs.tobytes()) for nf in got] == want
     assert NF.normalize_all([]) == []
 
 

@@ -8,8 +8,8 @@ from zxel import rewrite as RW
 from zxel.io import dumps_diagram
 from zxel.semantics import interpret, matrices_equal
 
-from helpers import (golden_corpus, nf_family, random_complex,
-                     random_diagram, simplify_by_scan)
+from helpers import (golden_corpus, nf_family, pi_macro_diagram,
+                     random_complex, random_diagram, simplify_by_scan)
 
 
 def test_s1_match_on_chain():
@@ -145,6 +145,27 @@ def test_simplify_rematches_a_macro_two_wires_from_a_step():
     assert [s["rule"] for s in res.trace] == ["B3-state", "S1", "B3-state"]
     assert res.trace == simplify_by_scan(d).trace
     assert matrices_equal(interpret(res.diagram), interpret(d))
+
+
+def test_every_b3_cancel_site_holds_an_h2_site(monkeypatch):
+    # two pi macros in series face each other with two H boxes, an H2
+    # site, and H2 comes earlier in the pass order: so simplify has no
+    # B3-cancel pass, and a scan that has one takes the same moves
+    rng = np.random.default_rng(23)
+    corpus = [pi_macro_diagram(rng) for _ in range(300)]
+    cancels = 0
+    for d in corpus:
+        pairs = [set(site.nodes) for site in RW.find_matches(d, "H2")]
+        for site in RW.find_matches(d, "B3-cancel"):
+            cancels += 1
+            assert any(pair <= set(site.nodes) for pair in pairs), site
+    assert cancels > 100
+    assert "B3-cancel" not in RW._SIMPLIFY_PASSES
+    got = [RW.simplify(d).trace for d in corpus]
+    passes = RW._SIMPLIFY_PASSES
+    monkeypatch.setattr(RW, "_SIMPLIFY_PASSES",
+                        passes[:-1] + ("B3-cancel",) + passes[-1:])
+    assert got == [simplify_by_scan(d).trace for d in corpus]
 
 
 def test_simplify_validates_one_diagram(monkeypatch):
