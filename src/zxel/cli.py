@@ -23,7 +23,7 @@ from .io import (DiagramFileError, dumps_diagram, export_text, format_matrix,
 from .normalform import (WireCapError, decompose_elementary, nf_to_diagram,
                          nf_to_jsonable, normalize)
 from .rewrite import simplify as run_simplify
-from .rules import check_catalog, full_catalog
+from .rules import RuleError, check_catalog, full_catalog
 from .semantics import (DEFAULT_TOL, ResourceError, interpret,
                         max_deviation, wire_cap)
 
@@ -46,13 +46,14 @@ def _compute(fn, *args, **kwargs):
     An overflow surfaces as the ArithmeticError that interpret and
     normalize raise on non-finite results, so numpy's own overflow
     warnings are silenced here; a rewrite whose parameter overflows
-    raises DiagramError.
+    raises DiagramError, and ``rules --corrupt`` of a name no rule has
+    raises RuleError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             return fn(*args, **kwargs)
         except (TypeMismatchError, ResourceError, WireCapError,
-                ArithmeticError, DiagramError) as exc:
+                ArithmeticError, DiagramError, RuleError) as exc:
             _fail(str(exc))
         except VerdictDisagreement as exc:  # a defect, not a verdict
             _fail(f"internal: {exc}")

@@ -26,9 +26,12 @@ differ only in Z phases share a shape, validated once when first built:
 ``compose_all``, ``tensor_all`` and ``flip`` look up their result's
 shape by their pieces' shapes, in a memo that holds the result's shape
 weakly; an entry's key holds the pieces' shapes strongly for as long
-as the entry lives.  Both evaluation routes plan per shape, and
-``_plan_memo`` keeps a shape's plan, weakly keyed by the shape, from
-its second planning on.
+as the entry lives.  A flip keeps every node id and edge index, so it
+shares its piece's nodes mapping and its piece's wiring
+(``_Shape.wiring``: the shape up to which boundary ends are inputs).
+The normal-form route plans per shape and the contraction route per
+wiring, and ``_plan_memo`` keeps a plan, weakly keyed by the shape or
+the wiring, from its second planning on.
 
 All re-wiring is one splice: ``compose_all`` and the x-macro file
 parser name each pair of edge ends to be joined by a junction endpoint
@@ -98,19 +101,29 @@ class _Shape:
     sizes, loops and the incidence index ``port_edges``, whose keys are
     the node ids in node order.  Shapes are equal by value, and the hash
     is computed once.  Only ``Diagram.__init__`` makes shapes, and it
-    validates each before any diagram holds it."""
+    validates each before any diagram holds it.
+
+    ``wiring`` names the shape's wiring: all of it but which boundary
+    ends are inputs and which outputs (the kinds, ``port_edges``, which
+    edges are bare and ``n_in + n_out``).  It is the shape itself, but
+    for a shape that ``flip`` made, which shares its piece's wiring; so
+    ``d``, ``flip(d)`` and ``flip(flip(d))`` name one wiring."""
 
     __slots__ = ("kinds", "edges", "n_in", "n_out", "loops", "port_edges",
-                 "_hash", "__weakref__")
+                 "_hash", "_wiring", "__weakref__")
 
     def __init__(self, kinds: tuple[str, ...], edges: tuple[Edge, ...],
                  n_in: int, n_out: int, loops: int):
-        values = (kinds, edges, n_in, n_out, loops, None, None)
+        values = (kinds, edges, n_in, n_out, loops, None, None, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a shape is read-only; cannot set {name}")
+
+    @property
+    def wiring(self) -> _Shape:
+        return self if self._wiring is None else self._wiring
 
     def _fields(self) -> tuple:
         return (tuple(self.port_edges), self.kinds, self.edges, self.n_in,
@@ -127,7 +140,10 @@ class _Shape:
 
 
 class Diagram:
-    """An immutable open diagram of type n_in -> n_out."""
+    """An immutable open diagram of type n_in -> n_out: its ``nodes`` and
+    its ``shape``.  ``flip`` of a diagram shares its ``nodes`` mapping
+    and its ``shape.wiring``, so the two differ only in which boundary
+    ends are inputs."""
 
     __slots__ = ("nodes", "shape")
 
@@ -144,12 +160,12 @@ class Diagram:
         object.__setattr__(self.shape, "port_edges", self.check_validity())
 
     @classmethod
-    def _of(cls, shape: _Shape, nodes: Iterable[Node]) -> Diagram:
+    def _of(cls, shape: _Shape, nodes: Mapping[int, Node]) -> Diagram:
         """The diagram of a shape that ``__init__`` has validated, its
-        nodes given in the order of the shape's node ids."""
+        nodes a read-only mapping keyed by the shape's node ids in
+        order."""
         d = object.__new__(cls)
-        object.__setattr__(d, "nodes",
-                           MappingProxyType(dict(zip(shape.port_edges, nodes))))
+        object.__setattr__(d, "nodes", nodes)
         object.__setattr__(d, "shape", shape)
         return d
 
@@ -376,41 +392,42 @@ _SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _memoised(combinator):
-    """``combinator`` of a piece or a list of pieces through ``_SHAPES``: a
-    hit gives the recorded shape the pieces' nodes, in the order whose ids
+    """``combinator`` of a list of pieces through ``_SHAPES``: a hit gives
+    the recorded shape the pieces' nodes, in the order whose ids
     ``_placed`` shifts, with no splice and no validation.  A list of one
     piece gives that piece."""
 
     @wraps(combinator)
     def memoised(ds):
-        pieces = (ds,) if isinstance(ds, Diagram) else ds
-        if pieces is ds and len(ds) == 1:
+        if len(ds) == 1:
             return ds[0]
-        key = (combinator, *[d.shape for d in pieces])
+        key = (combinator, *[d.shape for d in ds])
         shape = _SHAPES.get(key)
         if shape is None:
             d = combinator(ds)
             _SHAPES[key] = d.shape
             return d
-        return Diagram._of(
-            shape, chain.from_iterable(d.nodes.values() for d in pieces))
+        return Diagram._of(shape, MappingProxyType(dict(zip(
+            shape.port_edges,
+            chain.from_iterable(d.nodes.values() for d in ds)))))
     return memoised
 
 
-def _plan_memo(planner):
-    """``planner(d, cap)`` through a memo keyed weakly by ``d.shape``: a
-    shape's first planning records only the shape, its second keeps
-    ``(cap, plan)``, and later calls at that cap reuse the plan.  Another
-    cap plans again, so every cap error is raised as a cold call raises
-    it.  Most shapes are planned once (one-off rule sides), so they keep
-    no plan.  An entry dies with its shape, so a plan must hold neither
-    its diagram nor its shape, and a run must not change it.
-    ``cache_clear()`` empties the memo."""
+def _plan_memo(planner, key=attrgetter("shape")):
+    """``planner(d, cap)`` through a memo keyed weakly by the shape
+    ``key(d)``, ``d.shape`` unless given: a shape's first planning
+    records only the shape, its second keeps ``(cap, plan)``, and later
+    calls at that cap reuse the plan.  Another cap plans again, so every
+    cap error is raised as a cold call raises it.  Most shapes are
+    planned once (one-off rule sides), so they keep no plan.  An entry
+    dies with its shape, so a plan must hold neither its diagram nor its
+    shape, and a run must not change it.  ``cache_clear()`` empties the
+    memo."""
     plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @wraps(planner)
     def planned(d, cap):
-        shape = d.shape
+        shape = key(d)
         kept = plans.get(shape)
         if kept and kept[0] == cap:
             return kept[1]
@@ -468,20 +485,27 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
     return tensor_all([d1, d2])
 
 
-@_memoised
 def flip(d: Diagram) -> Diagram:
     """Upside-down flip: inputs become outputs and vice versa (the
-    interpretation transposes)."""
+    interpretation transposes).  A flip keeps every node id and edge
+    index, so it shares ``d``'s nodes mapping and ``d``'s wiring; its
+    shape is memoised by ``d``'s shape and wiring (equal shapes may name
+    different wirings: ``cap()``'s and ``flip(cup())``'s)."""
+    key = (flip, d.shape, d.shape.wiring)
+    shape = _SHAPES.get(key)
+    if shape is None:
+        def ren(ep):
+            if ep[0] == "in":
+                return ("out", ep[1])
+            if ep[0] == "out":
+                return ("in", ep[1])
+            return ep
 
-    def ren(ep):
-        if ep[0] == "in":
-            return ("out", ep[1])
-        if ep[0] == "out":
-            return ("in", ep[1])
-        return ep
-
-    edges = [(ren(a), ren(b)) for a, b in d.edges]
-    return Diagram(d.nodes, edges, d.n_out, d.n_in, loops=d.loops)
+        edges = [(ren(a), ren(b)) for a, b in d.edges]
+        shape = Diagram(d.nodes, edges, d.n_out, d.n_in, loops=d.loops).shape
+        object.__setattr__(shape, "_wiring", d.shape.wiring)
+        _SHAPES[key] = shape
+    return Diagram._of(shape, d.nodes)
 
 
 def bend_to_state(d: Diagram) -> Diagram:
@@ -547,7 +571,8 @@ def cup() -> Diagram:
 
 def z_spider(n_in: int, n_out: int, phase: complex = 1.0) -> Diagram:
     """Z spider of type n_in -> n_out carrying a complex parameter."""
-    return Diagram._of(_z_shape(n_in, n_out), [Node(Z, complex(phase))])
+    return Diagram._of(_z_shape(n_in, n_out),
+                       MappingProxyType({0: Node(Z, complex(phase))}))
 
 
 @cache

@@ -150,7 +150,8 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
         draws += [_random_params(rule, rng) for _ in range(samples)]
 
     # every draw's sides (and their flips) first, then one batched
-    # contraction: the draws of a rule mostly share one shape
+    # contraction: the draws of a rule mostly share one wiring per side,
+    # and a side and its flip are one batch entry of it
     sides = []
     for params in draws:
         lhs, rhs = rule.build([complex(p) for p in params])
@@ -173,7 +174,10 @@ def check_catalog(rules: Sequence[RewriteRule], samples: int = 20,
                   tol: float = DEFAULT_TOL, seed: int = 0,
                   corrupt: str | None = None) -> list[RuleReport]:
     """``check_soundness`` of each rule in turn, all drawing from one rng
-    seeded by ``seed``; the rule named ``corrupt`` is checked corrupted."""
+    seeded by ``seed``; the rule named ``corrupt`` is checked corrupted,
+    and a name no rule has is a ``RuleError``, not a clean sweep."""
+    if corrupt is not None and corrupt not in {r.name for r in rules}:
+        raise RuleError(f"no rule named {corrupt!r} to corrupt")
     rng = np.random.default_rng(seed)
     return [check_soundness(r, samples=samples, tol=tol, rng=rng,
                             corrupt=(r.name == corrupt))

@@ -12,19 +12,23 @@ it shares only the walk ``diagram.contraction_order``: the elimination
 order with each node's open edges and the edges each step shares.  The
 axis order of each step's result is this module's own.
 
-The engine plans once per shape (``Diagram.shape``: all of a diagram
-but its Z phases) and contracts in batches.  A plan, translated from
-the walk of one diagram, holds each node's degree after its self-loops,
-the einsum sublists of each pair step and the output permutation; every
-wire-cap check happens while planning.
-Diagrams of one shape share a plan, and one run of it contracts them all
-at once, their Z tensors stacked along a leading batch axis.  From its
-second planning on, a shape keeps its plan across calls
-(``diagram._plan_memo``); a shape planned once, such as a one-off rule
-side, keeps none.
+The engine plans once per wiring (``Diagram.shape.wiring``: all of a
+diagram but its Z phases and which boundary ends are inputs, so a
+diagram and its flip share one) and contracts in batches.  A plan,
+translated from the walk of one diagram, holds each node's degree after
+its self-loops, the einsum sublists of each pair step and the root's
+end wires; every wire-cap check happens while planning.  Each diagram
+reads its matrix out of the contracted root through its own edges: the
+boundary slot of each end wire gives its output permutation.
+Diagrams of one wiring share a plan, and one run of it contracts them
+all at once, their Z tensors stacked along a leading batch axis; a
+diagram and its flip, which share their nodes, are one entry of that
+batch.  From its second planning on, a wiring keeps its plan across
+calls (``diagram._plan_memo``); a wiring planned once, such as a one-off
+rule side, keeps none.
 ``interpret`` runs a plan on one diagram; ``interpret_all`` groups a
-list by shape, which is how the rule-soundness sweep evaluates all draws
-of a rule together.
+list by wiring, which is how the rule-soundness sweep evaluates all
+draws of a rule, and their flips, together.
 
 A Z spider is a copy tensor: of its 2^degree entries only the all-zero
 one (1) and the all-one one (the phase) are nonzero.  So in a batched
@@ -37,7 +41,9 @@ same result.  An unbatched run is plain einsum throughout.
 from __future__ import annotations
 
 import os
+from functools import partial
 from itertools import count
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -141,10 +147,10 @@ def _pair_step(dst: int, src: int, li: list, lj: list, shared, cap: int):
             list(map(local, out))), out
 
 
-@_plan_memo
+@partial(_plan_memo, key=attrgetter("shape.wiring"))
 def _plan(d: Diagram, cap: int) -> tuple:
-    """How to contract every diagram of ``d``'s shape, as
-    ``(leaves, steps, root, perm)``.
+    """How to contract every diagram of ``d``'s wiring, as
+    ``(leaves, steps, root, ends)``.
 
     ``leaves`` holds one entry per operand: a Z node's (id, degree),
     whose tensors a batch stacks, or the fixed tensor of any other
@@ -152,8 +158,11 @@ def _plan(d: Diagram, cap: int) -> tuple:
     ``(dst, src, sub_dst, sub_src, sub_out)`` contracts operand ``src``
     into operand ``dst`` by einsum with those sublists (given without the
     batch axis).  ``root`` is the operand left at the end (None for a
-    diagram with nothing to contract), and ``perm`` orders its axes as
-    the boundary slots.
+    diagram with nothing to contract), and ``ends`` names the boundary
+    end of each of its axes: edge index i for the far end of edge i (a
+    bare wire's second end), ~i for a bare wire's first end.  Nothing in
+    the plan depends on which ends are inputs (``_matrix`` reads that off
+    each diagram's own edges), so it serves a whole wiring.
 
     The plan translates the walk of ``contraction_order``: each component
     folds its nodes into its first one, its wires threaded from step to
@@ -188,26 +197,40 @@ def _plan(d: Diagram, cap: int) -> tuple:
             steps.append(step)
         parts.append((dst, wires))
 
-    def slot(ep):  # out slot j is axis j, in slot i axis n_out + i
-        return ep[1] if ep[0] == "out" else d.n_out + ep[1]
-
-    # an end wire's far end, after its node end, is a boundary slot
-    slots = [slot(d.edges[i][1]) for _, wires in parts for i in wires]
-    # each bare wire is an explicit identity, its end wires i and ~i
-    for i, (a, b) in enumerate(d.edges):
+    # each bare wire is an explicit identity, its end wires ~i and i
+    for i, (a, _) in enumerate(d.edges):
         if a[0] != "n":
-            parts.append((len(leaves), [i, ~i]))
+            parts.append((len(leaves), [~i, i]))
             leaves.append(np.eye(2, dtype=complex))
-            slots += [slot(a), slot(b)]
     root, wires = parts[0] if parts else (None, [])
     for src, part in parts[1:]:
         step, wires = _pair_step(root, src, wires, part, (), cap)
         steps.append(step)
-    # the root's axes hold the parts' wires in order; perm lists the axis
-    # of out slot 0..m-1 then in slot 0..n-1 (most significant bit first
-    # within each boundary, matching |a_{m-1}...a_0>)
+    # the root's axes hold the parts' end wires in order
+    return leaves, steps, root, wires
+
+
+def _matrix(t: np.ndarray, ends: list[int], d: Diagram) -> np.ndarray:
+    """``d``'s matrix, read out of ``t``, the contracted root of ``d``'s
+    plan, whose axes hold the end wires ``ends``: each axis goes to the
+    boundary slot of its end in ``d``'s own edges, out slot 0..m-1 then
+    in slot 0..n-1 (most significant bit first within each boundary,
+    matching |a_{m-1}...a_0>), and the whole is scaled by ``d``'s
+    loops."""
+
+    def slot(ep):  # out slot j is axis j, in slot i axis n_out + i
+        return ep[1] if ep[0] == "out" else d.n_out + ep[1]
+
+    edges = d.edges
+    slots = [slot(edges[i][1]) if i >= 0 else slot(edges[~i][0])
+             for i in ends]
     perm = sorted(range(len(slots)), key=slots.__getitem__)
-    return leaves, steps, root, perm
+    mat = np.empty((2 ** d.n_out, 2 ** d.n_in), dtype=complex)
+    np.multiply(np.transpose(t, perm), 2.0 ** d.loops,
+                out=mat.reshape(t.shape))
+    if not np.isfinite(mat).all():
+        raise ArithmeticError("non-finite entries in interpretation")
+    return mat
 
 
 def _width(plan) -> int:
@@ -218,10 +241,11 @@ def _width(plan) -> int:
 
 
 def _run(plan: tuple, ds: Sequence[Diagram]) -> list[np.ndarray]:
-    """Contract every diagram of ``ds`` (all of the plan's shape) in
-    one pass over the plan; each consumed operand is freed as it goes.
+    """Contract every diagram of ``ds`` (all of the plan's wiring) in
+    one pass over the plan, and give each one's root, its axes in the
+    plan's end-wire order; each consumed operand is freed as it goes.
     A single diagram runs without the batch axis."""
-    leaves, steps, root, perm = plan
+    leaves, steps, root, ends = plan
     gathered: dict = {}  # each gathered Z operand -> its batch of phases
     if len(ds) == 1:
         # this branch is kept on purpose: run as a batch of one, a lone
@@ -262,31 +286,23 @@ def _run(plan: tuple, ds: Sequence[Diagram]) -> list[np.ndarray]:
             ops[dst] = einsum(ops[dst], sub_dst, ops[src], sub_src, sub_out)
         ops[src] = None
     t = np.array(1.0, dtype=complex) if root is None else ops[root]
-    shape = (2 ** ds[0].n_out, 2 ** ds[0].n_in)
-    if t.ndim > len(perm):  # the batch axis leads
-        mats = np.transpose(t, [0] + [p + 1 for p in perm]) \
-            .reshape((len(ds),) + shape)
-    else:
-        mats = [np.transpose(t, perm).reshape(shape)] * len(ds)
-    out = []
-    for d, mat in zip(ds, mats):
-        mat = mat * (2.0 ** d.loops)
-        if not np.isfinite(mat).all():
-            raise ArithmeticError("non-finite entries in interpretation")
-        out.append(mat)
-    return out
+    # the batch axis leads, unless no operand had one
+    return list(t) if t.ndim > len(ends) else [t] * len(ds)
 
 
 def interpret_all(ds: Sequence[Diagram],
                   cap: int | None = None) -> list[np.ndarray]:
     """Evaluate each diagram to its matrix, in input order.
 
-    Diagrams of one shape share one plan, built once from the first of
-    them, and are contracted together: Z tensors are stacked along a
-    leading batch axis, and the other generators' tensors are broadcast
-    along it.  A plan that peaks
-    at w open wires runs its group in chunks of at most 2^(cap - w)
-    diagrams, so a batch never holds a larger array than one diagram at
+    Diagrams of one wiring (``d.shape.wiring``) share one plan, built
+    once from the first of them, and are contracted together: Z tensors
+    are stacked along a leading batch axis, and the other generators'
+    tensors are broadcast along it.  Diagrams of one wiring that share
+    their nodes mapping, such as a diagram and its flip, carry the same
+    phases and are one batch entry; each reads its own matrix out of the
+    entry's contracted root, permuted by its own edges.  A plan that
+    peaks at w open wires runs its group in chunks of at most 2^(cap - w)
+    entries, so a batch never holds a larger array than one diagram at
     the cap could.  Raises what ``interpret`` raises for the first
     failing diagram of the first failing group, groups taken in order of
     their first diagram."""
@@ -294,17 +310,21 @@ def interpret_all(ds: Sequence[Diagram],
         cap = wire_cap()
     groups: dict = {}
     for k, d in enumerate(ds):
-        groups.setdefault(d.shape, []).append(k)
+        groups.setdefault(d.shape.wiring, {}) \
+            .setdefault(id(d.nodes), []).append(k)
     out: list = [None] * len(ds)
-    for members in groups.values():
-        plan = _plan(ds[members[0]], cap)
+    for by_nodes in groups.values():
+        entries = list(by_nodes.values())
+        plan = _plan(ds[entries[0][0]], cap)
         # 2^(cap - w), but no larger than the group needs: a huge cap
         # must not cost a huge integer
-        size = 1 << min(cap - _width(plan), len(members).bit_length())
-        for s in range(0, len(members), size):
-            chunk = members[s:s + size]
-            for k, mat in zip(chunk, _run(plan, [ds[k] for k in chunk])):
-                out[k] = mat
+        size = 1 << min(cap - _width(plan), len(entries).bit_length())
+        for s in range(0, len(entries), size):
+            chunk = entries[s:s + size]
+            roots = _run(plan, [ds[members[0]] for members in chunk])
+            for members, t in zip(chunk, roots):
+                for k in members:
+                    out[k] = _matrix(t, plan[3], ds[k])
     return out
 
 
@@ -312,7 +332,8 @@ def interpret(d: Diagram, cap: int | None = None) -> np.ndarray:
     """Evaluate a diagram of type n -> m to its 2^m x 2^n matrix: one
     plan, run once (``interpret_all`` of one diagram, which has nothing
     to group and nothing to chunk)."""
-    return _run(_plan(d, wire_cap() if cap is None else cap), [d])[0]
+    plan = _plan(d, wire_cap() if cap is None else cap)
+    return _matrix(_run(plan, [d])[0], plan[3], d)
 
 
 def contract_state(d: Diagram, cap: int | None = None) -> np.ndarray:

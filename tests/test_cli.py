@@ -284,6 +284,14 @@ def test_rules_command_corrupted_fails(runner):
     assert "FAIL" in res.output
 
 
+def test_rules_corrupt_of_an_unknown_rule_is_one_line(runner):
+    # a misspelt negative control must not pass as a clean sweep
+    res = runner.invoke(main, ["rules", "--samples", "1",
+                               "--corrupt", "nosuchrule"])
+    _assert_one_line_error(res)
+    assert res.stderr == "zxel: no rule named 'nosuchrule' to corrupt\n"
+
+
 def test_elementary_command(tmp_path, runner):
     mat = tmp_path / "m.txt"
     mat.write_text("1 0\n0 2+3i\n")

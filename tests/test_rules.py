@@ -228,6 +228,11 @@ def test_corrupted_rule_is_caught():
     assert rep.failures
 
 
+def test_corrupting_an_unknown_rule_is_an_error():
+    with pytest.raises(R.RuleError, match="no rule named 'nosuchrule'"):
+        R.check_catalog(R.full_catalog(), samples=1, corrupt="nosuchrule")
+
+
 def test_check_soundness_matches_per_draw_reference():
     # the batched sweep against the old loop: every draw's sides and
     # flips interpreted one by one, on the same draws
@@ -273,6 +278,34 @@ def test_check_soundness_plans_once_per_topology(monkeypatch):
     plans.clear()
     R.check_soundness(CATALOG["S1"], samples=3, rng=rng)
     assert 1 <= len(plans) <= 4
+
+
+def test_check_soundness_shares_a_side_with_its_flip(monkeypatch):
+    # S1's draws differ only in phases, and each side shares its wiring
+    # and its nodes with its flip: k draws interpret 4k sides, but plan
+    # 2 wirings and run 2k batch entries, where a plan per shape took 4
+    # plans and 4k entries
+    plans, entries, sides = [], [], []
+    order = S.contraction_order
+    monkeypatch.setattr(S, "contraction_order",
+                        lambda pe: plans.append(1) or order(pe))
+    run = S._run
+    monkeypatch.setattr(S, "_run",
+                        lambda plan, ds: entries.extend(ds) or run(plan, ds))
+    batch = R.interpret_all
+    monkeypatch.setattr(R, "interpret_all",
+                        lambda ds: sides.extend(ds) or batch(ds))
+    for samples in (1, 6):
+        S._plan.cache_clear()
+        plans.clear()
+        entries.clear()
+        sides.clear()
+        rep = R.check_soundness(CATALOG["S1"], samples=samples,
+                                rng=np.random.default_rng(7))
+        k = rep.checked
+        assert k > samples and rep.ok
+        assert len(sides) == 4 * k
+        assert len(plans) == 2 and len(entries) == 2 * k
 
 
 def test_eu_is_euler_shaped():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from zxel import diagram as D
 from zxel import rules as R
 from zxel import semantics as S
+from zxel.io import load_diagram, save_diagram
 
 from helpers import (CAP_VEC, CUP_VEC, H_MAT, SWAP_MAT, T_INV_MAT, T_MAT,
                      X_MAT, golden_corpus, nf_family, parity_mat,
@@ -207,6 +208,70 @@ def test_interpret_all_chunks_a_group_under_the_cap(monkeypatch):
     sizes.clear()
     S.interpret_all(ds, cap=10 ** 9)  # one batch, and no 2^(10^9)
     assert sizes == [5]
+
+
+def _flip_corpus() -> list[D.Diagram]:
+    """Both sides of one draw of every catalog rule, and the boundary
+    cases of a flip: bare in -> out wires, swaps, a cap, a cup, loops, a
+    0 -> 0 scalar and a node beside a bare wire."""
+    rng = np.random.default_rng(41)
+    ds = []
+    for rule in R.full_catalog():
+        ps = R._random_params(rule, rng) if rule.arity else []
+        ds += rule.build([complex(p) for p in ps])
+    loop = D.compose(D.cap(), D.cup())
+    return ds + [D.identity(2), D.swap(), D.permutation([2, 0, 1]),
+                 D.cap(), D.cup(), D.tensor(D.z_spider(1, 2, 0.5j), loop),
+                 D.tensor(loop, D.identity(1)), D.scalar_z(-0.25 + 1j),
+                 D.tensor(D.triangle(), D.identity(1))]
+
+
+def _entries(monkeypatch) -> list[int]:
+    """The batch entries of each ``_run`` from now on."""
+    entries = []
+    run = S._run
+    monkeypatch.setattr(S, "_run", lambda plan, ds: entries.append(len(ds))
+                        or run(plan, ds))
+    return entries
+
+
+def test_a_diagram_and_its_flips_run_as_one_entry(monkeypatch):
+    entries = _entries(monkeypatch)
+    for d in _flip_corpus():
+        f = D.flip(d)
+        ff = D.flip(f)
+        for g in (f, ff):  # a memoised flip's wiring may be an equal one
+            assert g.shape.wiring == d.shape.wiring and g.nodes is d.nodes
+        for ds in ([d, f], [d, f, ff], [f, d]):
+            entries.clear()
+            got = S.interpret_all(ds)
+            assert entries == [1], d
+            for g, mat in zip(ds, got):
+                want = S.interpret(g)
+                assert mat.shape == want.shape, d
+                assert mat.tobytes() == want.tobytes(), d
+        assert np.array_equal(S.interpret(f), S.interpret(d).T)
+
+
+def test_a_flip_loaded_from_a_file_gives_the_same_bytes(tmp_path,
+                                                         monkeypatch):
+    # a file's shape, equal to the flip's by value or not, names its own
+    # wiring, so it may run apart from the flip; its matrix is the flip's
+    entries = _entries(monkeypatch)
+    path = str(tmp_path / "f.zx")
+    equal = 0
+    for d in _flip_corpus():
+        f = D.flip(d)
+        save_diagram(f, path)
+        g = load_diagram(path)
+        assert g.shape.wiring is g.shape
+        equal += g.shape == f.shape
+        entries.clear()
+        got = S.interpret_all([d, f, g])
+        assert sum(entries) <= 2, d
+        want = S.interpret(f).tobytes()
+        assert got[1].tobytes() == want and got[2].tobytes() == want, d
+    assert equal >= 20  # most files renumber ports or edges; 45 do not
 
 
 _CAP_MESSAGE = (r"(diagram has \d+ boundary wires|a node has \d+ open wires"
