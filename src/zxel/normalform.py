@@ -11,6 +11,10 @@ multiplication to the base state e_{2^m-1}:
   * a row multiplication with coefficient a interprets to
     diag(1, ..., 1, a).
 
+Each gadget is a short chain of stages (``_stages``), and
+``nf_to_diagram`` composes the base state and every gadget's stages in
+one ``compose_all``.
+
 This module never calls the interpreter; the normal-form pipeline is an
 independent route that the semantics module cross-checks.  The two routes
 share one walk, ``diagram.contraction_order``, and nothing else: the
@@ -24,7 +28,9 @@ but its Z phases), with every wire-cap check, and run on raw coefficient
 arrays: each step tensors a state and plugs the shared wires in one
 ``np.dot``, laid out as ``np.tensordot`` lays out its operands, and each
 component joins by ``nf_tensor``'s outer product, wrapping one
-``NormalForm`` at the end.
+``NormalForm`` at the end.  A Z spider's state, a copy tensor, is the
+same under every axis permutation, so it enters its step reshaped in
+place, where ``np.tensordot`` would transpose a copy of it.
 ``normalize_all`` groups a list by shape, so that diagrams of one shape
 share a plan.  From its second planning on, a shape keeps its plan
 across calls (``diagram._plan_memo``): the normal-form diagrams of all
@@ -164,38 +170,39 @@ def _apply_flip_layer(m: int, subset: frozenset[int]) -> Diagram:
     return compose(permutation(src), tensor_all(layer))
 
 
-def row_addition_diagram(m: int, a: complex, subset) -> Diagram:
-    """Diagram of the row-addition elementary matrix on m wires.
-
-    Green dots on every wire feed an AND that detects the all-ones input;
-    on detection a flip command weighted by the coefficient fans out to
-    pink dots on the wires of the subset.
-    """
-    subset = frozenset(subset)
-    spec = ElementarySpec("add", m, complex(a), subset)  # validates args
-    s = len(subset)
-    stages = [
-        _copies_then_sides(m),
-        tensor(identity(m), and_tree(m)),
-        tensor(identity(m), compose(triangle(), z_spider(1, 1, complex(a)))),
-        tensor(identity(m), z_spider(1, s, 1.0)),
-        _apply_flip_layer(m, subset),
+def _stages(spec: ElementarySpec) -> list[Diagram]:
+    """The stages of the gadget of ``spec``, in the order ``compose_all``
+    chains them: green dots on every wire feed an AND that detects the
+    all-ones input; a row addition's detector then carries a flip
+    command weighted by the coefficient out to pink dots on the wires of
+    the subset (5 stages), a row multiplication's is capped off by a
+    1 -> 0 green dot carrying the coefficient (3 stages)."""
+    m, a = spec.m, complex(spec.coeff)
+    detect = [_copies_then_sides(m), tensor(identity(m), and_tree(m))]
+    if spec.kind == "mult":
+        return detect + [tensor(identity(m), z_spider(1, 0, a))]
+    return detect + [
+        tensor(identity(m), compose(triangle(), z_spider(1, 1, a))),
+        tensor(identity(m), z_spider(1, len(spec.subset), 1.0)),
+        _apply_flip_layer(m, spec.subset),
     ]
-    d = compose_all(stages)
+
+
+def row_addition_diagram(m: int, a: complex, subset) -> Diagram:
+    """Diagram of the row-addition elementary matrix on m wires: its
+    ``_stages`` composed."""
+    spec = ElementarySpec("add", m, complex(a), frozenset(subset))
+    d = compose_all(_stages(spec))
     assert d.type == (m, m), spec
     return d
 
 
 def row_multiplication_diagram(m: int, a: complex) -> Diagram:
-    """Diagram of diag(1, ..., 1, a) on m wires: green dots on every wire
-    into an AND, capped off by a 1 -> 0 green dot carrying a."""
+    """Diagram of diag(1, ..., 1, a) on m wires: its ``_stages``
+    composed."""
     if m < 1:
         raise ValueError("row multiplication needs at least one wire")
-    return compose_all([
-        _copies_then_sides(m),
-        tensor(identity(m), and_tree(m)),
-        tensor(identity(m), z_spider(1, 0, complex(a))),
-    ])
+    return compose_all(_stages(ElementarySpec("mult", m, complex(a))))
 
 
 def pi_layer(m: int, wires) -> Diagram:
@@ -269,11 +276,15 @@ def base_state(m: int) -> Diagram:
 
 def nf_to_diagram(nf: NormalForm) -> Diagram:
     """Emit the normal-form diagram: base state, then each elementary
-    transformation in the canonical order."""
+    transformation in the canonical order.  One ``compose_all`` chains
+    the base state and every gadget's ``_stages``, which gives the node
+    ids, edges and loops of composing gadget by gadget; the memo entry
+    of the result then holds only stage shapes, which the gadgets
+    share, and no shape of a whole gadget."""
     if nf.m == 0:
         return scalar_nf_diagram(nf.coeffs[0])
-    return compose_all([base_state(nf.m)]
-                       + [elementary_diagram(s) for s in elementary_specs(nf)])
+    return compose_all([base_state(nf.m)] + [
+        stage for s in elementary_specs(nf) for stage in _stages(s)])
 
 
 def scalar_nf(a: complex) -> NormalForm:
@@ -436,9 +447,10 @@ def _plan(d: Diagram, cap: int) -> tuple:
     ``_layout`` says; the part's axis order is this route's own, its
     edges but the shared ones, then the rest of the node's.  ``b`` is the
     node's operand: for a Z spider, whose state a run builds from node
-    ``v``'s phase, the ``(degree, perm, shape)`` to lay it out by; for
-    any other generator (``v`` None), its laid-out state itself, plugged
-    if it sits on a loop.  ``caps`` counts the bare wires, which bend
+    ``v``'s phase, its ``(degree, shape)``, since a copy tensor is the
+    same under every axis permutation and so needs none; for any other
+    generator (``v`` None), its laid-out state itself, plugged if it
+    sits on a loop.  ``caps`` counts the bare wires, which bend
     into caps, and ``perm`` takes the folded wires to the output order.
     Every wire-cap check happens here, before anything is allocated: the
     state's wires, then each node's open wires, then the part's wires
@@ -469,7 +481,7 @@ def _plan(d: Diagram, cap: int) -> tuple:
                 [edges.index(i) for i in shared])
             kind = d.nodes[v].kind
             if kind == dg.Z:  # a self-loop leaves a Z of degree d - 2
-                steps.append((v, (len(edges), perm_b, shape_b),
+                steps.append((v, (len(edges), shape_b),
                               len(part), perm_a, shape_a))
             else:
                 steps.append((None, _fixed_operand(kind, not edges, perm_b,
@@ -495,17 +507,19 @@ _CAP = generator_nf("cap").vector()
 
 def _run(plan: tuple, d: Diagram) -> NormalForm:
     """Fold the coefficients of ``d``, a diagram of the plan's shape:
-    each step is one ``np.dot``, bitwise ``np.tensordot``'s, each
-    component and bare cap joins the result by one outer product, bitwise
-    ``nf_tensor``'s, and only the result is wrapped as a ``NormalForm``."""
+    each step is one ``np.dot``, bitwise ``np.tensordot``'s (a Z state
+    enters reshaped in place, holding the values ``np.tensordot`` would
+    transpose it into), each component and bare cap joins the result by
+    one outer product, bitwise ``nf_tensor``'s, and only the result is
+    wrapped as a ``NormalForm``."""
     components, caps, perm = plan
     outer = np.multiply.outer  # np.kron of two vectors, without its checks
     acc = np.array([2.0 ** d.loops], dtype=complex)  # a bare loop is 2
     for steps in components:
         part = _ONE
         for v, b, na, perm_a, shape_a in steps:
-            if v is not None:
-                b = _operand(_z_state(d.nodes[v].phase, b[0]), *b)
+            if v is not None:  # a copy tensor needs no transpose
+                b = _z_state(d.nodes[v].phase, b[0]).reshape(b[1])
             part = np.dot(_operand(part, na, perm_a, shape_a), b)
         acc = outer(acc, part).reshape(-1)
     for _ in range(caps):

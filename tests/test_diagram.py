@@ -511,7 +511,7 @@ def test_compose_all_arity_mismatch_anywhere(where):
 
 def test_nf_to_diagram_matches_pairwise_fold():
     rng = np.random.default_rng(7)
-    for m in range(6):
+    for m in range(7):
         nf = nf_from_vector([random_complex(rng) for _ in range(2 ** m)])
         if m == 0:
             ref = compose_by_pairs([D.z_spider(0, 1, nf.coeffs[0]),
@@ -522,6 +522,21 @@ def test_nf_to_diagram_matches_pairwise_fold():
                 + [NF.elementary_diagram(s) for s in NF.elementary_specs(nf)])
         _assert_same(nf_to_diagram(nf), ref)
 
+
+def test_nf_to_diagram_keeps_no_gadget_shape_alive():
+    # one splice of all stages: the result's memo entry holds the stage
+    # shapes, which every gadget shares, and no shape of a whole gadget
+    def live_5_to_5():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, D._Shape)
+                and (o.n_in, o.n_out) == (5, 5) and o.kinds]
+
+    before = live_5_to_5()  # such as _pi_layer's, cached by other tests
+    rng = np.random.default_rng(11)
+    d = nf_to_diagram(nf_from_vector(
+        [random_complex(rng) for _ in range(2 ** 5)]))
+    built = [o for o in live_5_to_5() if not any(o is b for b in before)]
+    assert d.type == (0, 5) and not built
 
 def test_nodes_are_read_only():
     d = D.z_spider(1, 1, 2.0)

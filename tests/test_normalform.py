@@ -578,6 +578,23 @@ def test_normalize_is_bitwise_the_absorb_fold():
                     == _outcome(normalize_by_absorb, d, cap=cap)), (d, cap)
 
 
+def test_a_z_state_needs_no_transpose():
+    # a copy tensor is invariant under every axis permutation, so the
+    # fold reshapes a Z state in place: bitwise the operand np.tensordot
+    # would lay out, for every axis selection of _layout, with signed
+    # zeros in the phase
+    phases = [complex(-0.0, 1.5), complex(2.0, -0.0), complex(-0.0, -0.0),
+              complex(-1.25, 0.0), 1.0]
+    for g in range(7):
+        for s in range(g + 1):
+            for axes_b in itertools.permutations(range(g), s):
+                _, _, perm_b, shape_b = NF._layout(s, g, [*range(s)],
+                                                   [*axes_b])
+                for p in phases:
+                    v = NF._z_state(p, g)
+                    assert (v.reshape(shape_b).tobytes() == NF._operand(
+                        v, g, perm_b, shape_b).tobytes()), (g, axes_b, p)
+
 def test_normalize_all_plans_once_per_shape(monkeypatch):
     rng = np.random.default_rng(43)
     ds = [NF.nf_to_diagram(NF.nf_from_vector(rng.normal(size=8)))

@@ -1,5 +1,7 @@
 import hashlib
 import re
+import sys
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -453,6 +455,80 @@ def test_interpret_all_chunks_hold_no_array_over_the_cap(monkeypatch,
         assert 0 < view.peak <= 2 ** cap, cap
     assert bool(gathers) == (gather_min == 0)
 
+
+
+class _EinsumView:
+    """numpy as seen by zxel.semantics, its einsum passed through to
+    numpy's and counted: a call with ``out=`` is a gather's, any other a
+    plan step's."""
+
+    def __init__(self):
+        self.steps = self.gathers = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, *args, **kwargs):
+        if "out" in kwargs:
+            self.gathers += 1
+        else:
+            self.steps += 1
+        return np.einsum(*args, **kwargs)
+
+
+def _conjugated(d: D.Diagram) -> D.Diagram:
+    """``d`` with every Z phase conjugated: its wiring, other nodes."""
+    return D.Diagram._of(d.shape, MappingProxyType(
+        {v: D.Node(n.kind, n.phase.conjugate()) for v, n in d.nodes.items()}))
+
+
+def test_the_c_einsum_entry_keeps_its_observers_and_its_bytes(monkeypatch):
+    # the C entry serves a run only while np.einsum is numpy's own: an
+    # observer swapped in as S.np sees every plan step, of interpret and
+    # of a batched interpret_all, and all three entries give one result
+    ds = list(golden_corpus()) + nf_family(5)
+    batch = ds + [_conjugated(d) for d in ds]
+
+    def results():
+        return ([S.interpret(d).tobytes() for d in ds],
+                [m.tobytes() for m in S.interpret_all(batch)])
+
+    assert S._C_EINSUM is not np.einsum
+    fast = results()
+
+    runs, gathers, c_calls = [], [], []
+    run, absorb, c_einsum = S._run, S._absorb_z, S._C_EINSUM
+    monkeypatch.setattr(S, "_run", lambda plan, chunk: runs.append(
+        (len(plan[1]), len(chunk))) or run(plan, chunk))
+    monkeypatch.setattr(S, "_absorb_z",
+                        lambda *a: gathers.append(1) or absorb(*a))
+    monkeypatch.setattr(S, "_C_EINSUM",
+                        lambda *a: c_calls.append(1) or c_einsum(*a))
+
+    def einsum_steps():  # the plans' steps of every run, minus gathers
+        return sum(steps for steps, _ in runs) - len(gathers)
+
+    assert results() == fast
+    assert max(size for _, size in runs) > 1 and gathers
+    assert len(c_calls) == einsum_steps()
+
+    for seen in (runs, gathers, c_calls):
+        seen.clear()
+    view = _EinsumView()
+    monkeypatch.setattr(S, "np", view)
+    assert results() == fast
+    assert view.steps == einsum_steps() and view.gathers == len(gathers)
+    assert gathers and not c_calls
+    monkeypatch.setattr(S, "np", np)
+
+    # without numpy's C entry, the kernel is np.einsum itself
+    with monkeypatch.context() as blocked:
+        for path in ("numpy._core.multiarray", "numpy.core.multiarray"):
+            blocked.setitem(sys.modules, path, None)
+        fallback = S._c_einsum()
+    assert fallback is np.einsum
+    monkeypatch.setattr(S, "_C_EINSUM", fallback)
+    assert results() == fast
 
 # sha256 over the outcome of interpret at every cap 1-15 on the corpus of
 # _cap_error_digest, as the semantics planner checked its caps when the
