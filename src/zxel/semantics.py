@@ -39,12 +39,12 @@ same result.  An unbatched run is plain einsum throughout.
 
 Every step but a gather calls numpy's C einsum (``_C_EINSUM``)
 directly, the function ``np.einsum(..., optimize=False)`` forwards its
-arguments to unchanged: the same bytes, without the Python dispatch that costs a
-third of a small unbatched run.  It does so only while ``np.einsum``,
-as this module sees it, is numpy's own: an observer that swaps this
-module's ``np`` for a view with another ``einsum`` (a tracer counting
-the kernel's calls, a test bounding its arrays) gets every step.
-``_absorb_z`` always calls ``np.einsum``.
+arguments to unchanged: the same bytes, without the Python dispatch
+that costs a third of a small unbatched run.  It does so only while
+``np.einsum``, as this module sees it, is numpy's own: an observer that
+swaps this module's ``np`` for a view with another ``einsum`` (a tracer
+counting the kernel's calls, a test bounding its arrays) gets every
+step.  ``_absorb_z`` always calls ``np.einsum``.
 """
 
 from __future__ import annotations
