@@ -538,6 +538,8 @@ def test_nf_to_diagram_keeps_no_gadget_shape_alive():
     built = [o for o in live_5_to_5() if not any(o is b for b in before)]
     assert d.type == (0, 5) and not built
 
+
+
 def test_nodes_are_read_only():
     d = D.z_spider(1, 1, 2.0)
     with pytest.raises(TypeError):

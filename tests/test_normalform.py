@@ -595,6 +595,8 @@ def test_a_z_state_needs_no_transpose():
                     assert (v.reshape(shape_b).tobytes() == NF._operand(
                         v, g, perm_b, shape_b).tobytes()), (g, axes_b, p)
 
+
+
 def test_normalize_all_plans_once_per_shape(monkeypatch):
     rng = np.random.default_rng(43)
     ds = [NF.nf_to_diagram(NF.nf_from_vector(rng.normal(size=8)))

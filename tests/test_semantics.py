@@ -456,7 +456,6 @@ def test_interpret_all_chunks_hold_no_array_over_the_cap(monkeypatch,
     assert bool(gathers) == (gather_min == 0)
 
 
-
 class _EinsumView:
     """numpy as seen by zxel.semantics, its einsum passed through to
     numpy's and counted: a call with ``out=`` is a gather's, any other a
@@ -529,6 +528,7 @@ def test_the_c_einsum_entry_keeps_its_observers_and_its_bytes(monkeypatch):
     assert fallback is np.einsum
     monkeypatch.setattr(S, "_C_EINSUM", fallback)
     assert results() == fast
+
 
 # sha256 over the outcome of interpret at every cap 1-15 on the corpus of
 # _cap_error_digest, as the semantics planner checked its caps when the
