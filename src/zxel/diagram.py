@@ -46,7 +46,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cache, wraps
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -385,31 +385,51 @@ def _placed(ds: Sequence[Diagram], boundary):
 
 
 # each combinator result's shape by the combinator and its pieces' shapes:
-# the result's shape is held weakly, so an entry dies with the last
-# diagram of that shape, and until then its key holds the pieces' shapes
-# strongly (weak keys cost rules-sweep ten times the validations)
-_SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# the result's shape is held by a weak reference, so an entry dies with
+# the last diagram of that shape, and until then its key holds the
+# pieces' shapes strongly (weak keys cost rules-sweep ten times the
+# validations).  A plain dict of references, looked up in C, where
+# ``WeakValueDictionary.get`` runs Python code on every hit
+_SHAPES: dict = {}
+
+
+def _recall(key) -> _Shape | None:
+    """The live shape ``_SHAPES`` holds under ``key``, or None."""
+    ref = _SHAPES.get(key)
+    return None if ref is None else ref()
+
+
+def _record(key, shape: _Shape) -> None:
+    """Hold ``shape`` weakly in ``_SHAPES`` under ``key``; when it dies,
+    its entry goes, unless a later shape has taken the key since."""
+    def forget(ref):
+        if _SHAPES.get(key) is ref:
+            _SHAPES.pop(key, None)
+    _SHAPES[key] = weakref.ref(shape, forget)
 
 
 def _memoised(combinator):
     """``combinator`` of a list of pieces through ``_SHAPES``: a hit gives
     the recorded shape the pieces' nodes, in the order whose ids
-    ``_placed`` shifts, with no splice and no validation.  A list of one
-    piece gives that piece."""
+    ``_placed`` shifts, with no splice and no validation: one list of the
+    pieces' node values, zipped with the shape's node ids, on the shape
+    by ``Diagram._of``.  A list of one piece gives that piece."""
 
     @wraps(combinator)
     def memoised(ds):
         if len(ds) == 1:
             return ds[0]
         key = (combinator, *[d.shape for d in ds])
-        shape = _SHAPES.get(key)
+        shape = _recall(key)
         if shape is None:
             d = combinator(ds)
-            _SHAPES[key] = d.shape
+            _record(key, d.shape)
             return d
-        return Diagram._of(shape, MappingProxyType(dict(zip(
-            shape.port_edges,
-            chain.from_iterable(d.nodes.values() for d in ds)))))
+        values = []
+        for d in ds:
+            values += d.nodes.values()
+        return Diagram._of(
+            shape, MappingProxyType(dict(zip(shape.port_edges, values))))
     return memoised
 
 
@@ -492,7 +512,7 @@ def flip(d: Diagram) -> Diagram:
     shape is memoised by ``d``'s shape and wiring (equal shapes may name
     different wirings: ``cap()``'s and ``flip(cup())``'s)."""
     key = (flip, d.shape, d.shape.wiring)
-    shape = _SHAPES.get(key)
+    shape = _recall(key)
     if shape is None:
         def ren(ep):
             if ep[0] == "in":
@@ -504,7 +524,7 @@ def flip(d: Diagram) -> Diagram:
         edges = [(ren(a), ren(b)) for a, b in d.edges]
         shape = Diagram(d.nodes, edges, d.n_out, d.n_in, loops=d.loops).shape
         object.__setattr__(shape, "_wiring", d.shape.wiring)
-        _SHAPES[key] = shape
+        _record(key, shape)
     return Diagram._of(shape, d.nodes)
 
 

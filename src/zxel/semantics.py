@@ -23,9 +23,12 @@ boundary slot of each end wire gives its output permutation.
 Diagrams of one wiring share a plan, and one run of it contracts them
 all at once, their Z tensors stacked along a leading batch axis; a
 diagram and its flip, which share their nodes, are one entry of that
-batch.  From its second planning on, a wiring keeps its plan across
-calls (``diagram._plan_memo``); a wiring planned once, such as a one-off
-rule side, keeps none.
+batch.  Diagrams of one shape share their permutation and loops, so a
+batch reads them out together, one numpy multiply per shape for all
+its entries, and ``interpret_all`` may return matrices that are views
+of one such stacked array.  From its second planning on, a wiring keeps
+its plan across calls (``diagram._plan_memo``); a wiring planned once,
+such as a one-off rule side, keeps none.
 ``interpret`` runs a plan on one diagram; ``interpret_all`` groups a
 list by wiring, which is how the rule-soundness sweep evaluates all
 draws of a rule, and their flips, together.
@@ -235,13 +238,12 @@ def _plan(d: Diagram, cap: int) -> tuple:
     return leaves, steps, root, wires
 
 
-def _matrix(t: np.ndarray, ends: list[int], d: Diagram) -> np.ndarray:
-    """``d``'s matrix, read out of ``t``, the contracted root of ``d``'s
-    plan, whose axes hold the end wires ``ends``: each axis goes to the
-    boundary slot of its end in ``d``'s own edges, out slot 0..m-1 then
-    in slot 0..n-1 (most significant bit first within each boundary,
-    matching |a_{m-1}...a_0>), and the whole is scaled by ``d``'s
-    loops."""
+def _axes(ends: list[int], d: Diagram) -> list[int]:
+    """The axes of a root whose axes hold the end wires ``ends``, in the
+    order of ``d``'s matrix: each axis goes to the boundary slot of its
+    end in ``d``'s own edges, out slot 0..m-1 then in slot 0..n-1 (most
+    significant bit first within each boundary, matching
+    |a_{m-1}...a_0>)."""
 
     def slot(ep):  # out slot j is axis j, in slot i axis n_out + i
         return ep[1] if ep[0] == "out" else d.n_out + ep[1]
@@ -249,13 +251,41 @@ def _matrix(t: np.ndarray, ends: list[int], d: Diagram) -> np.ndarray:
     edges = d.edges
     slots = [slot(edges[i][1]) if i >= 0 else slot(edges[~i][0])
              for i in ends]
-    perm = sorted(range(len(slots)), key=slots.__getitem__)
+    return sorted(range(len(slots)), key=slots.__getitem__)
+
+
+def _matrix(t: np.ndarray, ends: list[int], d: Diagram) -> np.ndarray:
+    """``d``'s matrix, read out of ``t``, the contracted root of ``d``'s
+    plan with no batch axis, whose axes hold the end wires ``ends``:
+    permuted by ``_axes`` and scaled by ``d``'s loops."""
     mat = np.empty((2 ** d.n_out, 2 ** d.n_in), dtype=complex)
-    np.multiply(np.transpose(t, perm), 2.0 ** d.loops,
+    np.multiply(np.transpose(t, _axes(ends, d)), 2.0 ** d.loops,
                 out=mat.reshape(t.shape))
     if not np.isfinite(mat).all():
         raise ArithmeticError("non-finite entries in interpretation")
     return mat
+
+
+def _matrices(t: np.ndarray, ends: list[int], d: Diagram,
+              rows: list[int]) -> np.ndarray:
+    """The matrices of the diagrams of ``d``'s shape in the rows
+    ``rows`` (ascending) of ``t``, stacked along a leading axis:
+    ``_matrix`` of each, in one numpy call for all.  ``t`` is their
+    plan's contracted root, its batch axis leading; a root with no batch
+    axis, which has no Z phase to tell its rows apart, serves every row.
+    The shape fixes the permutation and the loops, so ``d`` stands for
+    all of them."""
+    axes = _axes(ends, d)
+    if t.ndim > len(ends):
+        axes = [0] + [a + 1 for a in axes]
+        if len(rows) < len(t):
+            t = t[rows]
+    mats = np.empty((len(rows), 2 ** d.n_out, 2 ** d.n_in), dtype=complex)
+    np.multiply(np.transpose(t, axes), 2.0 ** d.loops,
+                out=mats.reshape((len(rows),) + (2,) * len(ends)))
+    if not np.isfinite(mats).all():
+        raise ArithmeticError("non-finite entries in interpretation")
+    return mats
 
 
 def _width(plan) -> int:
@@ -265,11 +295,13 @@ def _width(plan) -> int:
                [len(step[4]) for step in steps], default=0)
 
 
-def _run(plan: tuple, ds: Sequence[Diagram]) -> list[np.ndarray]:
+def _run(plan: tuple, ds: Sequence[Diagram]) -> np.ndarray:
     """Contract every diagram of ``ds`` (all of the plan's wiring) in
-    one pass over the plan, and give each one's root, its axes in the
-    plan's end-wire order; each consumed operand is freed as it goes.
-    A single diagram runs without the batch axis."""
+    one pass over the plan, and give the contracted root, its axes in the
+    plan's end-wire order behind a leading batch axis, one row per
+    diagram; each consumed operand is freed as it goes.  A single
+    diagram runs without the batch axis, and so does a batch with no Z
+    phase, whose diagrams all share the one root."""
     leaves, steps, root, ends = plan
     gathered: dict = {}  # each gathered Z operand -> its batch of phases
     if len(ds) == 1:
@@ -312,9 +344,7 @@ def _run(plan: tuple, ds: Sequence[Diagram]) -> list[np.ndarray]:
         else:
             ops[dst] = einsum(ops[dst], sub_dst, ops[src], sub_src, sub_out)
         ops[src] = None
-    t = np.array(1.0, dtype=complex) if root is None else ops[root]
-    # the batch axis leads, unless no operand had one
-    return list(t) if t.ndim > len(ends) else [t] * len(ds)
+    return np.array(1.0, dtype=complex) if root is None else ops[root]
 
 
 def interpret_all(ds: Sequence[Diagram],
@@ -330,9 +360,14 @@ def interpret_all(ds: Sequence[Diagram],
     entry's contracted root, permuted by its own edges.  A plan that
     peaks at w open wires runs its group in chunks of at most 2^(cap - w)
     entries, so a batch never holds a larger array than one diagram at
-    the cap could.  Raises what ``interpret`` raises for the first
-    failing diagram of the first failing group, groups taken in order of
-    their first diagram."""
+    the cap could.  A batched chunk is read out in rounds, each of one
+    shape and at most one diagram per entry, so that no round holds more
+    rows than the chunk (a diagram listed twice waits for a later
+    round): one numpy multiply and one finiteness check per round, and
+    the round's matrices are views of the one array it fills.  A chunk
+    of one entry reads each diagram out on its own.  Raises what
+    ``interpret`` raises for the first failing diagram of the first
+    failing group, groups taken in order of their first diagram."""
     if cap is None:
         cap = wire_cap()
     groups: dict = {}
@@ -343,15 +378,30 @@ def interpret_all(ds: Sequence[Diagram],
     for by_nodes in groups.values():
         entries = list(by_nodes.values())
         plan = _plan(ds[entries[0][0]], cap)
+        ends = plan[3]
         # 2^(cap - w), but no larger than the group needs: a huge cap
         # must not cost a huge integer
         size = 1 << min(cap - _width(plan), len(entries).bit_length())
         for s in range(0, len(entries), size):
             chunk = entries[s:s + size]
-            roots = _run(plan, [ds[members[0]] for members in chunk])
-            for members, t in zip(chunk, roots):
+            t = _run(plan, [ds[members[0]] for members in chunk])
+            if len(chunk) == 1:
+                for k in chunk[0]:
+                    out[k] = _matrix(t, ends, ds[k])
+                continue
+            # (shape, round) -> the rows and the diagrams read out together
+            rounds: dict = {}
+            for row, members in enumerate(chunk):
+                seen: dict = {}
                 for k in members:
-                    out[k] = _matrix(t, plan[3], ds[k])
+                    shape = ds[k].shape
+                    r = seen[shape] = seen.get(shape, -1) + 1
+                    rows, ks = rounds.setdefault((shape, r), ([], []))
+                    rows.append(row)
+                    ks.append(k)
+            for rows, ks in rounds.values():
+                for k, mat in zip(ks, _matrices(t, ends, ds[ks[0]], rows)):
+                    out[k] = mat
     return out
 
 
@@ -360,7 +410,7 @@ def interpret(d: Diagram, cap: int | None = None) -> np.ndarray:
     plan, run once (``interpret_all`` of one diagram, which has nothing
     to group and nothing to chunk)."""
     plan = _plan(d, wire_cap() if cap is None else cap)
-    return _matrix(_run(plan, [d])[0], plan[3], d)
+    return _matrix(_run(plan, [d]), plan[3], d)
 
 
 def contract_state(d: Diagram, cap: int | None = None) -> np.ndarray:

@@ -629,7 +629,7 @@ def test_memo_entries_die_with_their_diagrams(monkeypatch):
     # the memo holds the shapes of S1's sides while check_soundness runs,
     # and none of them once its diagrams are gone
     def record(ds):
-        memo = {id(s) for s in D._SHAPES.values()}
+        memo = {id(ref()) for ref in D._SHAPES.values()}
         held.extend(weakref.ref(d.shape) for d in ds if id(d.shape) in memo)
         return batch(ds)
 
@@ -639,6 +639,55 @@ def test_memo_entries_die_with_their_diagrams(monkeypatch):
     R.check_soundness(R.catalog_by_name()["S1"], samples=3)
     gc.collect()
     assert held and not any(ref() for ref in held)
+
+
+def test_a_memo_hit_gives_a_cold_builds_nodes_and_shape():
+    a, b = D.z_spider(1, 2, 0.5), D.tensor(D.h_box(), D.triangle())
+    c = D.z_spider(2, 1, 2j)
+    for build in (lambda: D.compose_all([a, b, c]),
+                  lambda: D.tensor_all([c, a, D.identity(1), c]),
+                  lambda: D.flip(D.compose(a, b))):
+        miss, hit = _builds_on_miss_and_hit(build)
+        assert hit is not miss and hit.shape is miss.shape
+        assert hit.nodes == miss.nodes
+        assert tuple(hit.nodes) == tuple(miss.nodes)
+        with pytest.raises(TypeError):
+            hit.nodes[0] = D.Node(D.Z)
+
+
+def _fresh_shape() -> D._Shape:
+    """A shape no other diagram holds."""
+    return D.Diagram({0: D.Node(D.H)}, [(("in", 0), ("n", 0, 0)),
+                                        (("out", 0), ("n", 0, 1))],
+                     1, 1).shape
+
+
+def test_a_memo_entry_dies_with_its_last_diagram():
+    d = D.compose(D.z_spider(1, 3, 0.5), D.tensor_all([D.h_box()] * 3))
+    shape = weakref.ref(d.shape)
+    keys = [k for k, ref in D._SHAPES.items() if ref() is d.shape]
+    assert keys
+    e = D.compose(D.z_spider(1, 3, 2j), D.tensor_all([D.h_box()] * 3))
+    assert e.shape is d.shape
+    del d
+    gc.collect()
+    assert all(D._recall(k) is e.shape for k in keys)
+    del e
+    gc.collect()
+    assert shape() is None and not any(k in D._SHAPES for k in keys)
+    # a dead shape's callback takes its entry only while the entry still
+    # holds its reference: a callback that runs late, as one can during
+    # a collection, after the key was taken again leaves the new entry
+    key = ("a key of no combinator",)
+    first, second = _fresh_shape(), _fresh_shape()
+    D._record(key, first)
+    stale = D._SHAPES[key]
+    D._record(key, second)
+    stale.__callback__(stale)
+    assert D._recall(key) is second
+    del second
+    gc.collect()
+    assert key not in D._SHAPES
 
 
 def test_shapes_are_read_only():

@@ -250,6 +250,28 @@ def test_check_soundness_matches_per_draw_reference():
         assert not got.ok and got == want, name
 
 
+def test_sides_of_two_types_fail_every_draw_at_infinity():
+    # the deviations of all draws are taken at once; sides of different
+    # types still give inf, draw by draw, as the per-draw loop did
+    rule = R.RewriteRule("two types", 1, lambda ps: (
+        D.z_spider(1, 1, ps[0]), D.z_spider(1, 2, ps[0])))
+    got = R.check_soundness(rule, samples=3, rng=np.random.default_rng(6))
+    want = check_soundness_by_draw(rule, 3, R.DEFAULT_TOL,
+                                   np.random.default_rng(6))
+    assert got == want
+    assert got.checked == len(got.failures) == 4 + 3
+    assert all(dev == float("inf") for _, dev in got.failures)
+    # a builder whose sides change type from draw to draw, sound on the
+    # real draws only, is checked draw by draw
+    rule = R.RewriteRule("type per draw", 1, lambda ps: (
+        D.z_spider(1, 1 + (ps[0].real > 0), ps[0]),
+        D.z_spider(1, 1 + (ps[0].real > 0), ps[0].conjugate())))
+    got = R.check_soundness(rule, samples=3, rng=np.random.default_rng(6))
+    want = check_soundness_by_draw(rule, 3, R.DEFAULT_TOL,
+                                   np.random.default_rng(6))
+    assert got == want and 0 < len(got.failures) < got.checked
+
+
 def test_check_soundness_compares_flips_with_the_transpose(monkeypatch):
     # with flip replaced by the identity map, flip(lhs) contracts to ml,
     # not to ml.T, for a rule with triangles: the sweep must notice

@@ -435,6 +435,12 @@ def test_interpret_all_chunks_hold_no_array_over_the_cap(monkeypatch,
             ps = R._random_params(rule, rng) if rule.arity else []
             lhs, rhs = rule.build([complex(p) for p in ps])
             ds += [lhs, rhs, D.flip(lhs)]
+    # members listed twice in an entry: a diagram listed twice, and the
+    # cached sides of arity-0 rules built once more
+    ds += ds[::3]
+    for rule in R.full_catalog():
+        if not rule.arity:
+            ds += rule.build([])
     monkeypatch.setattr(S, "_GATHER_MIN", gather_min)
     gathers = []
     absorb = S._absorb_z
@@ -454,6 +460,75 @@ def test_interpret_all_chunks_hold_no_array_over_the_cap(monkeypatch,
         S.interpret_all(fits, cap=cap)
         assert 0 < view.peak <= 2 ** cap, cap
     assert bool(gathers) == (gather_min == 0)
+
+
+def _readout_corpus() -> list[D.Diagram]:
+    """Two draws of every catalog rule, both sides and their flips, and
+    what a batched readout must keep apart: every fifth diagram listed
+    twice, the cached sides of arity-0 rules in three draws, Z-free
+    groups, bare wires, loops and 0 -> 0 scalars."""
+    rng = np.random.default_rng(43)
+    ds = []
+    for rule in R.full_catalog():
+        for _ in range(2 if rule.arity else 3):
+            ps = R._random_params(rule, rng) if rule.arity else []
+            sides = rule.build([complex(p) for p in ps])
+            ds += [*sides, *map(D.flip, sides)]
+    loop = D.compose(D.cap(), D.cup())
+    ds += [D.compose(D.h_box(), D.triangle()) for _ in range(3)]
+    ds += [D.tensor(D.z_spider(1, 1, a), loop) for a in (0.5, 3j, -2.0)]
+    ds += [D.scalar_z(a) for a in (0.5, -1.0, 2j)]
+    ds += [D.identity(2), D.swap(), D.cap(), D.cup(), loop, D.empty(),
+           D.tensor(D.triangle(), D.identity(1))]
+    return ds + ds[::5]
+
+
+def test_interpret_all_reads_out_what_interpret_reads_out(monkeypatch):
+    # a batched chunk is read out in rounds of one shape and at most one
+    # diagram per entry; every matrix is interpret's, to the byte
+    ds = _readout_corpus()
+    want = [S.interpret(d) for d in ds]
+    readouts = []  # (rows read, rows of a batched root or 0)
+    matrices = S._matrices
+    monkeypatch.setattr(S, "_matrices", lambda t, ends, d, rows:
+                        readouts.append((len(rows), t.shape[0]
+                                         if t.ndim > len(ends) else 0))
+                        or matrices(t, ends, d, rows))
+    got = S.interpret_all(ds)
+    for d, mat, w in zip(ds, got, want):
+        assert mat.shape == w.shape and mat.dtype == w.dtype, d
+        assert mat.tobytes() == w.tobytes(), d
+    # whole batches, later rounds of the members listed twice, and
+    # roots with no Z phase
+    assert any(1 < read == rows for read, rows in readouts)
+    assert any(read < rows for read, rows in readouts)
+    assert any(1 < read and not rows for read, rows in readouts)
+
+
+def test_check_soundness_reads_each_side_out_once(monkeypatch):
+    # S1's four sides each have one shape over all draws: four readouts,
+    # no diagram read out on its own, and no per-draw deviation
+    calls = []
+    for name in ("_matrix", "_matrices"):
+        fn = getattr(S, name)
+        monkeypatch.setattr(S, name, lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
+    monkeypatch.setattr(R, "max_deviation", None)
+    report = R.check_soundness(R.catalog_by_name()["S1"], samples=20)
+    assert report.ok and report.checked == 24
+    assert calls == ["_matrices"] * 4
+
+
+def test_a_non_finite_member_fails_its_batch_as_interpret_fails():
+    ds = [D.compose(D.z_spider(1, 1, a), D.z_spider(1, 1, b))
+          for a, b in ((0.5, 2.0), (1e200, 1e200), (1j, 3.0))]
+    with pytest.raises(ArithmeticError) as want, np.errstate(all="ignore"):
+        S.interpret(ds[1])
+    for batch in (ds, ds + [D.flip(d) for d in ds], ds[1:] + ds[1:]):
+        with pytest.raises(ArithmeticError) as got, \
+                np.errstate(all="ignore"):
+            S.interpret_all(batch)
+        assert str(got.value) == str(want.value)
 
 
 class _EinsumView:
