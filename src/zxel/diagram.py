@@ -402,10 +402,12 @@ def _recall(key) -> _Shape | None:
 def _record(key, shape: _Shape) -> None:
     """Hold ``shape`` weakly in ``_SHAPES`` under ``key``; when it dies,
     its entry goes, unless a later shape has taken the key since."""
-    def forget(ref):
-        if _SHAPES.get(key) is ref:
-            _SHAPES.pop(key, None)
-    _SHAPES[key] = weakref.ref(shape, forget)
+    _SHAPES[key] = weakref.KeyedRef(shape, _forget, key)
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    if _SHAPES.get(ref.key) is ref:
+        _SHAPES.pop(ref.key, None)
 
 
 def _memoised(combinator):
