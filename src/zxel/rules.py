@@ -131,15 +131,10 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
                     rng: np.random.Generator | None = None,
                     corrupt: bool = False) -> RuleReport:
     """Interpret both sides and their flipped versions on forced and
-    random draws; failures are reported, never raised.
-
-    Every draw's four sides are built first and contracted in one
-    ``interpret_all`` call, where a rule's draws mostly share one wiring
-    per side.  Each draw is then checked three ways, lhs against rhs,
-    flipped lhs against flipped rhs and flipped lhs against the
-    transposed lhs, each for all draws at once over the draws' stacked
-    matrices: bitwise ``max_deviation`` of each draw, infinite for
-    sides of different types."""
+    random draws; failures are reported, never raised.  All sides go
+    through one ``interpret_all``, and each of a draw's three deviations
+    is taken for all draws at once over their stacked matrices, bitwise
+    ``max_deviation`` per draw."""
     if samples < 1:
         raise RuleError("samples must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -183,9 +178,7 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
 
 
 def _deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``max_deviation`` of each pair of matrices ``a[k]``, ``b[k]``,
-    bitwise: the same differences, absolute values and maximum, over
-    each pair's own entries."""
+    """``max_deviation`` of each pair ``a[k]``, ``b[k]``, bitwise."""
     if a.shape != b.shape:
         return np.full(len(a), np.inf)
     return np.max(np.abs(np.subtract(a, b)), axis=(1, 2), initial=0.0)

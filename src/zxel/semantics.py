@@ -23,10 +23,9 @@ boundary slot of each end wire gives its output permutation.
 Diagrams of one wiring share a plan, and one run of it contracts them
 all at once, their Z tensors stacked along a leading batch axis; a
 diagram and its flip, which share their nodes, are one entry of that
-batch.  Diagrams of one shape share their permutation and loops, so a
-batch reads them out together, one numpy multiply per shape for all
-its entries, and ``interpret_all`` may return matrices that are views
-of one such stacked array.  From its second planning on, a wiring keeps
+batch.  A batch reads the diagrams of one shape out together, so
+``interpret_all`` may return matrices that are views of one stacked
+array.  From its second planning on, a wiring keeps
 its plan across calls (``diagram._plan_memo``); a wiring planned once,
 such as a one-off rule side, keeps none.
 ``interpret`` runs a plan on one diagram; ``interpret_all`` groups a
@@ -268,13 +267,10 @@ def _matrix(t: np.ndarray, ends: list[int], d: Diagram) -> np.ndarray:
 
 def _matrices(t: np.ndarray, ends: list[int], d: Diagram,
               rows: list[int]) -> np.ndarray:
-    """The matrices of the diagrams of ``d``'s shape in the rows
-    ``rows`` (ascending) of ``t``, stacked along a leading axis:
-    ``_matrix`` of each, in one numpy call for all.  ``t`` is their
-    plan's contracted root, its batch axis leading; a root with no batch
-    axis, which has no Z phase to tell its rows apart, serves every row.
-    The shape fixes the permutation and the loops, so ``d`` stands for
-    all of them."""
+    """``_matrix`` of the diagrams of ``d``'s shape in the ascending
+    ``rows`` of ``t``, their contracted root, batch axis leading (a root
+    with no Z phase has none and serves every row), stacked in one
+    array."""
     axes = _axes(ends, d)
     if t.ndim > len(ends):
         axes = [0] + [a + 1 for a in axes]
@@ -360,14 +356,12 @@ def interpret_all(ds: Sequence[Diagram],
     entry's contracted root, permuted by its own edges.  A plan that
     peaks at w open wires runs its group in chunks of at most 2^(cap - w)
     entries, so a batch never holds a larger array than one diagram at
-    the cap could.  A batched chunk is read out in rounds, each of one
-    shape and at most one diagram per entry, so that no round holds more
-    rows than the chunk (a diagram listed twice waits for a later
-    round): one numpy multiply and one finiteness check per round, and
-    the round's matrices are views of the one array it fills.  A chunk
-    of one entry reads each diagram out on its own.  Raises what
-    ``interpret`` raises for the first failing diagram of the first
-    failing group, groups taken in order of their first diagram."""
+    the cap could.  A batch is read out in rounds of one shape and at
+    most one diagram per entry, each round one stacked array whose rows
+    the round's matrices are views of; a batch of one entry reads each
+    diagram out on its own.  Raises what ``interpret`` raises for the
+    first failing diagram of the first failing group, groups taken in
+    order of their first diagram."""
     if cap is None:
         cap = wire_cap()
     groups: dict = {}
