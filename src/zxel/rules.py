@@ -165,7 +165,7 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
         devs = np.maximum(
             np.maximum(_deviations(ml, mr), _deviations(fl, fr)),
             _deviations(fl, ml.transpose(0, 2, 1))).tolist()
-    else:  # a builder whose sides change type from draw to draw
+    else:  # a rule whose sides change type from draw to draw
         devs = [max(max_deviation(a, b), max_deviation(c, d),
                     max_deviation(c, a.T))
                 for a, b, c, d in zip(ml, mr, fl, fr)]

@@ -261,7 +261,7 @@ def test_sides_of_two_types_fail_every_draw_at_infinity():
     assert got == want
     assert got.checked == len(got.failures) == 4 + 3
     assert all(dev == float("inf") for _, dev in got.failures)
-    # a builder whose sides change type from draw to draw, sound on the
+    # a rule whose sides change type from draw to draw, sound on the
     # real draws only, is checked draw by draw
     rule = R.RewriteRule("type per draw", 1, lambda ps: (
         D.z_spider(1, 1 + (ps[0].real > 0), ps[0]),
