@@ -3,15 +3,14 @@ rule catalog, elementary-transformation normal forms and an equivalence
 checker."""
 
 from .diagram import (Diagram, Node, DiagramError, compose, tensor, flip,
-                      bend_to_state, identity, wire, swap, permutation,
+                      bend_to_state, identity, swap, permutation,
                       cap, cup, empty, z_spider, scalar_z, h_box, triangle,
                       triangle_inv, x_spider, TAU_ZERO, TAU_PI)
 from .semantics import (interpret, contract_state, matrices_equal,
                         ResourceError, wire_cap)
-from .normalform import (NormalForm, ElementarySpec, nf_from_vector,
-                         nf_to_diagram, nf_tensor, nf_self_plug, nf_equal,
-                         normalize, scalar_nf, scalar_nf_diagram,
-                         generator_nf, row_addition_diagram,
+from .normalform import (NormalForm, nf_from_vector, nf_to_diagram,
+                         nf_tensor, nf_self_plug, nf_equal, normalize,
+                         scalar_nf_diagram, row_addition_diagram,
                          row_multiplication_diagram, WireCapError)
 from .rules import (RewriteRule, instantiate, check_soundness,
                     figure_catalog, derived_catalog, full_catalog)

@@ -563,10 +563,6 @@ def identity(n: int = 1) -> Diagram:
     return Diagram({}, [(("in", i), ("out", i)) for i in range(n)], n, n)
 
 
-def wire() -> Diagram:
-    return identity(1)
-
-
 def swap() -> Diagram:
     return permutation([1, 0])
 

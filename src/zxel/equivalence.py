@@ -28,13 +28,13 @@ class VerdictDisagreement(RuntimeError):
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     equal: bool
-    method: str  # "normal-form", "semantic" or "both"
     max_deviation: float
     nf_pair: tuple[NormalForm, NormalForm] | None = None
 
     def to_jsonable(self) -> dict:
         dev = self.max_deviation  # null if beyond the float range
-        rec = {"equal": self.equal, "method": self.method,
+        # both routes decide every verdict
+        rec = {"equal": self.equal, "method": "both",
                "max_deviation": dev if math.isfinite(dev) else None}
         if self.nf_pair is not None:
             rec["normal_forms"] = [nf_to_jsonable(nf) for nf in self.nf_pair]
@@ -63,4 +63,4 @@ def check_equivalent(d1: Diagram, d2: Diagram,
         raise VerdictDisagreement(
             f"normal-form verdict {by_nf} vs semantic verdict {by_sem} "
             f"(deviation {dev:.3e})")
-    return EquivalenceVerdict(by_sem, "both", float(dev), (nf1, nf2))
+    return EquivalenceVerdict(by_sem, float(dev), (nf1, nf2))

@@ -11,9 +11,13 @@ multiplication to the base state e_{2^m-1}:
   * a row multiplication with coefficient a interprets to
     diag(1, ..., 1, a).
 
-Each gadget is a short chain of stages (``_stages``), and
-``nf_to_diagram`` composes the base state and every gadget's stages in
-one ``compose_all``.
+One spec names every gadget: ``("add", m, S, P)`` is the row addition
+on the wire subset S of m wires and ``("mult", m, P)`` the row
+multiplication, each between pink pi pairs on the wires P.  ``gadget``
+builds a spec with its coefficient, and ``op_record`` writes it as
+``zxel elementary`` prints it.  Each gadget is a short chain of stages
+(``_stages``), and ``nf_to_diagram`` composes the base state and every
+gadget's stages in one ``compose_all``.
 
 This module never calls the interpreter; the normal-form pipeline is an
 independent route that the semantics module cross-checks.  The two routes
@@ -77,44 +81,6 @@ class NormalForm:
         return self.coeffs
 
 
-@dataclass(frozen=True)
-class ElementarySpec:
-    """One elementary transformation: kind "add" (coefficient + nonempty
-    wire subset) or "mult" (coefficient only)."""
-
-    kind: str
-    m: int
-    coeff: complex
-    subset: frozenset[int] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("add", "mult"):
-            raise ValueError(f"bad elementary kind {self.kind!r}")
-        if self.kind == "add":
-            if not self.subset:
-                raise ValueError("row addition needs a nonempty wire subset")
-            if not all(0 <= i < self.m for i in self.subset):
-                raise ValueError("row addition subset out of range")
-        elif self.subset is not None:
-            raise ValueError("row multiplication takes no subset")
-
-    @property
-    def target_row(self) -> int:
-        if self.kind == "mult":
-            return 2 ** self.m - 1
-        return 2 ** self.m - 1 - sum(2 ** i for i in self.subset)
-
-    def matrix(self) -> np.ndarray:
-        """The elementary matrix itself (the A_j / M formulas)."""
-        n = 2 ** self.m
-        mat = np.eye(n, dtype=complex)
-        if self.kind == "add":
-            mat[self.target_row, n - 1] = self.coeff
-        else:
-            mat[n - 1, n - 1] = self.coeff
-        return mat
-
-
 # -- diagrammatic gadgets -------------------------------------------------
 
 @cache
@@ -170,30 +136,34 @@ def _apply_flip_layer(m: int, subset: frozenset[int]) -> Diagram:
     return compose(permutation(src), tensor_all(layer))
 
 
-def _stages(spec: ElementarySpec) -> list[Diagram]:
-    """The stages of the gadget of ``spec``, in the order ``compose_all``
-    chains them: green dots on every wire feed an AND that detects the
-    all-ones input; a row addition's detector then carries a flip
-    command weighted by the coefficient out to pink dots on the wires of
-    the subset (5 stages), a row multiplication's is capped off by a
-    1 -> 0 green dot carrying the coefficient (3 stages)."""
-    m, a = spec.m, complex(spec.coeff)
+def _stages(m: int, a: complex, subset) -> list[Diagram]:
+    """The stages of the gadget on m wires with coefficient a, in the
+    order ``compose_all`` chains them: green dots on every wire feed an
+    AND that detects the all-ones input; a row addition's detector then
+    carries a flip command weighted by a out to pink dots on the wires of
+    its ``subset`` (5 stages), a row multiplication's (``subset`` None)
+    is capped off by a 1 -> 0 green dot carrying a (3 stages)."""
+    a = complex(a)
     detect = [_copies_then_sides(m), tensor(identity(m), and_tree(m))]
-    if spec.kind == "mult":
+    if subset is None:
         return detect + [tensor(identity(m), z_spider(1, 0, a))]
     return detect + [
         tensor(identity(m), compose(triangle(), z_spider(1, 1, a))),
-        tensor(identity(m), z_spider(1, len(spec.subset), 1.0)),
-        _apply_flip_layer(m, spec.subset),
+        tensor(identity(m), z_spider(1, len(subset), 1.0)),
+        _apply_flip_layer(m, frozenset(subset)),
     ]
 
 
 def row_addition_diagram(m: int, a: complex, subset) -> Diagram:
-    """Diagram of the row-addition elementary matrix on m wires: its
-    ``_stages`` composed."""
-    spec = ElementarySpec("add", m, complex(a), frozenset(subset))
-    d = compose_all(_stages(spec))
-    assert d.type == (m, m), spec
+    """Diagram of the row-addition elementary matrix on m wires, with the
+    nonempty wire ``subset`` S: its ``_stages`` composed."""
+    subset = frozenset(subset)
+    if not subset:
+        raise ValueError("row addition needs a nonempty wire subset")
+    if not all(0 <= i < m for i in subset):
+        raise ValueError("row addition subset out of range")
+    d = compose_all(_stages(m, a, subset))
+    assert d.type == (m, m), (m, subset)
     return d
 
 
@@ -202,7 +172,7 @@ def row_multiplication_diagram(m: int, a: complex) -> Diagram:
     composed."""
     if m < 1:
         raise ValueError("row multiplication needs at least one wire")
-    return compose_all(_stages(ElementarySpec("mult", m, complex(a))))
+    return compose_all(_stages(m, a, None))
 
 
 def pi_layer(m: int, wires) -> Diagram:
@@ -237,10 +207,29 @@ def decorated_row_multiplication(m: int, a: complex, pi_wires) -> Diagram:
     return _between_pi_pairs(row_multiplication_diagram(m, a), pi_wires)
 
 
-def elementary_diagram(spec: ElementarySpec) -> Diagram:
-    if spec.kind == "add":
-        return row_addition_diagram(spec.m, spec.coeff, spec.subset)
-    return row_multiplication_diagram(spec.m, spec.coeff)
+def gadget(spec, a: complex) -> Diagram:
+    """The gadget of a spec with coefficient a: ``("add", m, S, P)`` is
+    ``decorated_row_addition`` on the wire subset S, ``("mult", m, P)``
+    ``decorated_row_multiplication``, or ``scalar_nf_diagram`` at m = 0,
+    each between pi pairs on the wires P."""
+    kind, m, *wires = spec
+    if kind == "add":
+        return decorated_row_addition(m, a, *wires)
+    if m:
+        return decorated_row_multiplication(m, a, *wires)
+    return scalar_nf_diagram(a)
+
+
+def op_record(spec, a: complex) -> dict:
+    """A spec with coefficient a as ``zxel elementary`` writes it:
+    ``{"kind", "m", "coeff": [re, im], "subset", "pi"}``, the wire lists
+    sorted and left out when empty."""
+    kind, m, *wires = spec
+    a = complex(a)
+    rec = {"kind": kind, "m": m, "coeff": [a.real, a.imag]}
+    names = ("subset", "pi") if kind == "add" else ("pi",)
+    rec.update((key, sorted(w)) for key, w in zip(names, wires) if w)
+    return rec
 
 
 # -- normal forms ---------------------------------------------------------
@@ -254,18 +243,16 @@ def nf_from_vector(v) -> NormalForm:
     return NormalForm(m, v)
 
 
-def elementary_specs(nf: NormalForm) -> list[ElementarySpec]:
-    """The 2^m - 1 row additions (ordered by increasing target row) and
-    the final row multiplication realising the coefficient vector."""
-    if nf.m == 0:
+def elementary_specs(nf: NormalForm) -> list[tuple]:
+    """The gadgets realising the coefficient vector, as ``(spec, coeff)``
+    pairs: the 2^m - 1 row additions, ordered by increasing target row,
+    then the row multiplication."""
+    m, last = nf.m, 2 ** nf.m - 1
+    if m == 0:
         return []
-    last = 2 ** nf.m - 1
-    specs = []
-    for j in range(last):
-        zero_bits = frozenset(i for i in range(nf.m) if not j >> i & 1)
-        specs.append(ElementarySpec("add", nf.m, nf.coeffs[j], zero_bits))
-    specs.append(ElementarySpec("mult", nf.m, nf.coeffs[last]))
-    return specs
+    return [(("add", m, [i for i in range(m) if not j >> i & 1], []),
+             nf.coeffs[j]) for j in range(last)] + [
+        (("mult", m, []), nf.coeffs[last])]
 
 
 @cache
@@ -284,11 +271,8 @@ def nf_to_diagram(nf: NormalForm) -> Diagram:
     if nf.m == 0:
         return scalar_nf_diagram(nf.coeffs[0])
     return compose_all([base_state(nf.m)] + [
-        stage for s in elementary_specs(nf) for stage in _stages(s)])
-
-
-def scalar_nf(a: complex) -> NormalForm:
-    return NormalForm(0, [a])
+        stage for (kind, m, *wires), a in elementary_specs(nf)
+        for stage in _stages(m, a, wires[0] if kind == "add" else None)])
 
 
 def scalar_nf_diagram(a: complex) -> Diagram:
@@ -308,22 +292,11 @@ def nf_tensor(nf_a: NormalForm, nf_b: NormalForm) -> NormalForm:
     return NormalForm(nf_a.m + nf_b.m, np.kron(nf_a.vector(), nf_b.vector()))
 
 
-def nf_permute(nf: NormalForm, perm) -> NormalForm:
-    """Reorder wires: new wire i is old wire perm[i] (significance
-    indexing, wire 0 right-most)."""
-    m = nf.m
-    if sorted(perm) != list(range(m)):
-        raise ValueError(f"bad wire permutation {perm}")
-    # axis a holds wire m-1-a; new axis a' must hold old wire perm[m-1-a']
-    axes = [m - 1 - perm[m - 1 - a] for a in range(m)]
-    return NormalForm(m, np.transpose(nf.vector().reshape((2,) * m), axes))
-
-
 def nf_self_plug(nf: NormalForm, wire_pair) -> NormalForm:
     """Plug two output wires with a cup.
 
-    Reduces to the right-most pair by a wire permutation, then applies
-    b_k = a_{4k} + a_{4k+3}.
+    Moves the pair to the right-most two wires, the others keeping their
+    order, then applies b_k = a_{4k} + a_{4k+3}.
     """
     p, q = wire_pair
     if nf.m < 2:
@@ -333,9 +306,9 @@ def nf_self_plug(nf: NormalForm, wire_pair) -> NormalForm:
     p, q = min(p, q), max(p, q)
     if not 0 <= p < q < nf.m:
         raise ValueError(f"wire pair {wire_pair} out of range")
-    rest = [w for w in range(nf.m) if w not in (p, q)]
-    moved = nf_permute(nf, [p, q] + rest)
-    c = moved.vector()
+    # axis a holds wire m - 1 - a; wire p goes to the last axis
+    c = np.moveaxis(nf.vector().reshape((2,) * nf.m),
+                    [nf.m - 1 - q, nf.m - 1 - p], [-2, -1]).reshape(-1)
     return NormalForm(nf.m - 2, c[0::4] + c[3::4])
 
 
@@ -386,34 +359,6 @@ def _node_state(kind: str, phase: complex, degree: int) -> NormalForm:
     if kind != dg.Z:
         return NormalForm(2, _FIXED_STATES[kind])
     return NormalForm(degree, _z_state(phase, degree))
-
-
-# every generator but the swap, bent into a state, is one node's state:
-# identity, cap and cup are Z of degree 2, copy and codot Z of degree 3
-_GENERATOR_TABLE = {
-    "copy": lambda a: _node_state(dg.Z, 1.0, 3),
-    "codot": lambda a: _node_state(dg.Z, 1.0, 3),
-    "z_state": lambda a: _node_state(dg.Z, a, 1),
-    "identity": lambda a: _node_state(dg.Z, 1.0, 2),
-    "cap": lambda a: _node_state(dg.Z, 1.0, 2),
-    "cup": lambda a: _node_state(dg.Z, 1.0, 2),
-    "h": lambda a: _node_state(dg.H, a, 2),
-    "triangle": lambda a: _node_state(dg.T, a, 2),
-    "triangle_inv": lambda a: _node_state(dg.T_INV, a, 2),
-    "swap": lambda a: NormalForm(4, [
-        1.0 if (k >> 3 & 1) == (k >> 1 & 1) and (k >> 2 & 1) == (k & 1)
-        else 0.0 for k in range(16)]),
-}
-
-
-def generator_nf(kind: str, phase: complex = 1.0) -> NormalForm:
-    """Normal form of a generator bent into a state (wire order follows
-    the recorded bending convention)."""
-    try:
-        build = _GENERATOR_TABLE[kind]
-    except KeyError:
-        raise ValueError(f"unknown generator kind {kind!r}") from None
-    return build(phase)
 
 
 # -- normalisation of arbitrary diagrams ----------------------------------
@@ -502,7 +447,7 @@ def _plan(d: Diagram, cap: int) -> tuple:
 
 
 _ONE = np.ones(1, dtype=complex)
-_CAP = generator_nf("cap").vector()
+_CAP = _z_state(1.0, 2)  # a cap bent into a state
 
 
 def _run(plan: tuple, d: Diagram) -> NormalForm:
@@ -582,29 +527,27 @@ def _bits(x: int, m: int) -> list[int]:
 def decompose_elementary(mat: np.ndarray):
     """Factor a 2^m x 2^m matrix into the paper's elementary gadgets.
 
-    I + c E_ij is ``decorated_row_addition`` with S the bits of i ^ j and
-    P those of j ^ (2^m - 1); scaling row i by c is
-    ``decorated_row_multiplication`` with P the bits of i ^ (2^m - 1), or
-    ``scalar_nf_diagram`` at m = 0.  Gauss-Jordan elimination takes as many
-    pivots as ``np.linalg.matrix_rank`` counts, so that no elimination
-    residue becomes one.  A pivot is the largest entry of its column,
-    brought up by a row switch (three additions and a scaling by -1); a
-    column below ``_PIVOT_RATIO`` of the largest entry left first gets
-    that entry's column added, the same gadget on the right.  The pivot
-    rows are scaled last, by the pivots themselves.  So M = L^-1 D R^-1,
-    with L and R the row and column operations and D the zero-scalings of
-    the rows past the rank.
+    I + c E_ij is the ``gadget`` ``("add", m, S, P)`` with S the bits of
+    i ^ j and P those of j ^ (2^m - 1); scaling row i by c is
+    ``("mult", m, P)`` with P the bits of i ^ (2^m - 1).  Gauss-Jordan
+    elimination takes as many pivots as ``np.linalg.matrix_rank`` counts,
+    so that no elimination residue becomes one.  A pivot is the largest
+    entry of its column, brought up by a row switch (three additions and
+    a scaling by -1); a column below ``_PIVOT_RATIO`` of the largest
+    entry left first gets that entry's column added, the same gadget on
+    the right.  The pivot rows are scaled last, by the pivots themselves.
+    So M = L^-1 D R^-1, with L and R the row and column operations and D
+    the zero-scalings of the rows past the rank.
 
     Returns (operations, diagram), the operations in the order the diagram
-    applies them: ``{"kind": "add" | "mult", "m", "coeff", "subset", "pi"}``
-    without an empty subset or pi.  Raises ValueError unless the matrix is
-    square with 2^m rows, and ArithmeticError when an entry's magnitude or
-    a coefficient is not finite.
+    applies them, each its ``op_record``.  Raises ValueError unless the
+    matrix is square with 2^m rows, and ArithmeticError when an entry's
+    magnitude or a coefficient is not finite.
     """
-    n = mat.shape[0]
-    if mat.shape != (n, n) or n & (n - 1) or n == 0:
-        raise ValueError("matrix must be square with 2^m rows")
     a = np.array(mat, dtype=complex)
+    n = a.shape[0] if a.ndim == 2 else 0
+    if a.shape != (n, n) or n & (n - 1) or n == 0:
+        raise ValueError("matrix must be square with 2^m rows")
     top = np.abs(a).max()
     if not np.isfinite(top):
         raise ArithmeticError("matrix entries beyond the float range")
@@ -640,16 +583,14 @@ def decompose_elementary(mat: np.ndarray):
     m = n.bit_length() - 1
     ops, pieces = [], [identity(m)]
     for kind, c, i, j in steps:
-        c, subset, pi = complex(c), _bits(i ^ j, m), _bits(j ^ (n - 1), m)
+        c, pi = complex(c), _bits(j ^ (n - 1), m)
         if not np.isfinite(c):
             raise ArithmeticError(
                 "non-finite coefficient in elementary decomposition")
-        rec = {"kind": kind, "m": m, "coeff": [c.real, c.imag],
-               "subset": subset, "pi": pi}
-        ops.append({key: v for key, v in rec.items() if v != []})
-        pieces.append(decorated_row_addition(m, c, subset, pi) if subset
-                      else decorated_row_multiplication(m, c, pi) if m
-                      else scalar_nf_diagram(c))
+        spec = ((kind, m, _bits(i ^ j, m), pi) if kind == "add"
+                else (kind, m, pi))
+        ops.append(op_record(spec, c))
+        pieces.append(gadget(spec, c))
     return ops, compose_all(pieces)
 
 

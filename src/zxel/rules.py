@@ -11,15 +11,16 @@ they encode.  Most propositions are stated over the
 elementary-transformation gadgets: ``row addition`` / ``row
 multiplication`` diagrams, optionally conjugated by pairs of pink pi
 nodes on a wire subset (the "decorated" family members used by the
-tensor-of-normal-forms protocol).  A gadget spec names one:
-``("add", m, S, P)`` is the row addition on the wire subset S of m wires
-and ``("mult", m, P)`` the row multiplication, each between pi pairs on
-the wires P.  Four families cover most of these propositions, one
-catalog row each: two gadgets commute (``_commutes``), a gadget followed
-by itself merges its coefficients by + or x (``_merges``), a pi layer
-passes through a gadget (``_pi_moves``), and a gadget beside new wires
-is a product of its extensions to them (``_extends``).  Every family
-builds its gadgets, coefficient included, through ``_gadget``.
+tensor-of-normal-forms protocol).  A gadget spec of ``normalform`` names
+one: ``("add", m, S, P)`` is the row addition on the wire subset S of m
+wires and ``("mult", m, P)`` the row multiplication, each between pi
+pairs on the wires P.  Four families cover most of these propositions,
+one catalog row each: two gadgets commute (``_commutes``), a gadget
+followed by itself merges its coefficients by + or x (``_merges``), a pi
+layer passes through a gadget (``_pi_moves``), and a gadget beside new
+wires is a product of its extensions to them (``_extends``).  Every
+family builds its gadgets, coefficient included, through
+``normalform.gadget``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .diagram import (Diagram, compose, compose_all, flip, tensor,
                       triangle_flipped, triangle_inv_flipped, x_spider,
                       z_spider, empty)
 from .normalform import (and_gate, decorated_row_addition,
-                         decorated_row_multiplication, pi_layer,
+                         decorated_row_multiplication, gadget, pi_layer,
                          row_addition_diagram, row_multiplication_diagram)
 from .semantics import DEFAULT_TOL, interpret_all, max_deviation
 
@@ -622,19 +623,10 @@ def _dis2(ps):
 
 # -- derived rules: propositions over elementary gadgets -----------------
 
-def _gadget(spec, a: complex) -> Diagram:
-    """The gadget of a spec, ``("add", m, S, P)`` or ``("mult", m, P)``,
-    with coefficient a."""
-    kind, m, *wires = spec
-    build = (decorated_row_addition if kind == "add"
-             else decorated_row_multiplication)
-    return build(m, a, *wires)
-
-
 def _commutes(name: str, g1, g2, **kw) -> RewriteRule:
     """g1 (coefficient a) then g2 (coefficient b) equals g2 then g1."""
     def build(ps):
-        d1, d2 = _gadget(g1, ps[0]), _gadget(g2, ps[1])
+        d1, d2 = gadget(g1, ps[0]), gadget(g2, ps[1])
         return compose(d1, d2), compose(d2, d1)
     return _r(name, 2, build, **kw)
 
@@ -643,8 +635,8 @@ def _merges(name: str, g, combine, **kw) -> RewriteRule:
     """g with a then g with b is g with ``combine(a, b)``."""
     def build(ps):
         a, b = ps
-        return (compose(_gadget(g, a), _gadget(g, b)),
-                _gadget(g, combine(a, b)))
+        return (compose(gadget(g, a), gadget(g, b)),
+                gadget(g, combine(a, b)))
     return _r(name, 2, build, **kw)
 
 
@@ -655,8 +647,8 @@ def _pi_moves(name: str, g, Q, **kw) -> RewriteRule:
 
     def build(ps):
         layer = pi_layer(g[1], Q)
-        return (compose(layer, _gadget(g, ps[0])),
-                compose(_gadget(moved, ps[0]), layer))
+        return (compose(layer, gadget(g, ps[0])),
+                compose(gadget(moved, ps[0]), layer))
     return _r(name, 1, build, **kw)
 
 
@@ -673,9 +665,9 @@ def _extends(name: str, g, n: int, low: bool, **kw) -> RewriteRule:
 
     def build(ps):
         a, = ps
-        d, side = _gadget(g, a), identity(n)
+        d, side = gadget(g, a), identity(n)
         lhs = tensor(d, side) if low else tensor(side, d)
-        return lhs, compose_all([_gadget(h, a) for h in members])
+        return lhs, compose_all([gadget(h, a) for h in members])
     return _r(name, 1, build, **kw)
 
 

@@ -23,11 +23,11 @@ boundary slot of each end wire gives its output permutation.
 Diagrams of one wiring share a plan, and one run of it contracts them
 all at once, their Z tensors stacked along a leading batch axis; a
 diagram and its flip, which share their nodes, are one entry of that
-batch.  A batch reads the diagrams of one shape out together, so
-``interpret_all`` may return matrices that are views of one stacked
-array.  From its second planning on, a wiring keeps
-its plan across calls (``diagram._plan_memo``); a wiring planned once,
-such as a one-off rule side, keeps none.
+batch.  Every run, batched or not, is read out in rounds of one shape
+and at most one diagram per batch entry, so the matrices returned are
+views of one stacked array per round.  From its second planning on, a
+wiring keeps its plan across calls (``diagram._plan_memo``); a wiring
+planned once, such as a one-off rule side, keeps none.
 ``interpret`` runs a plan on one diagram; ``interpret_all`` groups a
 list by wiring, which is how the rule-soundness sweep evaluates all
 draws of a rule, and their flips, together.
@@ -188,8 +188,8 @@ def _plan(d: Diagram, cap: int) -> tuple:
     diagram with nothing to contract), and ``ends`` names the boundary
     end of each of its axes: edge index i for the far end of edge i (a
     bare wire's second end), ~i for a bare wire's first end.  Nothing in
-    the plan depends on which ends are inputs (``_matrix`` reads that off
-    each diagram's own edges), so it serves a whole wiring.
+    the plan depends on which ends are inputs (``_matrices`` reads that
+    off each diagram's own edges), so it serves a whole wiring.
 
     The plan translates the walk of ``contraction_order``: each component
     folds its nodes into its first one, its wires threaded from step to
@@ -253,24 +253,14 @@ def _axes(ends: list[int], d: Diagram) -> list[int]:
     return sorted(range(len(slots)), key=slots.__getitem__)
 
 
-def _matrix(t: np.ndarray, ends: list[int], d: Diagram) -> np.ndarray:
-    """``d``'s matrix, read out of ``t``, the contracted root of ``d``'s
-    plan with no batch axis, whose axes hold the end wires ``ends``:
-    permuted by ``_axes`` and scaled by ``d``'s loops."""
-    mat = np.empty((2 ** d.n_out, 2 ** d.n_in), dtype=complex)
-    np.multiply(np.transpose(t, _axes(ends, d)), 2.0 ** d.loops,
-                out=mat.reshape(t.shape))
-    if not np.isfinite(mat).all():
-        raise ArithmeticError("non-finite entries in interpretation")
-    return mat
-
-
 def _matrices(t: np.ndarray, ends: list[int], d: Diagram,
               rows: list[int]) -> np.ndarray:
-    """``_matrix`` of the diagrams of ``d``'s shape in the ascending
-    ``rows`` of ``t``, their contracted root, batch axis leading (a root
-    with no Z phase has none and serves every row), stacked in one
-    array."""
+    """The matrices of the diagrams of ``d``'s shape in the ascending
+    ``rows`` of ``t``, their contracted root, stacked in one array.  The
+    root's batch axis leads (an unbatched root, of one diagram or with no
+    Z phase, has none and serves every row), and its other axes hold the
+    end wires ``ends``: each matrix is the root permuted by ``_axes`` and
+    scaled by ``d``'s loops."""
     axes = _axes(ends, d)
     if t.ndim > len(ends):
         axes = [0] + [a + 1 for a in axes]
@@ -356,12 +346,11 @@ def interpret_all(ds: Sequence[Diagram],
     entry's contracted root, permuted by its own edges.  A plan that
     peaks at w open wires runs its group in chunks of at most 2^(cap - w)
     entries, so a batch never holds a larger array than one diagram at
-    the cap could.  A batch is read out in rounds of one shape and at
+    the cap could.  A chunk is read out in rounds of one shape and at
     most one diagram per entry, each round one stacked array whose rows
-    the round's matrices are views of; a batch of one entry reads each
-    diagram out on its own.  Raises what ``interpret`` raises for the
-    first failing diagram of the first failing group, groups taken in
-    order of their first diagram."""
+    the round's matrices are views of.  Raises what ``interpret`` raises
+    for the first failing diagram of the first failing group, groups
+    taken in order of their first diagram."""
     if cap is None:
         cap = wire_cap()
     groups: dict = {}
@@ -379,10 +368,6 @@ def interpret_all(ds: Sequence[Diagram],
         for s in range(0, len(entries), size):
             chunk = entries[s:s + size]
             t = _run(plan, [ds[members[0]] for members in chunk])
-            if len(chunk) == 1:
-                for k in chunk[0]:
-                    out[k] = _matrix(t, ends, ds[k])
-                continue
             # (shape, round) -> the rows and the diagrams read out together
             rounds: dict = {}
             for row, members in enumerate(chunk):
@@ -404,7 +389,7 @@ def interpret(d: Diagram, cap: int | None = None) -> np.ndarray:
     plan, run once (``interpret_all`` of one diagram, which has nothing
     to group and nothing to chunk)."""
     plan = _plan(d, wire_cap() if cap is None else cap)
-    return _matrix(_run(plan, [d]), plan[3], d)
+    return _matrices(_run(plan, [d]), plan[3], d, [0])[0]
 
 
 def contract_state(d: Diagram, cap: int | None = None) -> np.ndarray:

@@ -389,10 +389,10 @@ def normalize_by_absorb(d: D.Diagram, cap: int | None = None) -> NF.NormalForm:
         raise NF.WireCapError(
             f"state has {state.n_out} wires, cap is {cap}")
 
-    acc = NF.scalar_nf(2.0 ** state.loops)  # each bare loop is a scalar 2
+    acc = NF.NormalForm(0, [2.0 ** state.loops])  # a bare loop is 2
     slots: list[int] = []  # output slot of each acc wire, in order
     for steps in D.contraction_order(state.port_edges):
-        part, held = NF.scalar_nf(1.0), []  # held: the edge at each wire
+        part, held = NF.NormalForm(0, [1.0]), []  # held: each wire's edge
         for v, *_ in steps:  # the node ids only: the rest is redone here
             node, edges = state.nodes[v], state.port_edges[v]
             edges = [i for i in edges if edges.count(i) == 1]
@@ -423,7 +423,7 @@ def normalize_by_absorb(d: D.Diagram, cap: int | None = None) -> NF.NormalForm:
     # bare wires between two outputs behave like caps
     for a, b in state.edges:
         if a[0] == "out" and b[0] == "out":
-            acc = NF.nf_tensor(acc, NF.generator_nf("cap"))
+            acc = NF.nf_tensor(acc, nf_from_vector(CAP_VEC))
             slots += [a[1], b[1]]
 
     assert len(slots) == state.n_out

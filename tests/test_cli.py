@@ -100,13 +100,13 @@ def _xs(n_in, n_out, tau):
     (_x_file(1, 1, ["pi"], [[["in", 0], ["node", 0, 0]],
                             [["node", 0, 1], ["out", 0]],
                             [["node", 0, 3], ["node", 0, 2]]]),
-     D.compose(_xs(1, 3, "pi"), D.tensor(D.wire(), D.cup())), 6),
+     D.compose(_xs(1, 3, "pi"), D.tensor(D.identity(1), D.cup())), 6),
     (_x_file(0, 0, ["0"], [[["node", 0, 0], ["node", 0, 1]]]),
      D.compose(_xs(0, 2, "0"), D.cup()), 4),
     (_x_file(0, 4, ["pi"], [[["out", 0], ["node", 0, 0]],
                             [["node", 0, 1], ["out", 1]],
                             [["out", 2], ["out", 3]]]),
-     D.tensor(D.compose(D.cap(), D.tensor(D.wire(), _xs(1, 1, "pi"))),
+     D.tensor(D.compose(D.cap(), D.tensor(D.identity(1), _xs(1, 1, "pi"))),
               D.cap()), 4),
 ], ids=["x-x", "x-x-ring", "x-self", "x-self-cup", "x-cap"])
 def test_x_macro_wires_through_several_ports(rec, ref, n_nodes):
@@ -431,7 +431,7 @@ _EXPORTS = {
                      "wire n1 -- in1\nwire n1 -- n2\nwire n2 -- out1\n"}),
     "mixed": (lambda: D.compose(
         D.tensor(D.z_spider(1, 2, 0.5 - 2j), D.triangle_inv_flipped()),
-        D.tensor(D.swap(), D.wire())), {
+        D.tensor(D.swap(), D.identity(1))), {
         "dot": 'graph zx {\n  in0 [shape=none, label="in 0"];\n'
                '  in1 [shape=none, label="in 1"];\n'
                '  out0 [shape=none, label="out 0"];\n'

@@ -519,7 +519,7 @@ def test_nf_to_diagram_matches_pairwise_fold():
         else:
             ref = compose_by_pairs(
                 [NF.base_state(m)]
-                + [NF.elementary_diagram(s) for s in NF.elementary_specs(nf)])
+                + [NF.gadget(*pair) for pair in NF.elementary_specs(nf)])
         _assert_same(nf_to_diagram(nf), ref)
 
 
@@ -618,8 +618,8 @@ def test_shapes_differing_in_loops_or_kinds_stay_apart():
     looped = D.Diagram({}, [(("in", 0), ("out", 0))], 1, 1, loops=1)
     assert bare.shape != looped.shape
     assert [D.compose(d, D.h_box()).loops for d in (bare, looped)] == [0, 1]
-    assert [D.tensor(d, D.wire()).loops for d in (bare, looped)] == [0, 1]
-    h, t = (D.tensor(g, D.wire()) for g in (D.h_box(), D.triangle()))
+    assert [D.tensor(d, D.identity(1)).loops for d in (bare, looped)] == [0, 1]
+    h, t = (D.tensor(g, D.identity(1)) for g in (D.h_box(), D.triangle()))
     assert h.shape != t.shape
     assert [d.nodes[0].kind for d in (h, t)] == [D.H, D.T]
     assert [D.flip(d).nodes[0].kind for d in (h, t)] == [D.H, D.T]

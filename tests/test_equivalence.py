@@ -22,7 +22,7 @@ def test_reflexive():
     for _ in range(10):
         d = random_diagram(rng)
         v = check_equivalent(d, d)
-        assert v.equal and v.method == "both"
+        assert v.equal and v.to_jsonable()["method"] == "both"
         assert v.max_deviation <= 1e-12
 
 

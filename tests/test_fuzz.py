@@ -38,7 +38,7 @@ _X_NODE = {"version": "zxel/1", "inputs": 1, "outputs": 2, "loops": 1,
 SEEDS = [diagram_to_jsonable(d) for d in (
     D.compose(D.z_spider(1, 2, 0.5 - 2j), D.tensor(D.h_box(), D.triangle())),
     D.tensor(D.cap(), D.z_spider(1, 0, 3.0)),
-    D.compose(D.swap(), D.tensor(D.wire(), D.triangle_inv())),
+    D.compose(D.swap(), D.tensor(D.identity(1), D.triangle_inv())),
 )] + [_X_NODE]
 
 _WORDS = ["version", "zxel/1", "inputs", "outputs", "loops", "nodes",

@@ -13,7 +13,7 @@ from zxel.semantics import (ResourceError, contract_state, interpret,
 from helpers import (elementary_op_matrix, golden_corpus, nf_family,
                      normalize_by_absorb, perm_matrix, random_complex,
                      random_diagram, row_addition_matrix,
-                     row_multiplication_matrix, walk_along, z_mat)
+                     walk_along, z_mat)
 
 complexes = st.builds(complex,
                       st.floats(-2, 2, allow_nan=False),
@@ -70,15 +70,6 @@ def test_row_multiplication():
                           np.eye(4), 1e-12)
     assert matrices_equal(interpret(NF.row_multiplication_diagram(2, 0.0)),
                           np.diag([1, 1, 1, 0]), 1e-12)
-
-
-def test_elementary_spec_matrix_matches_independent_formula():
-    a = -0.2 + 1.4j
-    spec = NF.ElementarySpec("add", 3, a, frozenset({0, 2}))
-    assert np.allclose(spec.matrix(), row_addition_matrix(3, a, [0, 2]))
-    assert spec.target_row == 8 - 1 - (1 + 4)
-    spec = NF.ElementarySpec("mult", 2, a)
-    assert np.allclose(spec.matrix(), row_multiplication_matrix(2, a))
 
 
 def test_row_additions_commute_semantically():
@@ -221,9 +212,13 @@ def test_decompose_elementary_edge_cases():
     assert ops == [] and d.type == (2, 2)
     ops, _ = NF.decompose_elementary(np.zeros((2, 2), dtype=complex))
     assert [op["kind"] for op in ops] == ["mult", "mult"]
-    for bad in (np.zeros((2, 4)), np.eye(3), np.zeros((0, 0))):
+    for bad in (np.zeros((2, 4)), np.eye(3), np.zeros((0, 0)),
+                np.array(5.0), np.zeros(4), [[[1.0]]]):
         with pytest.raises(ValueError):
             NF.decompose_elementary(bad)
+    nested = [[1, 2j], [3, 4]]
+    assert (NF.decompose_elementary(nested)[0]
+            == NF.decompose_elementary(np.array(nested))[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for bad in ([[1e308, 1e308], [1e308, -1e308]],
                     [[1.7e308 + 1.7e308j, 0], [0, 1]], [[np.nan, 0], [0, 1]]):
@@ -237,14 +232,11 @@ def test_nf_from_vector_specs():
     # spec'd mapping for m = 2
     a0, a1, a2, a3 = 1.0, 2.0, 3.0, 4.0
     specs = NF.elementary_specs(NF.nf_from_vector([a0, a1, a2, a3]))
-    assert specs[0].kind == "add" and specs[0].subset == frozenset({0, 1})
-    assert specs[0].coeff == a0
-    assert specs[1].subset == frozenset({1}) and specs[1].coeff == a1
-    assert specs[2].subset == frozenset({0}) and specs[2].coeff == a2
-    assert specs[3].kind == "mult" and specs[3].coeff == a3
-    # target rows increase
-    rows = [s.target_row for s in specs]
-    assert rows == sorted(rows)
+    assert specs == [(("add", 2, [0, 1], []), a0), (("add", 2, [1], []), a1),
+                     (("add", 2, [0], []), a2), (("mult", 2, []), a3)]
+    # target rows increase: an addition on S targets row 2^m - 1 - sum 2^S
+    rows = [3 - sum(2 ** i for i in spec[2]) for spec, _ in specs[:-1]]
+    assert rows == sorted(rows) and rows[-1] < 3
 
 
 def test_nf_from_vector_basis_case():
@@ -252,13 +244,13 @@ def test_nf_from_vector_basis_case():
     v = np.zeros(4)
     v[-1] = 1.0
     specs = NF.elementary_specs(NF.nf_from_vector(v))
-    assert all(s.coeff == 0 for s in specs if s.kind == "add")
-    assert specs[-1].coeff == 1.0
+    assert all(a == 0 for spec, a in specs if spec[0] == "add")
+    assert specs[-1] == (("mult", m, []), 1.0)
 
 
 def test_nf_from_vector_all_zero():
     specs = NF.elementary_specs(NF.nf_from_vector(np.zeros(4)))
-    assert all(s.coeff == 0 for s in specs)
+    assert all(a == 0 for _, a in specs)
 
 
 def test_nf_from_vector_rejects_bad_length():
@@ -279,16 +271,16 @@ def test_nf_to_diagram_examples():
 
 def test_nf_diagram_structure():
     nf = NF.nf_from_vector(np.arange(1, 9, dtype=complex))
-    specs = NF.elementary_specs(nf)
-    assert len([s for s in specs if s.kind == "add"]) == 2 ** 3 - 1
-    assert len([s for s in specs if s.kind == "mult"]) == 1
+    kinds = [spec[0] for spec, _ in NF.elementary_specs(nf)]
+    assert kinds == ["add"] * (2 ** 3 - 1) + ["mult"]
 
 
 def test_scalar_nf():
     for a in (1.0, 0.0, 2 + 3j):
         assert matrices_equal(interpret(NF.scalar_nf_diagram(a)),
                               np.array([[a]]))
-        assert NF.scalar_nf(a).m == 0 and NF.scalar_nf(a).coeffs == (a,)
+        assert NF.nf_equal(NF.normalize(NF.scalar_nf_diagram(a)),
+                           NF.NormalForm(0, [a]))
 
 
 @given(coeff_vectors(2), coeff_vectors(1))
@@ -302,9 +294,9 @@ def test_nf_tensor_examples():
     a, b = 0.3 + 1j, -2.0
     t = NF.nf_tensor(NF.nf_from_vector([1, a]), NF.nf_from_vector([1, b]))
     assert np.allclose(t.vector(), [1, b, a, a * b])
-    s = NF.nf_tensor(NF.scalar_nf(2.5), NF.nf_from_vector([1, a]))
+    s = NF.nf_tensor(NF.NormalForm(0, [2.5]), NF.nf_from_vector([1, a]))
     assert np.allclose(s.vector(), [2.5, 2.5 * a])
-    u = NF.nf_tensor(NF.nf_from_vector([1, a]), NF.scalar_nf(1.0))
+    u = NF.nf_tensor(NF.nf_from_vector([1, a]), NF.NormalForm(0, [1.0]))
     assert np.allclose(u.vector(), [1, a])
 
 
@@ -342,16 +334,6 @@ def test_self_plug_errors():
         NF.nf_self_plug(NF.nf_from_vector([1, 2, 3, 4]), (1, 1))
 
 
-def test_generator_nf_values():
-    assert NF.generator_nf("identity").coeffs.tolist() == [1, 0, 0, 1]
-    assert NF.generator_nf("h").coeffs.tolist() == [1, 1, 1, -1]
-    assert NF.generator_nf("triangle").coeffs.tolist() == [1, 0, 1, 1]
-    a = 0.6 - 0.8j
-    assert NF.generator_nf("z_state", a).coeffs.tolist() == [1, a]
-    with pytest.raises(ValueError):
-        NF.generator_nf("mystery")
-
-
 def test_normal_form_is_one_read_only_array():
     src = np.array([1, 2 + 1j, 0, 3])
     nf = NF.nf_from_vector(src)
@@ -367,28 +349,20 @@ def test_normal_form_is_one_read_only_array():
         hash(nf)
     with pytest.raises(ValueError):
         NF.NormalForm(2, [1, 2, 3])
-    # a 0-wire permutation reshapes to a 0-d array and back
-    assert NF.nf_permute(NF.scalar_nf(2.5), []) == NF.scalar_nf(2.5)
 
 
-def test_generator_nf_matches_bend_contract_oracle():
-    cases = {
-        "copy": D.z_spider(1, 2, 1.0),
-        "codot": D.z_spider(2, 1, 1.0),
-        "identity": D.identity(1),
-        "cap": D.cap(),
-        "cup": D.cup(),
-        "h": D.h_box(),
-        "triangle": D.triangle(),
-        "triangle_inv": D.triangle_inv(),
-        "swap": D.swap(),
-    }
-    for kind, diag in cases.items():
-        oracle = contract_state(D.bend_to_state(diag))
-        assert np.allclose(NF.generator_nf(kind).vector(), oracle), kind
+def test_node_states_match_bend_contract_oracle():
+    # the states the fold takes in, against each generator bent and
+    # contracted
     a = 1.1 + 0.4j
-    oracle = contract_state(D.bend_to_state(D.z_spider(0, 1, a)))
-    assert np.allclose(NF.generator_nf("z_state", a).vector(), oracle)
+    cases = [(D.H, 2, D.h_box()), (D.T, 2, D.triangle()),
+             (D.T_INV, 2, D.triangle_inv()), (D.Z, 1, D.z_spider(0, 1, a)),
+             (D.Z, 2, D.z_spider(1, 1, a)), (D.Z, 3, D.z_spider(1, 2, a)),
+             (D.Z, 3, D.z_spider(2, 1, a))]
+    for kind, degree, diag in cases:
+        oracle = contract_state(D.bend_to_state(diag))
+        got = NF._node_state(kind, a, degree)
+        assert got.m == degree and np.allclose(got.vector(), oracle), diag
 
 
 def test_normalize_examples():
@@ -549,7 +523,7 @@ def test_node_wider_than_the_cap_is_refused():
         NF.normalize(pair, cap=4)
     assert matrices_equal(interpret(pair, cap=6), np.array([[1 + a * a]]),
                           1e-12)
-    assert NF.nf_equal(NF.normalize(pair, cap=6), NF.scalar_nf(1 + a * a))
+    assert NF.nf_equal(NF.normalize(pair, cap=6), NF.NormalForm(0, [1 + a * a]))
 
 
 # -- the planned fold ------------------------------------------------------
