@@ -26,10 +26,14 @@ def test_module_map_names_the_public_surface():
                 for node in trees["__init__.py"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert [name for name in exported if name not in mapped] == []
-    # names read anywhere in src/: a call, a reference or an attribute
+    # names read anywhere in src/: a call, a reference, an attribute, or
+    # an import by a module other than the package's (which may rename)
     read = {getattr(node, "id", None) or getattr(node, "attr", None)
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
+    read |= {alias.name for module, tree in trees.items()
+             if module != "__init__.py" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
     unread = [f"{module}:{node.name}"
               for module, tree in sorted(trees.items()) for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
