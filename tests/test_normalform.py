@@ -334,6 +334,17 @@ def test_self_plug_errors():
         NF.nf_self_plug(NF.nf_from_vector([1, 2, 3, 4]), (1, 1))
 
 
+def test_generator_nf_values():
+    # the normal form of each single generator, read off exactly
+    assert NF.normalize(D.identity(1)).coeffs.tolist() == [1, 0, 0, 1]
+    assert NF.normalize(D.h_box()).coeffs.tolist() == [1, 1, 1, -1]
+    assert NF.normalize(D.triangle()).coeffs.tolist() == [1, 0, 1, 1]
+    a = 0.6 - 0.8j
+    assert NF.normalize(D.z_spider(0, 1, a)).coeffs.tolist() == [1, a]
+    with pytest.raises(D.DiagramError):
+        D.Node("mystery")
+
+
 def test_normal_form_is_one_read_only_array():
     src = np.array([1, 2 + 1j, 0, 3])
     nf = NF.nf_from_vector(src)
@@ -349,6 +360,24 @@ def test_normal_form_is_one_read_only_array():
         hash(nf)
     with pytest.raises(ValueError):
         NF.NormalForm(2, [1, 2, 3])
+
+
+def test_generator_nf_matches_bend_contract_oracle():
+    cases = {
+        "copy": D.z_spider(1, 2, 1.0),
+        "codot": D.z_spider(2, 1, 1.0),
+        "identity": D.identity(1),
+        "cap": D.cap(),
+        "cup": D.cup(),
+        "h": D.h_box(),
+        "triangle": D.triangle(),
+        "triangle_inv": D.triangle_inv(),
+        "swap": D.swap(),
+        "z_state": D.z_spider(0, 1, 1.1 + 0.4j),
+    }
+    for kind, diag in cases.items():
+        oracle = contract_state(D.bend_to_state(diag))
+        assert np.allclose(NF.normalize(diag).vector(), oracle), kind
 
 
 def test_node_states_match_bend_contract_oracle():
