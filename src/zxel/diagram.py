@@ -21,14 +21,18 @@ triangles are expressed by wiring alone.
 A ``Diagram`` is its ``nodes`` and a read-only ``shape``, all the rest:
 node ids and kinds, edges, boundary sizes, loops and the incidence index
 ``port_edges`` (per node, the indices into ``edges`` of the edges at its
-ports, in port order), which the validation pass builds.  Diagrams that
-differ only in Z phases share a shape, validated once when first built:
-``compose_all``, ``tensor_all`` and ``flip`` look up their result's
-shape by their pieces' shapes, in a memo that holds the result's shape
-weakly; an entry's key holds the pieces' shapes strongly for as long
-as the entry lives.  A flip keeps every node id and edge index, so it
-shares its piece's nodes mapping and its piece's wiring
-(``_Shape.wiring``: the shape up to which boundary ends are inputs).
+ports, in port order).  Validation happens at the trust boundaries:
+``Diagram(...)`` (which the file loader, ``bend_to_state``, the
+generator builders and the rewriter's result go through) checks a shape
+and builds its ``port_edges`` in one pass.  ``compose_all``,
+``tensor_all`` and ``flip`` build their result's shape directly from
+their valid pieces' shapes, which makes it valid, and look it up by
+those shapes first, in a memo that holds the result's shape weakly; an
+entry's key holds the pieces' shapes strongly for as long as the entry
+lives.  Diagrams that differ only in Z phases so share a shape.  A flip
+keeps every node id and edge index, so it shares its piece's nodes
+mapping, ``port_edges`` and wiring (``_Shape.wiring``: the shape up to
+which boundary ends are inputs).
 The normal-form route plans per shape and the contraction route per
 wiring, and ``_plan_memo`` keeps a plan, weakly keyed by the shape or
 the wiring, from its second planning on.
@@ -43,10 +47,11 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from functools import cache, wraps
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -72,7 +77,8 @@ class Node:
 
     The ``phase`` field is the complex number carried by a Z spider (the
     spider interprets to |0..0><0..0| + phase |1..1><1..1|); it must be
-    finite.  It is ignored for the other kinds, which carry no parameter.
+    finite, unless it is a ``_Traced`` phase.  It is ignored for the
+    other kinds, which carry no parameter.
     """
 
     kind: str
@@ -81,8 +87,42 @@ class Node:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DiagramError(f"unknown node kind {self.kind!r}")
-        if not cmath.isfinite(self.phase):
+        if type(self.phase) is not _Traced and not cmath.isfinite(self.phase):
             raise DiagramError(f"phase {self.phase} is not finite")
+
+
+class _Traced:
+    """A Z phase over parameter slots, recorded while ``rules`` builds a
+    rule once for all its draws: ``_Traced(None, k)`` is slot k, and +,
+    -, * and / of traced phases and numbers record the operation, which
+    ``value`` replays on one draw's parameters.  Any other use raises: a
+    comparison, truth value, hash, ``abs``, ``complex()`` or ``.real``."""
+
+    __slots__ = ("op", "args")
+
+    def __init__(self, op, *args):
+        self.op, self.args = op, args
+
+    def value(self, params: Sequence[complex]):
+        if self.op is None:
+            return params[self.args[0]]
+        return self.op(*[a.value(params) if type(a) is _Traced else a
+                         for a in self.args])
+
+    def _refuse(self, *_):
+        raise TypeError("a traced phase has no value")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = _refuse
+    __hash__ = None
+    __add__ = lambda x, y: _Traced(operator.add, x, y)
+    __radd__ = lambda x, y: _Traced(operator.add, y, x)
+    __sub__ = lambda x, y: _Traced(operator.sub, x, y)
+    __rsub__ = lambda x, y: _Traced(operator.sub, y, x)
+    __mul__ = lambda x, y: _Traced(operator.mul, x, y)
+    __rmul__ = lambda x, y: _Traced(operator.mul, y, x)
+    __truediv__ = lambda x, y: _Traced(operator.truediv, x, y)
+    __rtruediv__ = lambda x, y: _Traced(operator.truediv, y, x)
+    __neg__ = lambda x: _Traced(operator.neg, x)
 
 
 _TAG_ORDER = {"n": 0, "in": 1, "out": 2}
@@ -100,8 +140,9 @@ class _Shape:
     """The phase-free part of a diagram: node kinds, edges, boundary
     sizes, loops and the incidence index ``port_edges``, whose keys are
     the node ids in node order.  Shapes are equal by value, and the hash
-    is computed once.  Only ``Diagram.__init__`` makes shapes, and it
-    validates each before any diagram holds it.
+    is computed once.  ``Diagram.__init__`` validates each shape it makes
+    before any diagram holds it; the combinators make theirs from valid
+    pieces.
 
     ``wiring`` names the shape's wiring: all of it but which boundary
     ends are inputs and which outputs (the kinds, ``port_edges``, which
@@ -113,8 +154,10 @@ class _Shape:
                  "_hash", "_wiring", "__weakref__")
 
     def __init__(self, kinds: tuple[str, ...], edges: tuple[Edge, ...],
-                 n_in: int, n_out: int, loops: int):
-        values = (kinds, edges, n_in, n_out, loops, None, None, None)
+                 n_in: int, n_out: int, loops: int,
+                 port_edges: Mapping[int, tuple[int, ...]] | None = None,
+                 wiring: _Shape | None = None):
+        values = (kinds, edges, n_in, n_out, loops, port_edges, None, wiring)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -320,31 +363,35 @@ def contraction_order(
 
 # -- wire splicing -------------------------------------------------------
 
-def _splice(edges: Sequence[Edge]) -> tuple[list[Edge], int]:
+def _splice(edges: Sequence[Edge]) -> tuple[list[Edge], int, list[int]]:
     """Join the edges that meet at junction endpoints ("glue", ...), each
-    of which occurs exactly twice.  Returns (edges, loops): each wire
-    becomes one edge between its two free ends, placed where its first
-    edge was, and each wire with no free end counts as a loop."""
+    of which occurs exactly twice.  Returns (edges, loops, where): each
+    wire becomes one edge between its two free ends, placed where its
+    first edge was and oriented by ``_norm_edge`` if it joins edges, and
+    each wire with no free end counts as a loop; ``where[i]`` is the
+    index of the edge that edge i became (-1 on a loop)."""
     ends: dict[Endpoint, list[tuple[int, int]]] = {}
     for i, edge in enumerate(edges):
         for side, ep in enumerate(edge):
             if ep[0] == "glue":
                 ends.setdefault(ep, []).append((i, side))
-    seen = [False] * len(edges)
+    where: list = [None] * len(edges)
     out: list[Edge] = []
     loops = 0
     for start, (a, b) in enumerate(edges):
-        if seen[start]:
+        if where[start] is not None:
             continue
         if a[0] != "glue" and b[0] != "glue":
+            where[start] = len(out)
             out.append((a, b))
             continue
         # walk back from side 0 to a free end, turn there and walk on to
         # the other; arriving back at (start, 0) means a closed loop
         free: list[Endpoint] = []
+        path = []
         i, s = start, 0
         while len(free) < 2:
-            seen[i] = True
+            path.append(i)
             ep = edges[i][s]
             if ep[0] != "glue":
                 free.append(ep)
@@ -356,24 +403,30 @@ def _splice(edges: Sequence[Edge]) -> tuple[list[Edge], int]:
                 loops += 1
                 break
         else:
-            out.append((free[0], free[1]))
-    return out, loops
+            out.append(_norm_edge(*free))
+        at = len(out) - 1 if free else -1
+        for i in path:
+            where[i] = at
+    return out, loops, where
 
 
 # -- combinators --------------------------------------------------------
 
 def _placed(ds: Sequence[Diagram], boundary):
-    """The pieces side by side: their nodes and edges, piece k's node ids
-    shifted past the largest id placed before it (the ids of a pairwise
-    fold from the left) and its boundary endpoints renamed by
+    """The pieces side by side: their nodes, edges and incidence index,
+    piece k's node ids shifted past the largest id placed before it (the
+    ids of a pairwise fold from the left), its edge indices past the
+    edges placed before it and its boundary endpoints renamed by
     ``boundary(k, ep)``."""
     nodes: dict[int, Node] = {}
     edges: list[Edge] = []
+    port_edges: dict[int, tuple[int, ...]] = {}
     top = None
     for k, d in enumerate(ds):
-        shift = 0 if top is None else top + 1
+        shift, base = 0 if top is None else top + 1, len(edges)
         for v, nd in d.nodes.items():
             nodes[v + shift] = nd
+            port_edges[v + shift] = tuple([i + base for i in d.port_edges[v]])
             top = v + shift if top is None else max(top, v + shift)
 
         def ren(ep):
@@ -381,14 +434,26 @@ def _placed(ds: Sequence[Diagram], boundary):
                     else boundary(k, ep))
 
         edges += [(ren(a), ren(b)) for a, b in d.edges]
-    return nodes, edges
+    return nodes, edges, port_edges
+
+
+def _assembled(ds: Sequence[Diagram], nodes, edges, n_in: int, n_out: int,
+               loops: int, port_edges) -> Diagram:
+    """The diagram the pieces ``ds`` were placed into, with its shape
+    built directly: valid pieces put together by a combinator make a
+    valid diagram, whose edges keep their orientation, so nothing is
+    checked or oriented again."""
+    kinds = tuple(chain.from_iterable(d.shape.kinds for d in ds))
+    shape = _Shape(kinds, tuple(edges), n_in, n_out, loops,
+                   MappingProxyType(port_edges))
+    return Diagram._of(shape, MappingProxyType(nodes))
 
 
 # each combinator result's shape by the combinator and its pieces' shapes:
 # the result's shape is held by a weak reference, so an entry dies with
 # the last diagram of that shape, and until then its key holds the
 # pieces' shapes strongly (weak keys cost rules-sweep ten times the
-# validations).  A plain dict of references, looked up in C, where
+# misses).  A plain dict of references, looked up in C, where
 # ``WeakValueDictionary.get`` runs Python code on every hit
 _SHAPES: dict = {}
 
@@ -413,7 +478,7 @@ def _forget(ref: weakref.KeyedRef) -> None:
 def _memoised(combinator):
     """``combinator`` of a list of pieces through ``_SHAPES``: a hit gives
     the recorded shape the pieces' nodes, in the order whose ids
-    ``_placed`` shifts, with no splice and no validation: one list of the
+    ``_placed`` shifts, with no splice: one list of the
     pieces' node values, zipped with the shape's node ids, on the shape
     by ``Diagram._of``.  A list of one piece gives that piece."""
 
@@ -480,10 +545,12 @@ def compose_all(ds: Sequence[Diagram]) -> Diagram:
             return ep if k == 0 else ("glue", k - 1, ep[1])
         return ep if k == last else ("glue", k, ep[1])
 
-    nodes, edges = _placed(ds, glue)
-    spliced, new_loops = _splice(edges)
-    return Diagram(nodes, spliced, ds[0].n_in, ds[-1].n_out,
-                   loops=sum(d.loops for d in ds) + new_loops)
+    nodes, edges, port_edges = _placed(ds, glue)
+    spliced, new_loops, where = _splice(edges)
+    return _assembled(ds, nodes, spliced, ds[0].n_in, ds[-1].n_out,
+                      sum(d.loops for d in ds) + new_loops,
+                      {v: tuple([where[i] for i in pe])
+                       for v, pe in port_edges.items()})
 
 
 @_memoised
@@ -491,10 +558,10 @@ def tensor_all(ds: Sequence[Diagram]) -> Diagram:
     """Parallel composition, boundaries left to right in piece order."""
     offset = {"in": list(accumulate([d.n_in for d in ds], initial=0)),
               "out": list(accumulate([d.n_out for d in ds], initial=0))}
-    nodes, edges = _placed(
+    nodes, edges, port_edges = _placed(
         ds, lambda k, ep: (ep[0], ep[1] + offset[ep[0]][k]))
-    return Diagram(nodes, edges, offset["in"][-1], offset["out"][-1],
-                   loops=sum(d.loops for d in ds))
+    return _assembled(ds, nodes, edges, offset["in"][-1], offset["out"][-1],
+                      sum(d.loops for d in ds), port_edges)
 
 
 def compose(d1: Diagram, d2: Diagram) -> Diagram:
@@ -510,9 +577,10 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
 def flip(d: Diagram) -> Diagram:
     """Upside-down flip: inputs become outputs and vice versa (the
     interpretation transposes).  A flip keeps every node id and edge
-    index, so it shares ``d``'s nodes mapping and ``d``'s wiring; its
-    shape is memoised by ``d``'s shape and wiring (equal shapes may name
-    different wirings: ``cap()``'s and ``flip(cup())``'s)."""
+    index, so it shares ``d``'s nodes mapping, ``port_edges`` and
+    wiring; its shape is memoised by ``d``'s shape and wiring (equal
+    shapes may name different wirings: ``cap()``'s and
+    ``flip(cup())``'s)."""
     key = (flip, d.shape, d.shape.wiring)
     shape = _recall(key)
     if shape is None:
@@ -523,9 +591,9 @@ def flip(d: Diagram) -> Diagram:
                 return ("in", ep[1])
             return ep
 
-        edges = [(ren(a), ren(b)) for a, b in d.edges]
-        shape = Diagram(d.nodes, edges, d.n_out, d.n_in, loops=d.loops).shape
-        object.__setattr__(shape, "_wiring", d.shape.wiring)
+        edges = tuple(_norm_edge(ren(a), ren(b)) for a, b in d.edges)
+        shape = _Shape(d.shape.kinds, edges, d.n_out, d.n_in, d.loops,
+                       d.port_edges, d.shape.wiring)
         _record(key, shape)
     return Diagram._of(shape, d.nodes)
 
@@ -589,8 +657,10 @@ def cup() -> Diagram:
 
 def z_spider(n_in: int, n_out: int, phase: complex = 1.0) -> Diagram:
     """Z spider of type n_in -> n_out carrying a complex parameter."""
+    if type(phase) is not _Traced:
+        phase = complex(phase)
     return Diagram._of(_z_shape(n_in, n_out),
-                       MappingProxyType({0: Node(Z, complex(phase))}))
+                       MappingProxyType({0: Node(Z, phase)}))
 
 
 @cache

@@ -143,7 +143,6 @@ def _stages(m: int, a: complex, subset) -> list[Diagram]:
     carries a flip command weighted by a out to pink dots on the wires of
     its ``subset`` (5 stages), a row multiplication's (``subset`` None)
     is capped off by a 1 -> 0 green dot carrying a (3 stages)."""
-    a = complex(a)
     detect = [_copies_then_sides(m), tensor(identity(m), and_tree(m))]
     if subset is None:
         return detect + [tensor(identity(m), z_spider(1, 0, a))]
@@ -278,7 +277,7 @@ def nf_to_diagram(nf: NormalForm) -> Diagram:
 def scalar_nf_diagram(a: complex) -> Diagram:
     """0 -> 0 scalar normal form: a green a-state plugged into a pink pi
     costate; interprets to exactly a."""
-    return compose(z_spider(0, 1, complex(a)), x_spider(1, 0, dg.TAU_PI))
+    return compose(z_spider(0, 1, a), x_spider(1, 0, dg.TAU_PI))
 
 
 def nf_equal(nf1: NormalForm, nf2: NormalForm,

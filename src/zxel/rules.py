@@ -4,7 +4,10 @@ Every rule is a pair of diagram builders over complex parameter slots.
 Nothing here is trusted on sight: a rule enters the catalog only if
 ``check_soundness`` finds the two sides (and their upside-down flips)
 semantically equal on randomised and forced parameter draws.  The harness
-is the transcription oracle for the figure material.
+is the transcription oracle for the figure material.  It builds each rule
+once, through a template traced over its parameters, and evaluates the Z
+phases per draw; a builder that reads a parameter's value is built per
+draw.
 
 Derived rules carry a provenance label naming the lemma or proposition
 they encode.  Most propositions are stated over the
@@ -29,6 +32,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cache
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,7 +136,9 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
                     rng: np.random.Generator | None = None,
                     corrupt: bool = False) -> RuleReport:
     """Interpret both sides and their flipped versions on forced and
-    random draws; failures are reported, never raised.  All sides go
+    random draws, every draw's sides from one template (``_templated``)
+    where the builder allows; failures are reported, never raised,
+    and each distinct side is flipped once.  All sides go
     through one ``interpret_all``, and each of a draw's three deviations
     is taken for all draws at once over their stacked matrices, bitwise
     ``max_deviation`` per draw."""
@@ -153,12 +159,18 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
     else:
         draws += [_random_params(rule, rng) for _ in range(samples)]
 
+    pairs = len(draws) > 1 and _templated(rule, draws)
+    if not pairs:
+        pairs = [rule.build([complex(p) for p in ps]) for ps in draws]
     sides = []
-    for params in draws:
-        lhs, rhs = rule.build([complex(p) for p in params])
+    flips: dict = {}  # one flip per distinct side, each kept alive by sides
+    for lhs, rhs in pairs:
         if corrupt:
             rhs = tensor(rhs, scalar_z(-2.0))  # flips the sign of the RHS
-        sides += [lhs, rhs, flip(lhs), flip(rhs)]
+        for d in (lhs, rhs):
+            if id(d) not in flips:
+                flips[id(d)] = flip(d)
+        sides += [lhs, rhs, flips[id(lhs)], flips[id(rhs)]]
     mats = interpret_all(sides)
     ml, mr, fl, fr = (mats[j::4] for j in range(4))
     if len({(a.shape, b.shape) for a, b in zip(ml, mr)}) == 1:
@@ -176,6 +188,47 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
         if not (dev <= tol):
             report.failures.append((list(params), float(dev)))
     return report
+
+
+def _templated(rule: RewriteRule, draws) -> list | None:
+    """Each draw's two sides from one build of the rule over traced
+    parameters (``diagram._Traced``): a side keeps the template's shape,
+    its traced Z phases evaluated on the draw in Python ``complex``, and
+    a side with none is the template's side in every draw.  None, for
+    the per-draw builds, if the builder reads a value of a parameter or
+    the template differs from a real build of the first draw in a shape
+    or a phase's bits."""
+    try:
+        template = [(side, [(v, nd.kind, nd.phase)
+                            for v, nd in side.nodes.items()
+                            if type(nd.phase) is dg._Traced])
+                    for side in rule.build([dg._Traced(None, k)
+                                            for k in range(rule.arity)])]
+        pairs = [tuple(_phased(side, traced, [complex(p) for p in ps])
+                       for side, traced in template) for ps in draws]
+    except (TypeError, AttributeError, ArithmeticError, ValueError):
+        # a value read, or a draw that fails: the builds raise what it is
+        return None
+    first = rule.build([complex(p) for p in draws[0]])
+    if all(a.shape == b.shape and _phase_bytes(a) == _phase_bytes(b)
+           for a, b in zip(first, pairs[0])):
+        return pairs
+    return None
+
+
+def _phased(side: Diagram, traced: list, ps: list[complex]) -> Diagram:
+    """``side`` with each traced node ``(v, kind, phase)`` given the
+    phase's value on the parameters ``ps``."""
+    if not traced:
+        return side
+    nodes = dict(side.nodes)
+    for v, kind, phase in traced:
+        nodes[v] = dg.Node(kind, complex(phase.value(ps)))
+    return Diagram._of(side.shape, MappingProxyType(nodes))
+
+
+def _phase_bytes(d: Diagram) -> bytes:
+    return np.array([nd.phase for nd in d.nodes.values()], complex).tobytes()
 
 
 def _deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -348,15 +348,18 @@ def interpret_all(ds: Sequence[Diagram],
     entries, so a batch never holds a larger array than one diagram at
     the cap could.  A chunk is read out in rounds of one shape and at
     most one diagram per entry, each round one stacked array whose rows
-    the round's matrices are views of.  Raises what ``interpret`` raises
-    for the first failing diagram of the first failing group, groups
-    taken in order of their first diagram."""
+    the round's matrices are views of.  A diagram listed more than once
+    is read out once, and its matrix is given at each place.  Raises
+    what ``interpret`` raises for the first failing diagram of the first
+    failing group, groups taken in order of their first diagram."""
     if cap is None:
         cap = wire_cap()
+    firsts: dict = {}  # id of each diagram -> its first place in ds
     groups: dict = {}
     for k, d in enumerate(ds):
-        groups.setdefault(d.shape.wiring, {}) \
-            .setdefault(id(d.nodes), []).append(k)
+        if firsts.setdefault(id(d), k) == k:
+            groups.setdefault(d.shape.wiring, {}) \
+                .setdefault(id(d.nodes), []).append(k)
     out: list = [None] * len(ds)
     for by_nodes in groups.values():
         entries = list(by_nodes.values())
@@ -381,7 +384,7 @@ def interpret_all(ds: Sequence[Diagram],
             for rows, ks in rounds.values():
                 for k, mat in zip(ks, _matrices(t, ends, ds[ks[0]], rows)):
                     out[k] = mat
-    return out
+    return [out[firsts[id(d)]] for d in ds]
 
 
 def interpret(d: Diagram, cap: int | None = None) -> np.ndarray:
