@@ -21,18 +21,16 @@ triangles are expressed by wiring alone.
 A ``Diagram`` is its ``nodes`` and a read-only ``shape``, all the rest:
 node ids and kinds, edges, boundary sizes, loops and the incidence index
 ``port_edges`` (per node, the indices into ``edges`` of the edges at its
-ports, in port order).  Validation happens at the trust boundaries:
-``Diagram(...)`` (which the file loader, ``bend_to_state``, the
-generator builders and the rewriter's result go through) checks a shape
-and builds its ``port_edges`` in one pass.  ``compose_all``,
-``tensor_all`` and ``flip`` build their result's shape directly from
-their valid pieces' shapes, which makes it valid, and look it up by
-those shapes first, in a memo that holds the result's shape weakly; an
-entry's key holds the pieces' shapes strongly for as long as the entry
-lives.  Diagrams that differ only in Z phases so share a shape.  A flip
-keeps every node id and edge index, so it shares its piece's nodes
-mapping, ``port_edges`` and wiring (``_Shape.wiring``: the shape up to
-which boundary ends are inputs).
+ports, in port order).  ``Diagram(...)``, the trust boundary of the file
+loader, ``bend_to_state``, the generator builders and the rewriter's
+result, validates its shape and builds ``port_edges`` in one pass.
+``compose_all``, ``tensor_all`` and ``flip`` build their result's shape
+from their valid pieces' shapes, unvalidated, or look it up by those
+shapes in a memo that holds the result's shape weakly (an entry's key
+holds the pieces' shapes strongly), so diagrams that differ only in Z
+phases share a shape.  A flip keeps every node id and edge index, so it
+shares its piece's nodes mapping, ``port_edges`` and wiring
+(``_Shape.wiring``: the shape up to which boundary ends are inputs).
 The normal-form route plans per shape and the contraction route per
 wiring, and ``_plan_memo`` keeps a plan, weakly keyed by the shape or
 the wiring, from its second planning on.
@@ -439,10 +437,8 @@ def _placed(ds: Sequence[Diagram], boundary):
 
 def _assembled(ds: Sequence[Diagram], nodes, edges, n_in: int, n_out: int,
                loops: int, port_edges) -> Diagram:
-    """The diagram the pieces ``ds`` were placed into, with its shape
-    built directly: valid pieces put together by a combinator make a
-    valid diagram, whose edges keep their orientation, so nothing is
-    checked or oriented again."""
+    """The diagram the pieces ``ds`` were placed into: valid pieces make
+    it valid, its edges oriented, so nothing is checked again."""
     kinds = tuple(chain.from_iterable(d.shape.kinds for d in ds))
     shape = _Shape(kinds, tuple(edges), n_in, n_out, loops,
                    MappingProxyType(port_edges))

@@ -135,10 +135,10 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
                     tol: float = DEFAULT_TOL,
                     rng: np.random.Generator | None = None,
                     corrupt: bool = False) -> RuleReport:
-    """Interpret both sides and their flipped versions on forced and
-    random draws, every draw's sides from one template (``_templated``)
-    where the builder allows; failures are reported, never raised,
-    and each distinct side is flipped once.  All sides go
+    """Interpret both sides and their flipped versions (one flip per
+    distinct side) on forced and random draws, every draw's sides from
+    one template (``_templated``) where the builder allows; failures are
+    reported, never raised.  All sides go
     through one ``interpret_all``, and each of a draw's three deviations
     is taken for all draws at once over their stacked matrices, bitwise
     ``max_deviation`` per draw."""
@@ -191,13 +191,12 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
 
 
 def _templated(rule: RewriteRule, draws) -> list | None:
-    """Each draw's two sides from one build of the rule over traced
-    parameters (``diagram._Traced``): a side keeps the template's shape,
-    its traced Z phases evaluated on the draw in Python ``complex``, and
-    a side with none is the template's side in every draw.  None, for
-    the per-draw builds, if the builder reads a value of a parameter or
-    the template differs from a real build of the first draw in a shape
-    or a phase's bits."""
+    """Each draw's two sides from one build over traced parameters
+    (``diagram._Traced``): the template's sides, their traced Z phases
+    evaluated on the draw in Python ``complex`` (a side with none is the
+    same object in every draw).  None, for per-draw builds, if the
+    builder reads a parameter's value, or if the template's shapes or
+    phase bits differ from a real build of the first draw."""
     try:
         template = [(side, [(v, nd.kind, nd.phase)
                             for v, nd in side.nodes.items()

@@ -25,9 +25,11 @@ def test_traced_layers_resolve():
         assert callable(owner), (module, path)
 
 
-def test_a_traced_rules_sweep_pass_validates_974_diagrams(tmp_path):
-    # the shape memo's hits validate nothing: a cold rules-sweep pass at
-    # seed 3 validates the same 974 diagrams however cheap a hit gets
+def test_a_traced_rules_sweep_pass_validates_67_diagrams(tmp_path):
+    # combinators derive their result's shape from their pieces and
+    # validate nothing: a cold rules-sweep pass at seed 3 validates only
+    # the diagrams built by Diagram(...), the generator builders' and
+    # bend_to_state's, 67 of them
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "worker.py", "--workload", "rules-sweep",
@@ -36,4 +38,32 @@ def test_a_traced_rules_sweep_pass_validates_974_diagrams(tmp_path):
         timeout=300)
     assert proc.returncode == 0, proc.stderr[-500:]
     layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
-    assert layers["diagram.check_validity.calls"] == 974
+    assert layers["diagram.check_validity.calls"] == 67
+
+
+def test_a_cold_rules_sweep_pass_misses_the_shape_memo_867_times(
+        monkeypatch):
+    # the pass of the benchmark's worker, in process and from cold: with
+    # no builder cached and an empty shape memo, one pass over the
+    # rules-sweep corpus at seed 3 builds 867 result shapes (883 when
+    # each rule was built per draw), and this is what the memo's strong
+    # keys keep low (ten times as many misses with weak keys)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    from zxel import diagram as D
+    from zxel import normalform as NF
+    from zxel import rules as R
+    for module in (D, NF, R):
+        for f in list(vars(module).values()):
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+    monkeypatch.setattr(D, "_SHAPES", {})
+    misses = []  # holds no key, which would keep the key's shapes alive
+    record = D._record
+    monkeypatch.setattr(D, "_record", lambda key, shape: misses.append(
+        1) or record(key, shape))
+    results = {}
+    for op in workloads.sweep_corpus(3):
+        results[op.op_id] = op.run(results)
+        assert op.check(results[op.op_id]) is None, op.op_id
+    assert len(misses) == 867

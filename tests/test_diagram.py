@@ -16,8 +16,9 @@ from zxel.normalform import nf_from_vector, nf_to_diagram
 from zxel.rewrite import simplify
 
 from helpers import (H_MAT, compose_by_pairs, contraction_order_by_scan,
-                     port_edges_by_scan, random_complex, random_diagram,
-                     splice_by_union_find, tensor_by_pairs, walk_along)
+                     nf_family, port_edges_by_scan, random_complex,
+                     random_diagram, splice_by_union_find, tensor_by_pairs,
+                     walk_along)
 
 
 def test_compose_identity_is_identity():
@@ -696,3 +697,82 @@ def test_shapes_are_read_only():
         d.shape.loops = 1
     with pytest.raises(AttributeError):
         d.shape.edges = ()
+
+
+def _adapter(n, m):
+    """n -> m: the first min(n, m) wires pass, the rest are capped off
+    in pairs by cups (n > m) or opened in pairs by caps (n < m), a wire
+    left over ending in a Z state or costate."""
+    k = min(n, m)
+    rest, gadget, end = ((n - k, D.cup(), D.z_spider(1, 0, 0.5)) if n > m
+                         else (m - k, D.cap(), D.z_spider(0, 1, 0.5)))
+    return D.tensor_all([D.identity(k)] + [gadget] * (rest // 2)
+                        + [end] * (rest % 2))
+
+
+def _random_tree(rng, depth, flips):
+    """A diagram of random type: a generator or bare wiring at depth 0,
+    else the compose_all (through adapters), tensor_all or flip of
+    smaller trees; each flip made is appended to ``flips``."""
+    if depth == 0:
+        n, m = (int(k) for k in rng.integers(0, 3, 2))
+        return [D.z_spider(n, m, random_complex(rng)), D.h_box(), D.cap(),
+                D.triangle(), D.triangle_inv(), D.identity(n), D.swap(),
+                D.cup(), D.x_spider(1, 1, D.TAU_PI),
+                D.empty()][rng.integers(10)]
+    pick = rng.integers(3)
+    if pick == 0:
+        flips.append(D.flip(_random_tree(rng, depth - 1, flips)))
+        return flips[-1]
+    pieces = [_random_tree(rng, depth - 1, flips)
+              for _ in range(int(rng.integers(2, 4)))]
+    if pick == 1:
+        return D.tensor_all(pieces)
+    chain = [pieces[0]]
+    for piece in pieces[1:]:
+        chain += [_adapter(chain[-1].n_out, piece.n_in), piece]
+    return D.compose_all(chain)
+
+
+def _assert_derived_shape_is_validated(d):
+    """``d``'s shape, which a combinator built from its pieces, equals the
+    shape ``Diagram(...)`` validates from its nodes and edges: node
+    kinds, edges in the same orientation, loops and the incidence index
+    in node order."""
+    got = d.shape
+    want = D.Diagram(dict(d.nodes), d.edges, d.n_in, d.n_out, d.loops).shape
+    assert (got.kinds, got.edges, got.n_in, got.n_out, got.loops) == (
+        want.kinds, want.edges, want.n_in, want.n_out, want.loops)
+    assert list(got.port_edges.items()) == list(want.port_edges.items())
+
+
+def test_derived_shapes_equal_validated_ones(monkeypatch):
+    # every result of compose_all, tensor_all and flip made below: each
+    # module's own name is wrapped, but diagram's flip, which names
+    # itself in its memo keys (the trees record their flips instead)
+    results = []
+    for module, names in ((D, ("compose_all", "tensor_all")),
+                          (NF, ("compose_all", "tensor_all")),
+                          (R, ("compose_all", "tensor_all", "flip"))):
+        for name in names:
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda x, f=f: results.append(
+                f(x)) or results[-1])
+    sides = []
+    batch = R.interpret_all
+    monkeypatch.setattr(R, "interpret_all",
+                        lambda ds: sides.extend(ds) or batch(ds))
+    rng = np.random.default_rng(31)
+    for rule in R.full_catalog():  # both sides and both flips
+        R.check_soundness(rule, samples=1, rng=rng)
+    assert len(nf_family(5)) == 4
+    loops = 0
+    for _ in range(300):
+        d = _random_tree(rng, int(rng.integers(1, 4)), results)
+        # closed by cups, and opened by caps, so that loops form
+        d = D.compose_all([_adapter(0, d.n_in), d, _adapter(d.n_out, 0)])
+        loops += d.loops > 0
+    assert loops > 30
+    assert len(sides) > 4 * len(R.full_catalog()) and len(results) > 5000
+    for d in sides + results:
+        _assert_derived_shape_is_validated(d)

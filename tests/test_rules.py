@@ -272,6 +272,77 @@ def test_sides_of_two_types_fail_every_draw_at_infinity():
     assert got == want and 0 < len(got.failures) < got.checked
 
 
+def _phase_bytes(d):
+    return b"".join(np.array([nd.phase], complex).tobytes()
+                    for nd in d.nodes.values())
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_templated_sides_equal_the_builders(monkeypatch, seed):
+    # the sweep as check_catalog runs it: every draw's templated sides
+    # against the rule's builder on the same draw, by shape and by the
+    # bytes of every phase, sign of zero included; each flip shares its
+    # side's nodes, so that the two are one batch entry
+    templated, sides = {}, []
+    template = R._templated
+    monkeypatch.setattr(R, "_templated", lambda rule, draws: (
+        templated.setdefault(rule.name, (draws, template(rule, draws)))[1]))
+    batch = R.interpret_all
+    monkeypatch.setattr(R, "interpret_all",
+                        lambda ds: sides.extend(ds) or batch(ds))
+    reports = R.check_catalog(R.full_catalog(), samples=20, seed=seed)
+    assert all(r.ok for r in reports)
+    for rule in R.full_catalog():
+        if not rule.arity:
+            assert rule.name not in templated  # one draw: one build
+            continue
+        draws, pairs = templated[rule.name]
+        assert pairs is not None, rule.name
+        for ps, pair in zip(draws, pairs, strict=True):
+            for side, built in zip(pair, rule.build([complex(p) for p in ps]),
+                                   strict=True):
+                assert side.shape == built.shape, rule.name
+                assert _phase_bytes(side) == _phase_bytes(built), rule.name
+    assert len(sides) % 4 == 0
+    for k in range(0, len(sides), 4):
+        lhs, rhs, fl, fr = sides[k:k + 4]
+        assert fl.nodes is lhs.nodes and fr.nodes is rhs.nodes
+
+
+@pytest.mark.parametrize("build", [
+    lambda ps: (D.z_spider(1, 1 + (ps[0].real > 0), ps[0]),
+                D.z_spider(1, 1 + (ps[0].real > 0), ps[0])),
+    lambda ps: (D.z_spider(1, 1, abs(ps[0])), D.z_spider(1, 1, ps[0])),
+    lambda ps: (D.z_spider(1, 1, 2.0 if ps[0] == 0 else ps[0]),
+                D.z_spider(1, 1, ps[0])),
+    lambda ps: (D.z_spider(1, 1, ps[0] if isinstance(ps[0], complex)
+                           else 1.0), D.z_spider(1, 1, ps[0])),
+], ids=["real", "abs", "eq", "isinstance"])
+def test_a_builder_that_reads_a_value_is_built_per_draw(monkeypatch, build):
+    # no template: a placeholder read as a value raises, and one that
+    # takes another branch differs from the first draw's real build
+    rule = R.RewriteRule("reads a value", 1, build)
+    templated = []
+    template = R._templated
+    monkeypatch.setattr(R, "_templated", lambda rule, draws: (
+        templated.append(template(rule, draws)) or templated[-1]))
+    got = R.check_soundness(rule, samples=5, rng=np.random.default_rng(8))
+    want = check_soundness_by_draw(rule, 5, R.DEFAULT_TOL,
+                                   np.random.default_rng(8))
+    assert templated == [None] and got == want
+
+
+def test_a_traced_phase_has_no_value():
+    a = D._Traced(None, 0)
+    b = 1.0 / (a + 1.0) - a * 2.0
+    assert b.value([1.0j]) == 1.0 / (1.0j + 1.0) - 1.0j * 2.0
+    assert (-a).value([2.0]) == -2.0
+    for read in (bool, abs, complex, hash, lambda x: x == 0,
+                 lambda x: x < 1, lambda x: x.real):
+        with pytest.raises((TypeError, AttributeError)):
+            read(b)
+
+
 def test_check_soundness_compares_flips_with_the_transpose(monkeypatch):
     # with flip replaced by the identity map, flip(lhs) contracts to ml,
     # not to ml.T, for a rule with triangles: the sweep must notice

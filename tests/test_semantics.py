@@ -498,7 +498,7 @@ def test_interpret_all_reads_out_what_interpret_reads_out(monkeypatch):
     for d, mat, w in zip(ds, got, want):
         assert mat.shape == w.shape and mat.dtype == w.dtype, d
         assert mat.tobytes() == w.tobytes(), d
-    # whole batches, later rounds of the members listed twice, and
+    # whole batches, later rounds of the flips of a cached side, and
     # roots with no Z phase
     assert any(1 < read == rows for read, rows in readouts)
     assert any(read < rows for read, rows in readouts)
@@ -516,6 +516,21 @@ def test_check_soundness_reads_each_side_out_once(monkeypatch):
     report = R.check_soundness(R.catalog_by_name()["S1"], samples=20)
     assert report.ok and report.checked == 24
     assert calls == [24] * 4
+
+
+def test_interpret_all_reads_a_repeated_diagram_out_once(monkeypatch):
+    # d listed three times and its flip once: one entry, read out in one
+    # round per shape, where a round per listing read d out three times
+    d = D.compose(D.z_spider(1, 2, 0.5j), D.tensor(D.triangle(), D.h_box()))
+    ds = [d, d, D.flip(d), d]
+    want = [S.interpret(x) for x in ds]
+    calls = []
+    matrices = S._matrices
+    monkeypatch.setattr(S, "_matrices",
+                        lambda *a: calls.append(a[2]) or matrices(*a))
+    got = S.interpret_all(ds)
+    assert calls == [d, ds[2]]
+    assert [m.tobytes() for m in got] == [w.tobytes() for w in want]
 
 
 def test_a_non_finite_member_fails_its_batch_as_interpret_fails():
