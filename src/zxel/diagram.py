@@ -467,8 +467,9 @@ def _record(key, shape: _Shape) -> None:
 
 
 def _forget(ref: weakref.KeyedRef) -> None:
-    if _SHAPES.get(ref.key) is ref:
-        _SHAPES.pop(ref.key, None)
+    memo = _SHAPES  # None once interpreter exit has torn the module down
+    if memo is not None and memo.get(ref.key) is ref:
+        memo.pop(ref.key, None)
 
 
 def _memoised(combinator):
@@ -570,6 +571,11 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
     return tensor_all([d1, d2])
 
 
+# flip's tag in its ``_SHAPES`` keys: a constant, so that a wrapper
+# patched over ``flip`` shares the memo and is not held by it
+_FLIP = "flip"
+
+
 def flip(d: Diagram) -> Diagram:
     """Upside-down flip: inputs become outputs and vice versa (the
     interpretation transposes).  A flip keeps every node id and edge
@@ -577,7 +583,7 @@ def flip(d: Diagram) -> Diagram:
     wiring; its shape is memoised by ``d``'s shape and wiring (equal
     shapes may name different wirings: ``cap()``'s and
     ``flip(cup())``'s)."""
-    key = (flip, d.shape, d.shape.wiring)
+    key = (_FLIP, d.shape, d.shape.wiring)
     shape = _recall(key)
     if shape is None:
         def ren(ep):

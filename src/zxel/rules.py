@@ -5,8 +5,9 @@ Nothing here is trusted on sight: a rule enters the catalog only if
 ``check_soundness`` finds the two sides (and their upside-down flips)
 semantically equal on randomised and forced parameter draws.  The harness
 is the transcription oracle for the figure material.  It builds each rule
-once, through a template traced over its parameters, and evaluates the Z
-phases per draw; a builder that reads a parameter's value is built per
+once, through a template traced over its parameters, evaluates the Z
+phases per draw into a phase matrix, and contracts each side once over
+all its rows; a builder that reads a parameter's value is built per
 draw.
 
 Derived rules carry a provenance label naming the lemma or proposition
@@ -32,7 +33,6 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cache
-from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,7 +46,8 @@ from .diagram import (Diagram, compose, compose_all, flip, tensor,
 from .normalform import (and_gate, decorated_row_addition,
                          decorated_row_multiplication, gadget, pi_layer,
                          row_addition_diagram, row_multiplication_diagram)
-from .semantics import DEFAULT_TOL, interpret_all, max_deviation
+from .semantics import (DEFAULT_TOL, _interpret_drawn, interpret_all,
+                        max_deviation)
 
 RuleBuilder = Callable[[Sequence[complex]], tuple[Diagram, Diagram]]
 
@@ -135,13 +136,14 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
                     tol: float = DEFAULT_TOL,
                     rng: np.random.Generator | None = None,
                     corrupt: bool = False) -> RuleReport:
-    """Interpret both sides and their flipped versions (one flip per
-    distinct side) on forced and random draws, every draw's sides from
-    one template (``_templated``) where the builder allows; failures are
-    reported, never raised.  All sides go
-    through one ``interpret_all``, and each of a draw's three deviations
-    is taken for all draws at once over their stacked matrices, bitwise
-    ``max_deviation`` per draw."""
+    """Interpret both sides and their flipped versions on forced and
+    random draws; failures are reported, never raised.  Where the
+    builder allows, each side is one template (``_templated``) run once
+    over the phase matrix of all draws, the side and its flip read out
+    of one root; otherwise every draw is built, and all sides (one flip
+    per distinct side) go through one ``interpret_all``.  Each of a
+    draw's three deviations is taken for all draws at once over their
+    stacked matrices, bitwise ``max_deviation`` per draw."""
     if samples < 1:
         raise RuleError("samples must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -159,29 +161,39 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
     else:
         draws += [_random_params(rule, rng) for _ in range(samples)]
 
-    pairs = len(draws) > 1 and _templated(rule, draws)
-    if not pairs:
-        pairs = [rule.build([complex(p) for p in ps]) for ps in draws]
-    sides = []
-    flips: dict = {}  # one flip per distinct side, each kept alive by sides
-    for lhs, rhs in pairs:
+    template = len(draws) > 1 and _templated(rule, draws)
+    if template:
+        sides = [side for side, _ in template]
         if corrupt:
-            rhs = tensor(rhs, scalar_z(-2.0))  # flips the sign of the RHS
-        for d in (lhs, rhs):
-            if id(d) not in flips:
-                flips[id(d)] = flip(d)
-        sides += [lhs, rhs, flips[id(lhs)], flips[id(rhs)]]
-    mats = interpret_all(sides)
-    ml, mr, fl, fr = (mats[j::4] for j in range(4))
-    if len({(a.shape, b.shape) for a, b in zip(ml, mr)}) == 1:
-        ml, mr, fl, fr = map(np.stack, (ml, mr, fl, fr))
-        devs = np.maximum(
-            np.maximum(_deviations(ml, mr), _deviations(fl, fr)),
-            _deviations(fl, ml.transpose(0, 2, 1))).tolist()
-    else:  # a rule whose sides change type from draw to draw
-        devs = [max(max_deviation(a, b), max_deviation(c, d),
-                    max_deviation(c, a.T))
-                for a, b, c, d in zip(ml, mr, fl, fr)]
+            sides[1] = tensor(sides[1], scalar_z(-2.0))  # flips the sign
+        stacks = []  # a side with no phase column is one row for all
+        for side, f, (_, columns) in zip(sides, [flip(d) for d in sides],
+                                         template):
+            for chunks in _interpret_drawn(side, f, columns):
+                mats = np.concatenate(chunks)
+                stacks.append(np.broadcast_to(
+                    mats, (len(draws),) + mats.shape[1:]))
+        ml, fl, mr, fr = stacks
+        devs = _draw_deviations(ml, mr, fl, fr)
+    else:
+        sides = []
+        flips: dict = {}  # one flip per distinct side, each kept alive
+        for lhs, rhs in (rule.build([complex(p) for p in ps])
+                         for ps in draws):
+            if corrupt:
+                rhs = tensor(rhs, scalar_z(-2.0))  # flips the sign
+            for d in (lhs, rhs):
+                if id(d) not in flips:
+                    flips[id(d)] = flip(d)
+            sides += [lhs, rhs, flips[id(lhs)], flips[id(rhs)]]
+        mats = interpret_all(sides)
+        ml, mr, fl, fr = (mats[j::4] for j in range(4))
+        if len({(a.shape, b.shape) for a, b in zip(ml, mr)}) == 1:
+            devs = _draw_deviations(*map(np.stack, (ml, mr, fl, fr)))
+        else:  # a rule whose sides change type from draw to draw
+            devs = [max(max_deviation(a, b), max_deviation(c, d),
+                        max_deviation(c, a.T))
+                    for a, b, c, d in zip(ml, mr, fl, fr)]
     for params, dev in zip(draws, devs):
         report.checked += 1
         report.max_deviation = max(report.max_deviation, dev)
@@ -191,43 +203,45 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
 
 
 def _templated(rule: RewriteRule, draws) -> list | None:
-    """Each draw's two sides from one build over traced parameters
-    (``diagram._Traced``): the template's sides, their traced Z phases
-    evaluated on the draw in Python ``complex`` (a side with none is the
-    same object in every draw).  None, for per-draw builds, if the
-    builder reads a parameter's value, or if the template's shapes or
-    phase bits differ from a real build of the first draw."""
+    """The rule's two sides built once over traced parameters
+    (``diagram._Traced``), each with its phase columns: every traced Z
+    phase evaluated on each draw in Python ``complex``, by node id.  None,
+    for per-draw builds, if the builder reads a parameter's value, if a
+    draw fails to evaluate or gives a phase ``Node`` would refuse (one
+    not finite), or if the template's shapes or phase bits differ from a
+    real build of the first draw."""
+    params = [[complex(p) for p in ps] for ps in draws]
     try:
-        template = [(side, [(v, nd.kind, nd.phase)
-                            for v, nd in side.nodes.items()
-                            if type(nd.phase) is dg._Traced])
-                    for side in rule.build([dg._Traced(None, k)
-                                            for k in range(rule.arity)])]
-        pairs = [tuple(_phased(side, traced, [complex(p) for p in ps])
-                       for side, traced in template) for ps in draws]
+        sides = rule.build([dg._Traced(None, k) for k in range(rule.arity)])
+        traced = [{v: nd.phase for v, nd in side.nodes.items()
+                   if type(nd.phase) is dg._Traced} for side in sides]
+        rows = [[[complex(phase.value(ps)) for phase in t.values()]
+                 for ps in params] for t in traced]
     except (TypeError, AttributeError, ArithmeticError, ValueError):
         # a value read, or a draw that fails: the builds raise what it is
         return None
-    first = rule.build([complex(p) for p in draws[0]])
-    if all(a.shape == b.shape and _phase_bytes(a) == _phase_bytes(b)
-           for a, b in zip(first, pairs[0])):
-        return pairs
-    return None
-
-
-def _phased(side: Diagram, traced: list, ps: list[complex]) -> Diagram:
-    """``side`` with each traced node ``(v, kind, phase)`` given the
-    phase's value on the parameters ``ps``."""
-    if not traced:
-        return side
-    nodes = dict(side.nodes)
-    for v, kind, phase in traced:
-        nodes[v] = dg.Node(kind, complex(phase.value(ps)))
-    return Diagram._of(side.shape, MappingProxyType(nodes))
+    if not all(np.isfinite(r).all() for r in rows):
+        return None
+    for side, t, r, built in zip(sides, traced, rows, rule.build(params[0])):
+        first = dict(zip(t, r[0]))
+        phases = [first.get(v, nd.phase) for v, nd in side.nodes.items()]
+        if side.shape != built.shape or (np.array(phases, complex).tobytes()
+                                         != _phase_bytes(built)):
+            return None
+    return [(side, dict(zip(t, zip(*r)))) for side, t, r in
+            zip(sides, traced, rows)]
 
 
 def _phase_bytes(d: Diagram) -> bytes:
     return np.array([nd.phase for nd in d.nodes.values()], complex).tobytes()
+
+
+def _draw_deviations(ml, mr, fl, fr) -> list[float]:
+    """The deviation of each draw from its stacked matrices: its sides,
+    its flips, and its flipped left side from the left side's
+    transpose."""
+    return np.maximum(np.maximum(_deviations(ml, mr), _deviations(fl, fr)),
+                      _deviations(fl, ml.transpose(0, 2, 1))).tolist()
 
 
 def _deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:

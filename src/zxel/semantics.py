@@ -20,33 +20,43 @@ its self-loops, the einsum sublists of each pair step and the root's
 end wires; every wire-cap check happens while planning.  Each diagram
 reads its matrix out of the contracted root through its own edges: the
 boundary slot of each end wire gives its output permutation.
-Diagrams of one wiring share a plan, and one run of it contracts them
-all at once, their Z tensors stacked along a leading batch axis; a
-diagram and its flip, which share their nodes, are one entry of that
-batch.  Every run, batched or not, is read out in rounds of one shape
-and at most one diagram per batch entry, so the matrices returned are
-views of one stacked array per round.  From its second planning on, a
-wiring keeps its plan across calls (``diagram._plan_memo``); a wiring
-planned once, such as a one-off rule side, keeps none.
-``interpret`` runs a plan on one diagram; ``interpret_all`` groups a
-list by wiring, which is how the rule-soundness sweep evaluates all
-draws of a rule, and their flips, together.
+
+A run contracts a plan over a phase matrix: one row per batch entry,
+one column per Z leaf of the plan.  Diagrams of one wiring share a plan,
+and one run of it contracts them all at once, their Z tensors stacked
+along a leading batch axis; a diagram and its flip, which share their
+nodes, are one entry of that batch.  Every run, batched or not, is read
+out in rounds of one shape and at most one diagram per batch entry, so
+the matrices returned are views of one stacked array per round.  From
+its second planning on, a wiring keeps its plan across calls
+(``diagram._plan_memo``); a wiring planned once, such as a one-off rule
+side, keeps none.  ``interpret`` runs a plan on one diagram's row;
+``interpret_all`` groups a list by wiring and builds each chunk's rows
+from its diagrams.  The rule-soundness sweep builds no diagram per
+draw: ``_interpret_drawn`` runs one template side over the rows of all
+draws, its traced Z phases evaluated per draw, and reads the side and
+its flip out of one root.
 
 A Z spider is a copy tensor: of its 2^degree entries only the all-zero
 one (1) and the all-one one (the phase) are nonzero.  So in a batched
 run, a step that absorbs a Z leaf no earlier step has touched, into a
 large enough result, reads two corners of the accumulator instead of
 multiplying the Z tensor through einsum (``_absorb_z``), bitwise to the
-same result.  An unbatched run is plain einsum throughout.
+same result.  Likewise a step that absorbs an untouched H, T or T^-1
+leaf sharing one wire and bringing one adds and subtracts two slices of
+the accumulator into a zeroed result (``_absorb_fixed``), since every
+entry of those tensors is 0 or +-1.  An unbatched run is plain einsum
+throughout.
 
-Every step but a gather calls numpy's C einsum (``_C_EINSUM``)
-directly, the function ``np.einsum(..., optimize=False)`` forwards its
-arguments to unchanged: the same bytes, without the Python dispatch
-that costs a third of a small unbatched run.  It does so only while
-``np.einsum``, as this module sees it, is numpy's own: an observer that
-swaps this module's ``np`` for a view with another ``einsum`` (a tracer
-counting the kernel's calls, a test bounding its arrays) gets every
-step.  ``_absorb_z`` always calls ``np.einsum``.
+Every step but a gather or a fixed-leaf step calls numpy's C einsum
+(``_C_EINSUM``) directly, the function ``np.einsum(..., optimize=False)``
+forwards its arguments to unchanged: the same bytes, without the Python
+dispatch that costs a third of a small unbatched run.  It does so only
+while ``np.einsum``, as this module sees it, is numpy's own: an observer
+that swaps this module's ``np`` for a view with another ``einsum`` (a
+tracer counting the kernel's calls, a test bounding its arrays) gets
+every step.  ``_absorb_z`` always calls ``np.einsum``, and
+``_absorb_fixed`` calls none.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ import os
 from functools import partial
 from itertools import count
 from operator import attrgetter
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -159,6 +169,39 @@ def _absorb_z(acc: np.ndarray, sub_acc: list[int], sub_z: list[int],
     return out
 
 
+# a batched step absorbs a fixed leaf by slices (``_absorb_fixed``) when
+# its result holds at least this many entries.  Timed one step at a time
+# over H, T and T^-1 at every accumulator axis and both orientations,
+# einsum wins below about 600-1 300 result entries at batches of 2 and 10
+_FIXED_MIN = 1024
+
+
+def _absorb_fixed(acc: np.ndarray, sub_acc: list[int], sub_leaf: list[int],
+                  leaf: np.ndarray) -> np.ndarray:
+    """The step contracting a fixed 2 x 2 leaf (H, T or T^-1), of wires
+    ``sub_leaf``, one shared with ``acc`` (wires ``sub_acc``, behind the
+    batch axis if any) and one new, into ``acc`` without einsum.  With
+    ``m[s, n]`` the leaf's entry at shared wire s and new wire n, result
+    ``[..., n]`` is the sum over s of ``acc`` at s times ``m[s, n]``; every
+    entry is 0 or +-1, so a zeroed result takes each slice by += or -=.
+    That is einsum's sum of two exact products onto +0, bitwise on finite
+    input; a non-finite entry of ``acc`` still reaches the result, since
+    every row of the leaf has a nonzero entry."""
+    shared = sub_leaf[0] if sub_leaf[0] in sub_acc else sub_leaf[1]
+    m = (leaf if shared == sub_leaf[0] else leaf.T).real.tolist()
+    tail = (slice(None),) * (len(sub_acc) - 1 - sub_acc.index(shared))
+    parts = acc[(..., 0) + tail], acc[(..., 1) + tail]
+    out = np.zeros(parts[0].shape + (2,), dtype=complex)
+    outs = [out[..., 0], out[..., 1]]
+    for s in (0, 1):
+        for n in (0, 1):
+            if m[s][n] == 1:
+                outs[n] += parts[s]
+            elif m[s][n] == -1:
+                outs[n] -= parts[s]
+    return out
+
+
 def _pair_step(dst: int, src: int, li: list, lj: list, shared, cap: int):
     """The step contracting operand ``src``, of wires ``lj``, into operand
     ``dst``, of wires ``li``, the two sharing the wires ``shared``: its
@@ -177,7 +220,7 @@ def _pair_step(dst: int, src: int, li: list, lj: list, shared, cap: int):
 @partial(_plan_memo, key=attrgetter("shape.wiring"))
 def _plan(d: Diagram, cap: int) -> tuple:
     """How to contract every diagram of ``d``'s wiring, as
-    ``(leaves, steps, root, ends)``.
+    ``(leaves, steps, root, ends, zids)``.
 
     ``leaves`` holds one entry per operand: a Z node's (id, degree),
     whose tensors a batch stacks, or the fixed tensor of any other
@@ -187,9 +230,11 @@ def _plan(d: Diagram, cap: int) -> tuple:
     batch axis).  ``root`` is the operand left at the end (None for a
     diagram with nothing to contract), and ``ends`` names the boundary
     end of each of its axes: edge index i for the far end of edge i (a
-    bare wire's second end), ~i for a bare wire's first end.  Nothing in
-    the plan depends on which ends are inputs (``_matrices`` reads that
-    off each diagram's own edges), so it serves a whole wiring.
+    bare wire's second end), ~i for a bare wire's first end.  ``zids``
+    holds the node id of each Z leaf in leaf order: the columns of a
+    phase matrix.  Nothing in the plan depends on which ends are inputs
+    (``_matrices`` reads that off each diagram's own edges), so it
+    serves a whole wiring.
 
     The plan translates the walk of ``contraction_order``: each component
     folds its nodes into its first one, its wires threaded from step to
@@ -234,7 +279,8 @@ def _plan(d: Diagram, cap: int) -> tuple:
         step, wires = _pair_step(root, src, wires, part, (), cap)
         steps.append(step)
     # the root's axes hold the parts' end wires in order
-    return leaves, steps, root, wires
+    zids = tuple(t[0] for t in leaves if isinstance(t, tuple))
+    return leaves, steps, root, wires, zids
 
 
 def _axes(ends: list[int], d: Diagram) -> list[int]:
@@ -276,47 +322,60 @@ def _matrices(t: np.ndarray, ends: list[int], d: Diagram,
 
 def _width(plan) -> int:
     """The most open wires any operand of a plan has."""
-    leaves, steps, _, _ = plan
+    leaves, steps = plan[:2]
     return max([t[1] if isinstance(t, tuple) else t.ndim for t in leaves] +
                [len(step[4]) for step in steps], default=0)
 
 
-def _run(plan: tuple, ds: Sequence[Diagram]) -> np.ndarray:
-    """Contract every diagram of ``ds`` (all of the plan's wiring) in
-    one pass over the plan, and give the contracted root, its axes in the
-    plan's end-wire order behind a leading batch axis, one row per
-    diagram; each consumed operand is freed as it goes.  A single
-    diagram runs without the batch axis, and so does a batch with no Z
-    phase, whose diagrams all share the one root."""
-    leaves, steps, root, ends = plan
+def _run(plan: tuple, phases: Sequence[Sequence]) -> np.ndarray:
+    """Contract the plan over a phase matrix in one pass, and give the
+    contracted root, its axes in the plan's end-wire order behind a
+    leading batch axis, one row per batch entry; each consumed operand is
+    freed as it goes.  ``phases`` holds one row per batch entry and, in
+    each row, one phase per Z leaf of the plan, in leaf order.  A single
+    row runs without the batch axis, and so does a batch with no Z leaf,
+    whose entries all share the one root."""
+    leaves, steps, root = plan[:3]
     gathered: dict = {}  # each gathered Z operand -> its batch of phases
-    if len(ds) == 1:
+    fixed: set = set()  # each fixed leaf absorbed by slices
+    if len(phases) == 1:
         # this branch is kept on purpose: run as a batch of one, a lone
         # diagram gave bit-identical matrices, but contract_state on the
         # normal-form family got 5-16 % slower at every m = 2..6
-        ops = [_z_tensor(ds[0].nodes[t[0]].phase, t[1], ())
-               if isinstance(t, tuple) else t for t in leaves]
+        row = iter(phases[0])
+        ops = [_z_tensor(next(row), t[1], ()) if isinstance(t, tuple)
+               else t for t in leaves]
     else:
-        zs = {k: np.array([d.nodes[t[0]].phase for d in ds], dtype=complex)
+        b = len(phases)
+        columns = zip(*phases)
+        zs = {k: np.array(next(columns), dtype=complex)
               for k, t in enumerate(leaves) if isinstance(t, tuple)}
-        # a step absorbing a Z leaf of degree > 0 that no earlier step
-        # has touched gathers it, if the step's result is large enough;
-        # a gathered leaf's tensor is never built.  A step numbers the
+        # a step absorbing a Z leaf of degree > 0, or a fixed 2 x 2 leaf
+        # sharing one wire and bringing one, that no earlier step has
+        # touched skips einsum if the step's result is large enough; a
+        # gathered leaf's tensor is never built.  A step numbers the
         # accumulator's wires first, so a leaf wire numbered past them
         # is a new wire
-        touched = set()
+        touched, batched = set(), set(zs)  # batched: has a batch axis
         for dst, src, sub_dst, sub_src, sub_out in steps:
-            if (src in zs and leaves[src][1] and src not in touched
-                    and len(ds) << len(sub_out) >= _GATHER_MIN * (
-                        1 if max(sub_src) >= len(sub_dst) else 8)):
-                gathered[src] = zs[src]
+            if src in zs and src not in touched:
+                if leaves[src][1] and b << len(sub_out) >= _GATHER_MIN * (
+                        1 if max(sub_src) >= len(sub_dst) else 8):
+                    gathered[src] = zs[src]
+            elif ((b if dst in batched else 1) << len(sub_out) >= _FIXED_MIN
+                  and len(sub_src) == 2 and src not in touched
+                  and min(sub_src) < len(sub_dst) <= max(sub_src)):
+                fixed.add(src)
             touched.add(dst)
+            if src in batched:
+                batched.add(dst)
         ops = [t if k not in zs else None if k in gathered else
-               _z_tensor(zs[k], t[1], (len(ds),))
+               _z_tensor(zs[k], t[1], (b,))
                for k, t in enumerate(leaves)]
         # the batch axis, leading on the Z tensors and on every result
         # that has one, is einsum's broadcast ellipsis: it takes no label
-        steps = [(dst, src, sub_dst, sub_src, sub_out) if src in gathered
+        steps = [(dst, src, sub_dst, sub_src, sub_out)
+                 if src in gathered or src in fixed
                  else (dst, src, [...] + sub_dst, [...] + sub_src,
                        [...] + sub_out)
                  for dst, src, sub_dst, sub_src, sub_out in steps]
@@ -327,10 +386,18 @@ def _run(plan: tuple, ds: Sequence[Diagram]) -> np.ndarray:
         if src in gathered:
             ops[dst] = _absorb_z(ops[dst], sub_dst, sub_src, sub_out,
                                  gathered[src])
+        elif src in fixed:
+            ops[dst] = _absorb_fixed(ops[dst], sub_dst, sub_src, ops[src])
         else:
             ops[dst] = einsum(ops[dst], sub_dst, ops[src], sub_src, sub_out)
         ops[src] = None
     return np.array(1.0, dtype=complex) if root is None else ops[root]
+
+
+def _chunk_size(plan: tuple, cap: int, rows: int) -> int:
+    """2^(cap - w) for a plan that peaks at w open wires, but no larger
+    than ``rows`` needs: a huge cap must not cost a huge integer."""
+    return 1 << min(cap - _width(plan), rows.bit_length())
 
 
 def interpret_all(ds: Sequence[Diagram],
@@ -364,13 +431,12 @@ def interpret_all(ds: Sequence[Diagram],
     for by_nodes in groups.values():
         entries = list(by_nodes.values())
         plan = _plan(ds[entries[0][0]], cap)
-        ends = plan[3]
-        # 2^(cap - w), but no larger than the group needs: a huge cap
-        # must not cost a huge integer
-        size = 1 << min(cap - _width(plan), len(entries).bit_length())
+        ends, zids = plan[3:]
+        size = _chunk_size(plan, cap, len(entries))
         for s in range(0, len(entries), size):
             chunk = entries[s:s + size]
-            t = _run(plan, [ds[members[0]] for members in chunk])
+            t = _run(plan, [[nodes[v].phase for v in zids]
+                            for nodes in (ds[m[0]].nodes for m in chunk)])
             # (shape, round) -> the rows and the diagrams read out together
             rounds: dict = {}
             for row, members in enumerate(chunk):
@@ -392,7 +458,37 @@ def interpret(d: Diagram, cap: int | None = None) -> np.ndarray:
     plan, run once (``interpret_all`` of one diagram, which has nothing
     to group and nothing to chunk)."""
     plan = _plan(d, wire_cap() if cap is None else cap)
-    return _matrices(_run(plan, [d]), plan[3], d, [0])[0]
+    nodes = d.nodes
+    return _matrices(_run(plan, [[nodes[v].phase for v in plan[4]]]),
+                     plan[3], d, [0])[0]
+
+
+def _interpret_drawn(d: Diagram, f: Diagram,
+                     columns: Mapping[int, Sequence]) -> tuple[list, list]:
+    """The matrices of ``d`` and of its flip ``f`` on every draw of a rule
+    check, as chunks of stacked matrices in draw order: ``columns`` gives
+    some Z nodes of ``d`` one phase per draw, and every other node of
+    ``d`` is the same in all draws (its phase is not read if it has a
+    column).  The phase matrix holds a row per draw, or one row if
+    ``columns`` is empty; its rows run in chunks as ``interpret_all``
+    chunks a group, and ``d`` and ``f`` read their matrices out of each
+    chunk's one root, at the wire cap ``wire_cap()``.  Raises what
+    ``interpret_all`` of the draws' own diagrams raises."""
+    cap = wire_cap()
+    plan = _plan(d, cap)
+    rows = len(next(iter(columns.values()))) if columns else 1
+    nodes = d.nodes
+    matrix = list(zip(*[columns[v] if v in columns
+                        else (nodes[v].phase,) * rows
+                        for v in plan[4]])) or [()] * rows
+    size = _chunk_size(plan, cap, rows)
+    mats: tuple[list, list] = ([], [])
+    for s in range(0, rows, size):
+        chunk = matrix[s:s + size]
+        t = _run(plan, chunk)
+        for g, out in zip((d, f), mats):
+            out.append(_matrices(t, plan[3], g, range(len(chunk))))
+    return mats
 
 
 def contract_state(d: Diagram, cap: int | None = None) -> np.ndarray:

@@ -349,6 +349,68 @@ def test_absorb_z_is_bitwise_the_einsum_step(acc_wires, z_wires, batched):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kind", [D.H, D.T, D.T_INV])
+def test_absorb_fixed_is_bitwise_the_einsum_step(kind):
+    # a fixed leaf sharing one wire, at either port, with every axis of
+    # accumulators of 1-4 wires, against the einsum step it replaces;
+    # entries include +0, -0 and (-0, -0), whose signs show in the bytes
+    leaf = S._FIXED[kind]
+    rng = np.random.default_rng(len(kind))
+    signed_zeros = [complex(0.0, 0.0), complex(-0.0, 0.0),
+                    complex(0.0, -0.0), complex(-0.0, -0.0)]
+    cases = 0
+    for k in range(1, 5):
+        for at in range(k):
+            for leaf_wires in ([at, k], [k, at]):
+                (_, _, sub_acc, sub_leaf, sub_out), _ = S._pair_step(
+                    0, 1, list(range(k)), leaf_wires, [at], cap=99)
+                for b in (2, 10):
+                    acc = _random_entries(rng, (b,) + (2,) * k)
+                    acc.reshape(-1)[:4] = signed_zeros
+                    want = np.einsum(acc, [...] + sub_acc, leaf,
+                                     [...] + sub_leaf, [...] + sub_out)
+                    got = S._absorb_fixed(acc, sub_acc, sub_leaf, leaf)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    # an infinite entry leaves each batch row that einsum
+                    # makes non-finite non-finite
+                    acc.reshape(b, -1)[::3, rng.integers(2 ** k)] = np.inf
+                    with np.errstate(invalid="ignore"):
+                        want = np.einsum(acc, [...] + sub_acc, leaf,
+                                         [...] + sub_leaf, [...] + sub_out)
+                        got = S._absorb_fixed(acc, sub_acc, sub_leaf, leaf)
+                    bad = [~np.isfinite(x).reshape(b, -1).all(axis=1)
+                           for x in (got, want)]
+                    assert bad[1].any()
+                    assert np.array_equal(*bad)
+                    cases += 1
+    assert cases == 2 * 2 * (1 + 2 + 3 + 4)
+
+
+def test_a_non_finite_fixed_leaf_step_fails_as_interpret_fails(
+        monkeypatch):
+    # an overflow before an H or triangle absorbed by slices fails the
+    # batch with interpret's message
+    monkeypatch.setattr(S, "_FIXED_MIN", 0)
+    fixed = []
+    absorb = S._absorb_fixed
+    monkeypatch.setattr(S, "_absorb_fixed",
+                        lambda *a: fixed.append(1) or absorb(*a))
+    for gadget in (D.h_box(), D.triangle(), D.triangle_inv(),
+                   D.triangle_flipped(), D.triangle_inv_flipped()):
+        ds = [D.compose_all([D.z_spider(1, 1, a), D.z_spider(1, 1, b),
+                             gadget, D.z_spider(1, 1, 0.5)])
+              for a, b in ((0.5, 2.0), (1e200, 1e200), (1j, 3.0))]
+        with pytest.raises(ArithmeticError) as want, \
+                np.errstate(all="ignore"):
+            S.interpret(ds[1])
+        fixed.clear()
+        with pytest.raises(ArithmeticError) as got, \
+                np.errstate(all="ignore"):
+            S.interpret_all(ds)
+        assert fixed and str(got.value) == str(want.value)
+
+
 def test_results_do_not_depend_on_the_gather(monkeypatch):
     # every eligible Z step gathers (0), or none does (2^62): the sweep's
     # reports are the same, and every matrix of the batch corpus has the
@@ -360,6 +422,28 @@ def test_results_do_not_depend_on_the_gather(monkeypatch):
         monkeypatch.setattr(S, "_GATHER_MIN", gather_min)
         reports.append(R.check_catalog(R.full_catalog()))
         assert [m.tobytes() for m in S.interpret_all(ds)] == want
+    assert reports[0] == reports[1]
+
+
+def test_results_do_not_depend_on_the_fixed_leaf_step(monkeypatch):
+    # every eligible H or triangle step goes by slices (0), or none does
+    # (2^62): the sweep's reports are the same, and every matrix of the
+    # batch corpus, and of the normal-form family batched with its
+    # conjugate, has the bytes of interpret's, one diagram at a time
+    ds = _batch_corpus() + nf_family(5)
+    ds += [_conjugated(d) for d in nf_family(5)]
+    want = [S.interpret(d).tobytes() for d in ds]
+    fixed = []
+    absorb = S._absorb_fixed
+    monkeypatch.setattr(S, "_absorb_fixed",
+                        lambda *a: fixed.append(1) or absorb(*a))
+    reports = []
+    for fixed_min in (0, 1 << 62):
+        monkeypatch.setattr(S, "_FIXED_MIN", fixed_min)
+        fixed.clear()
+        reports.append(R.check_catalog(R.full_catalog(), samples=6))
+        assert [m.tobytes() for m in S.interpret_all(ds)] == want
+        assert bool(fixed) == (fixed_min == 0)
     assert reports[0] == reports[1]
 
 
@@ -442,10 +526,13 @@ def test_interpret_all_chunks_hold_no_array_over_the_cap(monkeypatch,
         if not rule.arity:
             ds += rule.build([])
     monkeypatch.setattr(S, "_GATHER_MIN", gather_min)
-    gathers = []
-    absorb = S._absorb_z
+    monkeypatch.setattr(S, "_FIXED_MIN", gather_min)
+    gathers, fixed = [], []
+    absorb, absorb_fixed = S._absorb_z, S._absorb_fixed
     monkeypatch.setattr(S, "_absorb_z",
                         lambda *a: gathers.append(1) or absorb(*a))
+    monkeypatch.setattr(S, "_absorb_fixed",
+                        lambda *a: fixed.append(1) or absorb_fixed(*a))
     view = _SizeView()
     monkeypatch.setattr(S, "np", view)
     for cap in (4, 5, 6):
@@ -459,7 +546,23 @@ def test_interpret_all_chunks_hold_no_array_over_the_cap(monkeypatch,
         view.peak = 0
         S.interpret_all(fits, cap=cap)
         assert 0 < view.peak <= 2 ** cap, cap
-    assert bool(gathers) == (gather_min == 0)
+    assert bool(gathers) == bool(fixed) == (gather_min == 0)
+
+    # and so does check_soundness, whose templates run every draw over
+    # one phase matrix, at each cap (rules that do not fit fail)
+    drawn = []
+    run_drawn = R._interpret_drawn
+    monkeypatch.setattr(R, "_interpret_drawn", lambda *a: drawn.append(
+        1) or run_drawn(*a))
+    for cap in (4, 5, 6):
+        monkeypatch.setenv("ZXEL_WIRE_CAP", str(cap))
+        view.peak, drawn[:], checked = 0, [], 0
+        for rule in R.full_catalog():
+            try:
+                checked += R.check_soundness(rule, samples=6, rng=rng).ok
+            except S.ResourceError:
+                continue
+        assert checked and drawn and 0 < view.peak <= 2 ** cap, cap
 
 
 def _readout_corpus() -> list[D.Diagram]:
@@ -584,29 +687,33 @@ def test_the_c_einsum_entry_keeps_its_observers_and_its_bytes(monkeypatch):
     assert S._C_EINSUM is not np.einsum
     fast = results()
 
-    runs, gathers, c_calls = [], [], []
+    runs, gathers, fixed, c_calls = [], [], [], []
     run, absorb, c_einsum = S._run, S._absorb_z, S._C_EINSUM
+    absorb_fixed = S._absorb_fixed
     monkeypatch.setattr(S, "_run", lambda plan, chunk: runs.append(
         (len(plan[1]), len(chunk))) or run(plan, chunk))
     monkeypatch.setattr(S, "_absorb_z",
                         lambda *a: gathers.append(1) or absorb(*a))
+    monkeypatch.setattr(S, "_absorb_fixed",
+                        lambda *a: fixed.append(1) or absorb_fixed(*a))
     monkeypatch.setattr(S, "_C_EINSUM",
                         lambda *a: c_calls.append(1) or c_einsum(*a))
 
     def einsum_steps():  # the plans' steps of every run, minus gathers
-        return sum(steps for steps, _ in runs) - len(gathers)
+        # and fixed leaves absorbed by slices
+        return sum(steps for steps, _ in runs) - len(gathers) - len(fixed)
 
     assert results() == fast
-    assert max(size for _, size in runs) > 1 and gathers
+    assert max(size for _, size in runs) > 1 and gathers and fixed
     assert len(c_calls) == einsum_steps()
 
-    for seen in (runs, gathers, c_calls):
+    for seen in (runs, gathers, fixed, c_calls):
         seen.clear()
     view = _EinsumView()
     monkeypatch.setattr(S, "np", view)
     assert results() == fast
     assert view.steps == einsum_steps() and view.gathers == len(gathers)
-    assert gathers and not c_calls
+    assert gathers and fixed and not c_calls
     monkeypatch.setattr(S, "np", np)
 
     # without numpy's C entry, the kernel is np.einsum itself
