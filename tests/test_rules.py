@@ -320,7 +320,7 @@ def test_templated_sides_equal_the_builders(monkeypatch, seed):
         want = [m.tobytes() for m in S.interpret_all(built)]
         got = [[], [], [], []]
         for k in (0, 1):
-            d, f, columns, (md, mf) = next(sides)
+            d, f, _, (md, mf) = next(sides)
             assert f.nodes is d.nodes and f.shape.wiring is d.shape.wiring
             got[k] = [m.tobytes() for m in _stacked(md, len(draws))]
             got[k + 2] = [m.tobytes() for m in _stacked(mf, len(draws))]
