@@ -33,11 +33,15 @@ shares its piece's nodes mapping, ``port_edges`` and wiring
 (``_Shape.wiring``: the shape up to which boundary ends are inputs).
 The normal-form route plans per shape and the contraction route per
 wiring, and ``_plan_memo`` keeps a plan, weakly keyed by the shape or
-the wiring, from its second planning on.
+the wiring, from its second planning on.  Both routes plan from one
+walk of the wiring (``_walk``), which ``_WALKS``, weakly keyed by the
+wiring, holds from the planning that walked it to the next planning.
 
-All re-wiring is one splice: ``compose_all`` and the x-macro file
-parser name each pair of edge ends to be joined by a junction endpoint
-("glue", ...), and ``_splice`` joins the edges through the junctions.
+All re-wiring is one splice: ``_splice`` joins edges at junctions given
+as a pairing of edge ends, end 2i + s being side s of edge i.
+``compose_all`` pairs the end at output slot j of each piece with the
+end at input slot j of the next, and the x-macro file parser pairs
+each port of an x node with its H box.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import operator
 import weakref
 from dataclasses import dataclass
 from functools import cache, wraps
-from itertools import accumulate, chain
+from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -359,50 +363,66 @@ def contraction_order(
         yield steps
 
 
+# each wiring's walk, from the planning that walked it until the next
+# planning of that wiring, by either route, takes it
+_WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _walk(d: Diagram) -> list[list]:
+    """``contraction_order`` of ``d``'s wiring, as a list of components.
+    A walk reads ``port_edges`` alone, so it serves every planning of the
+    wiring, by either route: a planning takes the walk ``_WALKS`` holds,
+    or walks and leaves its walk there for the next one.  A planner reads
+    the walk and keeps nothing of it in its plan."""
+    walk = _WALKS.pop(d.shape.wiring, None)
+    if walk is None:
+        walk = _WALKS[d.shape.wiring] = list(contraction_order(d.port_edges))
+    return walk
+
+
 # -- wire splicing -------------------------------------------------------
 
-def _splice(edges: Sequence[Edge]) -> tuple[list[Edge], int, list[int]]:
-    """Join the edges that meet at junction endpoints ("glue", ...), each
-    of which occurs exactly twice.  Returns (edges, loops, where): each
-    wire becomes one edge between its two free ends, placed where its
-    first edge was and oriented by ``_norm_edge`` if it joins edges, and
-    each wire with no free end counts as a loop; ``where[i]`` is the
-    index of the edge that edge i became (-1 on a loop)."""
-    ends: dict[Endpoint, list[tuple[int, int]]] = {}
-    for i, edge in enumerate(edges):
-        for side, ep in enumerate(edge):
-            if ep[0] == "glue":
-                ends.setdefault(ep, []).append((i, side))
+def _splice(edges: Sequence[Edge],
+            mate: Mapping[int, int]) -> tuple[list[Edge], int, list[int]]:
+    """Join the edges at the junctions ``mate`` names.  End 2i + s is side
+    s of ``edges[i]``, and ``mate`` maps each junction end to the end it
+    is joined to, both ways round; a junction end's own endpoint is never
+    read.  Returns (edges, loops, where): each wire becomes one edge
+    between its two free ends, placed where its first edge was and
+    oriented by ``_norm_edge`` if it joins edges, and each wire with no
+    free end counts as a loop; ``where[i]`` is the index of the edge that
+    edge i became (-1 on a loop)."""
     where: list = [None] * len(edges)
     out: list[Edge] = []
     loops = 0
-    for start, (a, b) in enumerate(edges):
+    for start, edge in enumerate(edges):
         if where[start] is not None:
             continue
-        if a[0] != "glue" and b[0] != "glue":
+        end = 2 * start
+        back, on = mate.get(end), mate.get(end + 1)
+        if back is None and on is None:
             where[start] = len(out)
-            out.append((a, b))
+            out.append(edge)
             continue
-        # walk back from side 0 to a free end, turn there and walk on to
-        # the other; arriving back at (start, 0) means a closed loop
-        free: list[Endpoint] = []
-        path = []
-        i, s = start, 0
-        while len(free) < 2:
-            path.append(i)
-            ep = edges[i][s]
-            if ep[0] != "glue":
-                free.append(ep)
-                s = 1 - s
-                continue
-            (j, t), (k, u) = ends[ep]
-            i, s = (k, 1 - u) if (j, t) == (i, s) else (j, 1 - t)
-            if (i, s) == (start, 0):
-                loops += 1
-                break
+        # walk back from side 0 to a free end, then on from side 1 to the
+        # other; arriving back at side 1 of start means a closed loop
+        path = [start]
+        while back is not None and back != 2 * start + 1:
+            path.append(back >> 1)
+            end = back ^ 1
+            back = mate.get(end)
+        if back is None:
+            free = edges[end >> 1][end & 1]
+            end = 2 * start + 1
+            while on is not None:
+                path.append(on >> 1)
+                end = on ^ 1
+                on = mate.get(end)
+            out.append(_norm_edge(free, edges[end >> 1][end & 1]))
+            at = len(out) - 1
         else:
-            out.append(_norm_edge(*free))
-        at = len(out) - 1 if free else -1
+            loops += 1
+            at = -1
         for i in path:
             where[i] = at
     return out, loops, where
@@ -410,29 +430,35 @@ def _splice(edges: Sequence[Edge]) -> tuple[list[Edge], int, list[int]]:
 
 # -- combinators --------------------------------------------------------
 
-def _placed(ds: Sequence[Diagram], boundary):
-    """The pieces side by side: their nodes, edges and incidence index,
-    piece k's node ids shifted past the largest id placed before it (the
-    ids of a pairwise fold from the left), its edge indices past the
-    edges placed before it and its boundary endpoints renamed by
-    ``boundary(k, ep)``."""
+def _placed(ds: Sequence[Diagram], slide: bool) -> tuple:
+    """The pieces side by side: their nodes and edges, and each piece
+    with the shift of its node ids and the index of its first edge.
+    Piece k's node ids shift past the largest id placed before it (the
+    ids of a pairwise fold from the left), its edges' node ends with
+    them; if ``slide``, a boundary end (tag, j) moves past the slots of
+    that tag placed before it."""
     nodes: dict[int, Node] = {}
     edges: list[Edge] = []
-    port_edges: dict[int, tuple[int, ...]] = {}
+    places = []
     top = None
-    for k, d in enumerate(ds):
-        shift, base = 0 if top is None else top + 1, len(edges)
+    slots = {"in": 0, "out": 0}
+    for d in ds:
+        shift = 0 if top is None else top + 1
+        places.append((d, shift, len(edges)))
         for v, nd in d.nodes.items():
             nodes[v + shift] = nd
-            port_edges[v + shift] = tuple([i + base for i in d.port_edges[v]])
-            top = v + shift if top is None else max(top, v + shift)
-
-        def ren(ep):
-            return (("n", ep[1] + shift, ep[2]) if ep[0] == "n"
-                    else boundary(k, ep))
-
-        edges += [(ren(a), ren(b)) for a, b in d.edges]
-    return nodes, edges, port_edges
+        if d.nodes:
+            last = max(d.nodes) + shift
+            top = last if top is None else max(top, last)
+        edges += [(("n", a[1] + shift, a[2]) if a[0] == "n"
+                   else (a[0], a[1] + slots[a[0]]),
+                   ("n", b[1] + shift, b[2]) if b[0] == "n"
+                   else (b[0], b[1] + slots[b[0]]))
+                  for a, b in d.edges]
+        if slide:
+            slots["in"] += d.n_in
+            slots["out"] += d.n_out
+    return nodes, edges, places
 
 
 def _assembled(ds: Sequence[Diagram], nodes, edges, n_in: int, n_out: int,
@@ -526,39 +552,48 @@ def _plan_memo(planner, key=attrgetter("shape")):
 def compose_all(ds: Sequence[Diagram]) -> Diagram:
     """Sequential composition of a chain, piece k's outputs glued to piece
     k+1's inputs positionally.  One splice for the whole chain gives the
-    node ids, edge order and loops of folding ``compose`` from the left."""
+    node ids, edge order and loops of folding ``compose`` from the left:
+    the end at output slot j of piece k is joined to the end at input
+    slot j of piece k + 1, found by slot in each piece's own edges."""
     if not ds:
         raise DiagramError("compose_all of nothing")
     for d1, d2 in zip(ds, ds[1:]):
         if d1.n_out != d2.n_in:
             raise DiagramError(f"compose arity mismatch: {d1.n_out} outputs "
                                f"vs {d2.n_in} inputs")
-    last = len(ds) - 1
-
-    def glue(k, ep):
-        # junction ("glue", k, j) joins output j of piece k to input j of
-        # piece k + 1; the chain's own inputs and outputs keep their slots
-        if ep[0] == "in":
-            return ep if k == 0 else ("glue", k - 1, ep[1])
-        return ep if k == last else ("glue", k, ep[1])
-
-    nodes, edges, port_edges = _placed(ds, glue)
-    spliced, new_loops, where = _splice(edges)
+    nodes, edges, places = _placed(ds, False)
+    mate: dict[int, int] = {}
+    outs: list[int] = []  # the end at each output slot of the piece before
+    for d, _, base in places:
+        # the end at each boundary slot: input j at j, output j at n + j
+        n = d.n_in
+        slots = [0] * (n + d.n_out)
+        for e, (a, b) in enumerate(d.edges, base):
+            if b[0] != "n":  # a node end comes first in an oriented edge
+                slots[b[1] if b[0] == "in" else n + b[1]] = 2 * e + 1
+                if a[0] != "n":
+                    slots[a[1] if a[0] == "in" else n + a[1]] = 2 * e
+        for out, end in zip(outs, slots):
+            mate[out], mate[end] = end, out
+        outs = slots[n:]
+    spliced, new_loops, where = _splice(edges, mate)
+    port_edges = {v + shift: tuple([where[base + i] for i in pe])
+                  for d, shift, base in places
+                  for v, pe in d.port_edges.items()}
     return _assembled(ds, nodes, spliced, ds[0].n_in, ds[-1].n_out,
-                      sum(d.loops for d in ds) + new_loops,
-                      {v: tuple([where[i] for i in pe])
-                       for v, pe in port_edges.items()})
+                      sum(d.loops for d in ds) + new_loops, port_edges)
 
 
 @_memoised
 def tensor_all(ds: Sequence[Diagram]) -> Diagram:
     """Parallel composition, boundaries left to right in piece order."""
-    offset = {"in": list(accumulate([d.n_in for d in ds], initial=0)),
-              "out": list(accumulate([d.n_out for d in ds], initial=0))}
-    nodes, edges, port_edges = _placed(
-        ds, lambda k, ep: (ep[0], ep[1] + offset[ep[0]][k]))
-    return _assembled(ds, nodes, edges, offset["in"][-1], offset["out"][-1],
-                      sum(d.loops for d in ds), port_edges)
+    nodes, edges, places = _placed(ds, True)
+    port_edges = {v + shift: tuple([i + base for i in pe])
+                  for d, shift, base in places
+                  for v, pe in d.port_edges.items()}
+    return _assembled(ds, nodes, edges, sum(d.n_in for d in ds),
+                      sum(d.n_out for d in ds), sum(d.loops for d in ds),
+                      port_edges)
 
 
 def compose(d1: Diagram, d2: Diagram) -> Diagram:

@@ -61,21 +61,24 @@ def _parse_endpoint(raw, where: str):
     raise DiagramFileError(f"{where}: unknown endpoint tag {tag!r}")
 
 
-def _expand_x_nodes(nodes, x_nodes, edges):
+def _expand_x_nodes(nodes, x_nodes, edges, ends):
     """Replace macro "x" nodes by H-conjugated Z spiders with the
-    compensating half scalar: each port p of x node v, the junction
-    ("glue", v, p) in ``edges``, is spliced to the port's H box.  An x
-    node's ports must already be checked to be 0..degree-1."""
+    compensating half scalar: the end of ``edges`` at port p of x node v,
+    ``ends[v, p]``, is spliced to the port's H box.  An x node's ports
+    must already be checked to be 0..degree-1."""
     next_id = max(list(nodes) + list(x_nodes) + [-1]) + 1
+    mate = {}
     for xid, (sign, ports) in x_nodes.items():
         core, next_id = next_id, next_id + len(ports) + 2
         nodes[core] = Node(Z, sign)
         for p, h in enumerate(range(core + 1, next_id - 1)):
             nodes[h] = Node(H)
-            edges += [(("glue", xid, p), ("n", h, 0)),
+            end, h_end = ends[xid, p], 2 * len(edges)
+            mate[end], mate[h_end] = h_end, end
+            edges += [(("n", xid, p), ("n", h, 0)),
                       (("n", h, 1), ("n", core, p))]
         nodes[next_id - 1] = Node(Z, -0.5)
-    return nodes, _splice(edges)[0]
+    return nodes, _splice(edges, mate)[0]
 
 
 def diagram_from_jsonable(rec) -> Diagram:
@@ -132,16 +135,17 @@ def diagram_from_jsonable(rec) -> Diagram:
             raise DiagramFileError(f"{where}: unknown kind {kind!r}")
 
     edges = []
+    x_ends = {}  # (x node, port) -> its end, 2 * edge index + side
     for i, e in enumerate(rec.get("edges", [])):
         where = f"edges[{i}]"
         if not isinstance(e, list) or len(e) != 2:
             raise DiagramFileError(f"{where}: expected an endpoint pair")
         ends = []
-        for raw in e:
+        for side, raw in enumerate(e):
             ep = _parse_endpoint(raw, where)
             if ep[0] == "n" and ep[1] in x_nodes:
                 x_nodes[ep[1]][1].append(ep[2])
-                ep = ("glue", *ep[1:])  # spliced by _expand_x_nodes
+                x_ends[ep[1:]] = 2 * i + side  # spliced by _expand_x_nodes
             ends.append(ep)
         edges.append(tuple(ends))
     # an x node's ports become one H box each, so they are checked first
@@ -150,7 +154,7 @@ def diagram_from_jsonable(rec) -> Diagram:
             raise DiagramFileError(f"x node {vid}: ports {sorted(ports)} "
                                    f"are not 0..{len(ports) - 1}")
 
-    nodes, edges = _expand_x_nodes(nodes, x_nodes, edges)
+    nodes, edges = _expand_x_nodes(nodes, x_nodes, edges, x_ends)
     try:
         return Diagram(nodes, edges, n_in, n_out, loops=loops)
     except DiagramError as exc:

@@ -25,16 +25,18 @@ share one walk, ``diagram.contraction_order``, and nothing else: the
 elimination order with each node's open edges and the edges each step
 shares, and no arithmetic; each route keeps its own axis order.
 ``normalize`` folds generator states along it, so that both routes hold
-the same open wires at every step.
+the same open wires at every step.  A wiring's walk is made once for
+both routes' next plannings (``diagram._walk``), and no plan keeps it.
 
 The fold is planned once per shape (``Diagram.shape``: all of a diagram
-but its Z phases), with every wire-cap check, and run on raw coefficient
-arrays: each step tensors a state and plugs the shared wires in one
-``np.dot``, laid out as ``np.tensordot`` lays out its operands, and each
-component joins by ``nf_tensor``'s outer product, wrapping one
-``NormalForm`` at the end.  A Z spider's state, a copy tensor, is the
-same under every axis permutation, so it enters its step reshaped in
-place, where ``np.tensordot`` would transpose a copy of it.
+but its Z phases), translating the walk in one pass with every wire-cap
+check, and run on raw coefficient arrays: each step tensors a state and
+plugs the shared wires in one ``np.dot``, laid out as ``np.tensordot``
+lays out its operands, and each component joins by ``nf_tensor``'s
+outer product, wrapping one ``NormalForm`` at the end.  A Z spider's
+state, a copy tensor, is the same under every axis permutation, so it
+is built in its step's 2-D layout, where ``np.tensordot`` would
+transpose a copy of it.
 ``normalize_all`` groups a list by shape, so that diagrams of one shape
 share a plan.  From its second planning on, a shape keeps its plan
 across calls (``diagram._plan_memo``): the normal-form diagrams of all
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import diagram as dg
 from .diagram import (Diagram, compose, compose_all, tensor, tensor_all,
-                      contraction_order, identity, permutation, triangle,
+                      _walk, identity, permutation, triangle,
                       triangle_inv, x_spider, z_spider)
 from .semantics import DEFAULT_TOL, matrices_equal, wire_cap
 
@@ -311,21 +313,24 @@ def nf_self_plug(nf: NormalForm, wire_pair) -> NormalForm:
     return NormalForm(nf.m - 2, c[0::4] + c[3::4])
 
 
-def _layout(na: int, nb: int, axes_a: list[int],
-            axes_b: list[int]) -> tuple:
-    """How ``np.tensordot`` lays out its two operands, of ``na`` and ``nb``
-    wires, to contract axes ``axes_a`` of the first with ``axes_b`` of the
-    second: ``(perm_a, shape_a, perm_b, shape_b)``.  An operand goes to
-    ``np.dot`` transposed by its permutation (None if that is the
-    identity) and reshaped to its 2-D shape: the kept axes of the first
-    then its contracted ones, the contracted axes of the second then its
-    kept ones."""
-    s = len(axes_a)
-    perm_a = (None if axes_a == [*range(na - s, na)] else
-              (*[k for k in range(na) if k not in axes_a], *axes_a))
-    perm_b = (None if axes_b == [*range(s)] else
-              (*axes_b, *[k for k in range(nb) if k not in axes_b]))
-    return perm_a, (1 << na - s, 1 << s), perm_b, (1 << s, 1 << nb - s)
+def _layout(part: list, edges: Sequence[int], shared: list) -> tuple:
+    """How ``np.tensordot`` lays out a part, whose axes hold the edges
+    ``part``, and a node state, whose axes hold ``edges``, to contract
+    the ``shared`` edges: ``(perm_a, shape_a, perm_b, shape_b, joined)``.
+    An operand goes to ``np.dot`` transposed by its permutation (None if
+    that is the identity) and reshaped to its 2-D shape: the part's kept
+    axes then its shared ones, the node's shared axes then its kept ones.
+    ``joined`` holds the edges at the result's axes, the part's kept ones
+    then the node's."""
+    kept = [i for i in part if i not in shared]
+    new = [i for i in edges if i not in shared]
+    s = len(shared)
+    perm_a = (None if part[len(kept):] == shared else
+              tuple(map(part.index, kept + shared)))
+    perm_b = (None if [*edges[:s]] == shared else
+              tuple(map(edges.index, shared + new)))
+    return (perm_a, (1 << len(kept), 1 << s), perm_b,
+            (1 << s, 1 << len(new)), kept + new)
 
 
 def _operand(v: np.ndarray, n: int, perm, shape) -> np.ndarray:
@@ -382,20 +387,21 @@ def _plan(d: Diagram, cap: int) -> tuple:
     """How to normalise every diagram of ``d``'s shape, as
     ``(components, caps, perm)``.
 
-    The fold translates the walk of ``contraction_order``, read off ``d``
-    itself: bending ``d`` into a state only renumbers its boundary, input
-    i to output slot n - 1 - i and output j to slot n + j.
+    The fold translates the walk of ``d``'s wiring (``diagram._walk``)
+    in one pass: bending ``d`` into a state only renumbers its boundary,
+    input i to output slot n - 1 - i and output j to slot n + j.
     ``components`` holds one list of steps per connected component, each
     step ``(v, b, na, perm_a, shape_a)`` absorbing one node into the
     component's part of ``na`` wires, laid out for ``np.dot`` as
     ``_layout`` says; the part's axis order is this route's own, its
     edges but the shared ones, then the rest of the node's.  ``b`` is the
     node's operand: for a Z spider, whose state a run builds from node
-    ``v``'s phase, its ``(degree, shape)``, since a copy tensor is the
-    same under every axis permutation and so needs none; for any other
-    generator (``v`` None), its laid-out state itself, plugged if it
-    sits on a loop.  ``caps`` counts the bare wires, which bend
-    into caps, and ``perm`` takes the folded wires to the output order.
+    ``v``'s phase, its 2-D shape (1 x 1 at degree 0), since a copy
+    tensor is the same under every axis permutation and so needs none;
+    for any other generator (``v`` None), its laid-out state itself,
+    plugged if it sits on a loop.  ``caps`` counts the bare wires, which
+    bend into caps, and ``perm`` takes the folded wires to the output
+    order.
     Every wire-cap check happens here, before anything is allocated: the
     state's wires, then each node's open wires, then the part's wires
     after each step."""
@@ -408,32 +414,27 @@ def _plan(d: Diagram, cap: int) -> tuple:
 
     components = []
     slots: list[int] = []  # output slot of each folded wire, in order
-    for component in contraction_order(d.port_edges):
+    for component in _walk(d):
         steps, part = [], []  # part: the edge at each of the part's axes
         for v, edges, shared in component:
             if len(edges) > cap:
                 raise WireCapError(
                     f"a node has {len(edges)} open wires, cap is {cap}")
-            width = len(part) + len(edges) - 2 * len(shared)
-            if width > cap:
-                raise WireCapError(
-                    f"normalisation frontier reached {width} wires, "
-                    f"cap is {cap}")
             # axis k of a part or node state holds its k-th edge
-            perm_a, shape_a, perm_b, shape_b = _layout(
-                len(part), len(edges), [part.index(i) for i in shared],
-                [edges.index(i) for i in shared])
+            perm_a, shape_a, perm_b, shape_b, joined = _layout(
+                part, edges, shared)
+            if len(joined) > cap:
+                raise WireCapError(
+                    f"normalisation frontier reached {len(joined)} wires, "
+                    f"cap is {cap}")
             kind = d.nodes[v].kind
             if kind == dg.Z:  # a self-loop leaves a Z of degree d - 2
-                steps.append((v, (len(edges), shape_b),
-                              len(part), perm_a, shape_a))
+                steps.append((v, shape_b, len(part), perm_a, shape_a))
             else:
                 steps.append((None, _fixed_operand(kind, not edges, perm_b,
                                                    shape_b),
                               len(part), perm_a, shape_a))
-            for i in shared:
-                part.remove(i)
-            part += [i for i in edges if i not in shared]
+            part = joined
         components.append(steps)
         # an end edge's far end, after its node end, is a boundary slot
         slots += [slot(d.edges[i][1]) for i in part]
@@ -452,19 +453,25 @@ _CAP = _z_state(1.0, 2)  # a cap bent into a state
 def _run(plan: tuple, d: Diagram) -> NormalForm:
     """Fold the coefficients of ``d``, a diagram of the plan's shape:
     each step is one ``np.dot``, bitwise ``np.tensordot``'s (a Z state
-    enters reshaped in place, holding the values ``np.tensordot`` would
+    is built in its 2-D layout, holding the values ``np.tensordot`` would
     transpose it into), each component and bare cap joins the result by
     one outer product, bitwise ``nf_tensor``'s, and only the result is
     wrapped as a ``NormalForm``."""
     components, caps, perm = plan
+    nodes = d.nodes
     outer = np.multiply.outer  # np.kron of two vectors, without its checks
     acc = np.array([2.0 ** d.loops], dtype=complex)  # a bare loop is 2
     for steps in components:
         part = _ONE
         for v, b, na, perm_a, shape_a in steps:
-            if v is not None:  # a copy tensor needs no transpose
-                b = _z_state(d.nodes[v].phase, b[0]).reshape(b[1])
-            part = np.dot(_operand(part, na, perm_a, shape_a), b)
+            if v is not None and b == (1, 1):  # a degree-0 Z: 1 + phase
+                b = np.array([[1.0 + nodes[v].phase]], dtype=complex)
+            elif v is not None:  # a copy tensor needs no transpose
+                b = np.zeros(b, dtype=complex)
+                b[0, 0], b[-1, -1] = 1.0, nodes[v].phase
+            if perm_a is not None:
+                part = part.reshape((2,) * na).transpose(perm_a)
+            part = np.dot(part.reshape(shape_a), b)
         acc = outer(acc, part).reshape(-1)
     for _ in range(caps):
         acc = outer(acc, _CAP).reshape(-1)

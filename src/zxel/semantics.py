@@ -9,17 +9,19 @@ wire 0 is the right-most wire of a boundary, and a bit on wire i weighs
 This module is the ground-truth oracle for everything else.  It has its
 own contraction engine and never goes through the normal-form pipeline;
 it shares only the walk ``diagram.contraction_order``: the elimination
-order with each node's open edges and the edges each step shares.  The
-axis order of each step's result is this module's own.
+order with each node's open edges and the edges each step shares, which
+``diagram._walk`` hands to the next planning of a wiring by either
+route.  The axis order of each step's result is this module's own.
 
 The engine plans once per wiring (``Diagram.shape.wiring``: all of a
 diagram but its Z phases and which boundary ends are inputs, so a
 diagram and its flip share one) and contracts in batches.  A plan,
-translated from the walk of one diagram, holds each node's degree after
-its self-loops, the einsum sublists of each pair step and the root's
-end wires; every wire-cap check happens while planning.  Each diagram
-reads its matrix out of the contracted root through its own edges: the
-boundary slot of each end wire gives its output permutation.
+translated in one pass from the walk of one diagram, holds each node's
+degree after its self-loops, the einsum sublists of each pair step, the
+root's end wires and the most open wires of any operand, which sizes a
+batch's chunks; every wire-cap check happens while planning.  Each
+diagram reads its matrix out of the contracted root through its own
+edges: the boundary slot of each end wire gives its output permutation.
 
 A run contracts a plan over a phase matrix: one row per batch entry,
 one column per Z leaf of the plan.  Diagrams of one wiring share a plan,
@@ -64,13 +66,12 @@ from __future__ import annotations
 import importlib
 import os
 from functools import partial
-from itertools import count
 from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diagram import Diagram, H, T, T_INV, Z, _plan_memo, contraction_order
+from .diagram import Diagram, H, T, T_INV, Z, _plan_memo, _walk
 
 # the one default tolerance of every equality check in zxel
 DEFAULT_TOL = 1e-9
@@ -202,25 +203,23 @@ def _absorb_fixed(acc: np.ndarray, sub_acc: list[int], sub_leaf: list[int],
     return out
 
 
-def _pair_step(dst: int, src: int, li: list, lj: list, shared, cap: int):
+def _pair_step(dst: int, src: int, li: list, lj: list, shared):
     """The step contracting operand ``src``, of wires ``lj``, into operand
     ``dst``, of wires ``li``, the two sharing the wires ``shared``: its
     einsum sublists (the wires numbered from 0 in order of first
-    appearance), and the result's wires, which replace ``dst``'s."""
+    appearance, ``li``'s first), and the result's wires, which replace
+    ``dst``'s."""
     new = [l for l in lj if l not in shared]
     out = [l for l in li if l not in shared] + new
-    if len(out) > cap:
-        raise ResourceError(
-            f"contraction needs {len(out)} open wires, cap is {cap}")
-    local = dict(zip(li + new, count())).__getitem__
-    return (dst, src, list(map(local, li)), list(map(local, lj)),
+    local = (li + new).index
+    return (dst, src, list(range(len(li))), list(map(local, lj)),
             list(map(local, out))), out
 
 
 @partial(_plan_memo, key=attrgetter("shape.wiring"))
 def _plan(d: Diagram, cap: int) -> tuple:
     """How to contract every diagram of ``d``'s wiring, as
-    ``(leaves, steps, root, ends, zids)``.
+    ``(leaves, steps, root, ends, zids, width)``.
 
     ``leaves`` holds one entry per operand: a Z node's (id, degree),
     whose tensors a batch stacks, or the fixed tensor of any other
@@ -232,41 +231,44 @@ def _plan(d: Diagram, cap: int) -> tuple:
     end of each of its axes: edge index i for the far end of edge i (a
     bare wire's second end), ~i for a bare wire's first end.  ``zids``
     holds the node id of each Z leaf in leaf order: the columns of a
-    phase matrix.  Nothing in the plan depends on which ends are inputs
-    (``_matrices`` reads that off each diagram's own edges), so it
-    serves a whole wiring.
+    phase matrix.  ``width`` is the most open wires any operand has.
+    Nothing in the plan depends on which ends are inputs (``_matrices``
+    reads that off each diagram's own edges), so it serves a whole
+    wiring.
 
-    The plan translates the walk of ``contraction_order``: each component
-    folds its nodes into its first one, its wires threaded from step to
-    step in this route's own axis order, the bare boundary wires follow
-    as components of their own, and the components, which share no wire,
-    fold together in order.  Every operand's open wires are checked
-    against the cap here, before anything is allocated: the boundary
-    first, then each node (self-loops plugged: in closed form for a Z
-    spider, by a trace otherwise), then each step."""
+    The plan translates the walk (``diagram._walk``) in one pass: each
+    component folds its nodes into its first one, its wires threaded
+    from step to step in this route's own axis order, the bare boundary
+    wires follow as components of their own, and the components, which
+    share no wire, fold together in order.  Every operand's open wires
+    are checked against the cap here, before anything is allocated: the
+    boundary first, then each node (self-loops plugged: in closed form
+    for a Z spider, by a trace otherwise), then each step."""
     if d.n_in + d.n_out > cap:
         raise ResourceError(
             f"diagram has {d.n_in + d.n_out} boundary wires, cap is {cap}")
-    walk = list(contraction_order(d.port_edges))
-    leaves, roots = [], []  # roots: each component's operand
-    for component in walk:
-        roots.append(len(leaves))
-        for v, open_, _ in component:
-            if len(open_) > cap:
+    leaves, steps = [], []
+    parts, width = [], 0  # parts: each component's operand and end wires
+    for component in _walk(d):
+        dst, wires = len(leaves), None
+        for v, open_, shared in component:
+            degree = len(open_)
+            if degree > cap:
                 raise ResourceError(
-                    f"a node has {len(open_)} open wires, cap is {cap}")
+                    f"a node has {degree} open wires, cap is {cap}")
             kind = d.nodes[v].kind
             if kind == Z:
-                leaves.append((v, len(open_)))
+                leaves.append((v, degree))
             else:
                 t = _FIXED[kind]
                 leaves.append(t if open_ else np.trace(t))
-    steps, parts = [], []  # parts: each component's operand and end wires
-    for dst, component in zip(roots, walk):
-        wires = list(component[0][1])
-        for src, (_, open_, shared) in enumerate(component[1:], dst + 1):
-            step, wires = _pair_step(dst, src, wires, open_, shared, cap)
-            steps.append(step)
+            if wires is None:
+                wires = list(open_)
+            else:
+                step, wires = _pair_step(dst, len(leaves) - 1, wires,
+                                         open_, shared)
+                steps.append(step)
+            width = max(width, degree, len(wires))
         parts.append((dst, wires))
 
     # each bare wire is an explicit identity, its end wires ~i and i
@@ -274,13 +276,20 @@ def _plan(d: Diagram, cap: int) -> tuple:
         if a[0] != "n":
             parts.append((len(leaves), [~i, i]))
             leaves.append(np.eye(2, dtype=complex))
+            width = max(width, 2)
     root, wires = parts[0] if parts else (None, [])
     for src, part in parts[1:]:
-        step, wires = _pair_step(root, src, wires, part, (), cap)
+        step, wires = _pair_step(root, src, wires, part, ())
         steps.append(step)
+        width = max(width, len(wires))
+    # a step past the cap is refused once every node has been checked
+    if width > cap:
+        over = next(len(s[4]) for s in steps if len(s[4]) > cap)
+        raise ResourceError(
+            f"contraction needs {over} open wires, cap is {cap}")
     # the root's axes hold the parts' end wires in order
     zids = tuple(t[0] for t in leaves if isinstance(t, tuple))
-    return leaves, steps, root, wires, zids
+    return leaves, steps, root, wires, zids, width
 
 
 def _axes(ends: list[int], d: Diagram) -> list[int]:
@@ -318,13 +327,6 @@ def _matrices(t: np.ndarray, ends: list[int], d: Diagram,
     if not np.isfinite(mats).all():
         raise ArithmeticError("non-finite entries in interpretation")
     return mats
-
-
-def _width(plan) -> int:
-    """The most open wires any operand of a plan has."""
-    leaves, steps = plan[:2]
-    return max([t[1] if isinstance(t, tuple) else t.ndim for t in leaves] +
-               [len(step[4]) for step in steps], default=0)
 
 
 def _run(plan: tuple, phases: Sequence[Sequence]) -> np.ndarray:
@@ -397,7 +399,7 @@ def _run(plan: tuple, phases: Sequence[Sequence]) -> np.ndarray:
 def _chunk_size(plan: tuple, cap: int, rows: int) -> int:
     """2^(cap - w) for a plan that peaks at w open wires, but no larger
     than ``rows`` needs: a huge cap must not cost a huge integer."""
-    return 1 << min(cap - _width(plan), rows.bit_length())
+    return 1 << min(cap - plan[5], rows.bit_length())
 
 
 def interpret_all(ds: Sequence[Diagram],
@@ -431,7 +433,7 @@ def interpret_all(ds: Sequence[Diagram],
     for by_nodes in groups.values():
         entries = list(by_nodes.values())
         plan = _plan(ds[entries[0][0]], cap)
-        ends, zids = plan[3:]
+        ends, zids = plan[3:5]
         size = _chunk_size(plan, cap, len(entries))
         for s in range(0, len(entries), size):
             chunk = entries[s:s + size]

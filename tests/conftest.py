@@ -1,16 +1,18 @@
 import pytest
 
-from zxel import normalform, semantics
+from zxel import diagram, normalform, semantics
 
 ACCEPTANCE_LINES: list[str] = []
 
 
 @pytest.fixture(autouse=True)
 def _cold_plans():
-    """Each test starts with no kept plan, so a test that swaps the walk
-    plans with its walk instead of running a plan an earlier test kept."""
+    """Each test starts with no kept plan and no kept walk, so a test that
+    swaps the walk plans with its walk instead of running a plan, or
+    taking a walk, that an earlier test left behind."""
     semantics._plan.cache_clear()
     normalform._plan.cache_clear()
+    diagram._WALKS.clear()
 
 
 def record_acceptance(line: str) -> None:

@@ -402,22 +402,39 @@ def test_compose_all_matches_pairwise_fold_on_random_chains():
 
 
 def _glued(chain):
-    """The edges of a chain side by side, output j of piece k and input j
+    """The nodes and edges of a chain side by side, node ids shifted as a
+    fold from the left shifts them, and output j of piece k and input j
     of piece k + 1 both renamed to the junction ("glue", k, j)."""
+    nodes, edges = {}, []
     last = len(chain) - 1
+    for k, d in enumerate(chain):
+        shift = max(nodes, default=-1) + 1
 
-    def glue(k, ep):
-        if ep[0] == "in":
-            return ep if k == 0 else ("glue", k - 1, ep[1])
-        return ep if k == last else ("glue", k, ep[1])
+        def ren(ep):
+            if ep[0] == "n":
+                return ("n", ep[1] + shift, ep[2])
+            if ep[0] == "in":
+                return ep if k == 0 else ("glue", k - 1, ep[1])
+            return ep if k == last else ("glue", k, ep[1])
 
-    return D._placed(chain, glue)[1]
+        nodes.update((v + shift, nd) for v, nd in d.nodes.items())
+        edges += [(ren(a), ren(b)) for a, b in d.edges]
+    return nodes, edges
 
 
-def _assert_splice_matches_reference(edges):
-    got, loops = D._splice(edges)[:2]
-    want, want_loops = splice_by_union_find(edges)
-    assert [D._norm_edge(*e) for e in got] == want and loops == want_loops
+def _assert_compose_matches_reference(chain):
+    """``compose_all`` of the chain, through its memo and past it, has
+    the edges, loops and ``port_edges`` of splicing the glued chain by
+    union-find and validating the result; gives the reference's edges
+    and the loops the splice closed."""
+    nodes, glued = _glued(chain)
+    want, loops = splice_by_union_find(glued)
+    ref = D.Diagram(nodes, want, chain[0].n_in, chain[-1].n_out,
+                    loops=sum(d.loops for d in chain) + loops)
+    for d in (D.compose_all(chain), D.compose_all.__wrapped__(chain)):
+        assert list(d.edges) == want and d.loops == ref.loops
+        assert list(d.port_edges.items()) == list(ref.port_edges.items())
+        assert dict(d.nodes) == nodes
     return want, loops
 
 
@@ -440,8 +457,20 @@ def test_splice_matches_union_find_reference_on_wiring_chains():
         chain = [_wiring_piece(rng, int(rng.integers(0, 4)))]
         for _ in range(int(rng.integers(1, 10))):
             chain.append(_wiring_piece(rng, chain[-1].n_out))
-        loops += _assert_splice_matches_reference(_glued(chain))[1]
+        loops += _assert_compose_matches_reference(chain)[1]
     assert loops > 50  # many chains closed bare loops
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_splice_matches_union_find_reference_on_normal_form_chains(m):
+    # the chain nf_to_diagram composes: the base state, then every
+    # gadget's stages
+    rng = np.random.default_rng(m)
+    nf = nf_from_vector(rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m))
+    chain = [NF.base_state(m)] + [
+        stage for (kind, _, *wires), a in NF.elementary_specs(nf)
+        for stage in NF._stages(m, a, wires[0] if kind == "add" else None)]
+    _assert_compose_matches_reference(chain)
 
 
 @pytest.mark.parametrize("chain, edges, loops", [
@@ -457,7 +486,7 @@ def test_splice_matches_union_find_reference_on_wiring_chains():
      [(("in", 0), ("out", 0))], 0),
 ])
 def test_splice_closes_loops_and_straightens_snakes(chain, edges, loops):
-    assert _assert_splice_matches_reference(_glued(chain)) == (edges, loops)
+    assert _assert_compose_matches_reference(chain) == (edges, loops)
     d = D.compose_all(chain)
     assert list(d.edges) == edges and d.loops == loops
 

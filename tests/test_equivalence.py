@@ -118,26 +118,25 @@ def test_wide_rules_decided_at_default_cap(name):
 
 
 def test_each_route_plans_once_per_shape(monkeypatch):
-    # both routes walk contraction_order once per planning: a cold call
-    # plans a normal-form pair of one shape once per route, a rule
-    # instance's two sides once each per route.  A shape's second
-    # planning keeps its plan, so a third call walks no more
+    # a cold call plans a normal-form pair of one shape once per route,
+    # a rule instance's two sides once each per route, and the two routes
+    # share each wiring's walk: the normal-form route walks, and the
+    # contraction route takes its walk.  A shape's second planning keeps
+    # its plan, so a third call walks no more
     calls = []
-    for module in (NF, S):
-        order = module.contraction_order
-        monkeypatch.setattr(module, "contraction_order",
-                            lambda pe, order=order: calls.append(1)
-                            or order(pe))
+    order = D.contraction_order
+    monkeypatch.setattr(D, "contraction_order",
+                        lambda pe: calls.append(1) or order(pe))
     rng = np.random.default_rng(5)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     d1, d2 = (NF.nf_to_diagram(NF.nf_from_vector(w)) for w in (v, 2 * v))
     lhs, rhs = instantiate(catalog_by_name()["S1"], [0.5 + 1j, -2.0])
     assert lhs.shape != rhs.shape
-    for walks in (2, 2, 0):
+    for walks in (1, 1, 0):
         calls.clear()
         assert not check_equivalent(d1, d2).equal
         assert len(calls) == walks
-    for walks in (4, 4, 0):
+    for walks in (2, 2, 0):
         calls.clear()
         assert check_equivalent(lhs, rhs).equal
         assert len(calls) == walks
@@ -228,6 +227,39 @@ def test_a_kept_plan_dies_with_its_shape(route):
     again = weakref.ref(_own_array(route, route._plan(_memo_diagram(), 14)))
     gc.collect()
     assert again() is None
+
+
+class _Component(list):
+    """A walk's component that a weak reference can watch."""
+
+
+def test_a_walk_dies_with_its_wiring_and_no_kept_plan_holds_it(monkeypatch):
+    order = D.contraction_order
+    monkeypatch.setattr(D, "contraction_order",
+                        lambda pe: map(_Component, order(pe)))
+    # a wiring planned once leaves its walk, which dies with the wiring
+    d = _memo_diagram()
+    NF._plan(d, 14)
+    left = weakref.ref(D._WALKS[d.shape.wiring][0])
+    wiring = weakref.ref(d.shape.wiring)
+    del d
+    gc.collect()
+    assert wiring() is None and left() is None
+    # the contraction route takes the walk the normal-form route left,
+    # and neither route's kept plan holds either walk
+    d = _memo_diagram()
+    walks = []
+    for _ in range(2):
+        NF._plan(d, 14)
+        walks.append(weakref.ref(D._WALKS[d.shape.wiring][0]))
+        S._plan(d, 14)
+        assert d.shape.wiring not in D._WALKS
+    gc.collect()
+    assert [w() for w in walks] == [None, None]
+    for route in (S, NF):  # both plans are kept
+        assert _own_array(route, route._plan(d, 14)) is _own_array(
+            route, route._plan(d, 14))
+    assert d.shape.wiring not in D._WALKS
 
 
 def _result(run, d, cap):

@@ -460,9 +460,10 @@ def test_normalize_independent_of_elimination_order(monkeypatch):
         corpus.append(NF.nf_to_diagram(NF.nf_from_vector(v)))
     greedy = [NF.normalize(d, cap=30) for d in corpus]
     # plain node-id order, one component
-    monkeypatch.setattr(NF, "contraction_order",
+    monkeypatch.setattr(D, "contraction_order",
                         lambda pe: walk_along(pe, [sorted(pe)]))
     NF._plan.cache_clear()  # a shape the loop above planned twice kept it
+    D._WALKS.clear()  # and one it planned once left its walk
     for d, nf in zip(corpus, greedy):
         assert NF.nf_equal(NF.normalize(d, cap=30), nf)
 
@@ -555,6 +556,27 @@ def test_node_wider_than_the_cap_is_refused():
     assert NF.nf_equal(NF.normalize(pair, cap=6), NF.NormalForm(0, [1 + a * a]))
 
 
+def test_each_route_fires_its_cap_checks_in_its_own_order():
+    # K4 of degree-3 spiders, whose contraction holds 4 open wires after
+    # its second node, beside two spiders joined by 4 wires, each node
+    # of which has 4: at cap 3 the contraction checks every node before
+    # any step, and the normal-form fold checks each node and then its
+    # step as it goes
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    port = {v: iter(range(3)) for v in range(4)}
+    edges = [(("n", a, next(port[a])), ("n", b, next(port[b])))
+             for a, b in k4]
+    edges += [(("n", 4, k), ("n", 5, k)) for k in range(4)]
+    d = D.Diagram({v: D.Node(D.Z, 0.5) for v in range(6)}, edges, 0, 0)
+    with pytest.raises(ResourceError, match="^a node has 4 open wires"):
+        interpret(d, cap=3)
+    with pytest.raises(NF.WireCapError,
+                       match="^normalisation frontier reached 4 wires"):
+        NF.normalize(d, cap=3)
+    assert matrices_equal(interpret(d, cap=4).reshape(1),
+                          NF.normalize(d, cap=4).vector(), 1e-12)
+
+
 # -- the planned fold ------------------------------------------------------
 
 def _outcome(fn, d, **kwargs):
@@ -591,8 +613,8 @@ def test_a_z_state_needs_no_transpose():
     for g in range(7):
         for s in range(g + 1):
             for axes_b in itertools.permutations(range(g), s):
-                _, _, perm_b, shape_b = NF._layout(s, g, [*range(s)],
-                                                   [*axes_b])
+                _, _, perm_b, shape_b, _ = NF._layout(
+                    [*axes_b], range(g), [*axes_b])
                 for p in phases:
                     v = NF._z_state(p, g)
                     assert (v.reshape(shape_b).tobytes() == NF._operand(
@@ -608,14 +630,17 @@ def test_normalize_all_plans_once_per_shape(monkeypatch):
     ds.append(D.compose(D.cap(), D.tensor(D.h_box(), D.identity(1))))
     want = [_outcome(NF.normalize, d) for d in ds]
     calls = []
-    order = NF.contraction_order
-    monkeypatch.setattr(NF, "contraction_order",
+    order = D.contraction_order
+    monkeypatch.setattr(D, "contraction_order",
                         lambda pe: calls.append(1) or order(pe))
     # a cold call walks once per shape: the m = 3 normal forms, the cap,
-    # the H cap.  The second planning of a shape keeps its plan, so a
-    # third call walks no more, and every call folds the same bytes
+    # the H cap, and leaves each walk for the shape's next planning, which
+    # the second call makes and so walks no more.  The second planning of
+    # a shape keeps its plan, so a third call plans no more, and every
+    # call folds the same bytes
     NF._plan.cache_clear()  # ``want`` planned the m = 3 shape 3 times
-    for walks in (3, 3, 0):
+    D._WALKS.clear()  # and left the walks of the cap and the H cap
+    for walks in (3, 0, 0):
         calls.clear()
         got = NF.normalize_all(ds)
         assert len(calls) == walks

@@ -186,8 +186,8 @@ def test_interpret_all_equals_interpret_one_by_one():
 def test_interpret_all_plans_each_topology_once(monkeypatch):
     ds = _batch_corpus()
     plans = []
-    order = S.contraction_order
-    monkeypatch.setattr(S, "contraction_order",
+    order = D.contraction_order
+    monkeypatch.setattr(D, "contraction_order",
                         lambda pe: plans.append(1) or order(pe))
     S.interpret_all(ds)
     assert len(plans) <= len({topology(d) for d in ds}) < len(ds)
@@ -337,7 +337,7 @@ def test_absorb_z_is_bitwise_the_einsum_step(acc_wires, z_wires, batched):
     for b in (1, 3, 16):
         shared = [l for l in z_wires if l in acc_wires]
         (_, _, sub_acc, sub_z, sub_out), _ = S._pair_step(
-            0, 1, list(acc_wires), list(z_wires), shared, cap=99)
+            0, 1, list(acc_wires), list(z_wires), shared)
         acc = _random_entries(rng, ((b,) if batched else ()) +
                               (2,) * len(acc_wires))
         phases = _random_entries(rng, (b,))
@@ -363,7 +363,7 @@ def test_absorb_fixed_is_bitwise_the_einsum_step(kind):
         for at in range(k):
             for leaf_wires in ([at, k], [k, at]):
                 (_, _, sub_acc, sub_leaf, sub_out), _ = S._pair_step(
-                    0, 1, list(range(k)), leaf_wires, [at], cap=99)
+                    0, 1, list(range(k)), leaf_wires, [at])
                 for b in (2, 10):
                     acc = _random_entries(rng, (b,) + (2,) * k)
                     acc.reshape(-1)[:4] = signed_zeros
