@@ -322,8 +322,10 @@ def _layout(part: list, edges: Sequence[int], shared: list) -> tuple:
     axes then its shared ones, the node's shared axes then its kept ones.
     ``joined`` holds the edges at the result's axes, the part's kept ones
     then the node's."""
-    kept = [i for i in part if i not in shared]
-    new = [i for i in edges if i not in shared]
+    kept, new = list(part), list(edges)
+    for i in shared:
+        kept.remove(i)
+        new.remove(i)
     s = len(shared)
     perm_a = (None if part[len(kept):] == shared else
               tuple(map(part.index, kept + shared)))

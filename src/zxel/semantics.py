@@ -209,11 +209,20 @@ def _pair_step(dst: int, src: int, li: list, lj: list, shared):
     einsum sublists (the wires numbered from 0 in order of first
     appearance, ``li``'s first), and the result's wires, which replace
     ``dst``'s."""
-    new = [l for l in lj if l not in shared]
-    out = [l for l in li if l not in shared] + new
-    local = (li + new).index
-    return (dst, src, list(range(len(li))), list(map(local, lj)),
-            list(map(local, out))), out
+    n = len(li)
+    sub_src, new = [], []
+    for l in lj:
+        if l in shared:
+            sub_src.append(li.index(l))
+        else:
+            sub_src.append(n + len(new))
+            new.append(l)
+    out = li + new
+    sub_out = list(range(len(out)))
+    for l in shared:
+        k = out.index(l)
+        del out[k], sub_out[k]
+    return (dst, src, list(range(n)), sub_src, sub_out), out
 
 
 @partial(_plan_memo, key=attrgetter("shape.wiring"))
