@@ -1,6 +1,14 @@
 """Algebraic ZX-calculus: diagrams, matrix semantics, a certified
 rule catalog, elementary-transformation normal forms and an equivalence
-checker."""
+checker.
+
+The rule catalog, ``zxel.rules``, loads on first use: its module is in
+``sys.modules`` from ``import zxel`` on, but its source is compiled and
+run only when one of its attributes is first read, so a process that
+never reads the catalog never pays for it."""
+
+import importlib.util
+import sys
 
 from .diagram import (Diagram, Node, DiagramError, compose, tensor, flip,
                       bend_to_state, identity, swap, permutation,
@@ -12,11 +20,40 @@ from .normalform import (NormalForm, nf_from_vector, nf_to_diagram,
                          nf_tensor, nf_self_plug, nf_equal, normalize,
                          scalar_nf_diagram, row_addition_diagram,
                          row_multiplication_diagram, WireCapError)
-from .rules import (RewriteRule, instantiate, check_soundness,
-                    figure_catalog, derived_catalog, full_catalog)
 from .rewrite import (MatchSite, find_matches, apply, simplify,
                       StaleSiteError, UnsupportedRuleError)
 from .equivalence import (EquivalenceVerdict, check_equivalent,
                           TypeMismatchError, VerdictDisagreement)
 
 __version__ = "0.1.0"
+
+
+def _lazy_module(name: str):
+    """Put module ``name`` in ``sys.modules`` unexecuted; it runs when one
+    of its attributes is first read."""
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+rules = _lazy_module(__name__ + ".rules")
+
+# the catalog's exports, read from ``rules`` on first use
+_RULES_EXPORTS = ("RewriteRule", "instantiate", "check_soundness",
+                  "figure_catalog", "derived_catalog", "full_catalog")
+
+
+def __getattr__(name: str):
+    if name not in _RULES_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # bind all six at once, as an eager import did, so that code which
+    # swaps one of them wherever a zxel module binds it finds them all
+    globals().update({n: getattr(rules, n) for n in _RULES_EXPORTS})
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_RULES_EXPORTS))

@@ -23,7 +23,6 @@ from .io import (DiagramFileError, dumps_diagram, export_text, format_matrix,
 from .normalform import (WireCapError, decompose_elementary, nf_to_diagram,
                          nf_to_jsonable, normalize)
 from .rewrite import simplify as run_simplify
-from .rules import RuleError, check_catalog, full_catalog
 from .semantics import (DEFAULT_TOL, ResourceError, interpret,
                         max_deviation, wire_cap)
 
@@ -40,20 +39,27 @@ def _load(path: str) -> Diagram:
         _fail(str(exc))
 
 
+def _save(d: Diagram, path: str) -> None:
+    """Write --out; a path that cannot be written is the user's error."""
+    try:
+        save_diagram(d, path)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _compute(fn, *args, **kwargs):
     """Call fn, reporting every error it is known to raise as one line.
 
     An overflow surfaces as the ArithmeticError that interpret and
     normalize raise on non-finite results, so numpy's own overflow
-    warnings are silenced here; a rewrite whose parameter overflows
-    raises DiagramError, and ``rules --corrupt`` of a name no rule has
-    raises RuleError.
+    warnings are silenced here, and a rewrite whose parameter overflows
+    raises DiagramError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             return fn(*args, **kwargs)
         except (TypeMismatchError, ResourceError, WireCapError,
-                ArithmeticError, DiagramError, RuleError) as exc:
+                ArithmeticError, DiagramError) as exc:
             _fail(str(exc))
         except VerdictDisagreement as exc:  # a defect, not a verdict
             _fail(f"internal: {exc}")
@@ -140,9 +146,9 @@ def cmd_check_eq(file1, file2, tol):
 def cmd_normalize(file, out):
     """Rewrite a diagram into its unique normal form."""
     nf = _compute(normalize, _load(file))
-    click.echo(json.dumps(nf_to_jsonable(nf)))
     if out:
-        save_diagram(nf_to_diagram(nf), out)
+        _save(nf_to_diagram(nf), out)
+    click.echo(json.dumps(nf_to_jsonable(nf)))
 
 
 @main.command("simplify")
@@ -156,15 +162,15 @@ def cmd_simplify(file, budget, trace, out):
     """Apply the terminating simplification strategy."""
     d = _load(file)
     res = _compute(run_simplify, d, budget=budget)
+    if out:
+        _save(res.diagram, out)
     if trace:
         for step in res.trace:
             click.echo(f"{step['rule']} at nodes {step['nodes']}", err=True)
         click.echo(f"{res.steps} steps"
                    + (", budget exhausted" if res.budget_exhausted else ""),
                    err=True)
-    if out:
-        save_diagram(res.diagram, out)
-    else:
+    if not out:
         click.echo(dumps_diagram(res.diagram))
 
 
@@ -180,8 +186,13 @@ def cmd_simplify(file, budget, trace, out):
               help="deliberately corrupt a rule (testing hook)")
 def cmd_rules(samples, tol, seed, as_json, corrupt):
     """Soundness sweep over the whole rule catalog (exit 0 iff clean)."""
-    reports = _compute(check_catalog, full_catalog(), samples=samples,
-                       tol=tol, seed=seed, corrupt=corrupt)
+    # the one command that reads the catalog, so the only one that loads it
+    from .rules import RuleError, check_catalog, full_catalog
+    try:  # RuleError: --corrupt of a name no rule has
+        reports = _compute(check_catalog, full_catalog(), samples=samples,
+                           tol=tol, seed=seed, corrupt=corrupt)
+    except RuleError as exc:
+        _fail(str(exc))
     failures = [r for r in reports if not r.ok]
     if as_json:
         click.echo(json.dumps({
@@ -212,9 +223,9 @@ def cmd_elementary(matrix_file, out):
     bound = 1e-7 * max(1.0, float(np.abs(mat).max()))
     if not max_deviation(_compute(interpret, d), mat) <= bound:
         _fail("internal: composed diagram does not reproduce the matrix")
-    click.echo(json.dumps({"operations": ops}))
     if out:
-        save_diagram(d, out)
+        _save(d, out)
+    click.echo(json.dumps({"operations": ops}))
 
 
 @main.command("export")

@@ -3,6 +3,11 @@ random diagram generators for the property corpora."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from zxel import diagram as D
@@ -20,6 +25,13 @@ SWAP_MAT = np.array([[1, 0, 0, 0], [0, 0, 1, 0],
                      [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 CAP_VEC = np.array([[1], [0], [0], [1]], dtype=complex)
 CUP_VEC = np.array([[1, 0, 0, 1]], dtype=complex)
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """This interpreter in a fresh process, importing the zxel under test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(D.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def z_mat(n: int, m: int, a: complex) -> np.ndarray:

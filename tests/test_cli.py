@@ -1,6 +1,5 @@
 import hashlib
 import json
-
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -15,7 +14,7 @@ from zxel.io import (diagram_from_jsonable, diagram_to_jsonable,
 from zxel.rules import catalog_by_name, instantiate
 from zxel.semantics import interpret, matrices_equal
 
-from helpers import random_diagram
+from helpers import random_diagram, run_python
 
 
 @pytest.fixture
@@ -229,6 +228,24 @@ def test_normalize_out_roundtrip(tmp_path, runner):
     assert np.allclose(v, coeffs, atol=1e-9)
 
 
+@pytest.mark.parametrize("command", ["normalize", "simplify", "elementary"])
+def test_an_unwritable_out_is_the_users_error(tmp_path, runner, command):
+    # one line, exit 2, no `internal`, and no result printed before it
+    if command == "elementary":
+        src = tmp_path / "m.txt"
+        src.write_text("1 0\n0 2\n")
+        src = str(src)
+    else:
+        src = _write(tmp_path, "w.zx", D.compose(D.z_spider(1, 1, 2.0),
+                                                 D.z_spider(1, 1, 3.0)))
+    out = str(tmp_path / "missing" / "x.zx")
+    res = runner.invoke(main, [command, src, "--out", out])
+    _assert_one_line_error(res)
+    assert res.stdout == ""
+    assert res.stderr == (f"zxel: cannot write {out}: "
+                          "No such file or directory\n")
+
+
 def test_normalize_consistent_with_interpret(tmp_path, runner):
     rng = np.random.default_rng(6)
     d = D.bend_to_state(random_diagram(rng, max_wires=3))
@@ -290,6 +307,35 @@ def test_rules_corrupt_of_an_unknown_rule_is_one_line(runner):
                                "--corrupt", "nosuchrule"])
     _assert_one_line_error(res)
     assert res.stderr == "zxel: no rule named 'nosuchrule' to corrupt\n"
+
+
+# after `import zxel.cli`, whether zxel.rules has run (its dict read past
+# the lazy module's own attribute lookup, which would run it)
+_CATALOG_RUN = """
+import sys
+import zxel.cli
+rules = sys.modules["zxel.rules"]
+print("full_catalog" in object.__getattribute__(rules, "__dict__"))
+"""
+
+
+def test_the_cli_does_not_load_the_rule_catalog():
+    # only `zxel rules` reads the catalog, so no other command compiles it
+    proc = run_python("-X", "importtime", "-c", _CATALOG_RUN)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()]
+    assert "zxel.cli" in imported and "zxel.rules" not in imported
+    assert proc.stdout == "False\n"
+
+
+def test_rules_json_is_byte_stable_in_a_fresh_process():
+    # the catalog loads on first use, inside the `rules` command
+    proc = run_python("-c", "from zxel.cli import main; main()",
+                   "rules", "--json", "--samples", "2")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == RULES_JSON_SHA256
 
 
 def test_elementary_command(tmp_path, runner):
@@ -674,7 +720,7 @@ def test_rules_over_the_wire_cap_is_one_line(runner, monkeypatch):
 
 
 @pytest.mark.parametrize("target, args", [
-    ("zxel.cli.full_catalog", ["rules"]),
+    ("zxel.rules.full_catalog", ["rules"]),  # read by `rules` alone
     ("zxel.cli.interpret", ["interpret"]),
     ("zxel.cli.normalize", ["normalize"]),
     ("zxel.cli.export_text", ["export"]),

@@ -1,9 +1,5 @@
 import gc
-import os
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +17,8 @@ from zxel.rewrite import simplify
 
 from helpers import (H_MAT, compose_by_pairs, contraction_order_by_scan,
                      nf_family, port_edges_by_scan, random_complex,
-                     random_diagram, splice_by_union_find, tensor_by_pairs,
-                     walk_along)
+                     random_diagram, run_python, splice_by_union_find,
+                     tensor_by_pairs, walk_along)
 
 
 def test_compose_identity_is_identity():
@@ -705,9 +701,7 @@ def test_a_wrapped_flip_shares_the_memo_and_exits_quietly():
     # tracer or a test does: it stays out of the memo's keys, so wrapped
     # and unwrapped flips share a shape, and shapes that die while the
     # module is torn down at exit leave their entries without a word
-    env = dict(os.environ, PYTHONPATH=str(Path(D.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _WRAPPED_FLIP], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", _WRAPPED_FLIP)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-2000:]
     assert proc.stdout == "True\n"
 

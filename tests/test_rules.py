@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -12,7 +13,7 @@ from zxel.normalform import (decorated_row_multiplication,
                              row_addition_diagram)
 from zxel.semantics import interpret, matrices_equal
 
-from helpers import check_soundness_by_draw, topology, z_mat
+from helpers import check_soundness_by_draw, run_python, topology, z_mat
 
 CATALOG = R.catalog_by_name()
 
@@ -177,6 +178,33 @@ def test_catalog_contains_required_names():
     }
     missing = required - derived_names
     assert not missing, f"missing derived rules: {missing}"
+
+
+# in a fresh process, where zxel.rules loads on first use: is each name
+# the object of that module, and where is it defined
+_RESOLVED = """
+import inspect, sys, zxel
+rules = sys.modules["zxel.rules"]
+for name, obj in (("full_catalog", zxel.full_catalog),
+                  ("check_soundness", zxel.check_soundness),
+                  ("catalog_by_name", zxel.rules.catalog_by_name)):
+    print(obj is vars(rules)[name], inspect.getsourcefile(obj))
+"""
+
+
+def test_catalog_names_resolve_to_the_rules_module():
+    proc = run_python("-c", _RESOLVED)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    source = Path(R.__file__).resolve()
+    for line in proc.stdout.splitlines():
+        same, path = line.split(" ", 1)
+        assert same == "True" and Path(path).resolve() == source
+    assert len(proc.stdout.splitlines()) == 3
+    # and in this process, whichever way the package was first read
+    import zxel
+    for name in zxel._RULES_EXPORTS:
+        assert getattr(zxel, name) is getattr(R, name)
+    assert zxel.rules is R
 
 
 def test_instantiate_s1_product_parameter():
