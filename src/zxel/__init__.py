@@ -9,6 +9,8 @@ never reads the catalog never pays for it."""
 
 import importlib.util
 import sys
+import threading
+import types
 
 from .diagram import (Diagram, Node, DiagramError, compose, tensor, flip,
                       bend_to_state, identity, swap, permutation,
@@ -28,18 +30,32 @@ from .equivalence import (EquivalenceVerdict, check_equivalent,
 __version__ = "0.1.0"
 
 
-def _lazy_module(name: str):
-    """Put module ``name`` in ``sys.modules`` unexecuted; it runs when one
-    of its attributes is first read."""
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+_LAZY_LOCK = threading.RLock()
 
 
-rules = _lazy_module(__name__ + ".rules")
+class _LazyModule(types.ModuleType):
+    """A module whose source runs on the first read of any attribute.
+    Other threads wait for the run to end; the running thread's own reads
+    pass (the lock is reentrant).  ``importlib.util.LazyLoader`` takes no
+    lock before Python 3.12, so a second thread could read the module
+    half run."""
+
+    def __getattribute__(self, attr):
+        get = types.ModuleType.__getattribute__
+        with _LAZY_LOCK:
+            spec = get(self, "__spec__")
+            if type(self) is _LazyModule and spec.loader_state is None:
+                spec.loader_state = "running"
+                spec.loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return get(self, attr)
+
+
+# in sys.modules unrun, where the benchmark's tracer looks modules up
+_spec = importlib.util.find_spec(__name__ + ".rules")
+rules = importlib.util.module_from_spec(_spec)
+rules.__class__ = _LazyModule
+sys.modules[_spec.name] = rules
 
 # the catalog's exports, read from ``rules`` on first use
 _RULES_EXPORTS = ("RewriteRule", "instantiate", "check_soundness",

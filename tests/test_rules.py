@@ -207,6 +207,33 @@ def test_catalog_names_resolve_to_the_rules_module():
     assert zxel.rules is R
 
 
+# in a fresh process, four threads make the catalog's first read at once
+_FIRST_READS = """
+import threading, zxel
+start, errors = threading.Barrier(4), []
+def read():
+    start.wait()
+    try:
+        zxel.rules.catalog_by_name()
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=read) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+print(errors, sum(t.is_alive() for t in threads))
+"""
+
+
+def test_threads_that_first_read_the_catalog_at_once_all_get_it():
+    # a reader must wait for the module to finish running, not see it half
+    # run (importlib.util.LazyLoader of Python 3.11 fails this every time)
+    proc = run_python("-c", _FIRST_READS)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "[] 0\n"
+
+
 def test_instantiate_s1_product_parameter():
     a, b = 1.5 - 0.5j, 0.25j
     lhs, rhs = R.instantiate(CATALOG["S1"], [a, b])
