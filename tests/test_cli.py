@@ -1,5 +1,6 @@
 import hashlib
 import json
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -332,7 +333,7 @@ def test_the_cli_does_not_load_the_rule_catalog():
 def test_rules_json_is_byte_stable_in_a_fresh_process():
     # the catalog loads on first use, inside the `rules` command
     proc = run_python("-c", "from zxel.cli import main; main()",
-                   "rules", "--json", "--samples", "2")
+                      "rules", "--json", "--samples", "2")
     assert proc.returncode == 0, proc.stderr[-2000:]
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
     assert digest == RULES_JSON_SHA256

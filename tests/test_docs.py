@@ -23,7 +23,8 @@ def _lazy_exports(tree: ast.Module) -> list[str]:
     """The names the package resolves on first use: the string tuple
     ``_RULES_EXPORTS`` that its module ``__getattr__`` reads."""
     [node] = [node for node in tree.body if isinstance(node, ast.Assign)
-              and [getattr(t, "id", None) for t in node.targets] == ["_RULES_EXPORTS"]]
+              and [getattr(t, "id", None) for t in node.targets]
+              == ["_RULES_EXPORTS"]]
     return list(ast.literal_eval(node.value))
 
 
