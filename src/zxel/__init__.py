@@ -7,10 +7,10 @@ The rule catalog, ``zxel.rules``, loads on first use: its module is in
 run only when one of its attributes is first read, so a process that
 never reads the catalog never pays for it."""
 
-import importlib.util
-import sys
-import threading
-import types
+import importlib.util as _importlib_util
+import sys as _sys
+import threading as _threading
+import types as _types
 
 from .diagram import (Diagram, Node, DiagramError, compose, tensor, flip,
                       bend_to_state, identity, swap, permutation,
@@ -30,10 +30,10 @@ from .equivalence import (EquivalenceVerdict, check_equivalent,
 __version__ = "0.1.0"
 
 
-_LAZY_LOCK = threading.RLock()
+_LAZY_LOCK = _threading.RLock()
 
 
-class _LazyModule(types.ModuleType):
+class _LazyModule(_types.ModuleType):
     """A module whose source runs on the first read of any attribute.
     Other threads wait for the run to end; the running thread's own reads
     pass (the lock is reentrant).  ``importlib.util.LazyLoader`` takes no
@@ -41,21 +41,21 @@ class _LazyModule(types.ModuleType):
     half run."""
 
     def __getattribute__(self, attr):
-        get = types.ModuleType.__getattribute__
+        get = _types.ModuleType.__getattribute__
         with _LAZY_LOCK:
             spec = get(self, "__spec__")
             if type(self) is _LazyModule and spec.loader_state is None:
                 spec.loader_state = "running"
                 spec.loader.exec_module(self)
-                self.__class__ = types.ModuleType
+                self.__class__ = _types.ModuleType
         return get(self, attr)
 
 
 # in sys.modules unrun, where the benchmark's tracer looks modules up
-_spec = importlib.util.find_spec(__name__ + ".rules")
-rules = importlib.util.module_from_spec(_spec)
+_spec = _importlib_util.find_spec(__name__ + ".rules")
+rules = _importlib_util.module_from_spec(_spec)
 rules.__class__ = _LazyModule
-sys.modules[_spec.name] = rules
+_sys.modules[_spec.name] = rules
 
 # the catalog's exports, read from ``rules`` on first use
 _RULES_EXPORTS = ("RewriteRule", "instantiate", "check_soundness",

@@ -5,10 +5,11 @@ Nothing here is trusted on sight: a rule enters the catalog only if
 ``check_soundness`` finds the two sides (and their upside-down flips)
 semantically equal on randomised and forced parameter draws.  The harness
 is the transcription oracle for the figure material.  It builds each rule
-once, through a template traced over its parameters, evaluates the Z
-phases per draw into a phase matrix, and contracts each side once over
-all its rows; a builder that reads a parameter's value is built per
-draw.
+with parameters once, through a template traced over its parameters,
+evaluates the Z phases per draw into a phase matrix, and contracts each
+side once over all its rows.  A rule without parameters, or whose
+builder reads a parameter's value, is built per draw, and each build
+takes the same path over a phase matrix of one row.
 
 Derived rules carry a provenance label naming the lemma or proposition
 they encode.  Most propositions are stated over the
@@ -46,8 +47,7 @@ from .diagram import (Diagram, compose, compose_all, flip, tensor,
 from .normalform import (and_gate, decorated_row_addition,
                          decorated_row_multiplication, gadget, pi_layer,
                          row_addition_diagram, row_multiplication_diagram)
-from .semantics import (DEFAULT_TOL, _interpret_drawn, interpret_all,
-                        max_deviation)
+from .semantics import DEFAULT_TOL, _interpret_drawn
 
 RuleBuilder = Callable[[Sequence[complex]], tuple[Diagram, Diagram]]
 
@@ -137,13 +137,15 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
                     rng: np.random.Generator | None = None,
                     corrupt: bool = False) -> RuleReport:
     """Interpret both sides and their flipped versions on forced and
-    random draws; failures are reported, never raised.  Where the
-    builder allows, each side is one template (``_templated``) run once
-    over the phase matrix of all draws, the side and its flip read out
-    of one root; otherwise every draw is built, and all sides (one flip
-    per distinct side) go through one ``interpret_all``.  Each of a
-    draw's three deviations is taken for all draws at once over their
-    stacked matrices, bitwise ``max_deviation`` per draw."""
+    random draws; failures are reported, never raised.  Every rule runs
+    as units of two sides, each with its phase columns, over some rows
+    of draws: each side and its flip go through ``_interpret_drawn``
+    once, read out of one root, and each draw's three deviations are
+    taken for the unit's rows at once over their stacked matrices.  A
+    rule with parameters whose builder allows a template
+    (``_templated``) is one unit over all its draws; any other rule, of
+    arity 0 included, is a unit per draw: that draw's real build, with
+    no phase column and one row."""
     if samples < 1:
         raise RuleError("samples must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -161,39 +163,23 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
     else:
         draws += [_random_params(rule, rng) for _ in range(samples)]
 
-    template = len(draws) > 1 and _templated(rule, draws)
-    if template:
-        sides = [side for side, _ in template]
+    template = rule.arity and _templated(rule, draws)
+    units = [(template, len(draws))] if template else (
+        ([(side, {}) for side in rule.build([complex(p) for p in ps])], 1)
+        for ps in draws)
+    devs: list[float] = []
+    for ((lhs, lcols), (rhs, rcols)), rows in units:
         if corrupt:
-            sides[1] = tensor(sides[1], scalar_z(-2.0))  # flips the sign
+            rhs = tensor(rhs, scalar_z(-2.0))  # flips the sign
+        flips = [flip(lhs), flip(rhs)]  # kept alive while the sides run
         stacks = []  # a side with no phase column is one row for all
-        for side, f, (_, columns) in zip(sides, [flip(d) for d in sides],
-                                         template):
+        for side, f, columns in zip((lhs, rhs), flips, (lcols, rcols)):
             for chunks in _interpret_drawn(side, f, columns):
                 mats = np.concatenate(chunks)
                 stacks.append(np.broadcast_to(
-                    mats, (len(draws),) + mats.shape[1:]))
+                    mats, (rows,) + mats.shape[1:]))
         ml, fl, mr, fr = stacks
-        devs = _draw_deviations(ml, mr, fl, fr)
-    else:
-        sides = []
-        flips: dict = {}  # one flip per distinct side, each kept alive
-        for lhs, rhs in (rule.build([complex(p) for p in ps])
-                         for ps in draws):
-            if corrupt:
-                rhs = tensor(rhs, scalar_z(-2.0))  # flips the sign
-            for d in (lhs, rhs):
-                if id(d) not in flips:
-                    flips[id(d)] = flip(d)
-            sides += [lhs, rhs, flips[id(lhs)], flips[id(rhs)]]
-        mats = interpret_all(sides)
-        ml, mr, fl, fr = (mats[j::4] for j in range(4))
-        if len({(a.shape, b.shape) for a, b in zip(ml, mr)}) == 1:
-            devs = _draw_deviations(*map(np.stack, (ml, mr, fl, fr)))
-        else:  # a rule whose sides change type from draw to draw
-            devs = [max(max_deviation(a, b), max_deviation(c, d),
-                        max_deviation(c, a.T))
-                    for a, b, c, d in zip(ml, mr, fl, fr)]
+        devs += _draw_deviations(ml, mr, fl, fr)
     for params, dev in zip(draws, devs):
         report.checked += 1
         report.max_deviation = max(report.max_deviation, dev)

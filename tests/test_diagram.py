@@ -839,9 +839,7 @@ def test_derived_shapes_equal_validated_ones(monkeypatch):
             monkeypatch.setattr(module, name, lambda x, f=f: results.append(
                 f(x)) or results[-1])
     sides = []
-    batch, drawn = R.interpret_all, R._interpret_drawn
-    monkeypatch.setattr(R, "interpret_all",
-                        lambda ds: sides.extend(ds) or batch(ds))
+    drawn = R._interpret_drawn
     monkeypatch.setattr(R, "_interpret_drawn", lambda d, f, columns: (
         sides.extend((d, f)) or drawn(d, f, columns)))
     rng = np.random.default_rng(31)

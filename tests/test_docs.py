@@ -36,6 +36,14 @@ def test_module_map_names_the_public_surface():
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     exported += _lazy_exports(trees["__init__.py"])
     assert [name for name in exported if name not in mapped] == []
+    # a plain import binds a module, which is public surface only if it
+    # is one of the package's own
+    submodules = {p.stem for p in SRC.glob("*.py")}
+    imported = [(alias.asname or alias.name).split(".")[0]
+                for node in trees["__init__.py"].body
+                if isinstance(node, ast.Import) for alias in node.names]
+    assert [name for name in imported if not name.startswith("_")
+            and name not in submodules] == []
     # names read anywhere in src/: a call, a reference, an attribute, or
     # an import by a module other than the package's (which may rename)
     read = {getattr(node, "id", None) or getattr(node, "attr", None)

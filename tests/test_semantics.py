@@ -610,12 +610,10 @@ def test_interpret_all_reads_out_what_interpret_reads_out(monkeypatch):
 
 def test_check_soundness_reads_each_side_out_once(monkeypatch):
     # S1's four sides each have one shape over all draws: four readouts
-    # and no per-draw deviation
     calls = []
     matrices = S._matrices
     monkeypatch.setattr(S, "_matrices",
                         lambda *a: calls.append(len(a[3])) or matrices(*a))
-    monkeypatch.setattr(R, "max_deviation", None)
     report = R.check_soundness(R.catalog_by_name()["S1"], samples=20)
     assert report.ok and report.checked == 24
     assert calls == [24] * 4
