@@ -16,10 +16,18 @@ patterns are constant-size:
 
 The full catalog is certified semantically by the rules module; rules
 outside this subset have no graph matcher (``UnsupportedRuleError``).
-Every applier preserves the standard interpretation exactly; scalar
-bookkeeping uses floating degree-0 Z dots, never dropped.  ``apply`` and
-``simplify`` share the appliers, which edit a private working graph in
-place; each builds and validates one Diagram, from the final graph.
+Every applier preserves the standard interpretation exactly, up to
+float rounding, when the phases it matches are its pattern's constants.
+S2, B1 and the pi macro's core match a phase within ``_is_phase``'s
+absolute 1e-12 of 1 or -1 and rewrite as if it were that constant: a
+phase eps away changes the pattern's value by at most eps * (1 + |a|),
+a the green phase the move reads (none for S2), so
+``simplify(z_spider(1, 1, 1 + 1e-13))`` deletes the spider and moves the
+interpretation by 1e-13.  B3's nonzero test only declines a match.
+Scalar bookkeeping uses floating degree-0 Z dots, never dropped.
+``apply`` and ``simplify`` share the appliers, which edit a private
+working graph in place; ``apply`` builds and validates one Diagram, from
+the final graph, and ``simplify`` one per planning.
 
 Each rule has one matcher, which returns the sites anchored at one node.
 ``find_matches`` runs it at every node and sorts the sites.  ``simplify``
@@ -28,15 +36,26 @@ step it runs it again only at the anchors within the pattern's reach of
 the nodes the step touched, and keeps each pass's candidates in a heap
 in ``find_matches`` order, so that it takes the same moves as a full
 scan before every step would.
+
+``simplify`` plans per shape and budget (``_plan``): it logs the moves,
+each phase test a matcher makes and each node an applier makes of
+phases, and keeps the result's validated shape.  No other decision reads
+a phase, so the plan rewrites any diagram of the shape whose tests come
+out alike by replaying those events on its phases, with no matching,
+surgery or validation.  ``diagram._plan_memo`` keeps a plan from the
+shape's second planning on; a kept plan is read-only, and a replay
+writes to nothing shared.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
+from types import MappingProxyType
 
-from .diagram import Diagram, H, Node, Z
+from .diagram import Diagram, H, Node, Z, _plan_memo
 
 # moves the simplifier is allowed to take, B3 restricted to absorbing a
 # pi into a green state.  B3-cancel is left out: each of its sites holds
@@ -91,8 +110,7 @@ def _macro(d, inc, c):
     """The pi macro whose core is c, a chain H - Z(-1) of degree 2 - H, as
     (h1, c, h2, outer1, outer2) with the outer endpoints beyond the Hs;
     None if c is no such core."""
-    node = d.nodes[c]
-    if node.kind != Z or len(inc[c]) != 2 or not _is_phase(node.phase, -1.0):
+    if d.nodes[c].kind != Z or len(inc[c]) != 2 or not d.phase_is(c, -1.0):
         return None
     ends = [_other_end(d.edges[e], c) for e in inc[c]]
     if any(ep[0] != "n" or d.nodes[ep[1]].kind != H for ep in ends):
@@ -116,8 +134,9 @@ def _partner(d, inc, h):
 # -- matchers --------------------------------------------------------------
 # A matcher takes one anchor node, of the kind ``_MATCHERS`` names for it,
 # and returns the sites anchored there.  It reads only ``d.nodes``,
-# ``d.edges[e]`` and the incidence ``inc``, so it runs on a Diagram and on
-# the simplifier's working graph alike.
+# ``d.edges[e]`` and the incidence ``inc``, and tests a phase only by
+# ``d.phase_is``, so it runs on a working graph: ``find_matches`` reads
+# its diagram through one, and a planning graph logs each test.
 
 def _joined_at(d, inc, v, kind):
     """Sorted ids w > v of ``kind`` nodes joined to v by at least one
@@ -137,7 +156,7 @@ def _match_s1(d, inc, v):
 
 def _match_s2(d, inc, v):
     if len(inc[v]) != 2 or inc[v][0] == inc[v][1] \
-            or not _is_phase(d.nodes[v].phase, 1.0):
+            or not d.phase_is(v, 1.0):
         return []
     return [_site("S2", (v,))]
 
@@ -186,7 +205,7 @@ def _match_b3(d, inc, c):
                 site = _site("B3-cancel", g[:3] + g2[:3])
                 if site not in sites:
                     sites.append(site)
-        elif nd.kind == Z and not _is_phase(nd.phase, 0.0):
+        elif nd.kind == Z and not d.phase_is(v, 0.0):
             if len(inc[v]) == 1:
                 sites.append(_site("B3-state", g[:3] + (v,), (nd.phase,)))
             elif opposite[:2] != ("n", v) \
@@ -197,7 +216,7 @@ def _match_b3(d, inc, c):
 
 def _match_b1(d, inc, s):
     """Pink 0-state macro (Z(1) state behind an H) feeding a Z spider."""
-    if len(inc[s]) != 1 or not _is_phase(d.nodes[s].phase, 1.0):
+    if len(inc[s]) != 1 or not d.phase_is(s, 1.0):
         return []
     h = _other_end(d.edges[inc[s][0]], s)
     if h[0] != "n" or d.nodes[h[1]].kind != H:
@@ -237,7 +256,7 @@ def find_matches(d: Diagram, rule) -> list[MatchSite]:
         raise UnsupportedRuleError(
             f"rule {name!r} has no graph matcher; matching is implemented "
             f"for {MATCHABLE_RULES}")
-    sites = _scan(d, base)
+    sites = _scan(_Graph(d), base)
     if "-" in name:
         sites = [s for s in sites if s[0] == name]
     return [MatchSite(*s, d) for s in sites]
@@ -276,6 +295,15 @@ class _Graph:
         self.loops = d.loops
         self.next_id = max(d.nodes, default=-1) + 1
 
+    def phase_is(self, v: int, value: complex) -> bool:
+        """Whether node v's phase is ``value`` within ``_is_phase``'s
+        bound."""
+        return _is_phase(self.nodes[v].phase, value)
+
+    def make(self, node_of, *vs: int) -> Node:
+        """The node ``node_of`` makes of the phases of the nodes ``vs``."""
+        return node_of(*[self.nodes[v].phase for v in vs])
+
     def _add(self, edge) -> None:
         a, b = edge
         if a[0] == b[0] == "n" and a[1] == b[1] and self.nodes[a[1]].kind == Z:
@@ -293,10 +321,10 @@ class _Graph:
     def splice(self, drop_nodes=(), detach=(), new_edges=(), new_nodes=(),
                rephase=None, add_loops=0) -> set[int]:
         """Drop the nodes ``drop_nodes`` and every edge at them or at the
-        nodes ``detach``; give the Z spiders in ``rephase`` their new
-        parameters; add ``new_nodes`` under ids counting on from the
-        largest id before the drop, then ``new_edges``, whose Z ports need
-        not be numbered.
+        nodes ``detach``; put the nodes ``rephase`` maps them to in place
+        of the Z spiders it names; add ``new_nodes`` under ids counting
+        on from the largest id before the drop, then ``new_edges``, whose
+        Z ports need not be numbered.
 
         Returns the ids of the nodes the step touched: the dropped,
         detached, rephased and new nodes and both ends of every edge it
@@ -326,8 +354,7 @@ class _Graph:
             inc[v] = []
         for v in drop_nodes:
             del nodes[v], inc[v]
-        for v, phase in (rephase or {}).items():
-            nodes[v] = Node(Z, complex(phase))
+        nodes.update(rephase or {})
         next_id = self.next_id
         for node in new_nodes:
             nodes[next_id], inc[next_id] = node, []
@@ -369,6 +396,26 @@ def _beyond(g: _Graph, group, keep=()):
             if ep[0] != "n" or ep[1] not in inside]
 
 
+# The nodes the appliers make of phases, each a function of the phases it
+# reads (``_Graph.make``), so that a replay makes them of another
+# diagram's phases by the same float operations.
+
+def _fused(a, b):
+    return Node(Z, complex(a * b))
+
+
+def _inverse(a):
+    return Node(Z, complex(1.0 / a))
+
+
+def _absorbed(a):
+    return Node(Z, 2.0 * a - 1.0)
+
+
+def _copied(scale, a):
+    return Node(Z, a * scale - 1.0)
+
+
 def _apply(g: _Graph, rule: str, nodes) -> set[int]:
     """Rewrite the graph at a site of ``rule`` on ``nodes``, in place;
     returns the nodes the splice touched."""
@@ -377,14 +424,14 @@ def _apply(g: _Graph, rule: str, nodes) -> set[int]:
 
     if rule == "S1":
         v1, v2 = nodes
-        a = g.nodes[v1].phase * g.nodes[v2].phase
+        fused = g.make(_fused, v1, v2)
         moved = []
         for e in sorted(set(inc[v2])):
             x, y = g.edges[e]
             x = ("n", v1, 0) if x[0] == "n" and x[1] == v2 else x
             y = ("n", v1, 0) if y[0] == "n" and y[1] == v2 else y
             moved.append((x, y))
-        return g.splice([v2], new_edges=moved, rephase={v1: a})
+        return g.splice([v2], new_edges=moved, rephase={v1: fused})
 
     if rule == "S2":
         v, = nodes
@@ -417,15 +464,13 @@ def _apply(g: _Graph, rule: str, nodes) -> set[int]:
 
     if rule == "B3-state":
         *group, v = nodes
-        a = g.nodes[v].phase
+        scalar, inverse = g.make(_absorbed, v), g.make(_inverse, v)
         return g.splice(group, detach=[v],
                         new_edges=[(*_beyond(g, group, [v]), ("n", v, 0))],
-                        new_nodes=[Node(Z, 2.0 * a - 1.0)],
-                        rephase={v: 1.0 / a})
+                        new_nodes=[scalar], rephase={v: inverse})
 
     if rule == "B3-copy":
         *group, v = nodes
-        a = g.nodes[v].phase
         deg = len(inc[v])
         group_edges = {e for w in group for e in inc[w]}
         new_nodes = []
@@ -440,13 +485,14 @@ def _apply(g: _Graph, rule: str, nodes) -> set[int]:
                           (("n", ha, 1), ("n", cc, 0)),
                           (("n", cc, 1), ("n", hb, 0)),
                           (("n", hb, 1), far)]
-        new_nodes.append(Node(Z, a * 2.0 ** (2 - deg) - 1.0))
+        new_nodes.append(g.make(partial(_copied, 2.0 ** (2 - deg)), v))
         return g.splice(group, detach=[v], new_edges=new_edges,
-                        new_nodes=new_nodes, rephase={v: 1.0 / a})
+                        new_nodes=new_nodes,
+                        rephase={v: g.make(_inverse, v)})
 
     if rule == "B1":
         s, h, v = nodes
-        return g.splice([s, h], new_nodes=[one], rephase={v: 0.0})
+        return g.splice([s, h], new_nodes=[one], rephase={v: Node(Z, 0j)})
 
     raise UnsupportedRuleError(f"no applier for {rule!r}")
 
@@ -534,26 +580,120 @@ class _Worklist:
         return None
 
 
+class _Recording(_Graph):
+    """A working graph that logs, for a plan, each phase test a matcher
+    makes and each node that a step puts in the graph, on the slots of a
+    replay: slot k < len(source.nodes) holds the source's k-th node, and
+    each node event fills the next slot.  A test is ``(slot, value,
+    outcome)``, once per slot and value; a node is ``(node_of, slots)``,
+    or ``(node, None)`` for a node made of no phase."""
+
+    def __init__(self, d: Diagram):
+        super().__init__(d)
+        self.events: list[tuple] = []
+        self.slot = {v: k for k, v in enumerate(d.nodes)}
+        self.made: dict[int, int] = {}  # id(node) -> slot, for new nodes
+        self.kept: list[Node] = []  # those nodes, so that ids stay theirs
+        self.tested: set[tuple] = set()
+
+    def slot_of(self, v: int) -> int:
+        """The slot of the node at v, a new one for a node made of no
+        phase that no event has named yet."""
+        node = self.nodes[v]
+        k = self.made.get(id(node))
+        if k is not None:
+            return k
+        if node is self.source.nodes.get(v):
+            return self.slot[v]
+        return self._fill(node, (node, None))
+
+    def _fill(self, node: Node, event: tuple) -> int:
+        k = self.made[id(node)] = len(self.slot) + len(self.kept)
+        self.kept.append(node)
+        self.events.append(event)
+        return k
+
+    def phase_is(self, v: int, value: complex) -> bool:
+        hit = super().phase_is(v, value)
+        test = (self.slot_of(v), value, hit)
+        if test not in self.tested:
+            self.tested.add(test)
+            self.events.append(test)
+        return hit
+
+    def make(self, node_of, *vs: int) -> Node:
+        slots = tuple(map(self.slot_of, vs))
+        node = super().make(node_of, *vs)
+        self._fill(node, (node_of, slots))
+        return node
+
+
+@_plan_memo
+def _plan(d: Diagram, budget: int) -> tuple:
+    """How ``simplify`` rewrites every diagram of ``d``'s shape whose
+    phases pass the same tests, as ``(moves, exhausted, events, shape,
+    picks)``: the moves as (rule, nodes) pairs, whether the budget ran
+    out, the events ``_Recording`` logged running them on ``d``, the
+    result's shape, and the slot of each of its nodes in node order
+    (``shape`` and ``picks`` None when no move applies).  No decision
+    but the logged tests reads a phase, so a diagram that passes them
+    takes the same moves and gets its nodes by the same operations."""
+    g = _Recording(d)
+    work = _Worklist(g)
+    moves: list[tuple] = []
+    site = work.first()
+    while site is not None and len(moves) < budget:
+        rule, nodes = site
+        work.rematch(_apply(g, rule, nodes))
+        moves.append(site)
+        site = work.first()
+    out = g.diagram()
+    shape = picks = None
+    if out is not d:
+        shape, picks = out.shape, tuple(map(g.slot_of, out.nodes))
+    return tuple(moves), site is not None, tuple(g.events), shape, picks
+
+
+def _replay(plan: tuple, d: Diagram) -> SimplifyResult | None:
+    """The plan's result on ``d``; None if a phase test of ``d`` comes
+    out otherwise than it did for the plan."""
+    moves, exhausted, events, shape, picks = plan
+    slots = list(d.nodes.values())
+    for event in events:
+        if len(event) == 3:
+            k, value, hit = event
+            if _is_phase(slots[k].phase, value) is not hit:
+                return None
+        else:
+            node_of, args = event
+            slots.append(node_of if args is None
+                         else node_of(*[slots[k].phase for k in args]))
+    if shape is not None:
+        d = Diagram._of(shape, MappingProxyType(
+            dict(zip(shape.port_edges, map(slots.__getitem__, picks)))))
+    return SimplifyResult(d, len(moves), exhausted,
+                          [{"rule": rule, "nodes": list(nodes)}
+                           for rule, nodes in moves])
+
+
 def simplify(d: Diagram, budget: int | None = None) -> SimplifyResult:
     """Apply the terminating move set to fixpoint or budget.
 
     Moves are taken in a fixed pass order with deterministic site order,
     so identical inputs give identical outputs.  The result's ``trace``
-    logs each applied move's rule and matched nodes.  The moves edit one
-    working graph, and only the result is built as a Diagram: ``d``
-    itself when no move applies.
+    logs each applied move's rule and matched nodes.  The result is
+    ``d`` itself when no move applies.  A planning runs the moves on one
+    working graph and builds, and so validates, only the result; a
+    replay of the plan takes its recorded shape.  A shape keeps its plan
+    (``_plan``) from its second planning on, and a diagram whose phase
+    tests come out otherwise is planned from itself, and that plan is
+    not kept.
     """
     if budget is None:
         budget = 10 * len(d.nodes) + 20
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    g = _Graph(d)
-    work = _Worklist(g)
-    log: list[dict] = []  # one entry per step
-    site = work.first()
-    while site is not None and len(log) < budget:
-        rule, nodes = site
-        work.rematch(_apply(g, rule, nodes))
-        log.append({"rule": rule, "nodes": list(nodes)})
-        site = work.first()
-    return SimplifyResult(g.diagram(), len(log), site is not None, log)
+    res = _replay(_plan(d, budget), d)
+    if res is None:
+        res = _replay(_plan.__wrapped__(d, budget), d)
+    return res
