@@ -600,12 +600,10 @@ class _Recording(_Graph):
         """The slot of the node at v, a new one for a node made of no
         phase that no event has named yet."""
         node = self.nodes[v]
-        k = self.made.get(id(node))
-        if k is not None:
-            return k
         if node is self.source.nodes.get(v):
             return self.slot[v]
-        return self._fill(node, (node, None))
+        k = self.made.get(id(node))
+        return self._fill(node, (node, None)) if k is None else k
 
     def _fill(self, node: Node, event: tuple) -> int:
         k = self.made[id(node)] = len(self.slot) + len(self.kept)
@@ -650,7 +648,10 @@ def _plan(d: Diagram, budget: int) -> tuple:
     out = g.diagram()
     shape = picks = None
     if out is not d:
-        shape, picks = out.shape, tuple(map(g.slot_of, out.nodes))
+        slot, source = g.slot, d.nodes  # most result nodes are the source's
+        shape, picks = out.shape, tuple([
+            slot[v] if node is source.get(v) else g.slot_of(v)
+            for v, node in out.nodes.items()])
     return tuple(moves), site is not None, tuple(g.events), shape, picks
 
 

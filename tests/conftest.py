@@ -1,6 +1,6 @@
 import pytest
 
-from zxel import diagram, normalform, semantics
+from zxel import diagram, normalform, rewrite, semantics
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -9,9 +9,11 @@ ACCEPTANCE_LINES: list[str] = []
 def _cold_plans():
     """Each test starts with no kept plan and no kept walk, so a test that
     swaps the walk plans with its walk instead of running a plan, or
-    taking a walk, that an earlier test left behind."""
+    taking a walk, that an earlier test left behind, and a test that
+    watches simplify sees it plan instead of replaying a kept plan."""
     semantics._plan.cache_clear()
     normalform._plan.cache_clear()
+    rewrite._plan.cache_clear()
     diagram._WALKS.clear()
 
 
