@@ -29,13 +29,11 @@ from their valid pieces' shapes, unvalidated, or look it up by those
 shapes in a memo that holds the result's shape weakly (an entry's key
 holds the pieces' shapes strongly), so diagrams that differ only in Z
 phases share a shape.  A flip keeps every node id and edge index, so it
-shares its piece's nodes mapping, ``port_edges`` and wiring
-(``_Shape.wiring``: the shape up to which boundary ends are inputs).
-The normal-form route plans per shape and the contraction route per
-wiring, and ``_plan_memo`` keeps a plan, weakly keyed by the shape or
-the wiring, from its second planning on.  Both routes plan from one
-walk of the wiring (``_walk``), which ``_WALKS``, weakly keyed by the
-wiring, holds from the planning that walked it to the next planning.
+shares its piece's nodes mapping and ``port_edges``.  Both routes plan
+per shape, and ``_plan_memo`` keeps a plan, weakly keyed by the shape,
+from its second planning on.  Both routes plan from one walk of the
+shape (``_walk``), which ``_WALKS``, weakly keyed by the shape, holds
+from the planning that walked it to the next planning.
 
 All re-wiring is one splice: ``_splice`` joins edges at junctions given
 as a pairing of edge ends, end 2i + s being side s of edge i.
@@ -144,31 +142,20 @@ class _Shape:
     the node ids in node order.  Shapes are equal by value, and the hash
     is computed once.  ``Diagram.__init__`` validates each shape it makes
     before any diagram holds it; the combinators make theirs from valid
-    pieces.
-
-    ``wiring`` names the shape's wiring: all of it but which boundary
-    ends are inputs and which outputs (the kinds, ``port_edges``, which
-    edges are bare and ``n_in + n_out``).  It is the shape itself, but
-    for a shape that ``flip`` made, which shares its piece's wiring; so
-    ``d``, ``flip(d)`` and ``flip(flip(d))`` name one wiring."""
+    pieces."""
 
     __slots__ = ("kinds", "edges", "n_in", "n_out", "loops", "port_edges",
-                 "_hash", "_wiring", "__weakref__")
+                 "_hash", "__weakref__")
 
     def __init__(self, kinds: tuple[str, ...], edges: tuple[Edge, ...],
                  n_in: int, n_out: int, loops: int,
-                 port_edges: Mapping[int, tuple[int, ...]] | None = None,
-                 wiring: _Shape | None = None):
-        values = (kinds, edges, n_in, n_out, loops, port_edges, None, wiring)
+                 port_edges: Mapping[int, tuple[int, ...]] | None = None):
+        values = (kinds, edges, n_in, n_out, loops, port_edges, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a shape is read-only; cannot set {name}")
-
-    @property
-    def wiring(self) -> _Shape:
-        return self if self._wiring is None else self._wiring
 
     def _fields(self) -> tuple:
         return (tuple(self.port_edges), self.kinds, self.edges, self.n_in,
@@ -187,7 +174,7 @@ class _Shape:
 class Diagram:
     """An immutable open diagram of type n_in -> n_out: its ``nodes`` and
     its ``shape``.  ``flip`` of a diagram shares its ``nodes`` mapping
-    and its ``shape.wiring``, so the two differ only in which boundary
+    and keeps every edge index, so the two differ only in which boundary
     ends are inputs."""
 
     __slots__ = ("nodes", "shape")
@@ -363,20 +350,20 @@ def contraction_order(
         yield steps
 
 
-# each wiring's walk, from the planning that walked it until the next
-# planning of that wiring, by either route, takes it
+# each shape's walk, from the planning that walked it until the next
+# planning of that shape, by either route, takes it
 _WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _walk(d: Diagram) -> list[list]:
-    """``contraction_order`` of ``d``'s wiring, as a list of components.
+    """``contraction_order`` of ``d``'s shape, as a list of components.
     A walk reads ``port_edges`` alone, so it serves every planning of the
-    wiring, by either route: a planning takes the walk ``_WALKS`` holds,
+    shape, by either route: a planning takes the walk ``_WALKS`` holds,
     or walks and leaves its walk there for the next one.  A planner reads
     the walk and keeps nothing of it in its plan."""
-    walk = _WALKS.pop(d.shape.wiring, None)
+    walk = _WALKS.pop(d.shape, None)
     if walk is None:
-        walk = _WALKS[d.shape.wiring] = list(contraction_order(d.port_edges))
+        walk = _WALKS[d.shape] = list(contraction_order(d.port_edges))
     return walk
 
 
@@ -523,21 +510,20 @@ def _memoised(combinator):
     return memoised
 
 
-def _plan_memo(planner, key=attrgetter("shape")):
-    """``planner(d, cap)`` through a memo keyed weakly by the shape
-    ``key(d)``, ``d.shape`` unless given: a shape's first planning
-    records only the shape, its second keeps ``(cap, plan)``, and later
-    calls at that cap reuse the plan.  Another cap plans again, so every
-    cap error is raised as a cold call raises it.  Most shapes are
-    planned once (one-off rule sides), so they keep no plan.  An entry
-    dies with its shape, so a plan must hold neither its diagram nor its
-    shape, and a run must not change it.  ``cache_clear()`` empties the
-    memo."""
+def _plan_memo(planner):
+    """``planner(d, cap)`` through a memo keyed weakly by ``d.shape``: a
+    shape's first planning records only the shape, its second keeps
+    ``(cap, plan)``, and later calls at that cap reuse the plan.  Another
+    cap plans again, so every cap error is raised as a cold call raises
+    it.  Most shapes are planned once (one-off rule sides), so they keep
+    no plan.  An entry dies with its shape, so a plan must hold neither
+    its diagram nor its shape, and a run must not change it.
+    ``cache_clear()`` empties the memo."""
     plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @wraps(planner)
     def planned(d, cap):
-        shape = key(d)
+        shape = d.shape
         kept = plans.get(shape)
         if kept and kept[0] == cap:
             return kept[1]
@@ -614,11 +600,10 @@ _FLIP = "flip"
 def flip(d: Diagram) -> Diagram:
     """Upside-down flip: inputs become outputs and vice versa (the
     interpretation transposes).  A flip keeps every node id and edge
-    index, so it shares ``d``'s nodes mapping, ``port_edges`` and
-    wiring; its shape is memoised by ``d``'s shape and wiring (equal
-    shapes may name different wirings: ``cap()``'s and
-    ``flip(cup())``'s)."""
-    key = (_FLIP, d.shape, d.shape.wiring)
+    index, so it shares ``d``'s nodes mapping and the ``port_edges`` of
+    ``d``'s shape, or of an equal one: its shape is memoised by
+    ``d``'s."""
+    key = (_FLIP, d.shape)
     shape = _recall(key)
     if shape is None:
         def ren(ep):
@@ -630,7 +615,7 @@ def flip(d: Diagram) -> Diagram:
 
         edges = tuple(_norm_edge(ren(a), ren(b)) for a, b in d.edges)
         shape = _Shape(d.shape.kinds, edges, d.n_out, d.n_in, d.loops,
-                       d.port_edges, d.shape.wiring)
+                       d.port_edges)
         _record(key, shape)
     return Diagram._of(shape, d.nodes)
 

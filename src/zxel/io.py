@@ -188,8 +188,8 @@ def load_diagram(path: str) -> Diagram:
             rec = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DiagramFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    except OSError as exc:
-        raise DiagramFileError(f"{path}: {exc}")
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise DiagramFileError(f"{path}: {exc}") from None
     return diagram_from_jsonable(rec)
 
 
@@ -270,8 +270,8 @@ def load_matrix(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
-        raise DiagramFileError(f"{path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DiagramFileError(f"{path}: {exc}") from None
     for ln, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):

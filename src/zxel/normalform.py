@@ -25,7 +25,7 @@ share one walk, ``diagram.contraction_order``, and nothing else: the
 elimination order with each node's open edges and the edges each step
 shares, and no arithmetic; each route keeps its own axis order.
 ``normalize`` folds generator states along it, so that both routes hold
-the same open wires at every step.  A wiring's walk is made once for
+the same open wires at every step.  A shape's walk is made once for
 both routes' next plannings (``diagram._walk``), and no plan keeps it.
 
 The fold is planned once per shape (``Diagram.shape``: all of a diagram
@@ -389,7 +389,7 @@ def _plan(d: Diagram, cap: int) -> tuple:
     """How to normalise every diagram of ``d``'s shape, as
     ``(components, caps, perm)``.
 
-    The fold translates the walk of ``d``'s wiring (``diagram._walk``)
+    The fold translates the walk of ``d``'s shape (``diagram._walk``)
     in one pass: bending ``d`` into a state only renumbers its boundary,
     input i to output slot n - 1 - i and output j to slot n + j.
     ``components`` holds one list of steps per connected component, each

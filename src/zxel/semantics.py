@@ -10,12 +10,11 @@ This module is the ground-truth oracle for everything else.  It has its
 own contraction engine and never goes through the normal-form pipeline;
 it shares only the walk ``diagram.contraction_order``: the elimination
 order with each node's open edges and the edges each step shares, which
-``diagram._walk`` hands to the next planning of a wiring by either
+``diagram._walk`` hands to the next planning of a shape by either
 route.  The axis order of each step's result is this module's own.
 
-The engine plans once per wiring (``Diagram.shape.wiring``: all of a
-diagram but its Z phases and which boundary ends are inputs, so a
-diagram and its flip share one) and contracts in batches.  A plan,
+The engine plans once per shape (``Diagram.shape``: all of a diagram
+but its Z phases) and contracts in batches.  A plan,
 translated in one pass from the walk of one diagram, holds each node's
 degree after its self-loops, the einsum sublists of each pair step, the
 root's end wires and the most open wires of any operand, which sizes a
@@ -24,20 +23,18 @@ diagram reads its matrix out of the contracted root through its own
 edges: the boundary slot of each end wire gives its output permutation.
 
 A run contracts a plan over a phase matrix: one row per batch entry,
-one column per Z leaf of the plan.  Diagrams of one wiring share a plan,
+one column per Z leaf of the plan.  Diagrams of one shape share a plan,
 and one run of it contracts them all at once, their Z tensors stacked
-along a leading batch axis; a diagram and its flip, which share their
-nodes, are one entry of that batch.  Every run, batched or not, is read
-out in rounds of one shape and at most one diagram per batch entry, so
-the matrices returned are views of one stacked array per round.  From
-its second planning on, a wiring keeps its plan across calls
-(``diagram._plan_memo``); a wiring planned once, such as a one-off rule
+along a leading batch axis.  Every run, batched or not, is read out at
+once, so the matrices returned are views of one stacked array.  From
+its second planning on, a shape keeps its plan across calls
+(``diagram._plan_memo``); a shape planned once, such as a one-off rule
 side, keeps none.  ``interpret`` runs a plan on one diagram's row;
-``interpret_all`` groups a list by wiring and builds each chunk's rows
+``interpret_all`` groups a list by shape and builds each chunk's rows
 from its diagrams.  The rule-soundness sweep builds no diagram per
 draw: ``_interpret_drawn`` runs one template side over the rows of all
 draws, its traced Z phases evaluated per draw, and reads the side and
-its flip out of one root.
+its flip, which keeps every edge index, out of one root.
 
 A Z spider is a copy tensor: of its 2^degree entries only the all-zero
 one (1) and the all-one one (the phase) are nonzero.  So in a batched
@@ -65,8 +62,6 @@ from __future__ import annotations
 
 import importlib
 import os
-from functools import partial
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -225,9 +220,9 @@ def _pair_step(dst: int, src: int, li: list, lj: list, shared):
     return (dst, src, list(range(n)), sub_src, sub_out), out
 
 
-@partial(_plan_memo, key=attrgetter("shape.wiring"))
+@_plan_memo
 def _plan(d: Diagram, cap: int) -> tuple:
-    """How to contract every diagram of ``d``'s wiring, as
+    """How to contract every diagram of ``d``'s shape, as
     ``(leaves, steps, root, ends, zids, width)``.
 
     ``leaves`` holds one entry per operand: a Z node's (id, degree),
@@ -241,9 +236,8 @@ def _plan(d: Diagram, cap: int) -> tuple:
     bare wire's second end), ~i for a bare wire's first end.  ``zids``
     holds the node id of each Z leaf in leaf order: the columns of a
     phase matrix.  ``width`` is the most open wires any operand has.
-    Nothing in the plan depends on which ends are inputs (``_matrices``
-    reads that off each diagram's own edges), so it serves a whole
-    wiring.
+    Nothing in the plan depends on which ends are inputs: ``_matrices``
+    reads that off each diagram's own edges.
 
     The plan translates the walk (``diagram._walk``) in one pass: each
     component folds its nodes into its first one, its wires threaded
@@ -318,21 +312,19 @@ def _axes(ends: list[int], d: Diagram) -> list[int]:
 
 
 def _matrices(t: np.ndarray, ends: list[int], d: Diagram,
-              rows: list[int]) -> np.ndarray:
-    """The matrices of the diagrams of ``d``'s shape in the ascending
-    ``rows`` of ``t``, their contracted root, stacked in one array.  The
-    root's batch axis leads (an unbatched root, of one diagram or with no
-    Z phase, has none and serves every row), and its other axes hold the
-    end wires ``ends``: each matrix is the root permuted by ``_axes`` and
-    scaled by ``d``'s loops."""
+              rows: int) -> np.ndarray:
+    """The matrices of the ``rows`` diagrams of ``d``'s shape whose
+    contracted root is ``t``, stacked in one array.  The root's batch
+    axis leads (an unbatched root, of one diagram or with no Z phase, has
+    none and serves every row), and its other axes hold the end wires
+    ``ends``: each matrix is the root permuted by ``_axes`` and scaled by
+    ``d``'s loops."""
     axes = _axes(ends, d)
     if t.ndim > len(ends):
         axes = [0] + [a + 1 for a in axes]
-        if len(rows) < len(t):
-            t = t[rows]
-    mats = np.empty((len(rows), 2 ** d.n_out, 2 ** d.n_in), dtype=complex)
+    mats = np.empty((rows, 2 ** d.n_out, 2 ** d.n_in), dtype=complex)
     np.multiply(np.transpose(t, axes), 2.0 ** d.loops,
-                out=mats.reshape((len(rows),) + (2,) * len(ends)))
+                out=mats.reshape((rows,) + (2,) * len(ends)))
     if not np.isfinite(mats).all():
         raise ArithmeticError("non-finite entries in interpretation")
     return mats
@@ -415,20 +407,16 @@ def interpret_all(ds: Sequence[Diagram],
                   cap: int | None = None) -> list[np.ndarray]:
     """Evaluate each diagram to its matrix, in input order.
 
-    Diagrams of one wiring (``d.shape.wiring``) share one plan, built
-    once from the first of them, and are contracted together: Z tensors
-    are stacked along a leading batch axis, and the other generators'
-    tensors are broadcast along it.  Diagrams of one wiring that share
-    their nodes mapping, such as a diagram and its flip, carry the same
-    phases and are one batch entry; each reads its own matrix out of the
-    entry's contracted root, permuted by its own edges.  A plan that
-    peaks at w open wires runs its group in chunks of at most 2^(cap - w)
-    entries, so a batch never holds a larger array than one diagram at
-    the cap could.  A chunk is read out in rounds of one shape and at
-    most one diagram per entry, each round one stacked array whose rows
-    the round's matrices are views of.  A diagram listed more than once
-    is read out once, and its matrix is given at each place.  Raises
-    what ``interpret`` raises for the first failing diagram of the first
+    Diagrams of one shape (``d.shape``) share one plan, built once from
+    the first of them, and are contracted together: Z tensors are
+    stacked along a leading batch axis, and the other generators'
+    tensors are broadcast along it.  A plan that peaks at w open wires
+    runs its group in chunks of at most 2^(cap - w) diagrams, so a batch
+    never holds a larger array than one diagram at the cap could.  Each
+    chunk is read out at once, one stacked array whose rows the chunk's
+    matrices are views of.  A diagram listed more than once is read out
+    once, and its matrix is given at each place.  Raises what
+    ``interpret`` raises for the first failing diagram of the first
     failing group, groups taken in order of their first diagram."""
     if cap is None:
         cap = wire_cap()
@@ -436,31 +424,19 @@ def interpret_all(ds: Sequence[Diagram],
     groups: dict = {}
     for k, d in enumerate(ds):
         if firsts.setdefault(id(d), k) == k:
-            groups.setdefault(d.shape.wiring, {}) \
-                .setdefault(id(d.nodes), []).append(k)
+            groups.setdefault(d.shape, []).append(k)
     out: list = [None] * len(ds)
-    for by_nodes in groups.values():
-        entries = list(by_nodes.values())
-        plan = _plan(ds[entries[0][0]], cap)
+    for ks in groups.values():
+        plan = _plan(ds[ks[0]], cap)
         ends, zids = plan[3:5]
-        size = _chunk_size(plan, cap, len(entries))
-        for s in range(0, len(entries), size):
-            chunk = entries[s:s + size]
-            t = _run(plan, [[nodes[v].phase for v in zids]
-                            for nodes in (ds[m[0]].nodes for m in chunk)])
-            # (shape, round) -> the rows and the diagrams read out together
-            rounds: dict = {}
-            for row, members in enumerate(chunk):
-                seen: dict = {}
-                for k in members:
-                    shape = ds[k].shape
-                    r = seen[shape] = seen.get(shape, -1) + 1
-                    rows, ks = rounds.setdefault((shape, r), ([], []))
-                    rows.append(row)
-                    ks.append(k)
-            for rows, ks in rounds.values():
-                for k, mat in zip(ks, _matrices(t, ends, ds[ks[0]], rows)):
-                    out[k] = mat
+        size = _chunk_size(plan, cap, len(ks))
+        for s in range(0, len(ks), size):
+            chunk = ks[s:s + size]
+            t = _run(plan, [[ds[k].nodes[v].phase for v in zids]
+                            for k in chunk])
+            for k, mat in zip(chunk, _matrices(t, ends, ds[chunk[0]],
+                                               len(chunk))):
+                out[k] = mat
     return [out[firsts[id(d)]] for d in ds]
 
 
@@ -471,7 +447,7 @@ def interpret(d: Diagram, cap: int | None = None) -> np.ndarray:
     plan = _plan(d, wire_cap() if cap is None else cap)
     nodes = d.nodes
     return _matrices(_run(plan, [[nodes[v].phase for v in plan[4]]]),
-                     plan[3], d, [0])[0]
+                     plan[3], d, 1)[0]
 
 
 def _interpret_drawn(d: Diagram, f: Diagram,
@@ -498,7 +474,7 @@ def _interpret_drawn(d: Diagram, f: Diagram,
         chunk = matrix[s:s + size]
         t = _run(plan, chunk)
         for g, out in zip((d, f), mats):
-            out.append(_matrices(t, plan[3], g, range(len(chunk))))
+            out.append(_matrices(t, plan[3], g, len(chunk)))
     return mats
 
 

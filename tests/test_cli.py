@@ -184,9 +184,13 @@ def test_interpret_largest_precision(tmp_path, runner):
 
 def test_interpret_malformed(tmp_path, runner):
     bad = tmp_path / "bad.zx"
-    bad.write_text("{not json")
-    res = runner.invoke(main, ["interpret", str(bad)])
-    assert res.exit_code == 2
+    for content in (b"{not json",
+                    b"\xff\xfe{}",  # not UTF-8
+                    b"[" * 100_000):  # nested past the parser's limit
+        bad.write_bytes(content)
+        res = runner.invoke(main, ["interpret", str(bad)])
+        _assert_one_line_error(res)
+        assert str(bad) in res.stderr and "internal" not in res.stderr
 
 
 def test_check_eq_exit_codes(tmp_path, runner):
@@ -383,14 +387,19 @@ def test_ragged_matrix_row_names_its_file_line(tmp_path, runner):
     ("1e308 1e308\n1e308 -1e308\n", "non-finite coefficient"),
     ("1.7976931348623157e308+1.7976931348623157e308i 0\n0 1\n",
      "beyond the float range"),
+    (b"1 0\n0 \xff\n", "m.txt: 'utf-8' codec can't decode"),
 ])
 def test_elementary_extreme_matrix_is_a_file_error(tmp_path, runner, text,
                                                   message):
-    # an entry beyond the float range is a bad file, and a huge finite
-    # matrix whose decomposition or check overflows is an ordinary error,
-    # not an internal one; numpy's overflow warnings stay silent
+    # an entry beyond the float range or a file that is not UTF-8 is a
+    # bad file, and a huge finite matrix whose decomposition or check
+    # overflows is an ordinary error, not an internal one; numpy's
+    # overflow warnings stay silent
     mat = tmp_path / "m.txt"
-    mat.write_text(text)
+    if isinstance(text, bytes):
+        mat.write_bytes(text)
+    else:
+        mat.write_text(text)
     res = runner.invoke(main, ["elementary", str(mat)])
     _assert_one_line_error(res)
     assert message in res.stderr and "internal" not in res.stderr

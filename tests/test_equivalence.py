@@ -120,7 +120,7 @@ def test_wide_rules_decided_at_default_cap(name):
 def test_each_route_plans_once_per_shape(monkeypatch):
     # a cold call plans a normal-form pair of one shape once per route,
     # a rule instance's two sides once each per route, and the two routes
-    # share each wiring's walk: the normal-form route walks, and the
+    # share each shape's walk: the normal-form route walks, and the
     # contraction route takes its walk.  A shape's second planning keeps
     # its plan, so a third call walks no more
     calls = []
@@ -233,33 +233,33 @@ class _Component(list):
     """A walk's component that a weak reference can watch."""
 
 
-def test_a_walk_dies_with_its_wiring_and_no_kept_plan_holds_it(monkeypatch):
+def test_a_walk_dies_with_its_shape_and_no_kept_plan_holds_it(monkeypatch):
     order = D.contraction_order
     monkeypatch.setattr(D, "contraction_order",
                         lambda pe: map(_Component, order(pe)))
-    # a wiring planned once leaves its walk, which dies with the wiring
+    # a shape planned once leaves its walk, which dies with the shape
     d = _memo_diagram()
     NF._plan(d, 14)
-    left = weakref.ref(D._WALKS[d.shape.wiring][0])
-    wiring = weakref.ref(d.shape.wiring)
+    left = weakref.ref(D._WALKS[d.shape][0])
+    shape = weakref.ref(d.shape)
     del d
     gc.collect()
-    assert wiring() is None and left() is None
+    assert shape() is None and left() is None
     # the contraction route takes the walk the normal-form route left,
     # and neither route's kept plan holds either walk
     d = _memo_diagram()
     walks = []
     for _ in range(2):
         NF._plan(d, 14)
-        walks.append(weakref.ref(D._WALKS[d.shape.wiring][0]))
+        walks.append(weakref.ref(D._WALKS[d.shape][0]))
         S._plan(d, 14)
-        assert d.shape.wiring not in D._WALKS
+        assert d.shape not in D._WALKS
     gc.collect()
     assert [w() for w in walks] == [None, None]
     for route in (S, NF):  # both plans are kept
         assert _own_array(route, route._plan(d, 14)) is _own_array(
             route, route._plan(d, 14))
-    assert d.shape.wiring not in D._WALKS
+    assert d.shape not in D._WALKS
 
 
 def _result(run, d, cap):

@@ -380,9 +380,9 @@ def test_templated_sides_equal_the_builders(monkeypatch, seed):
             d, f, columns, (md, mf) = next(sides)
             assert f.nodes is d.nodes
             if rule.arity:
-                assert f.shape.wiring is d.shape.wiring
+                assert f.port_edges is d.port_edges
             else:  # a fresh build's flip may be an equal one's, memoised
-                assert f.shape.wiring == d.shape.wiring and not columns
+                assert f.port_edges == d.port_edges and not columns
             got[k] = [m.tobytes() for m in _stacked(md, len(draws))]
             got[k + 2] = [m.tobytes() for m in _stacked(mf, len(draws))]
         assert [m for row in zip(*got) for m in row] == want, rule.name
@@ -460,10 +460,10 @@ def test_check_soundness_plans_once_per_topology(monkeypatch):
 
 
 def test_check_soundness_shares_a_side_with_its_flip(monkeypatch):
-    # S1's draws differ only in phases, and each side shares its wiring
-    # and its nodes with its flip: k draws read out 4k matrices, but plan
-    # 2 wirings and run 2k rows of phase matrices, where a plan per shape
-    # took 4 plans and 4k entries
+    # S1's draws differ only in phases, and each side shares its nodes
+    # and edge indices with its flip: k draws read out 4k matrices, but
+    # plan 2 shapes and run 2k rows of phase matrices, where a plan per
+    # side and flip took 4 plans and 4k entries
     plans, rows = [], []
     order = D.contraction_order
     monkeypatch.setattr(D, "contraction_order",
@@ -474,7 +474,7 @@ def test_check_soundness_shares_a_side_with_its_flip(monkeypatch):
     calls = _drawn(monkeypatch)
     for samples in (1, 6):
         S._plan.cache_clear()
-        D._WALKS.clear()  # a side's wiring may outlive the first check
+        D._WALKS.clear()  # a side's shape may outlive the first check
         plans.clear()
         rows.clear()
         calls.clear()
