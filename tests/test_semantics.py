@@ -604,8 +604,8 @@ def test_check_soundness_reads_each_side_out_once(monkeypatch):
 
 
 def test_interpret_all_reads_a_repeated_diagram_out_once(monkeypatch):
-    # d listed three times and its flip once: one entry, read out in one
-    # round per shape, where a round per listing read d out three times
+    # d listed three times and its flip once: each shape read out once,
+    # where a readout per listing read d out three times
     d = D.compose(D.z_spider(1, 2, 0.5j), D.tensor(D.triangle(), D.h_box()))
     ds = [d, d, D.flip(d), d]
     want = [S.interpret(x) for x in ds]
