@@ -26,9 +26,9 @@ loader, ``bend_to_state``, the generator builders and the rewriter's
 result, validates its shape and builds ``port_edges`` in one pass.
 ``compose_all``, ``tensor_all`` and ``flip`` build their result's shape
 from their valid pieces' shapes, unvalidated, or look it up by those
-shapes in a memo that holds the result's shape weakly (an entry's key
-holds the pieces' shapes strongly), so diagrams that differ only in Z
-phases share a shape.  A flip keeps every node id and edge index, so it
+shapes in ``_SHAPES``, a ``weakref.WeakValueDictionary`` whose keys hold
+the pieces' shapes strongly, so diagrams that differ only in Z phases
+share a shape.  A flip keeps every node id and edge index, so it
 shares its piece's nodes mapping and ``port_edges``.  Both routes plan
 per shape, and ``_plan_memo`` keeps a plan, weakly keyed by the shape,
 from its second planning on.  Both routes plan from one walk of the
@@ -459,36 +459,17 @@ def _assembled(ds: Sequence[Diagram], nodes, edges, n_in: int, n_out: int,
 
 
 # each combinator result's shape by the combinator and its pieces' shapes:
-# the result's shape is held by a weak reference, so an entry dies with
-# the last diagram of that shape, and until then its key holds the
-# pieces' shapes strongly (weak keys cost rules-sweep ten times the
-# misses).  A plain dict of references, looked up in C, where
-# ``WeakValueDictionary.get`` runs Python code on every hit
-_SHAPES: dict = {}
-
-
-def _recall(key) -> _Shape | None:
-    """The live shape ``_SHAPES`` holds under ``key``, or None."""
-    ref = _SHAPES.get(key)
-    return None if ref is None else ref()
-
-
-def _record(key, shape: _Shape) -> None:
-    """Hold ``shape`` weakly in ``_SHAPES`` under ``key``; when it dies,
-    its entry goes, unless a later shape has taken the key since."""
-    _SHAPES[key] = weakref.KeyedRef(shape, _forget, key)
-
-
-def _forget(ref: weakref.KeyedRef) -> None:
-    memo = _SHAPES  # None once interpreter exit has torn the module down
-    if memo is not None and memo.get(ref.key) is ref:
-        memo.pop(ref.key, None)
+# the result's shape is held weakly, so an entry dies with the last
+# diagram of that shape, and until then its key holds the pieces' shapes
+# strongly (weak keys cost rules-sweep ten times the misses)
+_SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _memoised(combinator):
-    """``combinator`` of a list of pieces through ``_SHAPES``: a hit gives
-    the recorded shape the pieces' nodes, in the order whose ids
-    ``_placed`` shifts, with no splice: one list of the
+    """``combinator`` of a list of pieces through ``_SHAPES``: a miss
+    stores the result's shape under the combinator and the pieces'
+    shapes, and a hit gives the stored shape the pieces' nodes, in the
+    order whose ids ``_placed`` shifts, with no splice: one list of the
     pieces' node values, zipped with the shape's node ids, on the shape
     by ``Diagram._of``.  A list of one piece gives that piece."""
 
@@ -497,10 +478,10 @@ def _memoised(combinator):
         if len(ds) == 1:
             return ds[0]
         key = (combinator, *[d.shape for d in ds])
-        shape = _recall(key)
+        shape = _SHAPES.get(key)
         if shape is None:
             d = combinator(ds)
-            _record(key, d.shape)
+            _SHAPES[key] = d.shape
             return d
         values = []
         for d in ds:
@@ -604,7 +585,7 @@ def flip(d: Diagram) -> Diagram:
     ``d``'s shape, or of an equal one: its shape is memoised by
     ``d``'s."""
     key = (_FLIP, d.shape)
-    shape = _recall(key)
+    shape = _SHAPES.get(key)
     if shape is None:
         def ren(ep):
             if ep[0] == "in":
@@ -616,7 +597,7 @@ def flip(d: Diagram) -> Diagram:
         edges = tuple(_norm_edge(ren(a), ren(b)) for a, b in d.edges)
         shape = _Shape(d.shape.kinds, edges, d.n_out, d.n_in, d.loops,
                        d.port_edges)
-        _record(key, shape)
+        _SHAPES[key] = shape
     return Diagram._of(shape, d.nodes)
 
 

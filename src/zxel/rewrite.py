@@ -23,11 +23,16 @@ absolute 1e-12 of 1 or -1 and rewrite as if it were that constant: a
 phase eps away changes the pattern's value by at most eps * (1 + |a|),
 a the green phase the move reads (none for S2), so
 ``simplify(z_spider(1, 1, 1 + 1e-13))`` deletes the spider and moves the
-interpretation by 1e-13.  B3's nonzero test only declines a match.
+interpretation by 1e-13.  The whole diagram moves by that times the
+magnitude of the rest of it: ``simplify`` of ``compose(z_spider(0, 1,
+1e12), z_spider(1, 1, 1 + 1e-13))`` takes S2 and moves the
+interpretation by 0.0999, so ``check_equivalent`` calls the result
+unequal to its input.  B3's nonzero test only declines a match.
 Scalar bookkeeping uses floating degree-0 Z dots, never dropped.
-``apply`` and ``simplify`` share the appliers, which edit a private
-working graph in place; ``apply`` builds and validates one Diagram, from
-the final graph, and ``simplify`` one per planning.
+``find_matches``, ``apply`` and ``simplify`` share one private working
+graph (``_Graph``), which the appliers edit in place; ``apply`` builds
+and validates one Diagram, from the final graph, and ``simplify`` one
+per planning.
 
 Each rule has one matcher, which returns the sites anchored at one node.
 ``find_matches`` runs it at every node and sorts the sites.  ``simplify``
@@ -37,14 +42,14 @@ the nodes the step touched, and keeps each pass's candidates in a heap
 in ``find_matches`` order, so that it takes the same moves as a full
 scan before every step would.
 
-``simplify`` plans per shape and budget (``_plan``): it logs the moves,
-each phase test a matcher makes and each node an applier makes of
-phases, and keeps the result's validated shape.  No other decision reads
-a phase, so the plan rewrites any diagram of the shape whose tests come
-out alike by replaying those events on its phases, with no matching,
-surgery or validation.  ``diagram._plan_memo`` keeps a plan from the
-shape's second planning on; a kept plan is read-only, and a replay
-writes to nothing shared.
+``simplify`` plans per shape and budget (``_plan``): it keeps the moves,
+the working graph's log of each phase test a matcher makes and each
+node an applier makes of phases, and the result's validated shape.  No
+other decision reads a phase, so the plan rewrites any diagram of the
+shape whose tests come out alike by replaying those events on its
+phases, with no matching, surgery or validation.  ``diagram._plan_memo``
+keeps a plan from the shape's second planning on; a kept plan is
+read-only, and a replay writes to nothing shared.
 """
 
 from __future__ import annotations
@@ -135,8 +140,8 @@ def _partner(d, inc, h):
 # A matcher takes one anchor node, of the kind ``_MATCHERS`` names for it,
 # and returns the sites anchored there.  It reads only ``d.nodes``,
 # ``d.edges[e]`` and the incidence ``inc``, and tests a phase only by
-# ``d.phase_is``, so it runs on a working graph: ``find_matches`` reads
-# its diagram through one, and a planning graph logs each test.
+# ``d.phase_is``, so it runs on a working graph, which logs each test;
+# only ``_plan`` reads the log.
 
 def _joined_at(d, inc, v, kind):
     """Sorted ids w > v of ``kind`` nodes joined to v by at least one
@@ -287,6 +292,14 @@ class _Graph:
     for the other kinds, whose ports surgery must not disturb.  The
     source's Z self-loops are dropped then, as every later one is.
     ``next_id`` is the largest node id plus one.
+
+    The graph logs in ``events``, for ``simplify``'s plan, each phase
+    test a matcher makes and each node an applier makes of phases, on
+    the slots of a replay: slot k < len(source.nodes) holds the source's
+    k-th node, and each node event fills the next slot.  A test is
+    ``(slot, value, outcome)``, once per slot and value; a node is
+    ``(node_of, slots)``, or ``(node, None)`` for a node made of no
+    phase.
     """
 
     def __init__(self, d: Diagram):
@@ -294,15 +307,44 @@ class _Graph:
         self.nodes, self.edges, self.port_edges = d.nodes, d.edges, d.port_edges
         self.loops = d.loops
         self.next_id = max(d.nodes, default=-1) + 1
+        self.events: list[tuple] = []
+        self.slot = {v: k for k, v in enumerate(d.nodes)}
+        self.made: dict[int, int] = {}  # id(node) -> slot, for new nodes
+        self.kept: list[Node] = []  # those nodes, so that ids stay theirs
+        self.tested: set[tuple] = set()
+
+    def slot_of(self, v: int) -> int:
+        """The slot of the node at v, a new one for a node made of no
+        phase that no event has named yet."""
+        node = self.nodes[v]
+        if node is self.source.nodes.get(v):
+            return self.slot[v]
+        k = self.made.get(id(node))
+        return self._fill(node, (node, None)) if k is None else k
+
+    def _fill(self, node: Node, event: tuple) -> int:
+        k = self.made[id(node)] = len(self.slot) + len(self.kept)
+        self.kept.append(node)
+        self.events.append(event)
+        return k
 
     def phase_is(self, v: int, value: complex) -> bool:
         """Whether node v's phase is ``value`` within ``_is_phase``'s
-        bound."""
-        return _is_phase(self.nodes[v].phase, value)
+        bound; logs the test."""
+        hit = _is_phase(self.nodes[v].phase, value)
+        test = (self.slot_of(v), value, hit)
+        if test not in self.tested:
+            self.tested.add(test)
+            self.events.append(test)
+        return hit
 
     def make(self, node_of, *vs: int) -> Node:
-        """The node ``node_of`` makes of the phases of the nodes ``vs``."""
-        return node_of(*[self.nodes[v].phase for v in vs])
+        """The node ``node_of`` makes of the phases of the nodes ``vs``;
+        logs it."""
+        slots = tuple(map(self.slot_of, vs))
+        node = node_of(*[self.nodes[v].phase for v in vs])
+        self._fill(node, (node_of, slots))
+        return node
 
     def _add(self, edge) -> None:
         a, b = edge
@@ -580,63 +622,17 @@ class _Worklist:
         return None
 
 
-class _Recording(_Graph):
-    """A working graph that logs, for a plan, each phase test a matcher
-    makes and each node that a step puts in the graph, on the slots of a
-    replay: slot k < len(source.nodes) holds the source's k-th node, and
-    each node event fills the next slot.  A test is ``(slot, value,
-    outcome)``, once per slot and value; a node is ``(node_of, slots)``,
-    or ``(node, None)`` for a node made of no phase."""
-
-    def __init__(self, d: Diagram):
-        super().__init__(d)
-        self.events: list[tuple] = []
-        self.slot = {v: k for k, v in enumerate(d.nodes)}
-        self.made: dict[int, int] = {}  # id(node) -> slot, for new nodes
-        self.kept: list[Node] = []  # those nodes, so that ids stay theirs
-        self.tested: set[tuple] = set()
-
-    def slot_of(self, v: int) -> int:
-        """The slot of the node at v, a new one for a node made of no
-        phase that no event has named yet."""
-        node = self.nodes[v]
-        if node is self.source.nodes.get(v):
-            return self.slot[v]
-        k = self.made.get(id(node))
-        return self._fill(node, (node, None)) if k is None else k
-
-    def _fill(self, node: Node, event: tuple) -> int:
-        k = self.made[id(node)] = len(self.slot) + len(self.kept)
-        self.kept.append(node)
-        self.events.append(event)
-        return k
-
-    def phase_is(self, v: int, value: complex) -> bool:
-        hit = super().phase_is(v, value)
-        test = (self.slot_of(v), value, hit)
-        if test not in self.tested:
-            self.tested.add(test)
-            self.events.append(test)
-        return hit
-
-    def make(self, node_of, *vs: int) -> Node:
-        slots = tuple(map(self.slot_of, vs))
-        node = super().make(node_of, *vs)
-        self._fill(node, (node_of, slots))
-        return node
-
-
 @_plan_memo
 def _plan(d: Diagram, budget: int) -> tuple:
     """How ``simplify`` rewrites every diagram of ``d``'s shape whose
     phases pass the same tests, as ``(moves, exhausted, events, shape,
     picks)``: the moves as (rule, nodes) pairs, whether the budget ran
-    out, the events ``_Recording`` logged running them on ``d``, the
+    out, the events the working graph logged running them on ``d``, the
     result's shape, and the slot of each of its nodes in node order
     (``shape`` and ``picks`` None when no move applies).  No decision
     but the logged tests reads a phase, so a diagram that passes them
     takes the same moves and gets its nodes by the same operations."""
-    g = _Recording(d)
+    g = _Graph(d)
     work = _Worklist(g)
     moves: list[tuple] = []
     site = work.first()

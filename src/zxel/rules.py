@@ -109,13 +109,17 @@ class RuleReport:
         return not self.failures
 
     def to_jsonable(self) -> dict:
+        def number(x):  # null if not finite, which JSON cannot hold
+            return x if math.isfinite(x) else None
+
         return {
             "rule": self.name,
             "checked": self.checked,
-            "max_deviation": self.max_deviation,
+            "max_deviation": number(self.max_deviation),
             "ok": self.ok,
             "failures": [{"params": [[p.real, p.imag] for p in ps],
-                          "deviation": dev} for ps, dev in self.failures],
+                          "deviation": number(dev)}
+                         for ps, dev in self.failures],
             "skipped": [[[p.real, p.imag] for p in ps] for ps in self.skipped],
         }
 

@@ -25,16 +25,17 @@ edges: the boundary slot of each end wire gives its output permutation.
 A run contracts a plan over a phase matrix: one row per batch entry,
 one column per Z leaf of the plan.  Diagrams of one shape share a plan,
 and one run of it contracts them all at once, their Z tensors stacked
-along a leading batch axis.  Every run, batched or not, is read out at
-once, so the matrices returned are views of one stacked array.  From
-its second planning on, a shape keeps its plan across calls
-(``diagram._plan_memo``); a shape planned once, such as a one-off rule
-side, keeps none.  ``interpret`` runs a plan on one diagram's row;
-``interpret_all`` groups a list by shape and builds each chunk's rows
-from its diagrams.  The rule-soundness sweep builds no diagram per
-draw: ``_interpret_drawn`` runs one template side over the rows of all
-draws, its traced Z phases evaluated per draw, and reads the side and
-its flip, which keeps every edge index, out of one root.
+along a leading batch axis.  From its second planning on, a shape keeps
+its plan across calls (``diagram._plan_memo``); a shape planned once,
+such as a one-off rule side, keeps none.  One loop, ``_chunked``, runs
+every phase matrix, in chunks under the wire cap, and reads each chunk
+out at once through each diagram it is given, so the matrices returned
+are views of one stacked array per chunk.  ``interpret_all`` groups a
+list by shape, a row per diagram, and ``interpret`` is
+``interpret_all`` of one diagram.  The rule-soundness sweep builds no
+diagram per draw: ``_interpret_drawn`` runs one template side over the
+rows of all draws, its traced Z phases evaluated per draw, and reads
+the side and its flip, which keeps every edge index, out of one root.
 
 A Z spider is a copy tensor: of its 2^degree entries only the all-zero
 one (1) and the all-one one (the phase) are nonzero.  So in a batched
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import importlib
 import os
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -397,10 +399,24 @@ def _run(plan: tuple, phases: Sequence[Sequence]) -> np.ndarray:
     return np.array(1.0, dtype=complex) if root is None else ops[root]
 
 
-def _chunk_size(plan: tuple, cap: int, rows: int) -> int:
-    """2^(cap - w) for a plan that peaks at w open wires, but no larger
-    than ``rows`` needs: a huge cap must not cost a huge integer."""
-    return 1 << min(cap - plan[5], rows.bit_length())
+def _chunked(plan: tuple, cap: int, phases: Sequence[Sequence],
+             ds: Sequence[Diagram]) -> list[list[np.ndarray]]:
+    """Run ``plan`` over the phase matrix ``phases`` in chunks of at most
+    2^(cap - w) rows, for a plan that peaks at w open wires, so a batch
+    never holds a larger array than one diagram at the cap could (and no
+    more rows than ``phases`` has: a huge cap must not cost a huge
+    integer).  Each chunk is read out at once through each diagram of
+    ``ds``, all of the plan's shape but for which ends are inputs: per
+    diagram, its list of chunks, each one stacked array of that chunk's
+    matrices, in row order."""
+    size = 1 << min(cap - plan[5], len(phases).bit_length())
+    out: list[list] = [[] for _ in ds]
+    for s in range(0, len(phases), size):
+        chunk = phases[s:s + size]
+        t = _run(plan, chunk)
+        for d, chunks in zip(ds, out):
+            chunks.append(_matrices(t, plan[3], d, len(chunk)))
+    return out
 
 
 def interpret_all(ds: Sequence[Diagram],
@@ -410,57 +426,43 @@ def interpret_all(ds: Sequence[Diagram],
     Diagrams of one shape (``d.shape``) share one plan, built once from
     the first of them, and are contracted together: Z tensors are
     stacked along a leading batch axis, and the other generators'
-    tensors are broadcast along it.  A plan that peaks at w open wires
-    runs its group in chunks of at most 2^(cap - w) diagrams, so a batch
-    never holds a larger array than one diagram at the cap could.  Each
-    chunk is read out at once, one stacked array whose rows the chunk's
-    matrices are views of.  A diagram listed more than once is read out
-    once, and its matrix is given at each place.  Raises what
-    ``interpret`` raises for the first failing diagram of the first
-    failing group, groups taken in order of their first diagram."""
+    tensors are broadcast along it.  Each group runs through
+    ``_chunked``, one row per diagram, so the matrices are views of one
+    stacked array per chunk.  Raises what the first failing diagram of
+    the first failing group raises alone, groups taken in order of their
+    first diagram."""
     if cap is None:
         cap = wire_cap()
-    firsts: dict = {}  # id of each diagram -> its first place in ds
     groups: dict = {}
     for k, d in enumerate(ds):
-        if firsts.setdefault(id(d), k) == k:
-            groups.setdefault(d.shape, []).append(k)
+        groups.setdefault(d.shape, []).append(k)
     out: list = [None] * len(ds)
     for ks in groups.values():
-        plan = _plan(ds[ks[0]], cap)
-        ends, zids = plan[3:5]
-        size = _chunk_size(plan, cap, len(ks))
-        for s in range(0, len(ks), size):
-            chunk = ks[s:s + size]
-            t = _run(plan, [[ds[k].nodes[v].phase for v in zids]
-                            for k in chunk])
-            for k, mat in zip(chunk, _matrices(t, ends, ds[chunk[0]],
-                                               len(chunk))):
-                out[k] = mat
-    return [out[firsts[id(d)]] for d in ds]
+        first = ds[ks[0]]
+        plan = _plan(first, cap)
+        rows = [[ds[k].nodes[v].phase for v in plan[4]] for k in ks]
+        chunks, = _chunked(plan, cap, rows, [first])
+        for k, mat in zip(ks, chain.from_iterable(chunks)):
+            out[k] = mat
+    return out
 
 
 def interpret(d: Diagram, cap: int | None = None) -> np.ndarray:
-    """Evaluate a diagram of type n -> m to its 2^m x 2^n matrix: one
-    plan, run once (``interpret_all`` of one diagram, which has nothing
-    to group and nothing to chunk)."""
-    plan = _plan(d, wire_cap() if cap is None else cap)
-    nodes = d.nodes
-    return _matrices(_run(plan, [[nodes[v].phase for v in plan[4]]]),
-                     plan[3], d, 1)[0]
+    """Evaluate a diagram of type n -> m to its 2^m x 2^n matrix:
+    ``interpret_all`` of the one diagram."""
+    return interpret_all([d], cap)[0]
 
 
 def _interpret_drawn(d: Diagram, f: Diagram,
-                     columns: Mapping[int, Sequence]) -> tuple[list, list]:
+                     columns: Mapping[int, Sequence]) -> list[list]:
     """The matrices of ``d`` and of its flip ``f`` on every draw of a rule
     check, as chunks of stacked matrices in draw order: ``columns`` gives
     some Z nodes of ``d`` one phase per draw, and every other node of
     ``d`` is the same in all draws (its phase is not read if it has a
     column).  The phase matrix holds a row per draw, or one row if
-    ``columns`` is empty; its rows run in chunks as ``interpret_all``
-    chunks a group, and ``d`` and ``f`` read their matrices out of each
-    chunk's one root, at the wire cap ``wire_cap()``.  Raises what
-    ``interpret_all`` of the draws' own diagrams raises."""
+    ``columns`` is empty, and ``_chunked`` runs it at the wire cap
+    ``wire_cap()``, reading ``d`` and ``f`` out of each chunk's one root.
+    Raises what ``interpret_all`` of the draws' own diagrams raises."""
     cap = wire_cap()
     plan = _plan(d, cap)
     rows = len(next(iter(columns.values()))) if columns else 1
@@ -468,14 +470,7 @@ def _interpret_drawn(d: Diagram, f: Diagram,
     matrix = list(zip(*[columns[v] if v in columns
                         else (nodes[v].phase,) * rows
                         for v in plan[4]])) or [()] * rows
-    size = _chunk_size(plan, cap, rows)
-    mats: tuple[list, list] = ([], [])
-    for s in range(0, rows, size):
-        chunk = matrix[s:s + size]
-        t = _run(plan, chunk)
-        for g, out in zip((d, f), mats):
-            out.append(_matrices(t, plan[3], g, len(chunk)))
-    return mats
+    return _chunked(plan, cap, matrix, [d, f])
 
 
 def contract_state(d: Diagram, cap: int | None = None) -> np.ndarray:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,11 +58,14 @@ def test_a_cold_rules_sweep_pass_misses_the_shape_memo_867_times(
         for f in list(vars(module).values()):
             if hasattr(f, "cache_clear"):
                 f.cache_clear()
-    monkeypatch.setattr(D, "_SHAPES", {})
     misses = []  # holds no key, which would keep the key's shapes alive
-    record = D._record
-    monkeypatch.setattr(D, "_record", lambda key, shape: misses.append(
-        1) or record(key, shape))
+
+    class Counted(weakref.WeakValueDictionary):
+        def __setitem__(self, key, shape):
+            misses.append(1)
+            super().__setitem__(key, shape)
+
+    monkeypatch.setattr(D, "_SHAPES", Counted())
     results = {}
     for op in workloads.sweep_corpus(3):
         results[op.op_id] = op.run(results)

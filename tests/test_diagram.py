@@ -659,7 +659,7 @@ def test_memo_entries_die_with_their_diagrams(monkeypatch):
     # the memo holds the shapes of S1's sides while check_soundness runs,
     # and none of them once its diagrams are gone
     def record(*ds, columns):
-        memo = {id(ref()) for ref in D._SHAPES.values()}
+        memo = {id(shape) for shape in D._SHAPES.values()}
         held.extend(weakref.ref(d.shape) for d in ds if id(d.shape) in memo)
         return drawn(*ds, columns)
 
@@ -730,43 +730,27 @@ def _fresh_shape() -> D._Shape:
 def test_a_memo_entry_dies_with_its_last_diagram():
     d = D.compose(D.z_spider(1, 3, 0.5), D.tensor_all([D.h_box()] * 3))
     shape = weakref.ref(d.shape)
-    keys = [k for k, ref in D._SHAPES.items() if ref() is d.shape]
+    keys = [k for k, s in D._SHAPES.items() if s is d.shape]
     assert keys
     e = D.compose(D.z_spider(1, 3, 2j), D.tensor_all([D.h_box()] * 3))
     assert e.shape is d.shape
     del d
     gc.collect()
-    assert all(D._recall(k) is e.shape for k in keys)
+    assert all(D._SHAPES.get(k) is e.shape for k in keys)
     del e
     gc.collect()
     assert shape() is None and not any(k in D._SHAPES for k in keys)
-    # a dead shape's callback takes its entry only while the entry still
-    # holds its reference: a callback that runs late, as one can during
-    # a collection, after the key was taken again leaves the new entry
+    # a dead shape takes its entry only while the entry still holds it:
+    # a shape stored over an older one under the same key keeps the key
+    # when the older one dies
     key = ("a key of no combinator",)
     first, second = _fresh_shape(), _fresh_shape()
-    D._record(key, first)
-    stale = D._SHAPES[key]
-    D._record(key, second)
-    stale.__callback__(stale)
-    assert D._recall(key) is second
-    del second
+    D._SHAPES[key] = first
+    D._SHAPES[key] = second
+    del first
     gc.collect()
-    assert key not in D._SHAPES
-
-
-def test_a_memo_callback_after_teardown_returns_quietly(monkeypatch):
-    # at exit, teardown sets the module's globals to None before the
-    # last diagrams die; a shape dying then leaves its entry quietly
-    key = ("a key of no combinator",)
-    shape = _fresh_shape()
-    D._record(key, shape)
-    ref = D._SHAPES[key]
-    with monkeypatch.context() as torn_down:
-        torn_down.setattr(D, "_SHAPES", None)
-        assert ref.__callback__(ref) is None
-    assert D._recall(key) is shape
-    del shape
+    assert D._SHAPES.get(key) is second
+    del second
     gc.collect()
     assert key not in D._SHAPES
 

@@ -320,6 +320,10 @@ def test_sides_of_two_types_fail_every_draw_at_infinity():
     assert got == want
     assert got.checked == len(got.failures) == 4 + 3
     assert all(dev == float("inf") for _, dev in got.failures)
+    # strict JSON has no Infinity: the report writes null there
+    record = json.loads(json.dumps(got.to_jsonable(), allow_nan=False))
+    assert record["max_deviation"] is None
+    assert [f["deviation"] for f in record["failures"]] == [None] * 7
     # a rule whose sides change type from draw to draw, sound on the
     # real draws only, is checked draw by draw
     rule = R.RewriteRule("type per draw", 1, lambda ps: (
