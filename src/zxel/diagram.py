@@ -22,24 +22,25 @@ A ``Diagram`` is its ``nodes`` and a read-only ``shape``, all the rest:
 node ids and kinds, edges, boundary sizes, loops and the incidence index
 ``port_edges`` (per node, the indices into ``edges`` of the edges at its
 ports, in port order).  ``Diagram(...)``, the trust boundary of the file
-loader, ``bend_to_state``, the generator builders and the rewriter's
-result, validates its shape and builds ``port_edges`` in one pass.
-``compose_all``, ``tensor_all`` and ``flip`` build their result's shape
-from their valid pieces' shapes, unvalidated, or look it up by those
-shapes in ``_SHAPES``, a ``weakref.WeakValueDictionary`` whose keys hold
-the pieces' shapes strongly, so diagrams that differ only in Z phases
-share a shape.  A flip keeps every node id and edge index, so it
-shares its piece's nodes mapping and ``port_edges``.  Both routes plan
-per shape, and ``_plan_memo`` keeps a plan, weakly keyed by the shape,
-from its second planning on.  Both routes plan from one walk of the
-shape (``_walk``), which ``_WALKS``, weakly keyed by the shape, holds
-from the planning that walked it to the next planning.
+loader, the generator builders and the rewriter's result, validates its
+shape and builds ``port_edges`` in one pass.  ``compose_all`` and
+``tensor_all`` build their result's shape from their valid pieces'
+shapes, unvalidated, or look it up by those shapes in ``_SHAPES``, a
+``weakref.WeakValueDictionary`` whose keys hold the pieces' shapes
+strongly, so diagrams that differ only in Z phases share a shape.
+``flip`` and ``bend_to_state`` rename boundary ends and nothing else
+(``_renamed``): a result keeps every node id and edge index, so it
+shares its piece's nodes mapping and ``port_edges``, and is valid
+because its piece is.  Both routes plan per shape, and ``_plan_memo``
+keeps a plan, weakly keyed by the shape, from its second planning on.
+Both routes plan from one walk of the shape (``_walk``), which
+``_WALKS``, weakly keyed by the shape, holds from the planning that
+walked it to the next planning.
 
-All re-wiring is one splice: ``_splice`` joins edges at junctions given
-as a pairing of edge ends, end 2i + s being side s of edge i.
+Composition is one splice: ``_splice`` joins edges at junctions given
+as a pairing of edge ends, end 2i + s being side s of edge i, and
 ``compose_all`` pairs the end at output slot j of each piece with the
-end at input slot j of the next, and the x-macro file parser pairs
-each port of an x node with its H box.
+end at input slot j of the next.
 """
 
 from __future__ import annotations
@@ -174,8 +175,8 @@ class _Shape:
 class Diagram:
     """An immutable open diagram of type n_in -> n_out: its ``nodes`` and
     its ``shape``.  ``flip`` of a diagram shares its ``nodes`` mapping
-    and keeps every edge index, so the two differ only in which boundary
-    ends are inputs."""
+    and ``port_edges``, so the two differ only in which boundary ends
+    are inputs."""
 
     __slots__ = ("nodes", "shape")
 
@@ -573,32 +574,24 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
     return tensor_all([d1, d2])
 
 
-# flip's tag in its ``_SHAPES`` keys: a constant, so that a wrapper
-# patched over ``flip`` shares the memo and is not held by it
-_FLIP = "flip"
+def _renamed(d: Diagram, n_in: int, n_out: int, ren) -> Diagram:
+    """``d`` as a diagram of type n_in -> n_out, each boundary end (tag,
+    j) of its edges renamed to ``ren(tag, j)``.  Every node id and edge
+    index is kept, so the result shares ``d``'s nodes mapping and
+    ``port_edges``, and a renaming that maps ``d``'s slots one to one
+    onto the new ones keeps it valid."""
+    edges = tuple([_norm_edge(*[ep if ep[0] == "n" else ren(*ep)
+                                for ep in edge]) for edge in d.edges])
+    return Diagram._of(_Shape(d.shape.kinds, edges, n_in, n_out, d.loops,
+                              d.port_edges), d.nodes)
 
 
 def flip(d: Diagram) -> Diagram:
     """Upside-down flip: inputs become outputs and vice versa (the
-    interpretation transposes).  A flip keeps every node id and edge
-    index, so it shares ``d``'s nodes mapping and the ``port_edges`` of
-    ``d``'s shape, or of an equal one: its shape is memoised by
-    ``d``'s."""
-    key = (_FLIP, d.shape)
-    shape = _SHAPES.get(key)
-    if shape is None:
-        def ren(ep):
-            if ep[0] == "in":
-                return ("out", ep[1])
-            if ep[0] == "out":
-                return ("in", ep[1])
-            return ep
-
-        edges = tuple(_norm_edge(ren(a), ren(b)) for a, b in d.edges)
-        shape = _Shape(d.shape.kinds, edges, d.n_out, d.n_in, d.loops,
-                       d.port_edges)
-        _SHAPES[key] = shape
-    return Diagram._of(shape, d.nodes)
+    interpretation transposes).  It shares ``d``'s nodes mapping and
+    ``port_edges``."""
+    return _renamed(d, d.n_out, d.n_in,
+                    lambda tag, j: ("out" if tag == "in" else "in", j))
 
 
 def bend_to_state(d: Diagram) -> Diagram:
@@ -611,20 +604,13 @@ def bend_to_state(d: Diagram) -> Diagram:
     sends it to output slot n - 1 - i.
     """
     n = d.n_in
-
-    def ren(ep):
-        if ep[0] == "in":
-            return ("out", n - 1 - ep[1])
-        if ep[0] == "out":
-            return ("out", n + ep[1])
-        return ep
-
-    edges = [(ren(a), ren(b)) for a, b in d.edges]
-    return Diagram(d.nodes, edges, 0, n + d.n_out, loops=d.loops)
+    return _renamed(d, 0, n + d.n_out, lambda tag, j: (
+        "out", n - 1 - j if tag == "in" else n + j))
 
 
 # -- builders ------------------------------------------------------------
 
+@cache
 def empty() -> Diagram:
     return Diagram({}, [], 0, 0)
 
@@ -634,6 +620,7 @@ def identity(n: int = 1) -> Diagram:
     return Diagram({}, [(("in", i), ("out", i)) for i in range(n)], n, n)
 
 
+@cache
 def swap() -> Diagram:
     return permutation([1, 0])
 
@@ -703,11 +690,13 @@ def triangle_inv() -> Diagram:
                    [(("in", 0), ("n", 0, 0)), (("out", 0), ("n", 0, 1))], 1, 1)
 
 
+@cache
 def triangle_flipped() -> Diagram:
     """Triangle used upside down: interprets to [[1,0],[1,1]]."""
     return flip(triangle())
 
 
+@cache
 def triangle_inv_flipped() -> Diagram:
     """Inverse triangle used upside down: interprets to [[1,0],[-1,1]]."""
     return flip(triangle_inv())

@@ -13,8 +13,8 @@ The canonical diagram format is version-tagged JSON:
 
 Node kinds are "z" (complex phase as an [re, im] pair), "h", "t",
 "t_inv", and the macro kind "x" (tau "0" or "pi"), which is expanded
-into its H-conjugated form while parsing, by the splice that composes
-diagrams; serialization never emits it.
+into its H-conjugated form while parsing: each file edge end at an x
+port is renamed to that port's H box; serialization never emits it.
 Phases are [re, im] pairs, never formatted complex strings, so round
 trips are bit-stable.
 
@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .diagram import Diagram, DiagramError, Node, H, T, T_INV, Z, _splice
+from .diagram import Diagram, DiagramError, Node, H, T, T_INV, Z
 
 FORMAT_VERSION = "zxel/1"
 
@@ -61,24 +61,24 @@ def _parse_endpoint(raw, where: str):
     raise DiagramFileError(f"{where}: unknown endpoint tag {tag!r}")
 
 
-def _expand_x_nodes(nodes, x_nodes, edges, ends):
+def _expand_x_nodes(nodes, x_nodes, edges):
     """Replace macro "x" nodes by H-conjugated Z spiders with the
-    compensating half scalar: the end of ``edges`` at port p of x node v,
-    ``ends[v, p]``, is spliced to the port's H box.  An x node's ports
-    must already be checked to be 0..degree-1."""
+    compensating half scalar: the end of ``edges`` at port p of an x node
+    is renamed to port 0 of the port's H box, and an edge from the H box's
+    port 1 to port p of the core is appended.  An x node's ports must
+    already be checked to be 0..degree-1."""
     next_id = max(list(nodes) + list(x_nodes) + [-1]) + 1
-    mate = {}
+    ends, wires = {}, []
     for xid, (sign, ports) in x_nodes.items():
         core, next_id = next_id, next_id + len(ports) + 2
         nodes[core] = Node(Z, sign)
         for p, h in enumerate(range(core + 1, next_id - 1)):
             nodes[h] = Node(H)
-            end, h_end = ends[xid, p], 2 * len(edges)
-            mate[end], mate[h_end] = h_end, end
-            edges += [(("n", xid, p), ("n", h, 0)),
-                      (("n", h, 1), ("n", core, p))]
+            ends["n", xid, p] = ("n", h, 0)
+            wires.append((("n", h, 1), ("n", core, p)))
         nodes[next_id - 1] = Node(Z, -0.5)
-    return nodes, _splice(edges, mate)[0]
+    edges = [(ends.get(a, a), ends.get(b, b)) for a, b in edges]
+    return nodes, edges + wires
 
 
 def diagram_from_jsonable(rec) -> Diagram:
@@ -135,26 +135,22 @@ def diagram_from_jsonable(rec) -> Diagram:
             raise DiagramFileError(f"{where}: unknown kind {kind!r}")
 
     edges = []
-    x_ends = {}  # (x node, port) -> its end, 2 * edge index + side
     for i, e in enumerate(rec.get("edges", [])):
         where = f"edges[{i}]"
         if not isinstance(e, list) or len(e) != 2:
             raise DiagramFileError(f"{where}: expected an endpoint pair")
-        ends = []
-        for side, raw in enumerate(e):
-            ep = _parse_endpoint(raw, where)
+        ends = tuple(_parse_endpoint(raw, where) for raw in e)
+        for ep in ends:
             if ep[0] == "n" and ep[1] in x_nodes:
                 x_nodes[ep[1]][1].append(ep[2])
-                x_ends[ep[1:]] = 2 * i + side  # spliced by _expand_x_nodes
-            ends.append(ep)
-        edges.append(tuple(ends))
+        edges.append(ends)
     # an x node's ports become one H box each, so they are checked first
     for vid, (_, ports) in x_nodes.items():
         if sorted(ports) != list(range(len(ports))):
             raise DiagramFileError(f"x node {vid}: ports {sorted(ports)} "
                                    f"are not 0..{len(ports) - 1}")
 
-    nodes, edges = _expand_x_nodes(nodes, x_nodes, edges, x_ends)
+    nodes, edges = _expand_x_nodes(nodes, x_nodes, edges)
     try:
         return Diagram(nodes, edges, n_in, n_out, loops=loops)
     except DiagramError as exc:

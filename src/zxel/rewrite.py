@@ -602,12 +602,9 @@ class _Worklist:
         g = self.g
         for rule in _SIMPLIFY_PASSES:
             base = rule.split("-")[0]
-            if rule not in self.heaps:  # scan every pass of this matcher
-                sites = _scan(g, base)
-                for name in _SIMPLIFY_PASSES:
-                    if name.split("-")[0] == base:
-                        heap = [s[1] for s in sites if s[0] == name]
-                        self.heaps[name], self.held[name] = heap, set(heap)
+            if rule not in self.heaps:  # sorted sites are already a heap
+                heap = [s[1] for s in _scan(g, base) if s[0] == rule]
+                self.heaps[rule], self.held[rule] = heap, set(heap)
             kind, _, match = _MATCHERS[base]
             heap = self.heaps[rule]
             while heap:

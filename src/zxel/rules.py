@@ -175,10 +175,9 @@ def check_soundness(rule: RewriteRule, samples: int = 20,
     for ((lhs, lcols), (rhs, rcols)), rows in units:
         if corrupt:
             rhs = tensor(rhs, scalar_z(-2.0))  # flips the sign
-        flips = [flip(lhs), flip(rhs)]  # kept alive while the sides run
         stacks = []  # a side with no phase column is one row for all
-        for side, f, columns in zip((lhs, rhs), flips, (lcols, rcols)):
-            for chunks in _interpret_drawn(side, f, columns):
+        for side, columns in ((lhs, lcols), (rhs, rcols)):
+            for chunks in _interpret_drawn(side, flip(side), columns):
                 mats = np.concatenate(chunks)
                 stacks.append(np.broadcast_to(
                     mats, (rows,) + mats.shape[1:]))

@@ -10,7 +10,7 @@ from zxel.cli import main
 from zxel.equivalence import VerdictDisagreement, check_equivalent
 from zxel.normalform import decompose_elementary, normalize
 from zxel.io import (diagram_from_jsonable, diagram_to_jsonable,
-                     export_text, load_diagram, load_matrix,
+                     dumps_diagram, export_text, load_diagram, load_matrix,
                      parse_complex_token, save_diagram, DiagramFileError)
 from zxel.rules import catalog_by_name, instantiate
 from zxel.semantics import interpret, matrices_equal
@@ -88,7 +88,7 @@ def _xs(n_in, n_out, tau):
 # box edge, the file edge and another H box edge; and x ports meeting the
 # legs of a bare cap.  Each is checked against the same diagram built
 # from x_spider by compose and tensor.
-@pytest.mark.parametrize("rec, ref, n_nodes", [
+_X_WIRINGS = [
     (_x_file(1, 1, ["0", "pi"], [[["in", 0], ["node", 0, 0]],
                                  [["node", 0, 1], ["node", 1, 0]],
                                  [["node", 1, 1], ["out", 0]]]),
@@ -108,7 +108,11 @@ def _xs(n_in, n_out, tau):
                             [["out", 2], ["out", 3]]]),
      D.tensor(D.compose(D.cap(), D.tensor(D.identity(1), _xs(1, 1, "pi"))),
               D.cap()), 4),
-], ids=["x-x", "x-x-ring", "x-self", "x-self-cup", "x-cap"])
+]
+
+
+@pytest.mark.parametrize("rec, ref, n_nodes", _X_WIRINGS, ids=[
+    "x-x", "x-x-ring", "x-self", "x-self-cup", "x-cap"])
 def test_x_macro_wires_through_several_ports(rec, ref, n_nodes):
     d = diagram_from_jsonable(rec)
     assert len(d.nodes) == len(ref.nodes) == n_nodes
@@ -116,6 +120,21 @@ def test_x_macro_wires_through_several_ports(rec, ref, n_nodes):
     assert d.type == ref.type
     assert interpret(ref).any()
     assert matrices_equal(interpret(d), interpret(ref))
+
+
+# the parsed files above: their saved bytes, and their edge tuples and
+# port_edges in order, which the saved file's sorting hides
+X_WIRINGS_SHA256 = ("549cd72f3f574f8703aeb1312df0c986"
+                    "7530bc76ba4e90f0dc1332cfcff620af")
+
+
+def test_x_macro_files_parse_to_stable_bytes():
+    digest = hashlib.sha256()
+    for rec, _, _ in _X_WIRINGS:
+        d = diagram_from_jsonable(rec)
+        digest.update(dumps_diagram(d).encode())
+        digest.update(repr((d.edges, list(d.port_edges.items()))).encode())
+    assert digest.hexdigest() == X_WIRINGS_SHA256
 
 
 @pytest.mark.parametrize("ports", [(-1,), (0, 2), (10 ** 9,), (0, 0)])

@@ -639,7 +639,7 @@ def test_draws_of_a_rule_share_a_shape():
                           for ps in ([0.5, 2j], [-1.5, 3.0]))
     assert l1.shape is l2.shape and r1.shape is r2.shape
     assert l1.port_edges is l2.port_edges
-    assert D.flip(l1).shape is D.flip(l2).shape
+    assert D.flip(l1).shape == D.flip(l2).shape
     assert l1.nodes != l2.nodes
 
 
@@ -690,7 +690,7 @@ def main():
                                  D.tensor(D.triangle(), D.identity(1))))
     after = D.flip(built(-0.25))
     D.flip = R.flip = flip
-    print(after.shape is before.shape)
+    print(after.shape == before.shape)
 
 main()
 """
@@ -698,9 +698,9 @@ main()
 
 def test_a_wrapped_flip_shares_the_memo_and_exits_quietly():
     # a wrapper patched over flip, holding its results until exit, as a
-    # tracer or a test does: it stays out of the memo's keys, so wrapped
-    # and unwrapped flips share a shape, and shapes that die while the
-    # module is torn down at exit leave their entries without a word
+    # tracer or a test does: wrapped and unwrapped flips of one shape
+    # have equal shapes, and the memo entries of their pieces' shapes,
+    # which die while the module is torn down at exit, go without a word
     proc = run_python("-c", _WRAPPED_FLIP)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-2000:]
     assert proc.stdout == "True\n"
@@ -710,8 +710,7 @@ def test_a_memo_hit_gives_a_cold_builds_nodes_and_shape():
     a, b = D.z_spider(1, 2, 0.5), D.tensor(D.h_box(), D.triangle())
     c = D.z_spider(2, 1, 2j)
     for build in (lambda: D.compose_all([a, b, c]),
-                  lambda: D.tensor_all([c, a, D.identity(1), c]),
-                  lambda: D.flip(D.compose(a, b))):
+                  lambda: D.tensor_all([c, a, D.identity(1), c])):
         miss, hit = _builds_on_miss_and_hit(build)
         assert hit is not miss and hit.shape is miss.shape
         assert hit.nodes == miss.nodes
@@ -811,17 +810,18 @@ def _assert_derived_shape_is_validated(d):
 
 
 def test_derived_shapes_equal_validated_ones(monkeypatch):
-    # every result of compose_all, tensor_all and flip made below: each
-    # module's own name is wrapped, but diagram's flip, which names
-    # itself in its memo keys (the trees record their flips instead)
-    results = []
-    for module, names in ((D, ("compose_all", "tensor_all")),
+    # every result of compose_all, tensor_all, flip and bend_to_state
+    # made below: each module's own name is wrapped, but diagram's flip,
+    # which the trees call and record themselves
+    calls = []  # (name, piece or pieces, result)
+    for module, names in ((D, ("compose_all", "tensor_all",
+                               "bend_to_state")),
                           (NF, ("compose_all", "tensor_all")),
                           (R, ("compose_all", "tensor_all", "flip"))):
         for name in names:
             f = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda x, f=f: results.append(
-                f(x)) or results[-1])
+            monkeypatch.setattr(module, name, lambda x, f=f, name=name: (
+                calls.append((name, x, f(x))) or calls[-1][2]))
     sides = []
     drawn = R._interpret_drawn
     monkeypatch.setattr(R, "_interpret_drawn", lambda d, f, columns: (
@@ -840,12 +840,20 @@ def test_derived_shapes_equal_validated_ones(monkeypatch):
                 R.flip(side)
     assert len(nf_family(5)) == 4
     loops = 0
+    flips = []
     for _ in range(300):
-        d = _random_tree(rng, int(rng.integers(1, 4)), results)
+        d = _random_tree(rng, int(rng.integers(1, 4)), flips)
         # closed by cups, and opened by caps, so that loops form
         d = D.compose_all([_adapter(0, d.n_in), d, _adapter(d.n_out, 0)])
         loops += d.loops > 0
     assert loops > 30
+    # a flip or a bent state shares its piece's nodes and port_edges
+    renamed = [(x, d) for name, x, d in calls
+               if name in ("flip", "bend_to_state")]
+    assert {name for name, _, _ in calls} >= {"flip", "bend_to_state"}
+    for x, d in renamed:
+        assert d.nodes is x.nodes and d.port_edges is x.port_edges
+    results = [d for _, _, d in calls] + flips
     # one template per rule with parameters, one draw per rule without
     assert len(sides) == 4 * len(R.full_catalog()) and len(results) > 5000
     for d in sides + results:

@@ -382,11 +382,8 @@ def test_templated_sides_equal_the_builders(monkeypatch, seed):
         got = [[], [], [], []]
         for k in (0, 1):
             d, f, columns, (md, mf) = next(sides)
-            assert f.nodes is d.nodes
-            if rule.arity:
-                assert f.port_edges is d.port_edges
-            else:  # a fresh build's flip may be an equal one's, memoised
-                assert f.port_edges == d.port_edges and not columns
+            assert f.nodes is d.nodes and f.port_edges is d.port_edges
+            assert rule.arity or not columns
             got[k] = [m.tobytes() for m in _stacked(md, len(draws))]
             got[k + 2] = [m.tobytes() for m in _stacked(mf, len(draws))]
         assert [m for row in zip(*got) for m in row] == want, rule.name
