@@ -715,16 +715,6 @@ def _tau_sign(tau: float) -> complex:
 
 
 @cache
-def x_spider_bare(n_in: int, n_out: int, tau: float = TAU_ZERO) -> Diagram:
-    """The H-conjugated Z spider without the compensating scalar: the core
-    of the ``x_spider`` macro, whose global scalar the tests pin by
-    contraction."""
-    return compose_all([tensor_all([h_box()] * n_in),
-                        z_spider(n_in, n_out, _tau_sign(tau)),
-                        tensor_all([h_box()] * n_out)])
-
-
-@cache
 def x_spider(n_in: int, n_out: int, tau: float = TAU_ZERO) -> Diagram:
     """X (pink) spider macro: an H-conjugated Z spider.
 
@@ -736,4 +726,6 @@ def x_spider(n_in: int, n_out: int, tau: float = TAU_ZERO) -> Diagram:
 
         entry[i1..im; j1..jn] = 1  iff  i1+..+im = j1+..+jn + tau/pi (mod 2)
     """
-    return tensor(x_spider_bare(n_in, n_out, tau), scalar_z(-0.5))
+    return tensor(compose_all([tensor_all([h_box()] * n_in),
+                               z_spider(n_in, n_out, _tau_sign(tau)),
+                               tensor_all([h_box()] * n_out)]), scalar_z(-0.5))

@@ -249,8 +249,10 @@ def parse_complex_token(tok: str, where: str = "") -> complex:
     if not _TOKEN.match(tok):
         raise DiagramFileError(f"{where}: bad complex token {tok!r}")
     text = tok.replace("i", "j")
-    # a bare trailing j needs a coefficient for Python's parser
-    text = re.sub(r"(?<![0-9.])j", "1j", text)
+    # a bare j needs a coefficient for Python's parser: 1 at the start or
+    # after a sign, but not after an exponent's sign, whose digits are
+    # missing (1e+i is no number)
+    text = re.sub(r"(^|(?<![eE])[+-])j", r"\g<1>1j", text)
     try:
         value = complex(text)
     except ValueError:

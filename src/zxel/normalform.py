@@ -190,35 +190,20 @@ def _pi_layer(m: int, wires: frozenset[int]) -> Diagram:
     return tensor_all(layer) if m else dg.empty()
 
 
-def _between_pi_pairs(core: Diagram, pi_wires) -> Diagram:
-    layer = pi_layer(core.n_in, pi_wires)
-    return compose_all([layer, core, layer]) if layer.nodes else core
-
-
-def decorated_row_addition(m: int, a: complex, subset, pi_wires) -> Diagram:
-    """Row addition whose detector reads flipped bits on ``pi_wires``:
-    pairs of pink pi nodes around the gadget on those wires, or the bare
-    gadget if there are none."""
-    return _between_pi_pairs(row_addition_diagram(m, a, subset), pi_wires)
-
-
-def decorated_row_multiplication(m: int, a: complex, pi_wires) -> Diagram:
-    """Row multiplication between pink pi pairs on ``pi_wires``, or the
-    bare gadget if there are none."""
-    return _between_pi_pairs(row_multiplication_diagram(m, a), pi_wires)
-
-
 def gadget(spec, a: complex) -> Diagram:
     """The gadget of a spec with coefficient a: ``("add", m, S, P)`` is
-    ``decorated_row_addition`` on the wire subset S, ``("mult", m, P)``
-    ``decorated_row_multiplication``, or ``scalar_nf_diagram`` at m = 0,
-    each between pi pairs on the wires P."""
+    ``row_addition_diagram`` on the wire subset S, ``("mult", m, P)``
+    ``row_multiplication_diagram``, or ``scalar_nf_diagram`` at m = 0,
+    each between pink pi pairs on the wires P, or bare if P is empty."""
     kind, m, *wires = spec
     if kind == "add":
-        return decorated_row_addition(m, a, *wires)
-    if m:
-        return decorated_row_multiplication(m, a, *wires)
-    return scalar_nf_diagram(a)
+        core = row_addition_diagram(m, a, wires[0])
+    elif m:
+        core = row_multiplication_diagram(m, a)
+    else:
+        core = scalar_nf_diagram(a)
+    layer = pi_layer(m, wires[-1])
+    return compose_all([layer, core, layer]) if layer.nodes else core
 
 
 def op_record(spec, a: complex) -> dict:

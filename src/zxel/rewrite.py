@@ -246,22 +246,24 @@ _MATCHERS = {
     "B1": (Z, 2, _match_b1),
 }
 MATCHABLE_RULES = tuple(_MATCHERS)
+# B3's moves, each of which ``find_matches`` also takes by name
+_B3_MOVES = ("B3-cancel", "B3-state", "B3-copy")
 
 
 def find_matches(d: Diagram, rule) -> list[MatchSite]:
     """All sites where the rule applies; deterministic order.
 
     ``rule`` is a rule name or a catalog RewriteRule.  Only the
-    simplification subset is matchable; other catalog rules raise
+    simplification subset is matchable, and each of B3's moves on its
+    own; any other name, a misspelt move too, raises
     UnsupportedRuleError.
     """
     name = rule if isinstance(rule, str) else rule.name
-    base = name.split("-")[0]
-    if base not in _MATCHERS:
+    if name not in _MATCHERS and name not in _B3_MOVES:
         raise UnsupportedRuleError(
             f"rule {name!r} has no graph matcher; matching is implemented "
-            f"for {MATCHABLE_RULES}")
-    sites = _scan(_Graph(d), base)
+            f"for {MATCHABLE_RULES} and B3's moves {_B3_MOVES}")
+    sites = _scan(_Graph(d), name.split("-")[0])
     if "-" in name:
         sites = [s for s in sites if s[0] == name]
     return [MatchSite(*s, d) for s in sites]

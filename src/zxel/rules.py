@@ -15,11 +15,10 @@ Derived rules carry a provenance label naming the lemma or proposition
 they encode.  Most propositions are stated over the
 elementary-transformation gadgets: ``row addition`` / ``row
 multiplication`` diagrams, optionally conjugated by pairs of pink pi
-nodes on a wire subset (the "decorated" family members used by the
-tensor-of-normal-forms protocol).  A gadget spec of ``normalform`` names
-one: ``("add", m, S, P)`` is the row addition on the wire subset S of m
-wires and ``("mult", m, P)`` the row multiplication, each between pi
-pairs on the wires P.  Four families cover most of these propositions,
+nodes on a wire subset, as the tensor-of-normal-forms protocol uses
+them.  A gadget spec of ``normalform`` names one: ``("add", m, S, P)``
+is the row addition on the wire subset S of m wires and ``("mult", m,
+P)`` the row multiplication, each between pi pairs on the wires P.  Four families cover most of these propositions,
 one catalog row each: two gadgets commute (``_commutes``), a gadget
 followed by itself merges its coefficients by + or x (``_merges``), a pi
 layer passes through a gadget (``_pi_moves``), and a gadget beside new
@@ -44,9 +43,8 @@ from .diagram import (Diagram, compose, compose_all, flip, tensor,
                       h_box, scalar_z, triangle, triangle_inv,
                       triangle_flipped, triangle_inv_flipped, x_spider,
                       z_spider, empty)
-from .normalform import (and_gate, decorated_row_addition,
-                         decorated_row_multiplication, gadget, pi_layer,
-                         row_addition_diagram, row_multiplication_diagram)
+from .normalform import (and_gate, gadget, pi_layer, row_addition_diagram,
+                         row_multiplication_diagram)
 from .semantics import DEFAULT_TOL, _interpret_drawn
 
 RuleBuilder = Callable[[Sequence[complex]], tuple[Diagram, Diagram]]
@@ -267,13 +265,6 @@ def adder() -> Diagram:
 def w_map() -> Diagram:
     """The 1 -> 2 W map: |0> -> |00>, |1> -> |01> + |10>."""
     return compose(x_spider(1, 2, dg.TAU_ZERO), row_multiplication_diagram(2, 0.0))
-
-
-def state_on_wire(m: int, i: int, state: Diagram) -> Diagram:
-    """(m-1) -> m diagram placing a 0 -> 1 state on wire i."""
-    pieces = [state if (m - 1 - slot) == i else identity(1)
-              for slot in range(m)]
-    return tensor_all(pieces)
 
 
 def cnot(m: int, control: int, target: int) -> Diagram:
@@ -728,10 +719,8 @@ def _extends(name: str, g, n: int, low: bool, **kw) -> RewriteRule:
 
 def _piredonpair(ps):
     a, = ps
-    m, S, i = 2, [0], 1
-    layer = state_on_wire(m, i, x_spider(0, 1, dg.TAU_PI))
-    lhs = compose(layer, decorated_row_addition(m, a, S, [i]))
-    return lhs, layer
+    layer = tensor(x_spider(0, 1, dg.TAU_PI), identity(1))  # on wire 1
+    return compose(layer, gadget(("add", 2, [0], [1]), a)), layer
 
 
 def _ruletensorad(ps):
@@ -743,11 +732,9 @@ def _ruletensorad(ps):
 
 def _pimultiaddcombine(ps):
     a, b = ps
-    m, S = 2, [0]
-    lhs = compose(row_addition_diagram(m, a, S),
-                  decorated_row_multiplication(m, b, S))
-    rhs = compose(decorated_row_multiplication(m, b, S),
-                  row_addition_diagram(m, a * b, S))
+    mult = gadget(("mult", 2, [0]), b)
+    lhs = compose(row_addition_diagram(2, a, [0]), mult)
+    rhs = compose(mult, row_addition_diagram(2, a * b, [0]))
     return lhs, rhs
 
 
@@ -756,10 +743,10 @@ def _pitopaddpipair(ps):
     # wires: block N = {0}, block M = {1}; a on J={1}, b on I={0} with
     # pi pairs on J
     J, I = [1], [0]
-    lhs = compose(row_addition_diagram(2, a, J),
-                  decorated_row_addition(2, b, I, J))
+    piadd = gadget(("add", 2, I, J), b)
+    lhs = compose(row_addition_diagram(2, a, J), piadd)
     rhs = compose_all([
-        decorated_row_addition(2, b, I, J),
+        piadd,
         row_addition_diagram(2, a * b, I + J),
         row_addition_diagram(2, a, J),
     ])

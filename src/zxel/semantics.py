@@ -39,14 +39,14 @@ the side and its flip, which keeps every edge index, out of one root.
 
 A Z spider is a copy tensor: of its 2^degree entries only the all-zero
 one (1) and the all-one one (the phase) are nonzero.  So in a batched
-run, a step that absorbs a Z leaf no earlier step has touched, into a
-large enough result, reads two corners of the accumulator instead of
-multiplying the Z tensor through einsum (``_absorb_z``), bitwise to the
-same result.  Likewise a step that absorbs an untouched H, T or T^-1
-leaf sharing one wire and bringing one adds and subtracts two slices of
-the accumulator into a zeroed result (``_absorb_fixed``), since every
-entry of those tensors is 0 or +-1.  An unbatched run is plain einsum
-throughout.
+run, a step that absorbs a Z leaf no earlier step has touched and that
+brings a new wire, into a large enough result, reads two corners of the
+accumulator instead of multiplying the Z tensor through einsum
+(``_absorb_z``), bitwise to the same result.  Likewise a step that
+absorbs an untouched H, T or T^-1 leaf sharing one wire and bringing one
+adds and subtracts two slices of the accumulator into a zeroed result
+(``_absorb_fixed``), since every entry of those tensors is 0 or +-1.  An
+unbatched run is plain einsum throughout.
 
 Every step but a gather or a fixed-leaf step calls numpy's C einsum
 (``_C_EINSUM``) directly, the function ``np.einsum(..., optimize=False)``
@@ -131,12 +131,9 @@ def _z_tensor(phase, degree: int, batch: tuple[int, ...]) -> np.ndarray:
     return t
 
 
-# a batched step gathers a Z leaf (``_absorb_z``) when its result holds
-# at least this many entries over the batch, or 8 times as many when the
-# leaf brings no new wire (the result is lo + phase * hi, on fewer
-# wires); below that, einsum's smaller per-call cost wins.  Timed one
-# step at a time, einsum wins such a shrinking step below about
-# 2 500-4 000 result entries, at one shared wire and batches of 2 and 10
+# a batched step gathers a Z leaf that brings a new wire (``_absorb_z``)
+# when its result holds at least this many entries over the batch; below
+# that, einsum's smaller per-call cost wins
 _GATHER_MIN = 512
 
 
@@ -355,17 +352,17 @@ def _run(plan: tuple, phases: Sequence[Sequence]) -> np.ndarray:
         columns = zip(*phases)
         zs = {k: np.array(next(columns), dtype=complex)
               for k, t in enumerate(leaves) if isinstance(t, tuple)}
-        # a step absorbing a Z leaf of degree > 0, or a fixed 2 x 2 leaf
-        # sharing one wire and bringing one, that no earlier step has
-        # touched skips einsum if the step's result is large enough; a
-        # gathered leaf's tensor is never built.  A step numbers the
-        # accumulator's wires first, so a leaf wire numbered past them
-        # is a new wire
+        # a step absorbing a Z leaf that brings a new wire, or a fixed
+        # 2 x 2 leaf sharing one wire and bringing one, that no earlier
+        # step has touched skips einsum if the step's result is large
+        # enough; a gathered leaf's tensor is never built.  A step
+        # numbers the accumulator's wires first, so a leaf wire numbered
+        # past them is a new wire
         touched, batched = set(), set(zs)  # batched: has a batch axis
         for dst, src, sub_dst, sub_src, sub_out in steps:
             if src in zs and src not in touched:
-                if leaves[src][1] and b << len(sub_out) >= _GATHER_MIN * (
-                        1 if max(sub_src) >= len(sub_dst) else 8):
+                if (sub_src and max(sub_src) >= len(sub_dst)
+                        and b << len(sub_out) >= _GATHER_MIN):
                     gathered[src] = zs[src]
             elif ((b if dst in batched else 1) << len(sub_out) >= _FIXED_MIN
                   and len(sub_src) == 2 and src not in touched

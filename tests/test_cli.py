@@ -170,8 +170,13 @@ def test_complex_token_parser():
     assert parse_complex_token("i") == 1j
     assert parse_complex_token("4") == 4
     assert parse_complex_token("1e-3") == 1e-3
-    with pytest.raises(DiagramFileError):
-        parse_complex_token("banana")
+    assert parse_complex_token("1e+2i") == 100j
+    assert parse_complex_token("-i") == -1j
+    assert parse_complex_token("1-i") == 1 - 1j
+    # an exponent's sign takes digits: no coefficient 1 is made up there
+    for tok in ("banana", "1e+i", "2e-i", "1+2e-i", "1.e+i"):
+        with pytest.raises(DiagramFileError, match="bad complex token"):
+            parse_complex_token(tok)
 
 
 # -- commands ----------------------------------------------------------------

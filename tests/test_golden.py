@@ -18,7 +18,12 @@ simplifier takes, not only where it ends: each ``simplify`` trace as
 JSON, its serialized result, its step count and whether the budget ran
 out, at the default budget and at budget 3, on the corpus, the
 normal-form family at m = 2..6 (``helpers.nf_family``) and 300
-``random_diagram``s (rng seed 13).
+``random_diagram``s (rng seed 13).  The fifth pins the gadget and pink
+spider builders on their own: every ``gadget`` spec at m = 1..4, each
+row addition on every nonempty wire subset, with no, one and all wires
+between pi pairs, and every ``x_spider`` with up to two inputs and
+outputs at both phases, each as saved and as its edge tuples and
+``port_edges`` in order.
 """
 
 import hashlib
@@ -27,8 +32,9 @@ import json
 import numpy as np
 
 from zxel import rules as R
+from zxel.diagram import TAU_PI, TAU_ZERO, x_spider
 from zxel.io import dumps_diagram
-from zxel.normalform import decompose_elementary
+from zxel.normalform import decompose_elementary, gadget
 from zxel.rewrite import MATCHABLE_RULES, find_matches, simplify
 
 from helpers import golden_corpus, nf_family, random_diagram
@@ -41,6 +47,8 @@ ELEMENTARY_SHA256 = ("b2067b18ab174fd0f1cc126235228c97"
                      "0641054cb44e6878eca038cb438c237e")
 TRACES_SHA256 = ("33ea71060977b9da0d6d8a5d35e83f8e"
                  "9a8337300bd50c9419bbfc7d4d172ead")
+GADGETS_SHA256 = ("fe06a8f07c9d7315056ce2cfc8a8262d"
+                  "4a33671c019cb5c691a4da1d4f7cfe18")
 
 
 def test_builders_and_simplifier_are_byte_stable():
@@ -91,3 +99,20 @@ def test_elementary_decompositions_are_byte_stable():
             digest.update(json.dumps(ops).encode())
             digest.update(dumps_diagram(d).encode())
     assert digest.hexdigest() == ELEMENTARY_SHA256
+
+
+def test_gadgets_and_x_spiders_are_byte_stable():
+    pieces = []
+    for m in range(1, 5):
+        subsets = [[i for i in range(m) if j >> i & 1]
+                   for j in range(1, 2 ** m)]
+        for pi in ([], [0], list(range(m))):
+            pieces += [gadget(("add", m, s, pi), 0.5 - 0.25j) for s in subsets]
+            pieces.append(gadget(("mult", m, pi), -1.5j))
+    pieces += [x_spider(n, m, tau) for n in range(3) for m in range(3)
+               for tau in (TAU_ZERO, TAU_PI)]
+    digest = hashlib.sha256()
+    for d in pieces:
+        digest.update(dumps_diagram(d).encode())
+        digest.update(repr((d.edges, list(d.port_edges.items()))).encode())
+    assert digest.hexdigest() == GADGETS_SHA256

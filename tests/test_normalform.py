@@ -86,7 +86,7 @@ def test_row_additions_commute_semantically():
 
 def test_decorated_gadgets_are_pi_conjugations():
     a = 0.5 - 0.5j
-    dec = interpret(NF.decorated_row_addition(2, a, [0], [1]))
+    dec = interpret(NF.gadget(("add", 2, [0], [1]), a))
     x1 = interpret(NF.pi_layer(2, [1]))
     core = interpret(NF.row_addition_diagram(2, a, [0]))
     assert matrices_equal(dec, x1 @ core @ x1, 1e-9)
@@ -97,10 +97,10 @@ def test_undecorated_gadgets_are_the_bare_gadgets():
     for m in (1, 2, 3):
         for subset in ([0], [m - 1], list(range(m))):
             bare = NF.row_addition_diagram(m, a, subset)
-            dec = NF.decorated_row_addition(m, a, subset, [])
+            dec = NF.gadget(("add", m, subset, []), a)
             assert dec.structural_key() == bare.structural_key()
         bare = NF.row_multiplication_diagram(m, a)
-        dec = NF.decorated_row_multiplication(m, a, [])
+        dec = NF.gadget(("mult", m, []), a)
         assert dec.structural_key() == bare.structural_key()
 
 
@@ -108,8 +108,8 @@ def test_undecorated_gadgets_are_the_bare_gadgets():
     lambda: NF.pi_layer(2, [-1]),
     lambda: NF.pi_layer(2, [2]),
     lambda: NF.pi_layer(0, [0]),
-    lambda: NF.decorated_row_multiplication(2, 0.5, [2]),
-    lambda: NF.decorated_row_addition(3, 0.5, [0], [1, 3]),
+    lambda: NF.gadget(("mult", 2, [2]), 0.5),
+    lambda: NF.gadget(("add", 3, [0], [1, 3]), 0.5),
 ], ids=["layer-1", "layer2", "layer0", "mult2", "add3"])
 def test_pi_wires_out_of_range_are_refused(build):
     with pytest.raises(ValueError, match="out of range"):

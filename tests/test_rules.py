@@ -9,8 +9,7 @@ import pytest
 from zxel import diagram as D
 from zxel import rules as R
 from zxel import semantics as S
-from zxel.normalform import (decorated_row_multiplication,
-                             row_addition_diagram)
+from zxel.normalform import gadget, row_addition_diagram
 from zxel.semantics import interpret, matrices_equal
 
 from helpers import check_soundness_by_draw, run_python, topology, z_mat
@@ -527,7 +526,7 @@ def test_dropped_side_condition_breaks_commutation():
     def bad(ps):
         a, b = ps
         g1 = row_addition_diagram(4, a, [2, 3])
-        g2 = decorated_row_multiplication(4, b, [2, 3])
+        g2 = gadget(("mult", 4, [2, 3]), b)
         return D.compose(g1, g2), D.compose(g2, g1)
 
     rep = R.check_soundness(R.RewriteRule("bad30c", 2, bad), samples=6)
