@@ -18,13 +18,13 @@ multiplication`` diagrams, optionally conjugated by pairs of pink pi
 nodes on a wire subset, as the tensor-of-normal-forms protocol uses
 them.  A gadget spec of ``normalform`` names one: ``("add", m, S, P)``
 is the row addition on the wire subset S of m wires and ``("mult", m,
-P)`` the row multiplication, each between pi pairs on the wires P.  Four families cover most of these propositions,
-one catalog row each: two gadgets commute (``_commutes``), a gadget
-followed by itself merges its coefficients by + or x (``_merges``), a pi
-layer passes through a gadget (``_pi_moves``), and a gadget beside new
-wires is a product of its extensions to them (``_extends``).  Every
-family builds its gadgets, coefficient included, through
-``normalform.gadget``.
+P)`` the row multiplication, each between pi pairs on the wires P.
+Four families cover most of these propositions, one catalog row each:
+two gadgets commute (``_commutes``), a gadget followed by itself merges
+its coefficients by + or x (``_merges``), a pi layer passes through a
+gadget (``_pi_moves``), and a gadget beside new wires is a product of
+its extensions to them (``_extends``).  Every family builds its gadgets,
+coefficient included, through ``normalform.gadget``.
 """
 
 from __future__ import annotations

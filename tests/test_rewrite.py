@@ -77,12 +77,19 @@ def test_simplify_rejects_an_overflowing_phase():
 
 
 def test_unsupported_rule_matching():
-    # a misspelt B3 move or a move of another matcher is no rule either
-    for name in ("EU", "B3-cancle", "S1-x", "B3-", "Brk-var"):
+    with pytest.raises(RW.UnsupportedRuleError):
+        RW.find_matches(D.h_box(), "EU")
+
+
+def test_a_misspelt_b3_move_is_unsupported():
+    # a misspelt move, or a move of a matcher without moves, names no
+    # sites to filter: it is refused like any other unknown rule
+    for name in ("B3-cancle", "S1-x", "B3-", "Brk-var"):
         with pytest.raises(RW.UnsupportedRuleError):
             RW.find_matches(D.h_box(), name)
     pi = D.x_spider(1, 1, D.TAU_PI)
-    host = D.compose_all([D.z_spider(0, 1, 2.0), pi, pi, D.z_spider(1, 2, 1.0)])
+    host = D.compose_all([D.z_spider(0, 1, 2.0), pi, pi,
+                          D.z_spider(1, 2, 1.0)])
     sites = RW.find_matches(host, "B3")
     assert [s.rule for s in sites] == ["B3-cancel", "B3-copy", "B3-state"]
     for move in ("B3-cancel", "B3-state", "B3-copy"):
