@@ -32,13 +32,6 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
-def _load(path: str) -> Diagram:
-    try:
-        return load_diagram(path)
-    except DiagramFileError as exc:
-        _fail(str(exc))
-
-
 def _save(d: Diagram, path: str) -> None:
     """Write --out; a path that cannot be written is the user's error."""
     try:
@@ -47,40 +40,35 @@ def _save(d: Diagram, path: str) -> None:
         _fail(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _compute(fn, *args, **kwargs):
-    """Call fn, reporting every error it is known to raise as one line.
+class _Group(click.Group):
+    """Usage errors (a bad option value, an unknown option or command) are
+    one ``zxel:`` line with exit 2; a bare ``zxel`` prints the help.  A
+    command's bad file, type mismatch, resource cap, overflow or
+    ill-formed result is one ``zxel:`` line with exit 2.  Any other
+    exception a command lets through is a defect, reported as one ``zxel:
+    internal:`` line with exit 2, never a traceback.
 
     An overflow surfaces as the ArithmeticError that interpret and
     normalize raise on non-finite results, so numpy's own overflow
-    warnings are silenced here, and a rewrite whose parameter overflows
-    raises DiagramError.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return fn(*args, **kwargs)
-        except (TypeMismatchError, ResourceError, WireCapError,
-                ArithmeticError, DiagramError) as exc:
-            _fail(str(exc))
-        except VerdictDisagreement as exc:  # a defect, not a verdict
-            _fail(f"internal: {exc}")
-
-
-class _Group(click.Group):
-    """Usage errors (a bad option value, an unknown option or command) are
-    one ``zxel:`` line with exit 2; a bare ``zxel`` prints the help.  Any
-    other exception a command lets through is a defect, reported as one
-    ``zxel: internal:`` line with exit 2, never a traceback."""
+    warnings are silenced, and a rewrite whose parameter overflows
+    raises DiagramError."""
 
     def make_context(self, *args, **kwargs):
         return _one_line_usage(super().make_context, *args, **kwargs)
 
     def invoke(self, ctx):
-        try:
-            return _one_line_usage(super().invoke, ctx)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise  # click reports these itself
-        except Exception as exc:
-            _fail(f"internal: {type(exc).__name__}: {exc}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return _one_line_usage(super().invoke, ctx)
+            except (click.ClickException, click.exceptions.Exit, click.Abort):
+                raise  # click reports these itself
+            except VerdictDisagreement as exc:  # a defect, not a verdict
+                _fail(f"internal: {exc}")
+            except (DiagramFileError, TypeMismatchError, ResourceError,
+                    WireCapError, ArithmeticError, DiagramError) as exc:
+                _fail(str(exc))
+            except Exception as exc:
+                _fail(f"internal: {type(exc).__name__}: {exc}")
 
 
 def _one_line_usage(fn, *args, **kwargs):
@@ -116,7 +104,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def cmd_interpret(file, precision, as_json):
     """Evaluate a diagram to its complex matrix."""
-    mat = _compute(interpret, _load(file))
+    mat = interpret(load_diagram(file))
     if as_json:
         click.echo(json.dumps({
             "rows": mat.shape[0], "cols": mat.shape[1],
@@ -133,8 +121,8 @@ def cmd_interpret(file, precision, as_json):
               callback=_tolerance)
 def cmd_check_eq(file1, file2, tol):
     """Decide equality of two diagrams (exit 0 equal, 1 not, 2 error)."""
-    d1, d2 = _load(file1), _load(file2)
-    verdict = _compute(check_equivalent, d1, d2, tol=tol)
+    verdict = check_equivalent(load_diagram(file1), load_diagram(file2),
+                               tol=tol)
     click.echo(json.dumps(verdict.to_jsonable()))
     sys.exit(0 if verdict.equal else 1)
 
@@ -145,7 +133,7 @@ def cmd_check_eq(file1, file2, tol):
               help="also write the normal-form diagram file")
 def cmd_normalize(file, out):
     """Rewrite a diagram into its unique normal form."""
-    nf = _compute(normalize, _load(file))
+    nf = normalize(load_diagram(file))
     if out:
         _save(nf_to_diagram(nf), out)
     click.echo(json.dumps(nf_to_jsonable(nf)))
@@ -160,8 +148,7 @@ def cmd_normalize(file, out):
               help="write the simplified diagram here instead of stdout")
 def cmd_simplify(file, budget, trace, out):
     """Apply the terminating simplification strategy."""
-    d = _load(file)
-    res = _compute(run_simplify, d, budget=budget)
+    res = run_simplify(load_diagram(file), budget=budget)
     if out:
         _save(res.diagram, out)
     if trace:
@@ -189,8 +176,8 @@ def cmd_rules(samples, tol, seed, as_json, corrupt):
     # the one command that reads the catalog, so the only one that loads it
     from .rules import RuleError, check_catalog, full_catalog
     try:  # RuleError: --corrupt of a name no rule has
-        reports = _compute(check_catalog, full_catalog(), samples=samples,
-                           tol=tol, seed=seed, corrupt=corrupt)
+        reports = check_catalog(full_catalog(), samples=samples, tol=tol,
+                                seed=seed, corrupt=corrupt)
     except RuleError as exc:
         _fail(str(exc))
     failures = [r for r in reports if not r.ok]
@@ -215,13 +202,13 @@ def cmd_rules(samples, tol, seed, as_json, corrupt):
               help="write the composed diagram file here")
 def cmd_elementary(matrix_file, out):
     """Decompose a matrix into elementary transformation diagrams."""
+    mat = load_matrix(matrix_file)
     try:
-        mat = load_matrix(matrix_file)
-        ops, d = _compute(decompose_elementary, mat)
-    except ValueError as exc:  # DiagramFileError or a bad matrix shape
+        ops, d = decompose_elementary(mat)
+    except ValueError as exc:  # a bad matrix shape
         _fail(str(exc))
     bound = 1e-7 * max(1.0, float(np.abs(mat).max()))
-    if not max_deviation(_compute(interpret, d), mat) <= bound:
+    if not max_deviation(interpret(d), mat) <= bound:
         _fail("internal: composed diagram does not reproduce the matrix")
     if out:
         _save(d, out)
@@ -234,7 +221,7 @@ def cmd_elementary(matrix_file, out):
               type=click.Choice(["dot", "tikz-text"]))
 def cmd_export(file, fmt):
     """Emit a deterministic text description of the diagram graph."""
-    click.echo(export_text(_load(file), fmt))
+    click.echo(export_text(load_diagram(file), fmt))
 
 
 if __name__ == "__main__":

@@ -24,10 +24,12 @@ node ids and kinds, edges, boundary sizes, loops and the incidence index
 ports, in port order).  ``Diagram(...)``, the trust boundary of the file
 loader, the generator builders and the rewriter's result, validates its
 shape and builds ``port_edges`` in one pass.  ``compose_all`` and
-``tensor_all`` build their result's shape from their valid pieces'
-shapes, unvalidated, or look it up by those shapes in ``_SHAPES``, a
-``weakref.WeakValueDictionary`` whose keys hold the pieces' shapes
-strongly, so diagrams that differ only in Z phases share a shape.
+``tensor_all`` are functions of their valid pieces' shapes, and the
+result's shape is not validated.  ``_memoised`` looks it up by those
+shapes in ``_SHAPES``, a ``weakref.WeakValueDictionary`` whose keys hold
+the pieces' shapes strongly, so diagrams that differ only in Z phases
+share a shape; on a hit and a miss alike it then places the pieces'
+nodes on the shape, the one place a combinator's nodes are placed.
 ``flip`` and ``bend_to_state`` rename boundary ends and nothing else
 (``_renamed``): a result keeps every node id and edge index, so it
 shares its piece's nodes mapping and ``port_edges``, and is valid
@@ -143,7 +145,7 @@ class _Shape:
     the node ids in node order.  Shapes are equal by value, and the hash
     is computed once.  ``Diagram.__init__`` validates each shape it makes
     before any diagram holds it; the combinators make theirs from valid
-    pieces."""
+    pieces' shapes."""
 
     __slots__ = ("kinds", "edges", "n_in", "n_out", "loops", "port_edges",
                  "_hash", "__weakref__")
@@ -418,45 +420,43 @@ def _splice(edges: Sequence[Edge],
 
 # -- combinators --------------------------------------------------------
 
-def _placed(ds: Sequence[Diagram], slide: bool) -> tuple:
-    """The pieces side by side: their nodes and edges, and each piece
-    with the shift of its node ids and the index of its first edge.
-    Piece k's node ids shift past the largest id placed before it (the
-    ids of a pairwise fold from the left), its edges' node ends with
-    them; if ``slide``, a boundary end (tag, j) moves past the slots of
-    that tag placed before it."""
-    nodes: dict[int, Node] = {}
+def _placed(shapes: Sequence[_Shape], slide: bool) -> tuple:
+    """The pieces' shapes side by side: their edges, and each shape with
+    the shift of its node ids and the index of its first edge.  Piece
+    k's node ids, the keys of its ``port_edges``, shift so that its
+    smallest, or 0 if that is larger, lands past the largest id placed
+    before it (the ids of a pairwise fold from the left), its edges'
+    node ends with them; if ``slide``, a boundary end (tag, j) moves
+    past the slots of that tag placed before it."""
     edges: list[Edge] = []
     places = []
     top = None
     slots = {"in": 0, "out": 0}
-    for d in ds:
-        shift = 0 if top is None else top + 1
-        places.append((d, shift, len(edges)))
-        for v, nd in d.nodes.items():
-            nodes[v + shift] = nd
-        if d.nodes:
-            last = max(d.nodes) + shift
+    for s in shapes:
+        ids = s.port_edges
+        shift = 0 if top is None else top + 1 - min(0, min(ids, default=0))
+        places.append((s, shift, len(edges)))
+        if ids:
+            last = max(ids) + shift
             top = last if top is None else max(top, last)
         edges += [(("n", a[1] + shift, a[2]) if a[0] == "n"
                    else (a[0], a[1] + slots[a[0]]),
                    ("n", b[1] + shift, b[2]) if b[0] == "n"
                    else (b[0], b[1] + slots[b[0]]))
-                  for a, b in d.edges]
+                  for a, b in s.edges]
         if slide:
-            slots["in"] += d.n_in
-            slots["out"] += d.n_out
-    return nodes, edges, places
+            slots["in"] += s.n_in
+            slots["out"] += s.n_out
+    return edges, places
 
 
-def _assembled(ds: Sequence[Diagram], nodes, edges, n_in: int, n_out: int,
-               loops: int, port_edges) -> Diagram:
-    """The diagram the pieces ``ds`` were placed into: valid pieces make
-    it valid, its edges oriented, so nothing is checked again."""
-    kinds = tuple(chain.from_iterable(d.shape.kinds for d in ds))
-    shape = _Shape(kinds, tuple(edges), n_in, n_out, loops,
-                   MappingProxyType(port_edges))
-    return Diagram._of(shape, MappingProxyType(nodes))
+def _assembled(shapes: Sequence[_Shape], edges, n_in: int, n_out: int,
+               loops: int, port_edges) -> _Shape:
+    """The shape the pieces' ``shapes`` were placed into: valid pieces
+    make it valid, its edges oriented, so nothing is checked again."""
+    kinds = tuple(chain.from_iterable(s.kinds for s in shapes))
+    return _Shape(kinds, tuple(edges), n_in, n_out, loops,
+                  MappingProxyType(port_edges))
 
 
 # each combinator result's shape by the combinator and its pieces' shapes:
@@ -467,12 +467,13 @@ _SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _memoised(combinator):
-    """``combinator`` of a list of pieces through ``_SHAPES``: a miss
-    stores the result's shape under the combinator and the pieces'
-    shapes, and a hit gives the stored shape the pieces' nodes, in the
-    order whose ids ``_placed`` shifts, with no splice: one list of the
-    pieces' node values, zipped with the shape's node ids, on the shape
-    by ``Diagram._of``.  A list of one piece gives that piece."""
+    """``combinator`` of a list of pieces, a function of their shapes
+    alone, through ``_SHAPES``: a miss stores the shape it builds of the
+    pieces' shapes under the combinator and those shapes.  A hit and a
+    miss alike give the shape the pieces' nodes, in the order whose ids
+    ``_placed`` shifts: one list of the pieces' node values, zipped with
+    the shape's node ids, on the shape by ``Diagram._of``.  A list of one
+    piece gives that piece."""
 
     @wraps(combinator)
     def memoised(ds):
@@ -481,9 +482,7 @@ def _memoised(combinator):
         key = (combinator, *[d.shape for d in ds])
         shape = _SHAPES.get(key)
         if shape is None:
-            d = combinator(ds)
-            _SHAPES[key] = d.shape
-            return d
+            shape = _SHAPES[key] = combinator(key[1:])
         values = []
         for d in ds:
             values += d.nodes.values()
@@ -517,26 +516,26 @@ def _plan_memo(planner):
 
 
 @_memoised
-def compose_all(ds: Sequence[Diagram]) -> Diagram:
+def compose_all(shapes: Sequence[_Shape]) -> _Shape:
     """Sequential composition of a chain, piece k's outputs glued to piece
     k+1's inputs positionally.  One splice for the whole chain gives the
     node ids, edge order and loops of folding ``compose`` from the left:
     the end at output slot j of piece k is joined to the end at input
     slot j of piece k + 1, found by slot in each piece's own edges."""
-    if not ds:
+    if not shapes:
         raise DiagramError("compose_all of nothing")
-    for d1, d2 in zip(ds, ds[1:]):
-        if d1.n_out != d2.n_in:
-            raise DiagramError(f"compose arity mismatch: {d1.n_out} outputs "
-                               f"vs {d2.n_in} inputs")
-    nodes, edges, places = _placed(ds, False)
+    for s1, s2 in zip(shapes, shapes[1:]):
+        if s1.n_out != s2.n_in:
+            raise DiagramError(f"compose arity mismatch: {s1.n_out} outputs "
+                               f"vs {s2.n_in} inputs")
+    edges, places = _placed(shapes, False)
     mate: dict[int, int] = {}
     outs: list[int] = []  # the end at each output slot of the piece before
-    for d, _, base in places:
+    for s, _, base in places:
         # the end at each boundary slot: input j at j, output j at n + j
-        n = d.n_in
-        slots = [0] * (n + d.n_out)
-        for e, (a, b) in enumerate(d.edges, base):
+        n = s.n_in
+        slots = [0] * (n + s.n_out)
+        for e, (a, b) in enumerate(s.edges, base):
             if b[0] != "n":  # a node end comes first in an oriented edge
                 slots[b[1] if b[0] == "in" else n + b[1]] = 2 * e + 1
                 if a[0] != "n":
@@ -546,22 +545,22 @@ def compose_all(ds: Sequence[Diagram]) -> Diagram:
         outs = slots[n:]
     spliced, new_loops, where = _splice(edges, mate)
     port_edges = {v + shift: tuple([where[base + i] for i in pe])
-                  for d, shift, base in places
-                  for v, pe in d.port_edges.items()}
-    return _assembled(ds, nodes, spliced, ds[0].n_in, ds[-1].n_out,
-                      sum(d.loops for d in ds) + new_loops, port_edges)
+                  for s, shift, base in places
+                  for v, pe in s.port_edges.items()}
+    return _assembled(shapes, spliced, shapes[0].n_in, shapes[-1].n_out,
+                      sum(s.loops for s in shapes) + new_loops, port_edges)
 
 
 @_memoised
-def tensor_all(ds: Sequence[Diagram]) -> Diagram:
+def tensor_all(shapes: Sequence[_Shape]) -> _Shape:
     """Parallel composition, boundaries left to right in piece order."""
-    nodes, edges, places = _placed(ds, True)
+    edges, places = _placed(shapes, True)
     port_edges = {v + shift: tuple([i + base for i in pe])
-                  for d, shift, base in places
-                  for v, pe in d.port_edges.items()}
-    return _assembled(ds, nodes, edges, sum(d.n_in for d in ds),
-                      sum(d.n_out for d in ds), sum(d.loops for d in ds),
-                      port_edges)
+                  for s, shift, base in places
+                  for v, pe in s.port_edges.items()}
+    return _assembled(shapes, edges, sum(s.n_in for s in shapes),
+                      sum(s.n_out for s in shapes),
+                      sum(s.loops for s in shapes), port_edges)
 
 
 def compose(d1: Diagram, d2: Diagram) -> Diagram:

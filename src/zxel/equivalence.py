@@ -29,16 +29,14 @@ class VerdictDisagreement(RuntimeError):
 class EquivalenceVerdict:
     equal: bool
     max_deviation: float
-    nf_pair: tuple[NormalForm, NormalForm] | None = None
+    nf_pair: tuple[NormalForm, NormalForm]
 
     def to_jsonable(self) -> dict:
         dev = self.max_deviation  # null if beyond the float range
         # both routes decide every verdict
-        rec = {"equal": self.equal, "method": "both",
-               "max_deviation": dev if math.isfinite(dev) else None}
-        if self.nf_pair is not None:
-            rec["normal_forms"] = [nf_to_jsonable(nf) for nf in self.nf_pair]
-        return rec
+        return {"equal": self.equal, "method": "both",
+                "max_deviation": dev if math.isfinite(dev) else None,
+                "normal_forms": [nf_to_jsonable(nf) for nf in self.nf_pair]}
 
 
 def check_equivalent(d1: Diagram, d2: Diagram,

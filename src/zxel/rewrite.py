@@ -99,8 +99,11 @@ def _other_end(edge, v):
     return a
 
 
-def _is_phase(x: complex, value: complex, tol: float = 1e-12) -> bool:
-    return abs(complex(x) - value) <= tol
+_PHASE_TOL = 1e-12
+
+
+def _is_phase(x: complex, value: complex) -> bool:
+    return abs(complex(x) - value) <= _PHASE_TOL
 
 
 def _outer_endpoint(d, inc, h, core):
@@ -301,7 +304,10 @@ class _Graph:
     k-th node, and each node event fills the next slot.  A test is
     ``(slot, value, outcome)``, once per slot and value; a node is
     ``(node_of, slots)``, or ``(node, None)`` for a node made of no
-    phase.
+    phase.  ``slot`` maps each node id to the slot of its node, and
+    ``splice`` keeps it current: a node ``make`` logged takes that slot,
+    and any other node it places logs ``(node, None)`` and takes the
+    next.
     """
 
     def __init__(self, d: Diagram):
@@ -311,30 +317,19 @@ class _Graph:
         self.next_id = max(d.nodes, default=-1) + 1
         self.events: list[tuple] = []
         self.slot = {v: k for k, v in enumerate(d.nodes)}
-        self.made: dict[int, int] = {}  # id(node) -> slot, for new nodes
-        self.kept: list[Node] = []  # those nodes, so that ids stay theirs
+        self._slots = count(len(self.slot))
+        self.made: dict[int, int] = {}  # id(node) -> slot, until placed
         self.tested: set[tuple] = set()
 
-    def slot_of(self, v: int) -> int:
-        """The slot of the node at v, a new one for a node made of no
-        phase that no event has named yet."""
-        node = self.nodes[v]
-        if node is self.source.nodes.get(v):
-            return self.slot[v]
-        k = self.made.get(id(node))
-        return self._fill(node, (node, None)) if k is None else k
-
-    def _fill(self, node: Node, event: tuple) -> int:
-        k = self.made[id(node)] = len(self.slot) + len(self.kept)
-        self.kept.append(node)
+    def _log(self, event: tuple) -> int:
         self.events.append(event)
-        return k
+        return next(self._slots)
 
     def phase_is(self, v: int, value: complex) -> bool:
         """Whether node v's phase is ``value`` within ``_is_phase``'s
         bound; logs the test."""
         hit = _is_phase(self.nodes[v].phase, value)
-        test = (self.slot_of(v), value, hit)
+        test = (self.slot[v], value, hit)
         if test not in self.tested:
             self.tested.add(test)
             self.events.append(test)
@@ -343,10 +338,15 @@ class _Graph:
     def make(self, node_of, *vs: int) -> Node:
         """The node ``node_of`` makes of the phases of the nodes ``vs``;
         logs it."""
-        slots = tuple(map(self.slot_of, vs))
+        slots = tuple(map(self.slot.__getitem__, vs))
         node = node_of(*[self.nodes[v].phase for v in vs])
-        self._fill(node, (node_of, slots))
+        self.made[id(node)] = self._log((node_of, slots))
         return node
+
+    def _place(self, v: int, node: Node) -> None:
+        self.nodes[v] = node
+        k = self.made.pop(id(node), None)
+        self.slot[v] = self._log((node, None)) if k is None else k
 
     def _add(self, edge) -> None:
         a, b = edge
@@ -397,11 +397,13 @@ class _Graph:
                         touched.add(ep[1])
             inc[v] = []
         for v in drop_nodes:
-            del nodes[v], inc[v]
-        nodes.update(rephase or {})
+            del nodes[v], inc[v], self.slot[v]
+        for v, node in (rephase or {}).items():
+            self._place(v, node)
         next_id = self.next_id
         for node in new_nodes:
-            nodes[next_id], inc[next_id] = node, []
+            self._place(next_id, node)
+            inc[next_id] = []
             touched.add(next_id)
             next_id += 1
         for edge in new_edges:
@@ -643,10 +645,7 @@ def _plan(d: Diagram, budget: int) -> tuple:
     out = g.diagram()
     shape = picks = None
     if out is not d:
-        slot, source = g.slot, d.nodes  # most result nodes are the source's
-        shape, picks = out.shape, tuple([
-            slot[v] if node is source.get(v) else g.slot_of(v)
-            for v, node in out.nodes.items()])
+        shape, picks = out.shape, tuple(map(g.slot.__getitem__, out.nodes))
     return tuple(moves), site is not None, tuple(g.events), shape, picks
 
 

@@ -122,8 +122,12 @@ class RuleReport:
         }
 
 
-def _random_params(rule: RewriteRule, rng: np.random.Generator, tries: int = 100):
-    for _ in range(tries):
+# draws of a rule's parameters before its admissibility is given up
+_TRIES = 100
+
+
+def _random_params(rule: RewriteRule, rng: np.random.Generator):
+    for _ in range(_TRIES):
         params = []
         for _ in range(rule.arity):
             r = 2.0 * math.sqrt(rng.uniform())

@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ from zxel.semantics import (ResourceError, contract_state, interpret,
                             matrices_equal)
 
 from zxel import normalform as NF
-from zxel.io import dumps_diagram
+from zxel.io import dumps_diagram, load_diagram
 from zxel.normalform import nf_from_vector, nf_to_diagram
 from zxel.rewrite import simplify
 
@@ -63,6 +64,52 @@ def test_tensor_h_h_kronecker():
 def test_tensor_cap_cap_boundaries():
     d = D.tensor(D.cap(), D.cap())
     assert d.type == (0, 4)
+
+
+# 1 -> 1 chains of (id, kind, phase) nodes, in order from input to output;
+# node ids are any integers, negative ones included
+_NEGATIVE_ID_CHAINS = (
+    [(-3, "z", 2.0), (-1, "h", None)],
+    [(-1, "z", 3.0), (0, "t", None)],
+    [(-2, "h", None), (5, "z", 0.5j)],
+)
+
+
+def _chain_piece(chain, path=None) -> D.Diagram:
+    """The chain as a Diagram, or, given a path, loaded from a file
+    written there."""
+    ends = [["in", 0]]
+    for v, _, _ in chain:
+        ends += [["node", v, 0], ["node", v, 1]]
+    ends.append(["out", 0])
+    edges = list(zip(ends[::2], ends[1::2]))
+    if path is None:
+        return D.Diagram({v: D.Node(kind, 1.0 if phase is None else phase)
+                          for v, kind, phase in chain},
+                         [[("n", *ep[1:]) if ep[0] == "node" else tuple(ep)
+                           for ep in edge] for edge in edges], 1, 1)
+    nodes = [{"id": v, "kind": kind} if phase is None else
+             {"id": v, "kind": kind, "phase": [phase.real, phase.imag]}
+             for v, kind, phase in chain]
+    path.write_text(json.dumps({"version": "zxel/1", "inputs": 1,
+                                "outputs": 1, "nodes": nodes,
+                                "edges": edges}))
+    return load_diagram(str(path))
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_negative_node_ids_survive_compose_and_tensor(loaded, tmp_path):
+    pieces = [_chain_piece(chain, tmp_path / f"{k}.zx" if loaded else None)
+              for k, chain in enumerate(_NEGATIVE_ID_CHAINS)]
+    a, b, c = pieces
+    ma, mb, mc = map(interpret, pieces)
+    for d, n, want in ((D.compose(a, a), 4, ma @ ma),
+                       (D.tensor(a, a), 4, np.kron(ma, ma)),
+                       (D.compose(b, c), 4, mc @ mb),
+                       (D.tensor(b, c), 4, np.kron(mb, mc)),
+                       (D.compose_all(pieces), 6, mc @ mb @ ma)):
+        assert len(d.nodes) == n
+        assert matrices_equal(interpret(d), want)
 
 
 def test_bend_identity_is_cap():
@@ -427,10 +474,11 @@ def _assert_compose_matches_reference(chain):
     want, loops = splice_by_union_find(glued)
     ref = D.Diagram(nodes, want, chain[0].n_in, chain[-1].n_out,
                     loops=sum(d.loops for d in chain) + loops)
-    for d in (D.compose_all(chain), D.compose_all.__wrapped__(chain)):
-        assert list(d.edges) == want and d.loops == ref.loops
-        assert list(d.port_edges.items()) == list(ref.port_edges.items())
-        assert dict(d.nodes) == nodes
+    d = D.compose_all(chain)
+    assert dict(d.nodes) == nodes
+    for s in (d.shape, D.compose_all.__wrapped__([c.shape for c in chain])):
+        assert list(s.edges) == want and s.loops == ref.loops
+        assert list(s.port_edges.items()) == list(ref.port_edges.items())
     return want, loops
 
 
