@@ -19,25 +19,22 @@ are not (port 0 is the input side, port 1 the tip), which is how flipped
 triangles are expressed by wiring alone.
 
 A ``Diagram`` is its ``nodes`` and a read-only ``shape``, all the rest:
-node ids and kinds, edges, boundary sizes, loops and the incidence index
-``port_edges`` (per node, the indices into ``edges`` of the edges at its
-ports, in port order).  ``Diagram(...)``, the trust boundary of the file
-loader, the generator builders and the rewriter's result, validates its
-shape and builds ``port_edges`` in one pass.  ``compose_all`` and
-``tensor_all`` are functions of their valid pieces' shapes, and the
-result's shape is not validated.  ``_memoised`` looks it up by those
-shapes in ``_SHAPES``, a ``weakref.WeakValueDictionary`` whose keys hold
-the pieces' shapes strongly, so diagrams that differ only in Z phases
-share a shape; on a hit and a miss alike it then places the pieces'
-nodes on the shape, the one place a combinator's nodes are placed.
-``flip`` and ``bend_to_state`` rename boundary ends and nothing else
-(``_renamed``): a result keeps every node id and edge index, so it
-shares its piece's nodes mapping and ``port_edges``, and is valid
-because its piece is.  Both routes plan per shape, and ``_plan_memo``
-keeps a plan, weakly keyed by the shape, from its second planning on.
-Both routes plan from one walk of the shape (``_walk``), which
-``_WALKS``, weakly keyed by the shape, holds from the planning that
-walked it to the next planning.
+node kinds, boundary sizes, loops and two tables of edge indices,
+``port_edges`` (per node, the edge at each port, in port order) and
+``slot_edges`` (the edge at each input slot, then at each output slot).
+They name every edge end, so ``edges`` is a view of them, derived on
+first read and cached.  ``Diagram(...)``, the trust boundary, validates
+the edges it is given and builds both tables from them.
+``compose_all`` and ``tensor_all`` build a shape from their valid
+pieces' shapes by arithmetic on the tables, and do not validate it;
+``_memoised`` looks it up by those shapes in ``_SHAPES``, whose keys
+hold the pieces' shapes strongly, so diagrams that differ only in Z
+phases share a shape, and places the pieces' nodes on it.  ``flip`` and
+``bend_to_state`` permute ``slot_edges`` alone (``_renamed``), so a
+result shares its piece's nodes and ``port_edges``.  Both evaluation
+routes plan per shape from one walk (``_walk``, which ``_WALKS`` holds
+until the next planning), and ``_plan_memo`` keeps a plan from a
+shape's second planning on.
 
 Composition is one splice: ``_splice`` joins edges at junctions given
 as a pairing of edge ends, end 2i + s being side s of edge i, and
@@ -133,36 +130,41 @@ _TAG_ORDER = {"n": 0, "in": 1, "out": 2}
 
 def _norm_edge(a: Endpoint, b: Endpoint) -> Edge:
     """Orient an edge: endpoints by tag rank, then by the rest of the
-    tuple; unknown tags rank last, so that check_validity reports them."""
-    ra = _TAG_ORDER.get(a[0], 3)
-    rb = _TAG_ORDER.get(b[0], 3)
+    tuple.  On a boundary that is the order of ``slot_edges``."""
+    ra, rb = _TAG_ORDER[a[0]], _TAG_ORDER[b[0]]
     return (a, b) if ra < rb or (ra == rb and a[1:] <= b[1:]) else (b, a)
 
 
 class _Shape:
-    """The phase-free part of a diagram: node kinds, edges, boundary
-    sizes, loops and the incidence index ``port_edges``, whose keys are
-    the node ids in node order.  Shapes are equal by value, and the hash
-    is computed once.  ``Diagram.__init__`` validates each shape it makes
-    before any diagram holds it; the combinators make theirs from valid
-    pieces' shapes."""
+    """The phase-free part of a diagram: node kinds, boundary sizes, loops
+    and the edge-index tables ``port_edges``, keyed by the node ids in
+    node order, and ``slot_edges``.  Shapes are equal by value, and the
+    hash is computed once; ``edges``, derived from the tables, is cached
+    outside that value.  ``Diagram.__init__`` validates each shape it
+    makes; the combinators make theirs from valid pieces' shapes."""
 
-    __slots__ = ("kinds", "edges", "n_in", "n_out", "loops", "port_edges",
-                 "_hash", "__weakref__")
+    __slots__ = ("kinds", "port_edges", "slot_edges", "n_in", "n_out",
+                 "loops", "_edges", "_hash", "__weakref__")
 
-    def __init__(self, kinds: tuple[str, ...], edges: tuple[Edge, ...],
-                 n_in: int, n_out: int, loops: int,
-                 port_edges: Mapping[int, tuple[int, ...]] | None = None):
-        values = (kinds, edges, n_in, n_out, loops, port_edges, None)
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, kinds, port_edges, slot_edges, n_in, n_out, loops,
+                 edges=None):
+        values = kinds, port_edges, slot_edges, n_in, n_out, loops, edges
+        for name, value in zip(self.__slots__, (*values, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a shape is read-only; cannot set {name}")
 
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            object.__setattr__(self, "_edges", _edges_of(self))
+        return self._edges
+
     def _fields(self) -> tuple:
-        return (tuple(self.port_edges), self.kinds, self.edges, self.n_in,
-                self.n_out, self.loops)
+        pe = self.port_edges
+        return (tuple(pe), tuple(pe.values()), self.kinds, self.slot_edges,
+                self.n_in, self.n_out, self.loops)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, _Shape)
@@ -172,6 +174,33 @@ class _Shape:
         if self._hash is None:
             object.__setattr__(self, "_hash", hash(self._fields()))
         return self._hash
+
+
+def _n_edges(s: _Shape) -> int:
+    return (sum(map(len, s.port_edges.values())) + len(s.slot_edges)) // 2
+
+
+def _edges_of(s: _Shape) -> tuple[Edge, ...]:
+    """The shape's edges in index order, each oriented as ``_norm_edge``
+    does: node ends first, in tuple order, then boundary ends in order."""
+    edges: list = [None] * _n_edges(s)
+    for v, pe in s.port_edges.items():
+        for p, i in enumerate(pe):
+            a, b = edges[i], ("n", v, p)
+            edges[i] = b if a is None else (a, b) if a < b else (b, a)
+    for k, i in enumerate(s.slot_edges):
+        b = ("in", k) if k < s.n_in else ("out", k - s.n_in)
+        edges[i] = b if edges[i] is None else (edges[i], b)
+    return tuple(edges)
+
+
+def _slot_ends(s: _Shape) -> dict[int, list[int]]:
+    """Each edge with a boundary end -> the ascending positions of its
+    ends in ``slot_edges``: two for a bare wire, the first its first."""
+    at: dict[int, list[int]] = {}
+    for k, i in enumerate(s.slot_edges):
+        at.setdefault(i, []).append(k)
+    return at
 
 
 class Diagram:
@@ -189,10 +218,12 @@ class Diagram:
     def __init__(self, nodes: dict[int, Node], edges: Iterable[Edge],
                  n_in: int, n_out: int, loops: int = 0):
         object.__setattr__(self, "nodes", MappingProxyType(dict(nodes)))
-        object.__setattr__(self, "shape", _Shape(
-            tuple(map(attrgetter("kind"), self.nodes.values())),
-            tuple(_norm_edge(a, b) for a, b in edges), n_in, n_out, loops))
-        object.__setattr__(self.shape, "port_edges", self.check_validity())
+        shape = _Shape(tuple(map(attrgetter("kind"), self.nodes.values())),
+                       None, None, n_in, n_out, loops, tuple(edges))
+        object.__setattr__(self, "shape", shape)
+        tables = (*self.check_validity(), None)  # the view is derived
+        for name, value in zip(("port_edges", "slot_edges", "_edges"), tables):
+            object.__setattr__(shape, name, value)
 
     @classmethod
     def _of(cls, shape: _Shape, nodes: Mapping[int, Node]) -> Diagram:
@@ -209,47 +240,51 @@ class Diagram:
 
     # -- well-formedness ------------------------------------------------
 
-    def check_validity(self) -> Mapping[int, tuple[int, ...]]:
-        """Raise DiagramError unless every port and boundary slot is used
-        exactly once and degree constraints hold.
-
-        The same pass over the edges places each edge index at its port,
-        and the result is the incidence index that ``__init__`` stores as
-        ``port_edges``: for each node, the index into ``edges`` of the
-        edge at each of its ports, in port order; a self-loop appears at
-        both of its ports."""
-        if self.n_in < 0 or self.n_out < 0 or self.loops < 0:
+    def check_validity(self) -> tuple[Mapping, tuple[int, ...]]:
+        """Raise DiagramError unless every edge is a pair of well-formed
+        endpoints, every port and boundary slot is used exactly once and
+        degree constraints hold.  The same pass places each edge index at
+        its port or slot, and the result is the tables ``__init__``
+        stores: ``port_edges``, a self-loop at both of its ports, and
+        ``slot_edges``."""
+        n_in, n_out = self.n_in, self.n_out
+        if n_in < 0 or n_out < 0 or self.loops < 0:
             raise DiagramError("negative boundary or loop count")
         at: dict[int, dict[int, int]] = {v: {} for v in self.nodes}
-        size = {"in": self.n_in, "out": self.n_out}
-        boundary: set[Endpoint] = set()
+        slots: dict[int, int] = {}  # boundary slot position -> edge
         for i, edge in enumerate(self.edges):
+            if type(edge) not in (tuple, list) or len(edge) != 2:
+                raise DiagramError(f"edge {i} {edge!r}: not two endpoints")
             for ep in edge:
-                tag = ep[0]
+                # a tag, then one int (slot) or two (node id, port), each
+                # of type int, so that a bool or a float is refused
+                tag = ep[0] if type(ep) is tuple and ep else None
+                if type(tag) is str and tag not in _TAG_ORDER:
+                    raise DiagramError(f"edge {i} {edge!r}: bad endpoint "
+                                       f"tag {tag!r}")
+                if (type(tag) is not str or len(ep) != 2 + (tag == "n")
+                        or type(ep[1]) is not int or type(ep[-1]) is not int):
+                    raise DiagramError(f"edge {i} {edge!r}: malformed "
+                                       f"endpoint {ep!r}")
                 if tag == "n":
-                    ports = at.get(ep[1])
+                    ports, key = at.get(ep[1]), ep[2]
                     if ports is None:
                         raise DiagramError(
                             f"edge references missing node {ep[1]}")
-                    if ep[2] in ports:
-                        raise DiagramError(f"endpoint {ep} used 2 times")
-                    ports[ep[2]] = i
-                elif tag in size:
-                    if not 0 <= ep[1] < size[tag]:
-                        side = "input" if tag == "in" else "output"
-                        raise DiagramError(f"{side} slot {ep[1]} out of range")
-                    if ep in boundary:
-                        raise DiagramError(f"endpoint {ep} used 2 times")
-                    boundary.add(ep)
+                elif not 0 <= ep[1] < (n_in if tag == "in" else n_out):
+                    side = "input" if tag == "in" else "output"
+                    raise DiagramError(f"{side} slot {ep[1]} out of range")
                 else:
-                    raise DiagramError(f"bad endpoint tag {tag!r}")
+                    ports, key = slots, ep[1] + (tag == "out") * n_in
+                if key in ports:
+                    raise DiagramError(f"endpoint {ep} used 2 times")
+                ports[key] = i
         # the placed slots are in range and distinct, so one is missing iff
         # there are fewer of them than slots; the scan stops at the first
-        if len(boundary) < self.n_in + self.n_out:
-            for tag, side in (("in", "input"), ("out", "output")):
-                for k in range(size[tag]):
-                    if (tag, k) not in boundary:
-                        raise DiagramError(f"dangling {side} slot {k}")
+        if len(slots) < n_in + n_out:
+            k = next(k for k in range(n_in + n_out) if k not in slots)
+            raise DiagramError(f"dangling input slot {k}" if k < n_in
+                               else f"dangling output slot {k - n_in}")
         index = {}
         for v, ports in at.items():
             try:
@@ -262,7 +297,8 @@ class Diagram:
                 raise DiagramError(
                     f"node {v} of kind {kind} must have degree 2, "
                     f"got {len(ports)}")
-        return MappingProxyType(index)
+        return MappingProxyType(index), tuple(
+            [slots[k] for k in range(n_in + n_out)])
 
     # -- basic queries ---------------------------------------------------
 
@@ -288,11 +324,11 @@ class Diagram:
 
     def __repr__(self):
         return (f"Diagram({self.n_in}->{self.n_out}, {len(self.nodes)} nodes, "
-                f"{len(self.edges)} edges, loops={self.loops})")
+                f"{_n_edges(self.shape)} edges, loops={self.loops})")
 
 
 def contraction_order(
-        port_edges: Mapping[int, Sequence[int]]) -> Iterator[list]:
+        port_edges: Mapping[int, Sequence[int]]) -> Iterator[list[tuple]]:
     """The elimination order both evaluation routes walk, from the graph
     alone (``port_edges`` as stored on a ``Diagram``); it evaluates
     nothing, checks no cap and keeps no axis order.
@@ -301,16 +337,18 @@ def contraction_order(
     by their smallest id.  Step ``(v, open_, shared)`` absorbs node ``v``
     into the component's part: ``open_`` is the node's edges in port
     order, a self-loop's two left out, and ``shared`` those of them the
-    part holds, in ``open_``'s order; the first step shares none.  The
+    part holds, in ``open_``'s order; the first step shares none.  Both
+    are tuples of ints, which the cyclic collector stops tracking.  The
     part then holds its edges but ``shared``, and the rest of ``open_``;
     at the end, the component's boundary edges.  Each component starts
     at its smallest id; each step absorbs the neighbour that leaves the
     fewest open wires, |open| + |wires_j| - 2 * shared_j, ties to the
     smallest id.
     """
-    nbrs: dict[int, list[int]] = {v: [] for v in port_edges}
     opened = dict(port_edges)
     first: dict[int, int] = {}  # edge index -> the node seen at one end
+    # an edge joining two nodes -> their ids' sum; across i from v: link[i] - v
+    link: dict[int, int] = {}
     for v, edges in port_edges.items():
         for i in edges:
             u = first.pop(i, None)
@@ -319,8 +357,7 @@ def contraction_order(
             elif u == v:
                 opened[v] = tuple(j for j in opened[v] if j != i)
             else:
-                nbrs[u].append(v)
-                nbrs[v].append(u)
+                link[i] = u + v
 
     # |open| is the same for every candidate, so a candidate's rank is
     # wires_j - 2 * shared_j; it only falls as shared_j grows, so the
@@ -340,16 +377,16 @@ def contraction_order(
             done.add(v)
             edges, shared = opened[v], []
             for i in edges:
-                if i in held:
+                if i in held:  # its other end is in the part
                     shared.append(i)
                     held.remove(i)
-                else:
-                    held.add(i)
-            steps.append((v, edges, shared))
-            for u in nbrs[v]:
-                if u not in done:
+                    continue
+                held.add(i)
+                if i in link:  # its other end is a node not yet absorbed
+                    u = link[i] - v
                     links[u] = links.get(u, 0) + 1
                     heapq.heappush(heap, (len(opened[u]) - 2 * links[u], u))
+            steps.append((v, edges, tuple(shared)))
         yield steps
 
 
@@ -372,91 +409,65 @@ def _walk(d: Diagram) -> list[list]:
 
 # -- wire splicing -------------------------------------------------------
 
-def _splice(edges: Sequence[Edge],
-            mate: Mapping[int, int]) -> tuple[list[Edge], int, list[int]]:
-    """Join the edges at the junctions ``mate`` names.  End 2i + s is side
-    s of ``edges[i]``, and ``mate`` maps each junction end to the end it
-    is joined to, both ways round; a junction end's own endpoint is never
-    read.  Returns (edges, loops, where): each wire becomes one edge
-    between its two free ends, placed where its first edge was and
-    oriented by ``_norm_edge`` if it joins edges, and each wire with no
-    free end counts as a loop; ``where[i]`` is the index of the edge that
-    edge i became (-1 on a loop)."""
-    where: list = [None] * len(edges)
-    out: list[Edge] = []
-    loops = 0
-    for start, edge in enumerate(edges):
-        if where[start] is not None:
+def _splice(count: int, mate: Mapping[int, int]) -> tuple[int, list[int]]:
+    """Join the edges 0..count-1 at the junctions ``mate`` names.  End
+    2i + s is side s of edge i, and ``mate`` maps each junction end to
+    the end it is joined to, both ways round.  Returns (loops, where):
+    each wire becomes one edge, placed where its first edge was, and each
+    wire with no free end counts as a loop; ``where[i]`` is the index of
+    the edge that edge i became (-1 on a loop)."""
+    first, loops = {}, 0  # first: each joined edge -> its wire's first edge
+    for start in sorted({end >> 1 for end in mate}):
+        if start in first:
             continue
-        end = 2 * start
-        back, on = mate.get(end), mate.get(end + 1)
-        if back is None and on is None:
-            where[start] = len(out)
-            out.append(edge)
-            continue
-        # walk back from side 0 to a free end, then on from side 1 to the
-        # other; arriving back at side 1 of start means a closed loop
-        path = [start]
-        while back is not None and back != 2 * start + 1:
-            path.append(back >> 1)
-            end = back ^ 1
-            back = mate.get(end)
-        if back is None:
-            free = edges[end >> 1][end & 1]
-            end = 2 * start + 1
-            while on is not None:
-                path.append(on >> 1)
-                end = on ^ 1
-                on = mate.get(end)
-            out.append(_norm_edge(free, edges[end >> 1][end & 1]))
-            at = len(out) - 1
-        else:
-            loops += 1
-            at = -1
-        for i in path:
-            where[i] = at
-    return out, loops, where
+        # walk on from each side of start to a free end; arriving back at
+        # side 1 of start means a closed loop, whose first edge is -1
+        path, at = [start], start
+        for end in map(mate.get, (2 * start, 2 * start + 1)):
+            while end is not None and end != 2 * start + 1:
+                path.append(end >> 1)
+                end = mate.get(end ^ 1)
+            if end is not None:
+                loops, at = loops + 1, -1
+                break
+        first.update(dict.fromkeys(path, at))
+    where, kept = [], 0
+    for i in range(count):
+        at = first.get(i, i)
+        where.append(kept if at == i else where[at] if at >= 0 else -1)
+        kept += at == i
+    return loops, where
 
 
 # -- combinators --------------------------------------------------------
 
-def _placed(shapes: Sequence[_Shape], slide: bool) -> tuple:
-    """The pieces' shapes side by side: their edges, and each shape with
-    the shift of its node ids and the index of its first edge.  Piece
-    k's node ids, the keys of its ``port_edges``, shift so that its
+def _placed(shapes: Sequence[_Shape]) -> tuple[list[tuple], int]:
+    """The pieces' shapes side by side: each shape with the shift of its
+    node ids and the index of its first edge, and the count of edges.
+    Piece k's node ids, the keys of its ``port_edges``, shift so that its
     smallest, or 0 if that is larger, lands past the largest id placed
-    before it (the ids of a pairwise fold from the left), its edges'
-    node ends with them; if ``slide``, a boundary end (tag, j) moves
-    past the slots of that tag placed before it."""
-    edges: list[Edge] = []
-    places = []
-    top = None
-    slots = {"in": 0, "out": 0}
+    before it (the ids of a pairwise fold from the left), and its edge
+    indices past the edges placed before it."""
+    places, top, count = [], None, 0
     for s in shapes:
         ids = s.port_edges
         shift = 0 if top is None else top + 1 - min(0, min(ids, default=0))
-        places.append((s, shift, len(edges)))
+        places.append((s, shift, count))
         if ids:
             last = max(ids) + shift
             top = last if top is None else max(top, last)
-        edges += [(("n", a[1] + shift, a[2]) if a[0] == "n"
-                   else (a[0], a[1] + slots[a[0]]),
-                   ("n", b[1] + shift, b[2]) if b[0] == "n"
-                   else (b[0], b[1] + slots[b[0]]))
-                  for a, b in s.edges]
-        if slide:
-            slots["in"] += s.n_in
-            slots["out"] += s.n_out
-    return edges, places
+        count += _n_edges(s)
+    return places, count
 
 
-def _assembled(shapes: Sequence[_Shape], edges, n_in: int, n_out: int,
-               loops: int, port_edges) -> _Shape:
-    """The shape the pieces' ``shapes`` were placed into: valid pieces
-    make it valid, its edges oriented, so nothing is checked again."""
+def _assembled(shapes: Sequence[_Shape], port_edges, slot_edges, n_in: int,
+               loops: int) -> _Shape:
+    """The shape the pieces' ``shapes`` were placed into, its first
+    ``n_in`` slots inputs: valid pieces make it valid, so nothing is
+    checked again."""
     kinds = tuple(chain.from_iterable(s.kinds for s in shapes))
-    return _Shape(kinds, tuple(edges), n_in, n_out, loops,
-                  MappingProxyType(port_edges))
+    return _Shape(kinds, MappingProxyType(port_edges), tuple(slot_edges),
+                  n_in, len(slot_edges) - n_in, loops)
 
 
 # each combinator result's shape by the combinator and its pieces' shapes:
@@ -521,46 +532,48 @@ def compose_all(shapes: Sequence[_Shape]) -> _Shape:
     k+1's inputs positionally.  One splice for the whole chain gives the
     node ids, edge order and loops of folding ``compose`` from the left:
     the end at output slot j of piece k is joined to the end at input
-    slot j of piece k + 1, found by slot in each piece's own edges."""
+    slot j of piece k + 1, each read off its piece's ``slot_edges``."""
     if not shapes:
         raise DiagramError("compose_all of nothing")
     for s1, s2 in zip(shapes, shapes[1:]):
         if s1.n_out != s2.n_in:
             raise DiagramError(f"compose arity mismatch: {s1.n_out} outputs "
                                f"vs {s2.n_in} inputs")
-    edges, places = _placed(shapes, False)
+    places, count = _placed(shapes)
     mate: dict[int, int] = {}
     outs: list[int] = []  # the end at each output slot of the piece before
     for s, _, base in places:
-        # the end at each boundary slot: input j at j, output j at n + j
-        n = s.n_in
-        slots = [0] * (n + s.n_out)
-        for e, (a, b) in enumerate(s.edges, base):
-            if b[0] != "n":  # a node end comes first in an oriented edge
-                slots[b[1] if b[0] == "in" else n + b[1]] = 2 * e + 1
-                if a[0] != "n":
-                    slots[a[1] if a[0] == "in" else n + a[1]] = 2 * e
-        for out, end in zip(outs, slots):
+        # the end at each boundary slot: side 1 of a bare wire's edge at
+        # its second slot, side 0 at any other
+        ends, seen = [], set()
+        for i in s.slot_edges:
+            ends.append(2 * (base + i) + (i in seen))
+            seen.add(i)
+        for out, end in zip(outs, ends):
             mate[out], mate[end] = end, out
-        outs = slots[n:]
-    spliced, new_loops, where = _splice(edges, mate)
+        outs = ends[s.n_in:]
+    new_loops, where = _splice(count, mate)
+    (first, _, start), (last, _, end) = places[0], places[-1]
+    slot_edges = [where[start + i] for i in first.slot_edges[:first.n_in]]
+    slot_edges += [where[end + i] for i in last.slot_edges[last.n_in:]]
     port_edges = {v + shift: tuple([where[base + i] for i in pe])
                   for s, shift, base in places
                   for v, pe in s.port_edges.items()}
-    return _assembled(shapes, spliced, shapes[0].n_in, shapes[-1].n_out,
-                      sum(s.loops for s in shapes) + new_loops, port_edges)
+    return _assembled(shapes, port_edges, slot_edges, first.n_in,
+                      sum(s.loops for s in shapes) + new_loops)
 
 
 @_memoised
 def tensor_all(shapes: Sequence[_Shape]) -> _Shape:
     """Parallel composition, boundaries left to right in piece order."""
-    edges, places = _placed(shapes, True)
+    places, _ = _placed(shapes)
+    ins = [base + i for s, _, base in places for i in s.slot_edges[:s.n_in]]
+    outs = [base + i for s, _, base in places for i in s.slot_edges[s.n_in:]]
     port_edges = {v + shift: tuple([i + base for i in pe])
                   for s, shift, base in places
                   for v, pe in s.port_edges.items()}
-    return _assembled(shapes, edges, sum(s.n_in for s in shapes),
-                      sum(s.n_out for s in shapes),
-                      sum(s.loops for s in shapes), port_edges)
+    return _assembled(shapes, port_edges, ins + outs, len(ins),
+                      sum(s.loops for s in shapes))
 
 
 def compose(d1: Diagram, d2: Diagram) -> Diagram:
@@ -573,24 +586,22 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
     return tensor_all([d1, d2])
 
 
-def _renamed(d: Diagram, n_in: int, n_out: int, ren) -> Diagram:
-    """``d`` as a diagram of type n_in -> n_out, each boundary end (tag,
-    j) of its edges renamed to ``ren(tag, j)``.  Every node id and edge
-    index is kept, so the result shares ``d``'s nodes mapping and
-    ``port_edges``, and a renaming that maps ``d``'s slots one to one
-    onto the new ones keeps it valid."""
-    edges = tuple([_norm_edge(*[ep if ep[0] == "n" else ren(*ep)
-                                for ep in edge]) for edge in d.edges])
-    return Diagram._of(_Shape(d.shape.kinds, edges, n_in, n_out, d.loops,
-                              d.port_edges), d.nodes)
+def _renamed(d: Diagram, n_in: int, slot_edges: tuple[int, ...]) -> Diagram:
+    """``d`` with the boundary table ``slot_edges``, its first ``n_in``
+    slots inputs.  Every node id and edge index is kept, so the result
+    shares ``d``'s nodes mapping and ``port_edges``, and a permutation of
+    ``d``'s table keeps it valid."""
+    s = d.shape
+    return Diagram._of(_Shape(s.kinds, s.port_edges, slot_edges, n_in,
+                              len(slot_edges) - n_in, s.loops), d.nodes)
 
 
 def flip(d: Diagram) -> Diagram:
     """Upside-down flip: inputs become outputs and vice versa (the
     interpretation transposes).  It shares ``d``'s nodes mapping and
     ``port_edges``."""
-    return _renamed(d, d.n_out, d.n_in,
-                    lambda tag, j: ("out" if tag == "in" else "in", j))
+    n, table = d.n_in, d.shape.slot_edges
+    return _renamed(d, d.n_out, table[n:] + table[:n])
 
 
 def bend_to_state(d: Diagram) -> Diagram:
@@ -602,9 +613,8 @@ def bend_to_state(d: Diagram) -> Diagram:
     d's original outputs follow.  Bending input i of an n-input diagram
     sends it to output slot n - 1 - i.
     """
-    n = d.n_in
-    return _renamed(d, 0, n + d.n_out, lambda tag, j: (
-        "out", n - 1 - j if tag == "in" else n + j))
+    n, table = d.n_in, d.shape.slot_edges
+    return _renamed(d, 0, table[:n][::-1] + table[n:])
 
 
 # -- builders ------------------------------------------------------------

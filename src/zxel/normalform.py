@@ -298,7 +298,7 @@ def nf_self_plug(nf: NormalForm, wire_pair) -> NormalForm:
     return NormalForm(nf.m - 2, c[0::4] + c[3::4])
 
 
-def _layout(part: list, edges: Sequence[int], shared: list) -> tuple:
+def _layout(part: list, edges: Sequence[int], shared: Sequence[int]) -> tuple:
     """How ``np.tensordot`` lays out a part, whose axes hold the edges
     ``part``, and a node state, whose axes hold ``edges``, to contract
     the ``shared`` edges: ``(perm_a, shape_a, perm_b, shape_b, joined)``.
@@ -311,7 +311,7 @@ def _layout(part: list, edges: Sequence[int], shared: list) -> tuple:
     for i in shared:
         kept.remove(i)
         new.remove(i)
-    s = len(shared)
+    s, shared = len(shared), [*shared]  # a list never equals a tuple
     perm_a = (None if part[len(kept):] == shared else
               tuple(map(part.index, kept + shared)))
     perm_b = (None if [*edges[:s]] == shared else
@@ -392,12 +392,12 @@ def _plan(d: Diagram, cap: int) -> tuple:
     Every wire-cap check happens here, before anything is allocated: the
     state's wires, then each node's open wires, then the part's wires
     after each step."""
-    n = d.n_in
+    n, at = d.n_in, dg._slot_ends(d.shape)
     if n + d.n_out > cap:
         raise WireCapError(f"state has {n + d.n_out} wires, cap is {cap}")
 
-    def slot(ep):  # the output slot of a boundary end, once bent
-        return n - 1 - ep[1] if ep[0] == "in" else n + ep[1]
+    def slot(k):  # the output slot of boundary slot k, once bent
+        return n - 1 - k if k < n else k
 
     components = []
     slots: list[int] = []  # output slot of each folded wire, in order
@@ -423,10 +423,11 @@ def _plan(d: Diagram, cap: int) -> tuple:
                               len(part), perm_a, shape_a))
             part = joined
         components.append(steps)
-        # an end edge's far end, after its node end, is a boundary slot
-        slots += [slot(d.edges[i][1]) for i in part]
-    # each bare wire bends into a cap between two output slots
-    caps = [sorted([slot(a), slot(b)]) for a, b in d.edges if a[0] != "n"]
+        # an end edge has one end on the boundary
+        slots += [slot(at[i][0]) for i in part]
+    # each bare wire, in edge order, bends into a cap between two slots
+    caps = [sorted(map(slot, at[i]))
+            for i in sorted(i for i, ks in at.items() if len(ks) == 2)]
     slots += [s for pair in caps for s in pair]
     # axis k of the folded state holds output slot slots[k]; slot j goes
     # to axis j, the output order

@@ -63,12 +63,13 @@ from __future__ import annotations
 
 import importlib
 import os
+from functools import cache
 from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diagram import Diagram, H, T, T_INV, Z, _plan_memo, _walk
+from .diagram import Diagram, H, T, T_INV, Z, _plan_memo, _slot_ends, _walk
 
 # the one default tolerance of every equality check in zxel
 DEFAULT_TOL = 1e-9
@@ -197,12 +198,18 @@ def _absorb_fixed(acc: np.ndarray, sub_acc: list[int], sub_leaf: list[int],
     return out
 
 
+@cache
+def _span(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
+
+
 def _pair_step(dst: int, src: int, li: list, lj: list, shared):
     """The step contracting operand ``src``, of wires ``lj``, into operand
     ``dst``, of wires ``li``, the two sharing the wires ``shared``: its
     einsum sublists (the wires numbered from 0 in order of first
     appearance, ``li``'s first), and the result's wires, which replace
-    ``dst``'s."""
+    ``dst``'s.  The sublists are tuples of ints, which the cyclic
+    collector stops tracking, and ``dst``'s is one tuple per length."""
     n = len(li)
     sub_src, new = [], []
     for l in lj:
@@ -216,7 +223,7 @@ def _pair_step(dst: int, src: int, li: list, lj: list, shared):
     for l in shared:
         k = out.index(l)
         del out[k], sub_out[k]
-    return (dst, src, list(range(n)), sub_src, sub_out), out
+    return (dst, src, _span(n), tuple(sub_src), tuple(sub_out)), out
 
 
 @_plan_memo
@@ -228,15 +235,15 @@ def _plan(d: Diagram, cap: int) -> tuple:
     whose tensors a batch stacks, or the fixed tensor of any other
     generator or bare wire, which a batch shares.  Each step
     ``(dst, src, sub_dst, sub_src, sub_out)`` contracts operand ``src``
-    into operand ``dst`` by einsum with those sublists (given without the
-    batch axis).  ``root`` is the operand left at the end (None for a
-    diagram with nothing to contract), and ``ends`` names the boundary
-    end of each of its axes: edge index i for the far end of edge i (a
-    bare wire's second end), ~i for a bare wire's first end.  ``zids``
-    holds the node id of each Z leaf in leaf order: the columns of a
-    phase matrix.  ``width`` is the most open wires any operand has.
+    into operand ``dst`` by einsum with those sublists (tuples, given
+    without the batch axis).  ``root`` is the operand left at the end
+    (None for a diagram with nothing to contract), and ``ends`` names the
+    boundary end of each of its axes: edge index i for the far end of
+    edge i (a bare wire's second end), ~i for a bare wire's first end.
+    ``zids`` holds the node id of each Z leaf in leaf order: the columns
+    of a phase matrix.  ``width`` is the most open wires any operand has.
     Nothing in the plan depends on which ends are inputs: ``_matrices``
-    reads that off each diagram's own edges.
+    reads that off each diagram's own ``slot_edges``.
 
     The plan translates the walk (``diagram._walk``) in one pass: each
     component folds its nodes into its first one, its wires threaded
@@ -274,11 +281,11 @@ def _plan(d: Diagram, cap: int) -> tuple:
         parts.append((dst, wires))
 
     # each bare wire is an explicit identity, its end wires ~i and i
-    for i, (a, _) in enumerate(d.edges):
-        if a[0] != "n":
-            parts.append((len(leaves), [~i, i]))
-            leaves.append(np.eye(2, dtype=complex))
-            width = max(width, 2)
+    at = _slot_ends(d.shape)
+    for i in sorted(i for i, ks in at.items() if len(ks) == 2):
+        parts.append((len(leaves), [~i, i]))
+        leaves.append(np.eye(2, dtype=complex))
+        width = max(width, 2)
     root, wires = parts[0] if parts else (None, [])
     for src, part in parts[1:]:
         step, wires = _pair_step(root, src, wires, part, ())
@@ -297,15 +304,13 @@ def _plan(d: Diagram, cap: int) -> tuple:
 def _axes(ends: list[int], d: Diagram) -> list[int]:
     """The axes of a root whose axes hold the end wires ``ends``, in the
     order of ``d``'s matrix: each axis goes to the boundary slot of its
-    end in ``d``'s own edges, out slot 0..m-1 then in slot 0..n-1 (most
-    significant bit first within each boundary, matching
-    |a_{m-1}...a_0>)."""
-
-    def slot(ep):  # out slot j is axis j, in slot i axis n_out + i
-        return ep[1] if ep[0] == "out" else d.n_out + ep[1]
-
-    edges = d.edges
-    slots = [slot(edges[i][1]) if i >= 0 else slot(edges[~i][0])
+    end in ``d``'s own ``slot_edges``, out slot 0..m-1 then in slot
+    0..n-1 (most significant bit first within each boundary, matching
+    |a_{m-1}...a_0>): end i is edge i's last slot, a bare wire's ~i its
+    first."""
+    at, n = _slot_ends(d.shape), d.n_in
+    # out slot j is axis j, in slot i axis n_out + i
+    slots = [((at[i][-1] if i >= 0 else at[~i][0]) - n) % (n + d.n_out)
              for i in ends]
     return sorted(range(len(slots)), key=slots.__getitem__)
 
@@ -378,8 +383,8 @@ def _run(plan: tuple, phases: Sequence[Sequence]) -> np.ndarray:
         # that has one, is einsum's broadcast ellipsis: it takes no label
         steps = [(dst, src, sub_dst, sub_src, sub_out)
                  if src in gathered or src in fixed
-                 else (dst, src, [...] + sub_dst, [...] + sub_src,
-                       [...] + sub_out)
+                 else (dst, src, [..., *sub_dst], [..., *sub_src],
+                       [..., *sub_out])
                  for dst, src, sub_dst, sub_src, sub_out in steps]
     einsum = np.einsum
     if einsum is _NP_EINSUM:  # no observer has swapped it

@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,39 @@ def port_edges_by_scan(d: D.Diagram) -> dict[int, tuple[int, ...]]:
     return out
 
 
+def interpret_by_einsum(d: D.Diagram) -> np.ndarray:
+    """Reference for ``interpret`` with no walk and no plan: one
+    ``np.einsum`` over every node tensor, read off ``d.edges`` alone.
+    Edge i is label i; a bare wire's second end gets a label of its own,
+    joined to label i by a delta.  The output labels are the edges at out
+    slots 0.., then at in slots 0.., so the tensor reshapes to the
+    (2^n_out, 2^n_in) matrix; each bare loop scales it by 2."""
+    labels: dict = {}  # each edge end -> its label
+    operands: list = []
+    for i, (a, b) in enumerate(d.edges):
+        labels[a] = i
+        if b[0] == "n" or a[0] == "n":
+            labels[b] = i
+        else:
+            labels[b] = len(d.edges) + i
+            operands += [np.eye(2, dtype=complex), [i, len(d.edges) + i]]
+    degree = Counter(ep[1] for ep in labels if ep[0] == "n")
+    for v, node in d.nodes.items():
+        ports = [labels[("n", v, p)] for p in range(degree[v])]
+        if node.kind == D.Z:
+            t = np.zeros((2,) * len(ports), dtype=complex)
+            t[(0,) * len(ports)] += 1.0
+            t[(1,) * len(ports)] += node.phase
+        else:  # port 0 is the column (input) side, port 1 the row
+            t = {D.H: H_MAT, D.T: T_MAT, D.T_INV: T_INV_MAT}[node.kind].T
+        operands += [t, ports]
+    out = [labels[("out", j)] for j in range(d.n_out)]
+    out += [labels[("in", i)] for i in range(d.n_in)]
+    t = np.einsum(*operands, out, optimize=False) if operands else 1.0 + 0j
+    return (2.0 ** d.loops * np.asarray(t)).reshape(2 ** d.n_out,
+                                                    2 ** d.n_in)
+
+
 def contraction_order_by_scan(d: D.Diagram) -> list[list[int]]:
     """Reference for ``contraction_order``: grow an accumulator of open
     wire labels and, at every step, rescan all remaining nodes for the
@@ -342,7 +376,7 @@ def walk_along(port_edges, order) -> list:
         for k, v in enumerate(component):
             earlier = {i for u in component[:k] for i in opened(u)}
             steps.append((v, opened(v),
-                          [i for i in opened(v) if i in earlier]))
+                          tuple(i for i in opened(v) if i in earlier)))
         walk.append(steps)
     return walk
 

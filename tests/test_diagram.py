@@ -224,6 +224,25 @@ def test_wellformedness_rejects(nodes, edges, n_in, n_out, loops, message):
         D.Diagram(nodes, edges, n_in, n_out, loops=loops)
 
 
+@pytest.mark.parametrize("edge", [
+    [["in", 0], ["n", 0, 0]],              # list endpoints
+    (("in", 0), ("n", 0, 0), ("n", 0, 1)),  # three endpoints
+    (("in", 0),),                           # one endpoint
+    (("in", 0), ("n", 0)),                  # a node end without a port
+    (("in", 0.0), ("n", 0, 0)),             # a float slot
+    (("in", 0), ("n", 0.0, 0)),             # a float node id
+    (("in", False), ("n", 0, 0)),           # a bool slot
+    (("in", 0), ("n", 0, False)),           # a bool port
+    (("in", 0, 0), ("n", 0, 0)),            # a slot with a port
+    ((), ("n", 0, 0)),                      # an empty endpoint
+])
+def test_malformed_endpoints_raise_diagram_error_naming_the_edge(edge):
+    # the constructor is the trust boundary: each of these used to be
+    # accepted, or to fail with TypeError, ValueError or IndexError
+    with pytest.raises(DiagramError, match=r"^edge 0 "):
+        D.Diagram({0: D.Node(D.Z)}, [edge], 1, 0)
+
+
 def test_wellformedness_after_combinators():
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -344,7 +363,7 @@ def test_contraction_order_edge_cases():
     loop = D.Diagram({0: D.Node(D.Z, 2.0)},
                      [(("n", 0, 0), ("n", 0, 1)), (("in", 0), ("n", 0, 2)),
                       (("out", 0), ("n", 0, 3))], 1, 1)
-    assert list(D.contraction_order(loop.port_edges)) == [[(0, (1, 2), [])]]
+    assert list(D.contraction_order(loop.port_edges)) == [[(0, (1, 2), ())]]
     # a self-loop adds no wire: after node 0, node 2 (two wires and a
     # self-loop) leaves fewer open wires than node 1 (three wires)
     d = D.Diagram({0: D.Node(D.Z), 1: D.Node(D.Z), 2: D.Node(D.Z)},
@@ -353,7 +372,7 @@ def test_contraction_order_edge_cases():
                    (("n", 1, 2), ("out", 2)), (("n", 2, 3), ("out", 1))],
                   0, 3)
     assert list(D.contraction_order(d.port_edges)) == [
-        [(0, (0, 1), []), (2, (1, 5), [1]), (1, (0, 3, 4), [0])]]
+        [(0, (0, 1), ()), (2, (1, 5), (1,)), (1, (0, 3, 4), (0,))]]
 
 
 def _z_grid(n):

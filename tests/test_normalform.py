@@ -603,6 +603,18 @@ def test_normalize_is_bitwise_the_absorb_fold():
                     == _outcome(normalize_by_absorb, d, cap=cap)), (d, cap)
 
 
+def test_fold_steps_skip_the_part_transpose_as_often_as_before():
+    # the walk yields each step's shared edges as a tuple, and _layout
+    # compares them with the part's list: a list never equals a tuple,
+    # so a careless comparison would transpose on every step, the bytes
+    # unchanged and only the time grown
+    counts = []
+    for d in nf_family(5):
+        steps = [s for c in NF._plan.__wrapped__(d, 64)[0] for s in c]
+        counts.append((sum(s[3] is None for s in steps), len(steps)))
+    assert counts == [(37, 60), (100, 179), (253, 474), (615, 1181)]
+
+
 def test_a_z_state_needs_no_transpose():
     # a copy tensor is invariant under every axis permutation, so the
     # fold reshapes a Z state in place: bitwise the operand np.tensordot

@@ -330,9 +330,9 @@ def test_absorb_z_is_bitwise_the_einsum_step(acc_wires, z_wires, batched):
         acc = _random_entries(rng, ((b,) if batched else ()) +
                               (2,) * len(acc_wires))
         phases = _random_entries(rng, (b,))
-        want = np.einsum(acc, [...] + sub_acc,
+        want = np.einsum(acc, [..., *sub_acc],
                          S._z_tensor(phases, len(z_wires), (b,)),
-                         [...] + sub_z, [...] + sub_out)
+                         [..., *sub_z], [..., *sub_out])
         got = S._absorb_z(acc, sub_acc, sub_z, sub_out, phases)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -356,8 +356,8 @@ def test_absorb_fixed_is_bitwise_the_einsum_step(kind):
                 for b in (2, 10):
                     acc = _random_entries(rng, (b,) + (2,) * k)
                     acc.reshape(-1)[:4] = signed_zeros
-                    want = np.einsum(acc, [...] + sub_acc, leaf,
-                                     [...] + sub_leaf, [...] + sub_out)
+                    want = np.einsum(acc, [..., *sub_acc], leaf,
+                                     [..., *sub_leaf], [..., *sub_out])
                     got = S._absorb_fixed(acc, sub_acc, sub_leaf, leaf)
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
@@ -365,8 +365,8 @@ def test_absorb_fixed_is_bitwise_the_einsum_step(kind):
                     # makes non-finite non-finite
                     acc.reshape(b, -1)[::3, rng.integers(2 ** k)] = np.inf
                     with np.errstate(invalid="ignore"):
-                        want = np.einsum(acc, [...] + sub_acc, leaf,
-                                         [...] + sub_leaf, [...] + sub_out)
+                        want = np.einsum(acc, [..., *sub_acc], leaf,
+                                         [..., *sub_leaf], [..., *sub_out])
                         got = S._absorb_fixed(acc, sub_acc, sub_leaf, leaf)
                     bad = [~np.isfinite(x).reshape(b, -1).all(axis=1)
                            for x in (got, want)]
