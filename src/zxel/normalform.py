@@ -16,8 +16,11 @@ on the wire subset S of m wires and ``("mult", m, P)`` the row
 multiplication, each between pink pi pairs on the wires P.  ``gadget``
 builds a spec with its coefficient, and ``op_record`` writes it as
 ``zxel elementary`` prints it.  Each gadget is a short chain of stages
-(``_stages``), and ``nf_to_diagram`` composes the base state and every
-gadget's stages in one ``compose_all``.
+(``_stages``).  ``gadget`` chains a spec's stages once, into a template
+that the process keeps (``_template``), and places each call's
+coefficient on it.  ``nf_to_diagram`` still composes the base state and
+every gadget's stages in one ``compose_all``: composing normal forms
+from the templates made ``nf-scale`` slower and larger.
 
 This module never calls the interpreter; the normal-form pipeline is an
 independent route that the semantics module cross-checks.  The two routes
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -190,27 +194,59 @@ def _pi_layer(m: int, wires: frozenset[int]) -> Diagram:
     return tensor_all(layer) if m else dg.empty()
 
 
+def _checked(spec) -> tuple:
+    """``(kind, m, *wires)`` of a spec, or ValueError naming it unless it
+    is ``("add", m, S, P)`` or ``("mult", m, P)`` with m an int."""
+    spec = tuple(spec)
+    if not (spec[:1] == ("add",) and len(spec) == 4
+            or spec[:1] == ("mult",) and len(spec) == 3) or (
+            type(spec[1]) is not int):
+        raise ValueError(f"not a gadget spec: {spec!r}")
+    return spec
+
+
+@cache
+def _template(kind: str, m: int, *wires: frozenset) -> tuple:
+    """The gadget of a spec built once, its coefficient the traced slot
+    ``_Traced(None, 0)``: ``(shape, nodes, v)``, its node values by id
+    and the id v of the one node that holds the slot."""
+    slot = dg._Traced(None, 0)
+    if kind == "add":
+        core = row_addition_diagram(m, slot, wires[0])
+    elif m:
+        core = row_multiplication_diagram(m, slot)
+    else:
+        core = scalar_nf_diagram(slot)
+    layer = pi_layer(m, wires[-1])
+    d = compose_all([layer, core, layer]) if layer.nodes else core
+    held = [v for v, nd in d.nodes.items() if nd.phase is slot]
+    assert len(held) == 1, (kind, m, wires)
+    return d.shape, dict(d.nodes), held[0]
+
+
 def gadget(spec, a: complex) -> Diagram:
     """The gadget of a spec with coefficient a: ``("add", m, S, P)`` is
     ``row_addition_diagram`` on the wire subset S, ``("mult", m, P)``
     ``row_multiplication_diagram``, or ``scalar_nf_diagram`` at m = 0,
-    each between pink pi pairs on the wires P, or bare if P is empty."""
-    kind, m, *wires = spec
-    if kind == "add":
-        core = row_addition_diagram(m, a, wires[0])
-    elif m:
-        core = row_multiplication_diagram(m, a)
-    else:
-        core = scalar_nf_diagram(a)
-    layer = pi_layer(m, wires[-1])
-    return compose_all([layer, core, layer]) if layer.nodes else core
+    each between pink pi pairs on the wires P, or bare if P is empty.
+    Each spec is built once (``_template``) and kept for the life of the
+    process, so its shape never dies, nor a plan or walk kept for that
+    shape; a call copies the template's nodes and puts a Z node of
+    phase a, or the traced phase a itself, on the coefficient's node.
+    Raises ValueError for any other spec."""
+    kind, m, *wires = _checked(spec)
+    shape, nodes, v = _template(kind, m, *map(frozenset, wires))
+    nodes = dict(nodes)
+    nodes[v] = dg.Node(dg.Z, a if type(a) is dg._Traced else complex(a))
+    return Diagram._of(shape, MappingProxyType(nodes))
 
 
 def op_record(spec, a: complex) -> dict:
     """A spec with coefficient a as ``zxel elementary`` writes it:
     ``{"kind", "m", "coeff": [re, im], "subset", "pi"}``, the wire lists
-    sorted and left out when empty."""
-    kind, m, *wires = spec
+    sorted and left out when empty.  Raises ValueError for a malformed
+    spec, as ``gadget`` does."""
+    kind, m, *wires = _checked(spec)
     a = complex(a)
     rec = {"kind": kind, "m": m, "coeff": [a.real, a.imag]}
     names = ("subset", "pi") if kind == "add" else ("pi",)

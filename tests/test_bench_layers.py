@@ -43,14 +43,16 @@ def test_a_traced_rules_sweep_pass_validates_60_diagrams(tmp_path):
     assert layers["diagram.check_validity.calls"] == 60
 
 
-def test_a_cold_rules_sweep_pass_misses_the_shape_memo_637_times(
+def test_a_cold_rules_sweep_pass_misses_the_shape_memo_402_times(
         monkeypatch):
     # the pass of the benchmark's worker, in process and from cold: with
     # no builder cached and an empty shape memo, one pass over the
-    # rules-sweep corpus at seed 3 builds 637 result shapes through the
-    # memo, 378 of compose_all and 259 of tensor_all (flip, which keeps
-    # its piece's port_edges, stores none), and this is what the memo's
-    # strong keys keep low (ten times as many misses with weak keys)
+    # rules-sweep corpus at seed 3 builds 402 result shapes through the
+    # memo, 266 of compose_all and 136 of tensor_all (flip, which keeps
+    # its piece's port_edges, stores none, and a gadget spec builds
+    # through it only once, for its template), and this is what the
+    # memo's strong keys keep low (ten times as many misses with weak
+    # keys)
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     from zxel import diagram as D
@@ -72,4 +74,4 @@ def test_a_cold_rules_sweep_pass_misses_the_shape_memo_637_times(
     for op in workloads.sweep_corpus(3):
         results[op.op_id] = op.run(results)
         assert op.check(results[op.op_id]) is None, op.op_id
-    assert len(misses) == 637
+    assert len(misses) == 402

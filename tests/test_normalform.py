@@ -116,6 +116,112 @@ def test_pi_wires_out_of_range_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize("spec", [
+    ("foo", 2, [0]),
+    ("add", 2, [0]),
+    ("mult", 2, [0], [1]),
+    ("add", 2.0, [0], []),
+], ids=["kind", "add-no-pi", "mult-extra", "float-m"])
+def test_malformed_specs_are_refused(spec):
+    # before any template lookup: a malformed spec caches nothing
+    cached = NF._template.cache_info().currsize
+    with pytest.raises(ValueError, match="not a gadget spec"):
+        NF.gadget(spec, 2.0)
+    with pytest.raises(ValueError, match="not a gadget spec"):
+        NF.op_record(spec, 2.0)
+    assert NF._template.cache_info().currsize == cached
+
+
+def _stage_built(spec, a):
+    """A gadget built by the stage builders on every call."""
+    kind, m, *wires = spec
+    if kind == "add":
+        core = NF.row_addition_diagram(m, a, wires[0])
+    elif m:
+        core = NF.row_multiplication_diagram(m, a)
+    else:
+        core = NF.scalar_nf_diagram(a)
+    layer = NF.pi_layer(m, wires[-1])
+    return D.compose_all([layer, core, layer]) if layer.nodes else core
+
+
+def _requested_specs(monkeypatch):
+    """Every spec that the catalog's builders and decompose_elementary
+    (seeded 2x2 to 8x8 matrices) ask ``gadget`` for, then every add and
+    mult spec at m <= 2 with every pi wire set."""
+    from zxel import rules as R
+    specs, gadget = {}, NF.gadget
+
+    def record(spec, a):
+        kind, m, *wires = spec
+        specs[(kind, m, *map(frozenset, wires))] = spec
+        return gadget(spec, a)
+
+    monkeypatch.setattr(R, "gadget", record)
+    monkeypatch.setattr(NF, "gadget", record)
+    rng = np.random.default_rng(43)
+    for rule in R.full_catalog():
+        rule.build([random_complex(rng) for _ in range(rule.arity)])
+    for n in (2, 4, 8):
+        full = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        low = full[:, :1] @ full[:1, :]  # rank one: zero-scalings
+        for mat in (full, low, np.eye(n)[rng.permutation(n)]):
+            NF.decompose_elementary(mat)
+    monkeypatch.undo()
+    for m in range(3):
+        subsets = [list(s) for r in range(m + 1)
+                   for s in itertools.combinations(range(m), r)]
+        for pi in subsets:
+            specs.setdefault(("mult", m, frozenset(pi)), ("mult", m, pi))
+            for s in subsets[1:]:
+                specs.setdefault(("add", m, frozenset(s), frozenset(pi)),
+                                 ("add", m, s, pi))
+    return list(specs.values())
+
+
+def _node_bits(d):
+    """Each node's id, kind and phase: a complex phase by its repr,
+    which tells every float apart, and a traced one by identity."""
+    return [(v, nd.kind, ("traced", id(nd.phase))
+             if type(nd.phase) is D._Traced else repr(complex(nd.phase)))
+            for v, nd in d.nodes.items()]
+
+
+def test_gadget_templates_equal_the_stage_builders(monkeypatch):
+    specs = _requested_specs(monkeypatch)
+    assert len(specs) > 60
+    rng = np.random.default_rng(7)
+    for spec in specs:
+        for a in (0.0, random_complex(rng), D._Traced(None, 0) * 2):
+            got, built = NF.gadget(spec, a), _stage_built(spec, a)
+            assert got.shape == built.shape, spec
+            assert _node_bits(got) == _node_bits(built), spec
+        assert NF.gadget(spec, 1.0).shape is NF.gadget(spec, -2j).shape
+
+
+@pytest.mark.parametrize("spec", [
+    ("add", 2, [0], []), ("add", 3, [1, 2], [0]), ("mult", 2, [1]),
+    ("mult", 0, []),
+])
+@pytest.mark.parametrize("a", [complex("nan"), complex("inf"),
+                               complex(0, float("-inf"))])
+def test_gadget_refuses_a_non_finite_coefficient(spec, a):
+    for build in (NF.gadget, _stage_built):
+        with pytest.raises(D.DiagramError, match="not finite"):
+            build(spec, a)
+
+
+@pytest.mark.parametrize("spec", [
+    ("add", 2, [], []), ("add", 2, [2], []), ("add", 2, [-1], [0]),
+    ("add", 2, [0], [2]), ("mult", 2, [-1]), ("mult", 0, [0]),
+])
+def test_gadget_refuses_bad_wires_as_the_stage_builders(spec):
+    for build in (NF.gadget, _stage_built):
+        with pytest.raises(ValueError) as err:
+            build(spec, 0.5)
+        assert not isinstance(err.value, D.DiagramError), spec
+
+
 def test_perm_matrix_matches_contraction():
     # index arithmetic against the contraction of the wiring diagram
     for m in range(4):
