@@ -17,10 +17,11 @@ multiplication, each between pink pi pairs on the wires P.  ``gadget``
 builds a spec with its coefficient, and ``op_record`` writes it as
 ``zxel elementary`` prints it.  Each gadget is a short chain of stages
 (``_stages``).  ``gadget`` chains a spec's stages once, into a template
-that the process keeps (``_template``), and places each call's
-coefficient on it.  ``nf_to_diagram`` still composes the base state and
-every gadget's stages in one ``compose_all``: composing normal forms
-from the templates made ``nf-scale`` slower and larger.
+that the process keeps while it is among the ``_TEMPLATES`` latest
+used (``_template``), and places each call's coefficient on it.
+``nf_to_diagram`` still composes the base state and every gadget's
+stages in one ``compose_all``: composing normal forms from the
+templates made ``nf-scale`` slower and larger.
 
 This module never calls the interpreter; the normal-form pipeline is an
 independent route that the semantics module cross-checks.  The two routes
@@ -41,15 +42,20 @@ state, a copy tensor, is the same under every axis permutation, so it
 is built in its step's 2-D layout, where ``np.tensordot`` would
 transpose a copy of it.
 ``normalize_all`` groups a list by shape, so that diagrams of one shape
-share a plan.  From its second planning on, a shape keeps its plan
-across calls (``diagram._plan_memo``): the normal-form diagrams of all
-m-wire states share one shape, so they are planned twice in all.
+share a plan, and folds each group over its phase matrix, a row per
+diagram and a column per Z step: the steps before the first column
+whose phases differ fold once, and each row folds on from there by its
+own ``np.dot`` calls, so that its bytes are those of its own fold; a
+group of equal rows folds once.  From its second planning on, a shape
+keeps its plan across calls (``diagram._plan_memo``): the normal-form
+diagrams of all m-wire states share one shape, so they are planned
+twice in all.  A one-row fold never tests its columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from types import MappingProxyType
 from typing import Sequence
 
@@ -205,11 +211,20 @@ def _checked(spec) -> tuple:
     return spec
 
 
-@cache
+# the most gadget templates kept: every spec at m <= 4 (256 of them), and
+# five times the 51 specs that a rules-sweep pass asks for.  A template
+# keeps its shape alive, and with it any plan or walk kept for it, so an
+# unbounded cache grew by up to 4^m templates per m that
+# decompose_elementary reached
+_TEMPLATES = 256
+
+
+@lru_cache(maxsize=_TEMPLATES)
 def _template(kind: str, m: int, *wires: frozenset) -> tuple:
     """The gadget of a spec built once, its coefficient the traced slot
     ``_Traced(None, 0)``: ``(shape, nodes, v)``, its node values by id
-    and the id v of the one node that holds the slot."""
+    and the id v of the one node that holds the slot.  Only the
+    ``_TEMPLATES`` latest used are kept."""
     slot = dg._Traced(None, 0)
     if kind == "add":
         core = row_addition_diagram(m, slot, wires[0])
@@ -229,10 +244,11 @@ def gadget(spec, a: complex) -> Diagram:
     ``row_addition_diagram`` on the wire subset S, ``("mult", m, P)``
     ``row_multiplication_diagram``, or ``scalar_nf_diagram`` at m = 0,
     each between pink pi pairs on the wires P, or bare if P is empty.
-    Each spec is built once (``_template``) and kept for the life of the
-    process, so its shape never dies, nor a plan or walk kept for that
-    shape; a call copies the template's nodes and puts a Z node of
-    phase a, or the traced phase a itself, on the coefficient's node.
+    Each spec is built once (``_template``) and kept while it is among
+    the ``_TEMPLATES`` latest used, and so are its shape and any plan or
+    walk kept for that shape; a call copies the template's nodes and
+    puts a Z node of phase a, or the traced phase a itself, on the
+    coefficient's node.
     Raises ValueError for any other spec."""
     kind, m, *wires = _checked(spec)
     shape, nodes, v = _template(kind, m, *map(frozenset, wires))
@@ -408,23 +424,25 @@ def _fixed_operand(kind: str, looped: bool, perm, shape) -> np.ndarray:
 @dg._plan_memo
 def _plan(d: Diagram, cap: int) -> tuple:
     """How to normalise every diagram of ``d``'s shape, as
-    ``(components, caps, perm)``.
+    ``(components, caps, perm, zids, loops)``.
 
     The fold translates the walk of ``d``'s shape (``diagram._walk``)
     in one pass: bending ``d`` into a state only renumbers its boundary,
     input i to output slot n - 1 - i and output j to slot n + j.
     ``components`` holds one list of steps per connected component, each
-    step ``(v, b, na, perm_a, shape_a)`` absorbing one node into the
+    step ``(j, b, na, perm_a, shape_a)`` absorbing one node into the
     component's part of ``na`` wires, laid out for ``np.dot`` as
     ``_layout`` says; the part's axis order is this route's own, its
     edges but the shared ones, then the rest of the node's.  ``b`` is the
-    node's operand: for a Z spider, whose state a run builds from node
-    ``v``'s phase, its 2-D shape (1 x 1 at degree 0), since a copy
-    tensor is the same under every axis permutation and so needs none;
-    for any other generator (``v`` None), its laid-out state itself,
-    plugged if it sits on a loop.  ``caps`` counts the bare wires, which
-    bend into caps, and ``perm`` takes the folded wires to the output
-    order.
+    node's operand: for a Z spider, whose state a run builds from the
+    phase in column ``j`` of its phase matrix, its 2-D shape (1 x 1 at
+    degree 0), since a copy tensor is the same under every axis
+    permutation and so needs none; for any other generator (``j``
+    None), its laid-out state itself, plugged if it sits on a loop.
+    ``caps`` counts the bare wires, which bend into caps, and ``perm``
+    takes the folded wires to the output order.  ``zids`` holds the node
+    id of each Z step in plan order, the columns of a phase matrix, and
+    ``loops`` the shape's bare loops.
     Every wire-cap check happens here, before anything is allocated: the
     state's wires, then each node's open wires, then the part's wires
     after each step."""
@@ -435,7 +453,7 @@ def _plan(d: Diagram, cap: int) -> tuple:
     def slot(k):  # the output slot of boundary slot k, once bent
         return n - 1 - k if k < n else k
 
-    components = []
+    components, zids = [], []
     slots: list[int] = []  # output slot of each folded wire, in order
     for component in _walk(d):
         steps, part = [], []  # part: the edge at each of the part's axes
@@ -452,7 +470,9 @@ def _plan(d: Diagram, cap: int) -> tuple:
                     f"cap is {cap}")
             kind = d.nodes[v].kind
             if kind == dg.Z:  # a self-loop leaves a Z of degree d - 2
-                steps.append((v, shape_b, len(part), perm_a, shape_a))
+                steps.append((len(zids), shape_b, len(part), perm_a,
+                              shape_a))
+                zids.append(v)
             else:
                 steps.append((None, _fixed_operand(kind, not edges, perm_b,
                                                    shape_b),
@@ -467,42 +487,84 @@ def _plan(d: Diagram, cap: int) -> tuple:
     slots += [s for pair in caps for s in pair]
     # axis k of the folded state holds output slot slots[k]; slot j goes
     # to axis j, the output order
-    return components, len(caps), np.argsort(slots)
+    return components, len(caps), np.argsort(slots), tuple(zids), d.loops
 
 
 _ONE = np.ones(1, dtype=complex)
 _CAP = _z_state(1.0, 2)  # a cap bent into a state
 
 
-def _run(plan: tuple, d: Diagram) -> NormalForm:
-    """Fold the coefficients of ``d``, a diagram of the plan's shape:
-    each step is one ``np.dot``, bitwise ``np.tensordot``'s (a Z state
-    is built in its 2-D layout, holding the values ``np.tensordot`` would
-    transpose it into), each component and bare cap joins the result by
-    one outer product, bitwise ``nf_tensor``'s, and only the result is
-    wrapped as a ``NormalForm``."""
-    components, caps, perm = plan
-    nodes = d.nodes
+def _fold(plan: tuple, row: Sequence, state: tuple,
+          stop: int | None = None) -> tuple:
+    """Fold from ``state`` on, each Z step's phase read from ``row`` by
+    its column, up to the Z step of column ``stop`` (not run) or to the
+    end: each step is one ``np.dot``, bitwise ``np.tensordot``'s (a Z
+    state is built in its 2-D layout, holding the values
+    ``np.tensordot`` would transpose it into), and each component joins
+    the result by one outer product, bitwise ``nf_tensor``'s.  A state
+    is ``(acc, part, c, s)``: the coefficients joined from components
+    0..c-1, the part folded of component c and the index s of its next
+    step; the fold gives the state where it stops, ``c`` past the last
+    component at the end.  No step changes an array it is given, so a
+    state serves every row that shares its phases."""
+    components = plan[0]
+    acc, part, c, s = state
     outer = np.multiply.outer  # np.kron of two vectors, without its checks
-    acc = np.array([2.0 ** d.loops], dtype=complex)  # a bare loop is 2
-    for steps in components:
-        part = _ONE
-        for v, b, na, perm_a, shape_a in steps:
-            if v is not None and b == (1, 1):  # a degree-0 Z: 1 + phase
-                b = np.array([[1.0 + nodes[v].phase]], dtype=complex)
-            elif v is not None:  # a copy tensor needs no transpose
-                b = np.zeros(b, dtype=complex)
-                b[0, 0], b[-1, -1] = 1.0, nodes[v].phase
+    for c in range(c, len(components)):
+        for s, (j, b, na, perm_a, shape_a) in enumerate(components[c][s:],
+                                                        s):
+            if j is not None:
+                if j == stop:
+                    return acc, part, c, s
+                if b == (1, 1):  # a degree-0 Z: 1 + phase
+                    b = np.array([[1.0 + row[j]]], dtype=complex)
+                else:  # a copy tensor needs no transpose
+                    b = np.zeros(b, dtype=complex)
+                    b[0, 0], b[-1, -1] = 1.0, row[j]
             if perm_a is not None:
                 part = part.reshape((2,) * na).transpose(perm_a)
             part = np.dot(part.reshape(shape_a), b)
         acc = outer(acc, part).reshape(-1)
+        part, s = _ONE, 0
+    return acc, part, len(components), 0
+
+
+def _finish(plan: tuple, acc: np.ndarray) -> NormalForm:
+    """The normal form of the folded coefficients ``acc``: each bare cap
+    joins them by one outer product, bitwise ``nf_tensor``'s, and the
+    wires go to the output order."""
+    caps, perm = plan[1:3]
     for _ in range(caps):
-        acc = outer(acc, _CAP).reshape(-1)
+        acc = np.multiply.outer(acc, _CAP).reshape(-1)
     if not np.all(np.isfinite(acc)):
         raise ArithmeticError("non-finite coefficients in normal form")
     return NormalForm(len(perm),
                       np.transpose(acc.reshape((2,) * len(perm)), perm))
+
+
+def _first_varying(phases: Sequence[Sequence]) -> int | None:
+    """The first column of a phase matrix of two or more rows whose
+    phases are not all equal to the bit (0.0 and -0.0 differ), or None
+    if every column is constant."""
+    bits = np.array(phases, dtype=complex).view(np.int64)
+    varying = (bits != bits[0]).any(axis=0)
+    return int(varying.argmax()) >> 1 if varying.any() else None
+
+
+def _run(plan: tuple, phases: Sequence[Sequence]) -> list[NormalForm]:
+    """The normal forms of a phase matrix: one row per diagram of the
+    plan's shape, one phase per Z step of the plan, in plan order
+    (``zids``).  The steps before the first varying column fold once
+    (``_fold``), with the first row's phases, and each row folds on from
+    there by its own ``np.dot`` calls, so every row's bytes are those of
+    its own fold.  A single row, whose columns are not tested, or rows
+    of one value in every column fold once to the end, and each row
+    gets its own ``NormalForm`` of those coefficients."""
+    start = (np.array([2.0 ** plan[4]], dtype=complex),  # a bare loop is 2
+             _ONE, 0, 0)
+    first = _first_varying(phases) if len(phases) > 1 else None
+    shared = _fold(plan, phases[0], start, first)
+    return [_finish(plan, _fold(plan, row, shared)[0]) for row in phases]
 
 
 def normalize_all(ds: Sequence[Diagram],
@@ -510,9 +572,12 @@ def normalize_all(ds: Sequence[Diagram],
     """Rewrite each diagram into its normal form, in input order.
 
     Diagrams of one shape share one plan (``_plan``), built once from the
-    first of them; each is then folded on its own (``_run``).  Raises
-    what ``normalize`` raises for the first failing diagram of the first
-    failing group, groups taken in order of their first diagram."""
+    first of them, and fold together over their phase matrix (``_run``):
+    a row per diagram, the steps before their phases first differ run
+    once.  Every result has the bytes of the diagram's own ``normalize``.
+    Raises what ``normalize`` raises for the first failing diagram of
+    the first failing group, groups taken in order of their first
+    diagram."""
     if cap is None:
         cap = wire_cap()
     groups: dict = {}
@@ -521,8 +586,9 @@ def normalize_all(ds: Sequence[Diagram],
     out: list = [None] * len(ds)
     for members in groups.values():
         plan = _plan(ds[members[0]], cap)
-        for k in members:
-            out[k] = _run(plan, ds[k])
+        rows = [[ds[k].nodes[v].phase for v in plan[3]] for k in members]
+        for k, nf in zip(members, _run(plan, rows)):
+            out[k] = nf
     return out
 
 

@@ -24,13 +24,19 @@ edges: the boundary slot of each end wire gives its output permutation.
 
 A run contracts a plan over a phase matrix: one row per batch entry,
 one column per Z leaf of the plan.  Diagrams of one shape share a plan,
-and one run of it contracts them all at once, their Z tensors stacked
-along a leading batch axis.  From its second planning on, a shape keeps
-its plan across calls (``diagram._plan_memo``); a shape planned once,
-such as a one-off rule side, keeps none.  One loop, ``_chunked``, runs
-every phase matrix, in chunks under the wire cap, and reads each chunk
-out at once through each diagram it is given, so the matrices returned
-are views of one stacked array per chunk.  ``interpret_all`` groups a
+and one run of it contracts them all at once: the Z tensors of the
+columns that vary are stacked along a leading batch axis, and a column
+of one value in every row, to the bit, is one tensor with no batch
+axis.  So the batch axis starts at the first step that absorbs a
+varying column, and a batch of equal rows runs as one row, whose root
+serves them all.  The plan records its shape's readout order, so only
+another shape read out of the same root, such as a flip, works out its
+own.  From its second planning on, a shape keeps its plan across calls
+(``diagram._plan_memo``); a shape planned once, such as a one-off rule
+side, keeps none.  One loop, ``_chunked``, runs every phase matrix, in
+chunks under the wire cap, and reads each chunk out at once through
+each diagram it is given, so the matrices returned are views of one
+stacked array per chunk.  ``interpret_all`` groups a
 list by shape, a row per diagram, and ``interpret`` is
 ``interpret_all`` of one diagram.  The rule-soundness sweep builds no
 diagram per draw: ``_interpret_drawn`` runs one template side over the
@@ -40,12 +46,14 @@ the side and its flip, which keeps every edge index, out of one root.
 A Z spider is a copy tensor: of its 2^degree entries only the all-zero
 one (1) and the all-one one (the phase) are nonzero.  So in a batched
 run, a step that absorbs a Z leaf no earlier step has touched and that
-brings a new wire, into a large enough result, reads two corners of the
-accumulator instead of multiplying the Z tensor through einsum
-(``_absorb_z``), bitwise to the same result.  Likewise a step that
-absorbs an untouched H, T or T^-1 leaf sharing one wire and bringing one
-adds and subtracts two slices of the accumulator into a zeroed result
-(``_absorb_fixed``), since every entry of those tensors is 0 or +-1.  An
+brings a new wire, into a large enough batched result, reads two
+corners of the accumulator instead of multiplying the Z tensor through
+einsum (``_absorb_z``), bitwise to the same result; a constant Z leaf
+does so only into an accumulator that already has the batch axis.
+Likewise a step that absorbs an untouched H, T or T^-1 leaf sharing one
+wire and bringing one adds and subtracts two slices of the accumulator
+into a zeroed result (``_absorb_fixed``), since every entry of those
+tensors is 0 or +-1; a Z leaf, constant or not, never does.  An
 unbatched run is plain einsum throughout.
 
 Every step but a gather or a fixed-leaf step calls numpy's C einsum
@@ -242,8 +250,10 @@ def _plan(d: Diagram, cap: int) -> tuple:
     edge i (a bare wire's second end), ~i for a bare wire's first end.
     ``zids`` holds the node id of each Z leaf in leaf order: the columns
     of a phase matrix.  ``width`` is the most open wires any operand has.
-    Nothing in the plan depends on which ends are inputs: ``_matrices``
-    reads that off each diagram's own ``slot_edges``.
+    ``axes``, a tuple of ints, permutes the root's axes into the matrix
+    order of ``d``'s shape (``_axes``).  Nothing else in the plan
+    depends on which ends are inputs, so the root serves a flip too,
+    whose own axes ``_chunked`` works out from its ``slot_edges``.
 
     The plan translates the walk (``diagram._walk``) in one pass: each
     component folds its nodes into its first one, its wires threaded
@@ -298,37 +308,38 @@ def _plan(d: Diagram, cap: int) -> tuple:
             f"contraction needs {over} open wires, cap is {cap}")
     # the root's axes hold the parts' end wires in order
     zids = tuple(t[0] for t in leaves if isinstance(t, tuple))
-    return leaves, steps, root, wires, zids, width
+    return leaves, steps, root, wires, zids, width, _axes(wires, d, at)
 
 
-def _axes(ends: list[int], d: Diagram) -> list[int]:
+def _axes(ends: list[int], d: Diagram, at: dict) -> tuple[int, ...]:
     """The axes of a root whose axes hold the end wires ``ends``, in the
     order of ``d``'s matrix: each axis goes to the boundary slot of its
-    end in ``d``'s own ``slot_edges``, out slot 0..m-1 then in slot
-    0..n-1 (most significant bit first within each boundary, matching
+    end in ``d``'s own ``slot_edges``, whose table ``at`` is
+    ``_slot_ends(d.shape)``, out slot 0..m-1 then in slot 0..n-1 (most
+    significant bit first within each boundary, matching
     |a_{m-1}...a_0>): end i is edge i's last slot, a bare wire's ~i its
     first."""
-    at, n = _slot_ends(d.shape), d.n_in
+    n = d.n_in
     # out slot j is axis j, in slot i axis n_out + i
     slots = [((at[i][-1] if i >= 0 else at[~i][0]) - n) % (n + d.n_out)
              for i in ends]
-    return sorted(range(len(slots)), key=slots.__getitem__)
+    return tuple(sorted(range(len(slots)), key=slots.__getitem__))
 
 
-def _matrices(t: np.ndarray, ends: list[int], d: Diagram,
+def _matrices(t: np.ndarray, axes: Sequence[int], d: Diagram,
               rows: int) -> np.ndarray:
     """The matrices of the ``rows`` diagrams of ``d``'s shape whose
     contracted root is ``t``, stacked in one array.  The root's batch
-    axis leads (an unbatched root, of one diagram or with no Z phase, has
-    none and serves every row), and its other axes hold the end wires
-    ``ends``: each matrix is the root permuted by ``_axes`` and scaled by
-    ``d``'s loops."""
-    axes = _axes(ends, d)
-    if t.ndim > len(ends):
+    axis leads (an unbatched root, of one diagram or with no varying Z
+    phase, has none and serves every row), and ``axes`` (``_axes``)
+    permutes its other axes into ``d``'s matrix order; each matrix is
+    then scaled by ``d``'s loops."""
+    wires = (2,) * len(axes)
+    if t.ndim > len(axes):
         axes = [0] + [a + 1 for a in axes]
     mats = np.empty((rows, 2 ** d.n_out, 2 ** d.n_in), dtype=complex)
     np.multiply(np.transpose(t, axes), 2.0 ** d.loops,
-                out=mats.reshape((rows,) + (2,) * len(ends)))
+                out=mats.reshape((rows,) + wires))
     if not np.isfinite(mats).all():
         raise ArithmeticError("non-finite entries in interpretation")
     return mats
@@ -339,13 +350,29 @@ def _run(plan: tuple, phases: Sequence[Sequence]) -> np.ndarray:
     contracted root, its axes in the plan's end-wire order behind a
     leading batch axis, one row per batch entry; each consumed operand is
     freed as it goes.  ``phases`` holds one row per batch entry and, in
-    each row, one phase per Z leaf of the plan, in leaf order.  A single
-    row runs without the batch axis, and so does a batch with no Z leaf,
-    whose entries all share the one root."""
+    each row, one phase per Z leaf of the plan, in leaf order.
+
+    A Z leaf whose column holds one value in every row, to the bit (so
+    0.0 and -0.0 differ), is constant: its tensor is built once, with no
+    batch axis, as a single row builds it.  The batch axis starts at the
+    first step that absorbs a varying leaf, and a batch with no varying
+    leaf (a single row, a batch of equal rows or of no Z leaf) runs as
+    its first row, whose root, with no batch axis, serves every row.  A
+    constant leaf absorbed into a batched accumulator may still be
+    gathered (``_absorb_z``), its phase broadcast over the rows; it is
+    never absorbed by slices, since ``_absorb_fixed`` reads only 0 and
+    +-1 entries."""
     leaves, steps, root = plan[:3]
     gathered: dict = {}  # each gathered Z operand -> its batch of phases
     fixed: set = set()  # each fixed leaf absorbed by slices
-    if len(phases) == 1:
+    b, varying = len(phases), ()
+    if b > 1:
+        columns = zip(*phases)
+        zs = {k: np.array(next(columns), dtype=complex)
+              for k, t in enumerate(leaves) if isinstance(t, tuple)}
+        varying = {k for k, c in zs.items()
+                   if c.tobytes() != c[:1].tobytes() * b}
+    if not varying:  # every row is the first row
         # this branch is kept on purpose: run as a batch of one, a lone
         # diagram gave bit-identical matrices, but contract_state on the
         # normal-form family got 5-16 % slower at every m = 2..6
@@ -353,20 +380,18 @@ def _run(plan: tuple, phases: Sequence[Sequence]) -> np.ndarray:
         ops = [_z_tensor(next(row), t[1], ()) if isinstance(t, tuple)
                else t for t in leaves]
     else:
-        b = len(phases)
-        columns = zip(*phases)
-        zs = {k: np.array(next(columns), dtype=complex)
-              for k, t in enumerate(leaves) if isinstance(t, tuple)}
-        # a step absorbing a Z leaf that brings a new wire, or a fixed
-        # 2 x 2 leaf sharing one wire and bringing one, that no earlier
-        # step has touched skips einsum if the step's result is large
-        # enough; a gathered leaf's tensor is never built.  A step
-        # numbers the accumulator's wires first, so a leaf wire numbered
-        # past them is a new wire
-        touched, batched = set(), set(zs)  # batched: has a batch axis
+        # a step absorbing a Z leaf that brings a new wire, into a batched
+        # result (the leaf's own batch, or the accumulator's for a
+        # constant leaf), or a fixed 2 x 2 leaf sharing one wire and
+        # bringing one, that no earlier step has touched skips einsum if
+        # the step's result is large enough; a gathered leaf's tensor is
+        # never built.  A step numbers the accumulator's wires first, so
+        # a leaf wire numbered past them is a new wire
+        touched, batched = set(), set(varying)  # batched: has a batch axis
         for dst, src, sub_dst, sub_src, sub_out in steps:
-            if src in zs and src not in touched:
-                if (sub_src and max(sub_src) >= len(sub_dst)
+            if src in zs:
+                if (src not in touched and (src in batched or dst in batched)
+                        and sub_src and max(sub_src) >= len(sub_dst)
                         and b << len(sub_out) >= _GATHER_MIN):
                     gathered[src] = zs[src]
             elif ((b if dst in batched else 1) << len(sub_out) >= _FIXED_MIN
@@ -377,10 +402,12 @@ def _run(plan: tuple, phases: Sequence[Sequence]) -> np.ndarray:
             if src in batched:
                 batched.add(dst)
         ops = [t if k not in zs else None if k in gathered else
-               _z_tensor(zs[k], t[1], (b,))
+               _z_tensor(zs[k], t[1], (b,)) if k in varying else
+               _z_tensor(zs[k][0], t[1], ())
                for k, t in enumerate(leaves)]
-        # the batch axis, leading on the Z tensors and on every result
-        # that has one, is einsum's broadcast ellipsis: it takes no label
+        # the batch axis, leading on the varying Z tensors and on every
+        # result that has one, is einsum's broadcast ellipsis: it takes no
+        # label
         steps = [(dst, src, sub_dst, sub_src, sub_out)
                  if src in gathered or src in fixed
                  else (dst, src, [..., *sub_dst], [..., *sub_src],
@@ -410,14 +437,18 @@ def _chunked(plan: tuple, cap: int, phases: Sequence[Sequence],
     integer).  Each chunk is read out at once through each diagram of
     ``ds``, all of the plan's shape but for which ends are inputs: per
     diagram, its list of chunks, each one stacked array of that chunk's
-    matrices, in row order."""
+    matrices, in row order.  ``ds[0]`` has the shape the plan was made
+    from and reads out through the plan's axes; any other diagram works
+    out its own once per call."""
     size = 1 << min(cap - plan[5], len(phases).bit_length())
     out: list[list] = [[] for _ in ds]
+    axes = [plan[6]] + [_axes(plan[3], d, _slot_ends(d.shape))
+                        for d in ds[1:]]
     for s in range(0, len(phases), size):
         chunk = phases[s:s + size]
         t = _run(plan, chunk)
-        for d, chunks in zip(ds, out):
-            chunks.append(_matrices(t, plan[3], d, len(chunk)))
+        for d, ax, chunks in zip(ds, axes, out):
+            chunks.append(_matrices(t, ax, d, len(chunk)))
     return out
 
 
@@ -426,9 +457,10 @@ def interpret_all(ds: Sequence[Diagram],
     """Evaluate each diagram to its matrix, in input order.
 
     Diagrams of one shape (``d.shape``) share one plan, built once from
-    the first of them, and are contracted together: Z tensors are
-    stacked along a leading batch axis, and the other generators'
-    tensors are broadcast along it.  Each group runs through
+    the first of them, and are contracted together: the Z tensors whose
+    phases differ between them are stacked along a leading batch axis,
+    and every other tensor is broadcast along it (``_run``); a group of
+    equal phases is contracted once.  Each group runs through
     ``_chunked``, one row per diagram, so the matrices are views of one
     stacked array per chunk.  Raises what the first failing diagram of
     the first failing group raises alone, groups taken in order of their

@@ -132,6 +132,26 @@ def test_malformed_specs_are_refused(spec):
     assert NF._template.cache_info().currsize == cached
 
 
+def test_gadget_templates_stay_bounded():
+    # a template keeps its gadget's shape alive, so only the latest
+    # _TEMPLATES used are kept: every spec at m = 3 and 4, more than
+    # that, never holds more, and an evicted spec builds again alike
+    specs = []
+    for m in (3, 4):
+        subsets = [list(s) for r in range(m + 1)
+                   for s in itertools.combinations(range(m), r)]
+        for pi in subsets:
+            specs.append(("mult", m, pi))
+            specs += [("add", m, s, pi) for s in subsets[1:]]
+    assert len(specs) > NF._TEMPLATES
+    first = NF.gadget(specs[0], 0.5).structural_key()
+    for spec in specs:
+        NF.gadget(spec, 0.5)
+        assert NF._template.cache_info().currsize <= NF._TEMPLATES
+    assert NF._template.cache_info().currsize == NF._TEMPLATES
+    assert NF.gadget(specs[0], 0.5).structural_key() == first
+
+
 def _stage_built(spec, a):
     """A gadget built by the stage builders on every call."""
     kind, m, *wires = spec

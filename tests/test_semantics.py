@@ -603,6 +603,37 @@ def test_check_soundness_reads_each_side_out_once(monkeypatch):
     assert calls == [24] * 4
 
 
+def test_a_readout_builds_a_slot_table_only_for_another_shape(
+        monkeypatch):
+    # a plan records its own shape's readout axes: reading out of kept
+    # plans builds no slot table, and a flip read out of the same root
+    # builds its own once per run, however many chunks the run takes
+    ds = _readout_corpus()
+    want = [m.tobytes() for m in S.interpret_all(ds)]
+    S.interpret_all(ds)  # the second planning of each shape keeps it
+    d = D.compose(D.z_spider(1, 2, 0.5j), D.tensor(D.triangle(), D.h_box()))
+    f = D.flip(d)
+    cap = S._plan(d, 14)[5] + 1  # chunks of two rows
+    S._plan(d, cap)
+    built = []
+    slot_ends = S._slot_ends
+    monkeypatch.setattr(S, "_slot_ends",
+                        lambda s: built.append(s) or slot_ends(s))
+    assert [m.tobytes() for m in S.interpret_all(ds)] == want
+    assert built == []
+    v = next(v for v, n in d.nodes.items() if n.kind == D.Z)
+    monkeypatch.setenv("ZXEL_WIRE_CAP", str(cap))
+    chunks = S._interpret_drawn(d, f, {v: [0.5j, 2.0, -1.0, 3j, 1.0]})
+    assert [len(c) for c in chunks] == [3, 3]
+    assert built == [f.shape]
+    for side, x in ((chunks[0], d), (chunks[1], f)):
+        for k, a in enumerate([0.5j, 2.0, -1.0, 3j, 1.0]):
+            want = S.interpret(D.Diagram._of(x.shape, MappingProxyType(
+                {**x.nodes, v: D.Node(D.Z, a)})), cap=14)
+            got = np.concatenate(side)[k]
+            assert got.tobytes() == want.tobytes()
+
+
 def test_interpret_all_reads_a_repeated_diagram_out_once(monkeypatch):
     # d listed three times and its flip once: each shape read out once,
     # where a readout per listing read d out three times
