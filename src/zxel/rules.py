@@ -19,12 +19,18 @@ nodes on a wire subset, as the tensor-of-normal-forms protocol uses
 them.  A gadget spec of ``normalform`` names one: ``("add", m, S, P)``
 is the row addition on the wire subset S of m wires and ``("mult", m,
 P)`` the row multiplication, each between pi pairs on the wires P.
-Four families cover most of these propositions, one catalog row each:
-two gadgets commute (``_commutes``), a gadget followed by itself merges
-its coefficients by + or x (``_merges``), a pi layer passes through a
-gadget (``_pi_moves``), and a gadget beside new wires is a product of
-its extensions to them (``_extends``).  Every family builds its gadgets,
-coefficient included, through ``normalform.gadget``.
+Most of these propositions say that one gadget word equals another: a
+product of gadgets, each a spec with its coefficient as a function of
+the parameters, and of diagrams with no parameter, such as pi layers
+and cups, composed by one ``compose_all``.  One family, ``_chain``,
+writes such a rule as one catalog row of its two words, 44 rows in all,
+35 of them through its shorthands: two gadgets commute (``_commutes``),
+a gadget followed by itself merges its coefficients by + or x
+(``_merges``), and a pi layer passes through a gadget (``_pi_moves``).
+One more family, whose left side is a tensor and not a word, says that
+a gadget beside new wires is a product of its extensions to them
+(``_extends``).  Both build their gadgets, coefficient included,
+through ``normalform.gadget``.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -285,11 +291,6 @@ def cnot(m: int, control: int, target: int) -> Diagram:
     for new, old in enumerate(slots + rest):
         back[old] = new
     return compose_all([to_top, tensor(core, identity(m - 2)), permutation(back)])
-
-
-def _partial_cup(m: int) -> Diagram:
-    """m -> m-2 cup plugging wires 0 and 1 (the right-most pair)."""
-    return tensor(identity(m - 2), cup())
 
 
 # -- Figure rule set ------------------------------------------------------
@@ -666,40 +667,46 @@ def _dis(ps):
 
 def _dis2(ps):
     a, = ps
-    lhs = compose(tensor(z_spider(0, 1, a), identity(2)), _dis([])[0])
-    rhs = compose(tensor(z_spider(0, 1, a), identity(2)), _dis([])[1])
-    return lhs, rhs
+    state = tensor(z_spider(0, 1, a), identity(2))
+    lhs, rhs = _dis([])
+    return compose(state, lhs), compose(state, rhs)
 
 
 # -- derived rules: propositions over elementary gadgets -----------------
 
+# a gadget word's coefficients: the first and the second parameter
+_A, _B = operator.itemgetter(0), operator.itemgetter(1)
+
+
+def _chain(name: str, arity: int, lhs, rhs, **kw) -> RewriteRule:
+    """Both sides gadget words, each its pieces composed by one
+    ``compose_all``: a piece ``(spec, coefficient)`` is the gadget of the
+    spec, its coefficient a function of the parameters, and any other
+    piece builds, on each call, a diagram with no parameter, such as a
+    pi layer or ``cup``."""
+    def word(pieces, ps):
+        return compose_all([p() if callable(p) else gadget(p[0], p[1](ps))
+                            for p in pieces])
+    return _r(name, arity, lambda ps: (word(lhs, ps), word(rhs, ps)), **kw)
+
+
 def _commutes(name: str, g1, g2, **kw) -> RewriteRule:
     """g1 (coefficient a) then g2 (coefficient b) equals g2 then g1."""
-    def build(ps):
-        d1, d2 = gadget(g1, ps[0]), gadget(g2, ps[1])
-        return compose(d1, d2), compose(d2, d1)
-    return _r(name, 2, build, **kw)
+    return _chain(name, 2, [(g1, _A), (g2, _B)], [(g2, _B), (g1, _A)], **kw)
 
 
 def _merges(name: str, g, combine, **kw) -> RewriteRule:
     """g with a then g with b is g with ``combine(a, b)``."""
-    def build(ps):
-        a, b = ps
-        return (compose(gadget(g, a), gadget(g, b)),
-                gadget(g, combine(a, b)))
-    return _r(name, 2, build, **kw)
+    return _chain(name, 2, [(g, _A), (g, _B)], [(g, lambda ps: combine(*ps))],
+                  **kw)
 
 
 def _pi_moves(name: str, g, Q, **kw) -> RewriteRule:
     """A pi layer on the wires Q passes through g, whose pi wires P
     become P ^ Q (symmetric difference)."""
+    layer = partial(pi_layer, g[1], Q)
     moved = (*g[:-1], set(g[-1]) ^ set(Q))
-
-    def build(ps):
-        layer = pi_layer(g[1], Q)
-        return (compose(layer, gadget(g, ps[0])),
-                compose(gadget(moved, ps[0]), layer))
-    return _r(name, 1, build, **kw)
+    return _chain(name, 1, [layer, (g, _A)], [(moved, _A), layer], **kw)
 
 
 def _extends(name: str, g, n: int, low: bool, **kw) -> RewriteRule:
@@ -721,40 +728,11 @@ def _extends(name: str, g, n: int, low: bool, **kw) -> RewriteRule:
     return _r(name, 1, build, **kw)
 
 
-def _piredonpair(ps):
-    a, = ps
-    layer = tensor(x_spider(0, 1, dg.TAU_PI), identity(1))  # on wire 1
-    return compose(layer, gadget(("add", 2, [0], [1]), a)), layer
-
-
 def _ruletensorad(ps):
     a, b = ps
     lhs1 = tensor(row_addition_diagram(1, a, [0]), identity(1))
     lhs2 = tensor(identity(1), row_addition_diagram(1, b, [0]))
     return compose(lhs1, lhs2), compose(lhs2, lhs1)
-
-
-def _pimultiaddcombine(ps):
-    a, b = ps
-    mult = gadget(("mult", 2, [0]), b)
-    lhs = compose(row_addition_diagram(2, a, [0]), mult)
-    rhs = compose(mult, row_addition_diagram(2, a * b, [0]))
-    return lhs, rhs
-
-
-def _pitopaddpipair(ps):
-    a, b = ps
-    # wires: block N = {0}, block M = {1}; a on J={1}, b on I={0} with
-    # pi pairs on J
-    J, I = [1], [0]
-    piadd = gadget(("add", 2, I, J), b)
-    lhs = compose(row_addition_diagram(2, a, J), piadd)
-    rhs = compose_all([
-        piadd,
-        row_addition_diagram(2, a * b, I + J),
-        row_addition_diagram(2, a, J),
-    ])
-    return lhs, rhs
 
 
 def _cnotscommute(ps):
@@ -764,52 +742,6 @@ def _cnotscommute(ps):
 
 
 # -- derived rules: self-plugging layer ------------------------------------
-
-def _rule10(ps):
-    b, c = ps
-    m = 2
-    lhs = compose_all([row_addition_diagram(m, c, [0, 1]),
-                       row_multiplication_diagram(m, b), cup()])
-    rhs = compose(row_multiplication_diagram(m, b + c), cup())
-    return lhs, rhs
-
-
-def _rule10exten(ps):
-    b, c = ps
-    m = 3
-    lhs = compose_all([row_addition_diagram(m, c, [0, 1]),
-                       row_multiplication_diagram(m, b), _partial_cup(m)])
-    rhs = compose(row_multiplication_diagram(m, b + c), _partial_cup(m))
-    return lhs, rhs
-
-
-def _rule12th(ps):
-    a, = ps
-    lhs = compose(row_addition_diagram(2, a, [1]), cup())
-    return lhs, cup()
-
-
-def _rule12thexten(ps):
-    a, = ps
-    m = 3
-    lhs = compose(row_addition_diagram(m, a, [1, 2]), _partial_cup(m))
-    return lhs, _partial_cup(m)
-
-
-def _rule12extengen(ps):
-    a, = ps
-    m = 3
-    lhs = compose(row_addition_diagram(m, a, [2]), _partial_cup(m))
-    rhs = compose(row_addition_diagram(m, a, [0, 1, 2]), _partial_cup(m))
-    return lhs, rhs
-
-
-def _3and3gdotcirc(ps):
-    a, = ps
-    lhs = compose(row_addition_diagram(2, a, [0, 1]), cup())
-    rhs = compose(row_multiplication_diagram(2, 1.0 + a), cup())
-    return lhs, rhs
-
 
 def _3and3gdotcircsimp(ps):
     a, = ps
@@ -823,6 +755,10 @@ def derived_catalog() -> list[RewriteRule]:
     soundness harness, never assumed.  A rule's provenance is its own
     name unless it names another lemma."""
     nonzero = lambda ps: all(abs(p) > 1e-6 for p in ps)
+    plus = lambda ps: ps[0] + ps[1]
+    times = lambda ps: ps[0] * ps[1]
+    red = lambda: tensor(x_spider(0, 1, dg.TAU_PI), identity(1))  # on wire 1
+    cup3 = lambda: tensor(identity(1), cup())  # plugs wires 0 and 1 of 3
 
     rules = [
         _r("Sca", 2, _sca, provenance="scalartimes"),
@@ -879,7 +815,7 @@ def derived_catalog() -> list[RewriteRule]:
         _pi_moves("picntcommutcro2", ("add", 3, [0, 1], [2]), [2]),
         _pi_moves("picntcommuteand", ("mult", 2, []), [1]),
         _pi_moves("picntcommuteandcr1", ("mult", 3, []), [0, 2]),
-        _r("piredonpairpidm", 1, _piredonpair),
+        _chain("piredonpairpidm", 1, [red, (("add", 2, [0], [1]), _A)], [red]),
         _extends("prop1", ("add", 2, [0], []), 1, low=True),
         _extends("prop1cro2", ("add", 2, [0, 1], []), 1, low=False,
                  provenance="propo1cro2"),
@@ -923,8 +859,15 @@ def derived_catalog() -> list[RewriteRule]:
                   ("mult", 3, [2])),
         _merges("TR15", ("mult", 2, [1]), operator.mul,
                 provenance="pimultiplyabsorbtion"),
-        _r("pimultiaddcombinepro", 2, _pimultiaddcombine),
-        _r("pitopaddpipaircommutprop", 2, _pitopaddpipair),
+        _chain("pimultiaddcombinepro", 2,
+               [(("add", 2, [0], []), _A), (("mult", 2, [0]), _B)],
+               [(("mult", 2, [0]), _B), (("add", 2, [0], []), times)]),
+        # blocks N = {0}, M = {1}: a on J = {1}, b on I = {0} with pi
+        # pairs on J
+        _chain("pitopaddpipaircommutprop", 2,
+               [(("add", 2, [1], []), _A), (("add", 2, [0], [1]), _B)],
+               [(("add", 2, [0], [1]), _B), (("add", 2, [0, 1], []), times),
+                (("add", 2, [1], []), _A)]),
         _r("cnotscomutelm", 0, _cnotscommute),
         # props 27-30 on blocks N = {2, 3}, M = {0, 1}
         _commutes("addpipair2sidecommutprop", ("add", 4, [3], [0]),
@@ -946,12 +889,19 @@ def derived_catalog() -> list[RewriteRule]:
         _commutes("addpipairmulcommutprop30ccro", ("add", 4, [0, 1], []),
                   ("mult", 4, [0])),
         # self-plugging layer
-        _r("rule10", 2, _rule10),
-        _r("rule10exten", 2, _rule10exten),
-        _r("rule12th", 1, _rule12th),
-        _r("rule12thexten", 1, _rule12thexten),
-        _r("rule12extengen", 1, _rule12extengen),
-        _r("3and3gdotcirc", 1, _3and3gdotcirc),
+        _chain("rule10", 2,
+               [(("add", 2, [0, 1], []), _B), (("mult", 2, []), _A), cup],
+               [(("mult", 2, []), plus), cup]),
+        _chain("rule10exten", 2,
+               [(("add", 3, [0, 1], []), _B), (("mult", 3, []), _A), cup3],
+               [(("mult", 3, []), plus), cup3]),
+        _chain("rule12th", 1, [(("add", 2, [1], []), _A), cup], [cup]),
+        _chain("rule12thexten", 1, [(("add", 3, [1, 2], []), _A), cup3],
+               [cup3]),
+        _chain("rule12extengen", 1, [(("add", 3, [2], []), _A), cup3],
+               [(("add", 3, [0, 1, 2], []), _A), cup3]),
+        _chain("3and3gdotcirc", 1, [(("add", 2, [0, 1], []), _A), cup],
+               [(("mult", 2, []), lambda ps: 1.0 + ps[0]), cup]),
         _r("3and3gdotcircsimp", 1, _3and3gdotcircsimp),
     ]
     return [replace(r, provenance=r.provenance or r.name) for r in rules]

@@ -877,6 +877,12 @@ def _assert_derived_shape_is_validated(d):
 
 
 def test_derived_shapes_equal_validated_ones(monkeypatch):
+    # from cold, with every builder cache cleared: a builder cached by an
+    # earlier test skips the combinator calls that the floor below counts
+    for module in (D, NF, R):
+        for f in list(vars(module).values()):
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
     # every result of compose_all, tensor_all, flip and bend_to_state
     # made below: each module's own name is wrapped, but diagram's flip,
     # which the trees call and record themselves

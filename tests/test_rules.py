@@ -567,3 +567,28 @@ def test_catalog_reports_are_stable():
             digest.update(json.dumps(report.to_jsonable(),
                                      sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == CATALOG_SHA256
+
+
+# sha256 over both sides of every full_catalog() rule, built through
+# instantiate on two draws each (one rng seeded 5; a rule without
+# parameters is built twice): each side's shape fields, then each node's
+# id, kind and phase as complex128 bytes.  Pinned before the catalog's
+# gadget propositions were written as gadget words (``rules._chain``)
+SIDES_SHA256 = ("888baee11b916f4cbc58d97dc2b24d51"
+                "cec48e51e86421aa8dd68182d101908a")
+
+
+def test_every_rules_sides_are_byte_stable():
+    # the deviations that CATALOG_SHA256 pins would let a rewritten rule
+    # build another diagram of equal matrices; these bytes would not
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(5)
+    for rule in R.full_catalog():
+        for _ in range(2):
+            params = R._random_params(rule, rng) if rule.arity else []
+            for side in R.instantiate(rule, params):
+                digest.update(repr(side.shape._fields()).encode())
+                for v, nd in side.nodes.items():
+                    digest.update(repr((v, nd.kind)).encode()
+                                  + np.complex128(nd.phase).tobytes())
+    assert digest.hexdigest() == SIDES_SHA256
